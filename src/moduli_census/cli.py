@@ -41,8 +41,11 @@ def _write(text: str, path: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _curve(args) -> HyperellipticCurve:

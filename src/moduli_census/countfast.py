@@ -1,82 +1,137 @@
-"""Vectorized affine character sums for curves over prime fields.
+"""Affine character sums sum_x chi(F(x)) over F_{q^r} from discrete-log tables.
 
-For a prime p and extension degree r, elements of F_{p^r} are numbered by
-their coordinate digits base p.  We pre-tabulate the digit rows of x^i for
-every x (one table per (p, r), grown to the needed degree) together with
-the quadratic-character table, so sum_x chi(F(x)) for a curve with prime
-coefficients is one small integer tensordot per extension.
+Each field E = extend_field(K, r), K = F_q prime or a tower step, gets one
+table built from its smallest-index primitive element g (Lidl &
+Niederreiter, Finite Fields, ch. 9): the base-p digit rows of g^k, built
+in numpy by repeated doubling of the F_p-linear map "multiply by g^(2^j)";
+the log of every element index, so chi(y) = (-1)^log(y); and the orbits of
+Frobenius k -> q k mod (Q - 1).  Digit rows add mod p like field elements,
+and an element of K keeps its index in E, so c_i x^i at x = g^k is
+antilog[log c_i + i k].  F has coefficients in K, so chi(F(x)) is constant
+on Frobenius orbits: the sum over E* visits one x per orbit, about Q / r
+of them, weighted by orbit size; x = 0 adds chi(c_0).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ffield import extend_field, make_field
+from .errors import InternalConsistencyError
+from .ffield import FieldHandle, _prime_divisors, extend_field, make_field
 
 
-class _FieldTable:
-    __slots__ = ("p", "r", "Q", "pvec", "chi", "powd")
-
-    def __init__(self, p: int, r: int):
-        self.p = p
-        self.r = r
-        K = extend_field(make_field(p), r)
-        Q = K.order
-        self.Q = Q
-        self.pvec = np.array([p**j for j in range(r)], dtype=np.int64)
-        chi = np.zeros(Q, dtype=np.int8)
-        raws = [K.raw_of_index(i) for i in range(Q)]
-        for i in range(1, Q):
-            chi[K.index_of_raw(K.mul_raw(raws[i], raws[i]))] = 1
-        chi[1:][chi[1:] == 0] = -1
-        self.chi = chi
-        if r == 1:
-            digits = np.arange(Q, dtype=np.uint8).reshape(Q, 1)
-        else:
-            digits = np.empty((Q, r), dtype=np.uint8)
-            idx = np.arange(Q)
-            for j in range(r):
-                digits[:, j] = (idx // p**j) % p
-        one = np.zeros((Q, r), dtype=np.uint8)
-        one[:, 0] = 1
-        self.powd = [one, digits.copy()]
-        self._grow_to(2, K, raws)
-
-    def _grow_to(self, deg: int, K=None, raws=None) -> None:
-        if len(self.powd) > deg:
-            return
-        if K is None:
-            K = extend_field(make_field(self.p), self.r)
-            raws = [K.raw_of_index(i) for i in range(self.Q)]
-        cur = [K.raw_of_index(int(row @ self.pvec)) for row in self.powd[-1]]
-        while len(self.powd) <= deg:
-            cur = [K.mul_raw(c, x) for c, x in zip(cur, raws)]
-            arr = np.empty((self.Q, self.r), dtype=np.uint8)
-            for i, c in enumerate(cur):
-                if self.r == 1:
-                    arr[i, 0] = c
-                else:
-                    arr[i] = c
-            self.powd.append(arr)
+def _primitive_element(E: FieldHandle):
+    """The generator of E* with the smallest element index."""
+    n = E.order - 1
+    exps = [n // ell for ell in _prime_divisors(n)]
+    for i in range(2, E.order):
+        g = E.raw_of_index(i)
+        if all(E.pow_raw(g, e) != E.one_raw for e in exps):
+            return g
+    raise InternalConsistencyError(f"no primitive element in {E!r}")  # pragma: no cover
 
 
-_tables: dict[tuple[int, int], _FieldTable] = {}
+class LogTable:
+    """Discrete-log tables and Frobenius orbits of E = extend_field(K, r)."""
+
+    __slots__ = ("p", "Q", "pvec", "antilog", "log", "chi", "reps", "sizes", "_steps")
+
+    def __init__(self, K: FieldHandle, r: int):
+        E = extend_field(K, r)
+        p, Q, q = E.p, E.order, K.order
+        n = 1  # base-p digits of an element index
+        while p**n < Q:
+            n += 1
+        self.p, self.Q = p, Q
+        self.pvec = p ** np.arange(n, dtype=np.int64)
+        g = _primitive_element(E)
+        # row j: the digits of (basis element j) * g^len(rows)
+        step = np.array([E.index_of_raw(E.mul_raw(E.raw_of_index(p**j), g))
+                         for j in range(n)])[:, None] // self.pvec % p
+        rows = np.zeros((1, n), dtype=np.int64)
+        rows[0, 0] = 1
+        while len(rows) < Q - 1:
+            rows = np.concatenate([rows, rows @ step % p])
+            step = step @ step % p
+        rows = rows[: Q - 1]
+        idx = rows @ self.pvec
+        k = np.arange(Q - 1)
+        self.log = np.zeros(Q, dtype=np.int64)
+        self.log[idx] = k
+        if not (idx.all() and (self.log[idx] == k).all()):
+            raise InternalConsistencyError(f"powers of g do not exhaust {E!r}")
+        self.chi = np.zeros(Q, dtype=np.int64)
+        self.chi[idx] = 1 - 2 * (k & 1)
+        # twice over, so log c + i k (both reduced mod Q - 1) needs no reduction
+        self.antilog = np.concatenate([rows, rows]).astype(np.uint8 if p < 256 else np.int64)
+        rep, cur = k.copy(), k
+        for _ in range(r - 1):
+            cur = cur * q % (Q - 1)
+            np.minimum(rep, cur, out=rep)
+        self.reps = np.flatnonzero(rep == k)
+        self.sizes = np.bincount(rep)[self.reps]
+        self._steps = np.zeros((0, len(self.reps)), dtype=np.int64)
+
+    def chi_sum(self, coeffs: list[int]) -> int:
+        """sum over x in E of chi(F(x)); coeffs are K-indices, degree 0 first."""
+        if len(coeffs) > len(self._steps):
+            self._steps = np.arange(len(coeffs))[:, None] * self.reps % (self.Q - 1)
+        terms = [i for i, c in enumerate(coeffs) if c]
+        exps = self._steps[terms] + self.log[[coeffs[i] for i in terms]][:, None]
+        # digit sums stay below p * len(terms): uint8 for small p and degree
+        wide = len(terms) * (self.p - 1) > 255
+        y = np.take(self.antilog, exps, axis=0).sum(axis=0, dtype=np.int64 if wide else np.uint8)
+        y %= self.p
+        return int(self.chi.take(y @ self.pvec) @ self.sizes) + int(self.chi[coeffs[0]])
 
 
-def field_table(p: int, r: int, deg: int) -> _FieldTable:
-    tab = _tables.get((p, r))
+# keyed by (p, r) over a prime field, by (K, r) over a tower step K
+_tables: dict[tuple, LogTable] = {}
+
+
+def _cached(key: tuple, K: FieldHandle, r: int) -> LogTable:
+    tab = _tables.get(key)
     if tab is None:
-        tab = _FieldTable(p, r)
-        _tables[(p, r)] = tab
-    tab._grow_to(deg)
+        tab = _tables[key] = LogTable(K, r)
     return tab
+
+
+def field_table(p: int, r: int, deg: int) -> LogTable:
+    """The table of F_{p^r} over F_p; it serves polynomials of any degree `deg`.
+
+    This name, its signature and affine_chi_sum are what perfbench/tracing.py
+    wraps to time the table builds and the character sums.
+    """
+    return _cached((p, r), make_field(p), r)
+
+
+def table(K: FieldHandle, r: int) -> LogTable:
+    """The table of extend_field(K, r); over a prime field, field_table's."""
+    return field_table(K.p, r, 1) if K.base is None else _cached((K, r), K, r)
 
 
 def affine_chi_sum(p: int, r: int, coeffs: list[int]) -> int:
     """sum over x in F_{p^r} of chi(F(x)) for F with coefficients in F_p."""
-    tab = field_table(p, r, len(coeffs) - 1)
-    c = np.array(coeffs, dtype=np.int64)
-    stack = np.stack(tab.powd[: len(coeffs)])  # (d+1, Q, r)
-    dig = np.tensordot(c, stack, axes=(0, 0)) % p
-    idx = dig.astype(np.int64) @ tab.pvec
-    return int(tab.chi[idx].sum())
+    return field_table(p, r, len(coeffs) - 1).chi_sum(coeffs)
+
+
+def chi_sum(K: FieldHandle, r: int, coeffs: list[int]) -> int:
+    """sum over x in F_{q^r} of chi(F(x)) for F with coefficients (indices) in K = F_q."""
+    if K.base is None:
+        return affine_chi_sum(K.p, r, coeffs)
+    return table(K, r).chi_sum(coeffs)
+
+
+def dense_tables(K: FieldHandle) -> tuple[list[int], ...]:
+    """FieldHandle.tables() of K, computed from the log table of K."""
+    t = table(K, 1)
+    n, p = K.order, K.p
+    dig = np.arange(n)[:, None] // t.pvec % p
+    power = t.antilog[: n - 1].astype(np.int64) @ t.pvec  # element index of g^k
+    mul = power[(t.log[:, None] + t.log) % (n - 1)]
+    mul[0] = mul[:, 0] = 0
+    inv = power[-t.log % (n - 1)]
+    inv[0] = 0
+    add = (dig[:, None] + dig) % p @ t.pvec
+    neg = -dig % p @ t.pvec
+    return add.ravel().tolist(), mul.ravel().tolist(), inv.tolist(), t.chi.tolist(), neg.tolist()

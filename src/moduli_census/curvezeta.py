@@ -16,7 +16,9 @@ coefficient by coefficient.
 
 N_r counts points of the smooth projective model: one point above
 x = infinity for odd deg F, two for even deg F (monic leading 1 is a
-square in every extension).
+square in every extension).  The affine part q^r + sum_x chi(F(x)) comes
+from the discrete-log kernel of countfast, over prime and tower base
+fields alike.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import numpy as np
 
 from . import countfast
 from .errors import BudgetError, DomainError, InternalConsistencyError
-from .ffield import extend_field
 from .polyring import MonicPoly, _iv, _iv_jacobi, _irreducible_ivs, is_squarefree, von_mangoldt
 
 POINT_BUDGET = 10**6
@@ -67,19 +68,7 @@ def point_count(curve: HyperellipticCurve, r: int, budget: int = POINT_BUDGET) -
     K = curve.field
     if K.order**r > budget:
         raise BudgetError(f"q^r = {K.order}^{r} exceeds point budget {budget}")
-    if K.base is None:
-        s = countfast.affine_chi_sum(K.p, r, curve.F.indices())
-    else:
-        E = extend_field(K, r)
-        coeffs = [c if r == 1 else E.embed_raw(c) for c in curve.F.coeffs]
-        s = 0
-        acc_zero = E.zero_raw
-        for i in range(E.order):
-            x = E.raw_of_index(i)
-            acc = acc_zero
-            for c in reversed(coeffs):
-                acc = E.add_raw(E.mul_raw(acc, x), c)
-            s += E.chi_raw(acc)
+    s = countfast.chi_sum(K, r, curve.F.indices())
     return K.order**r + s + curve.points_at_infinity
 
 
@@ -92,6 +81,14 @@ class CurveZeta:
     psums: tuple[int, ...]      # p_1..p_{2g},  p_m = q^m + 1 - N_m
     coeffs: tuple[int, ...]     # c_0..c_{2g} of P(t)
     _zeta_cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @classmethod
+    def from_coeffs(cls, curve: HyperellipticCurve, coeffs) -> "CurveZeta":
+        """The zeta data that P(t) = coeffs determines; no check is made."""
+        q = curve.field.order
+        psums = _psums_from_coeffs(list(coeffs), 2 * curve.genus)
+        N = tuple(q**m + 1 - p for m, p in enumerate(psums, 1))
+        return cls(curve, N, tuple(psums), tuple(coeffs))
 
     @property
     def q(self) -> int:
@@ -111,15 +108,7 @@ class CurveZeta:
         """p_m for any m >= 1 (extends past 2g by the Newton recurrence)."""
         if m <= len(self.psums):
             return self.psums[m - 1]
-        p = list(self.psums)
-        c = self.coeffs
-        for mm in range(len(p) + 1, m + 1):
-            s = mm * c[mm] if mm < len(c) else 0
-            for i in range(1, min(mm, len(c))):
-                if mm - i >= 1:
-                    s += c[i] * p[mm - i - 1]
-            p.append(-s)
-        return p[m - 1]
+        return _psums_from_coeffs(list(self.coeffs), m)[m - 1]
 
 
 def _newton_coeffs(psums: list[int], g: int) -> list[int]:
@@ -198,19 +187,16 @@ def zeta_data(curve: HyperellipticCurve, check_budget: int = 10**4,
     c = _newton_coeffs(psums_low, g)
     for i in range(g - 1, -1, -1):
         c.append(q ** (g - i) * c[i])
-    psums = _psums_from_coeffs(c, 2 * g)
-    if psums[:g] != psums_low:  # pragma: no cover
+    z = CurveZeta.from_coeffs(curve, c)
+    if list(z.psums[:g]) != psums_low:  # pragma: no cover
         raise InternalConsistencyError("newton-roundtrip: power sums drift")
-    N = list(counted)
-    for m in range(g + 1, 2 * g + 1):
-        N.append(q**m + 1 - psums[m - 1])
     # direct recount of the predicted values while q^m stays affordable
     for m in range(g + 1, 2 * g + 1):
         if q**m <= check_budget:
             direct = point_count(curve, m)
-            if direct != N[m - 1]:
+            if direct != z.N[m - 1]:
                 raise InternalConsistencyError(
-                    f"predicted-count-mismatch: N_{m} predicted {N[m-1]}, counted {direct}")
+                    f"predicted-count-mismatch: N_{m} predicted {z.N[m-1]}, counted {direct}")
     # Riemann hypothesis: reciprocal roots on the sqrt(q) circle.  Root-find
     # the square-free part (repeated roots would cost half the precision)
     # and polish with Newton so binary64 roots carry ~1e-14 accuracy.
@@ -230,7 +216,7 @@ def zeta_data(curve: HyperellipticCurve, check_budget: int = 10**4,
     pm1 = sum((-1) ** i * ci for i, ci in enumerate(c))
     if p1 <= 0 or p1 * pm1 <= 0:
         raise InternalConsistencyError("jacobian-positivity: P(1) or P(1)P(-1) <= 0")
-    return CurveZeta(curve, tuple(N), tuple(psums), tuple(c))
+    return z
 
 
 def zeta_value(z: CurveZeta, k: int) -> Fraction:

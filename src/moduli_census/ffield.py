@@ -9,13 +9,13 @@ goes through the handle so towers F_q < F_{q^r} work uniformly.
 Handles are interned: make_field and extend_field cache on their
 arguments, and the defining modulus of an extension is found by a
 deterministic search (smallest candidate in coefficient-code order that
-passes the Rabin irreducibility criterion), so two runs always build
-identical fields.
+passes the polynomial ring's Rabin irreducibility test), so two runs
+always build identical fields.
 
 Every handle also numbers its elements 0 .. order-1 (mixed-radix over the
 base field's numbering).  For small orders a handle lazily builds dense
-index-based add/mul/inverse/character tables; the polynomial-ring module
-leans on those for its hot loops.
+index-based add/mul/inverse/character tables from its discrete-log table
+(countfast); the polynomial-ring module leans on those for its hot loops.
 """
 
 from __future__ import annotations
@@ -209,30 +209,10 @@ class FieldHandle:
         if self._tables is None:
             if self.order > TABLE_LIMIT:
                 raise BudgetError(f"field of order {self.order} exceeds table limit")
-            n = self.order
-            raws = [self.raw_of_index(i) for i in range(n)]
-            add = [0] * (n * n)
-            mul = [0] * (n * n)
-            for i, a in enumerate(raws):
-                row = i * n
-                for j in range(i, n):
-                    s = self.index_of_raw(self.add_raw(a, raws[j]))
-                    m = self.index_of_raw(self.mul_raw(a, raws[j]))
-                    add[row + j] = add[j * n + i] = s
-                    mul[row + j] = mul[j * n + i] = m
-            inv = [0] * n
-            for i in range(1, n):
-                inv[i] = self.index_of_raw(self.inv_raw(raws[i]))
-            neg = [self.index_of_raw(self.neg_raw(a)) for a in raws]
-            chi = [0] * n
-            for i in range(1, n):
-                chi[mul[i * n + i]] = 1
-            for i in range(1, n):
-                if chi[i] == 0:
-                    chi[i] = -1
-            chi[0] = 0
-            self._chi_list = chi
-            self._tables = (add, mul, inv, chi, neg)
+            from .countfast import dense_tables  # built from the field's discrete logs
+
+            self._tables = dense_tables(self)
+            self._chi_list = self._tables[3]
         return self._tables
 
     def __repr__(self):
@@ -316,70 +296,6 @@ class FieldElement:
         return f"<{self.raw} in {self.field!r}>"
 
 
-# -- raw polynomials over a handle (internal; coefficient lists, low first) --
-
-def _trim(K: FieldHandle, c: list) -> list:
-    z = K.zero_raw
-    while c and c[-1] == z:
-        c.pop()
-    return c
-
-
-def raw_poly_mulmod(K: FieldHandle, a: list, b: list, mod: list) -> list:
-    """(a*b) mod mod over K; mod monic of degree >= 1."""
-    z = K.zero_raw
-    prod = [z] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai == z:
-            continue
-        for j, bj in enumerate(b):
-            prod[i + j] = K.add_raw(prod[i + j], K.mul_raw(ai, bj))
-    return raw_poly_mod(K, prod, mod)
-
-
-def raw_poly_mod(K: FieldHandle, a: list, m: list) -> list:
-    """a mod m over K; m monic."""
-    a = list(a)
-    dm = len(m) - 1
-    z = K.zero_raw
-    while len(a) - 1 >= dm and a:
-        c = a[-1]
-        if c == z:
-            a.pop()
-            continue
-        shift = len(a) - 1 - dm
-        for j in range(dm):
-            a[shift + j] = K.sub_raw(a[shift + j], K.mul_raw(c, m[j]))
-        a.pop()
-    return _trim(K, a)
-
-
-def raw_poly_gcd(K: FieldHandle, a: list, b: list) -> list:
-    """Monic gcd over K (empty list for gcd of two zero polynomials)."""
-    a, b = list(a), list(b)
-    while b:
-        lead = b[-1]
-        if lead != K.one_raw:
-            inv = K.inv_raw(lead)
-            b = [K.mul_raw(inv, c) for c in b]
-        a, b = b, raw_poly_mod(K, a, b)
-    if a and a[-1] != K.one_raw:
-        inv = K.inv_raw(a[-1])
-        a = [K.mul_raw(inv, c) for c in a]
-    return a
-
-
-def raw_poly_powmod(K: FieldHandle, a: list, e: int, mod: list) -> list:
-    result = [K.one_raw]
-    a = raw_poly_mod(K, list(a), mod)
-    while e:
-        if e & 1:
-            result = raw_poly_mulmod(K, result, a, mod)
-        a = raw_poly_mulmod(K, a, a, mod)
-        e >>= 1
-    return result
-
-
 def _prime_divisors(n: int) -> list[int]:
     ds = []
     d = 2
@@ -394,49 +310,15 @@ def _prime_divisors(n: int) -> list[int]:
     return ds
 
 
-def _sub_x(K: FieldHandle, t: list) -> list:
-    """t(x) - x, trimmed."""
-    diff = list(t)
-    while len(diff) < 2:
-        diff.append(K.zero_raw)
-    diff[1] = K.sub_raw(diff[1], K.one_raw)
-    return _trim(K, diff)
-
-
-def raw_poly_irreducible(K: FieldHandle, f: list) -> bool:
-    """Rabin criterion for a monic polynomial over K."""
-    n = len(f) - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    q = K.order
-    x = [K.zero_raw, K.one_raw]
-    if _sub_x(K, raw_poly_powmod(K, x, q**n, f)):
-        return False
-    for ell in _prime_divisors(n):
-        diff = _sub_x(K, raw_poly_powmod(K, x, q ** (n // ell), f))
-        g = raw_poly_gcd(K, list(f), diff)
-        if len(g) - 1 != 0:
-            return False
-    return True
-
-
-def _code_to_monic(K: FieldHandle, code: int, degree: int) -> list:
-    """Monic degree-d raw polynomial whose lower coefficients encode `code`."""
-    coeffs = []
-    for _ in range(degree):
-        code, rem = divmod(code, K.order)
-        coeffs.append(K.raw_of_index(rem))
-    coeffs.append(K.one_raw)
-    return coeffs
-
-
 def _least_irreducible(K: FieldHandle, degree: int) -> tuple:
-    for code in range(K.order**degree):
-        cand = _code_to_monic(K, code, degree)
-        if raw_poly_irreducible(K, cand):
-            return tuple(cand)
+    """The first monic irreducible of this degree in coefficient-code order."""
+    from .polyring import _iv_irreducible  # the one Rabin test, on element indices
+
+    q = K.order
+    for code in range(q**degree):
+        iv = [code // q**i % q for i in range(degree)] + [1]
+        if _iv_irreducible(iv, K):
+            return tuple(K.raw_of_index(i) for i in iv)
     raise InternalConsistencyError(  # pragma: no cover
         f"no irreducible of degree {degree} over order {K.order}")
 

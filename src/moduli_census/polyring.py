@@ -251,16 +251,16 @@ def is_squarefree(f: MonicPoly) -> bool:
 
 def is_irreducible(f: MonicPoly) -> bool:
     """Rabin test: x^(q^n) = x mod f and gcd(x^(q^(n/l)) - x, f) = 1."""
-    n = f.degree
-    if n < 1:
+    if f.degree < 1:
         raise DomainError("degree must be >= 1")
+    return _iv_irreducible(_iv(f), f.field)
+
+
+def _iv_irreducible(m: list[int], K: FieldHandle) -> bool:
+    n = len(m) - 1
     if n == 1:
         return True
-    K = f.field
-    if K.order > ffield.TABLE_LIMIT:
-        return ffield.raw_poly_irreducible(K, list(f.coeffs))
     q = K.order
-    m = _iv(f)
     t = _iv_powmod([0, 1], q**n, m, K)
     if _iv_sub_x(t, K):
         return False

@@ -14,7 +14,8 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 
-from .curvezeta import HyperellipticCurve, jacobian_count, zeta_data
+from . import countfast
+from .curvezeta import POINT_BUDGET, HyperellipticCurve, jacobian_count, zeta_data
 from .emit import fmt_float
 from .errors import BudgetError, DomainError
 from .ffield import make_field
@@ -115,8 +116,24 @@ def _chunk_worker(args) -> list:
 def resolve_workers(requested: int | None) -> int:
     env = os.environ.get(WORKERS_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise DomainError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
     return max(1, requested or 1)
+
+
+def pool_size(workers: int, n_chunks: int) -> int:
+    """Worker processes to start: no more than there are chunks or cores."""
+    return max(1, min(workers, n_chunks, os.cpu_count() or 1))
+
+
+def _warm_tables(cfg: SweepConfig) -> None:
+    """Build the table of every count zeta_data makes, for workers to inherit."""
+    g = (cfg.gamma - 1) // 2
+    for r in range(1, 2 * g + 1):
+        if cfg.q**r <= (POINT_BUDGET if r <= g else min(POINT_BUDGET, cfg.check_budget)):
+            countfast.field_table(cfg.q, r, cfg.gamma)
 
 
 def run_sweep(cfg: SweepConfig) -> list[FamilyRecord]:
@@ -135,10 +152,12 @@ def run_sweep(cfg: SweepConfig) -> list[FamilyRecord]:
             raise DomainError("sample mode needs a positive count")
         total = cfg.count
     chunks = [(cfg, lo, min(lo + CHUNK, total)) for lo in range(0, total, CHUNK)]
-    workers = resolve_workers(cfg.workers)
-    if workers == 1 or len(chunks) == 1:
+    workers = pool_size(resolve_workers(cfg.workers), len(chunks))
+    if workers == 1:
         parts = [_chunk_worker(c) for c in chunks]
     else:
+        if cfg.compute_zeta or cfg.compute_moduli:
+            _warm_tables(cfg)
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(workers) as pool:
             parts = pool.map(_chunk_worker, chunks, chunksize=1)

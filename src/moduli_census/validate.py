@@ -1,10 +1,10 @@
 """Named invariant suites, runnable per family from the CLI.
 
-Each suite walks one family H_{gamma,q} and yields CheckResult rows; a
-suite passes when every row passes.  The cross-validation suite is a
-reporting suite: it always passes once the report covers the family, and
-its findings (oracle residuals, integrality pattern, hypothesis flags)
-ride along in the detail text.
+Each suite walks the zeta data `zs` of one family H_{gamma,q} and yields
+CheckResult rows; a suite passes when every row passes.  The
+cross-validation suite is a reporting suite: it always passes once the
+report covers the family, and its findings (oracle residuals, integrality
+pattern, hypothesis flags) ride along in the detail text.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curvezeta import (
+    CurveZeta,
     HyperellipticCurve,
     epsilon_bounds,
     epsilon_terms,
@@ -46,19 +47,22 @@ class CheckResult:
     detail: str = ""
 
 
+def _family(q: int, gamma: int):
+    return (HyperellipticCurve(F) for F in family(FamilySpec(make_field(q), gamma)))
+
+
 def _curves(q: int, gamma: int, check_budget: int = 10**6):
-    K = make_field(q)
-    for F in family(FamilySpec(K, gamma)):
-        yield zeta_data(HyperellipticCurve(F), check_budget=check_budget)
+    for curve in _family(q, gamma):
+        yield zeta_data(curve, check_budget=check_budget)
 
 
-def suite_zeta(q: int, gamma: int):
+def suite_zeta(q: int, gamma: int, zs):
     """Construction invariants plus the character-route agreement."""
     n = 0
     fe_ok = True
     route_ok = True
     try:
-        for z in _curves(q, gamma):
+        for z in zs:
             n += 1
             g = z.genus
             for i in range(g + 1):
@@ -77,11 +81,11 @@ def suite_zeta(q: int, gamma: int):
                       f"point-count and character-sum routes agree on {n} curves")
 
 
-def suite_lambda(q: int, gamma: int):
+def suite_lambda(q: int, gamma: int, zs):
     """Exact trace identity for m in {1, 2} on the whole family."""
     n = 0
     bad = 0
-    for z in _curves(q, gamma, check_budget=10**4):
+    for z in zs:
         n += 1
         for m in (1, 2):
             rep = lambda_character_identity(z, m)
@@ -91,11 +95,11 @@ def suite_lambda(q: int, gamma: int):
                       f"{n} curves, m in {{1,2}}, {bad} violations")
 
 
-def suite_higgs(q: int, gamma: int):
+def suite_higgs(q: int, gamma: int, zs):
     """Indecomposable-count integrality and positivity family-wide."""
     n = 0
     bad = []
-    for z in _curves(q, gamma, check_budget=10**4):
+    for z in zs:
         n += 1
         rep = count_higgs(z)
         a = rep.components["A_g2"]
@@ -115,13 +119,13 @@ def suite_higgs(q: int, gamma: int):
                           f"A = {rep.components['A_g2']}, N = {rep.value}")
 
 
-def suite_unstable(q: int, gamma: int):
+def suite_unstable(q: int, gamma: int, zs):
     """Stratum closed forms, duality, and the published envelopes."""
     n = 0
     closed_ok = True
     envelope_ok = True
     duality_ok = True
-    for z in _curves(q, gamma, check_budget=10**4):
+    for z in zs:
         n += 1
         g = z.genus
         nj = jacobian_count(z, 1)
@@ -150,7 +154,7 @@ def suite_unstable(q: int, gamma: int):
                       "C(2,1; d) = C(1,2; -d) family-wide")
 
 
-def suite_crossval(q: int, gamma: int):
+def suite_crossval(q: int, gamma: int, zs):
     """Genus-2 cross-validation report; summarizes, never patches."""
     if (gamma - 1) // 2 != 2:
         yield CheckResult("crossval.applicable", True,
@@ -161,7 +165,7 @@ def suite_crossval(q: int, gamma: int):
     nonint_m = 0
     nonint_ms = 0
     tors = 0
-    for z in _curves(q, gamma, check_budget=10**4):
+    for z in zs:
         n += 1
         rep = count_stable_fixed_det(z, 2, 1)
         resid = rep.cross_checks["genus2_oracle"]["residual"]
@@ -181,11 +185,11 @@ def suite_crossval(q: int, gamma: int):
         f"full 2-torsion on {tors}/{n}")
 
 
-def suite_epsilon(q: int, gamma: int):
+def suite_epsilon(q: int, gamma: int, zs):
     """Truncation-error envelopes for k in {2,3}, Z in {1,2,3}."""
     n = 0
     bad = 0
-    for z in _curves(q, gamma, check_budget=10**4):
+    for z in zs:
         n += 1
         for k in (2, 3):
             for Z in (1, 2, 3):
@@ -197,10 +201,10 @@ def suite_epsilon(q: int, gamma: int):
                       f"{n} curves x 6 (k, Z) combinations, {bad} violations")
 
 
-def suite_xz(q: int, gamma: int):
+def suite_xz(q: int, gamma: int, zs):
     n = 0
     bad = 0
-    for z in _curves(q, gamma, check_budget=10**4):
+    for z in zs:
         n += 1
         rep = xz_bound_check(z)
         if not rep["xz"].holds:
@@ -211,13 +215,13 @@ def suite_xz(q: int, gamma: int):
                       f"{n} curves, {bad} violations")
 
 
-def suite_estimate(q: int, gamma: int):
+def suite_estimate(q: int, gamma: int, zs):
     """Log-count estimate: tautological main term, envelope containment."""
     n = 0
     main_ok = True
     envelope_ok = True
     worst = -math.inf
-    for z in _curves(q, gamma, check_budget=10**4):
+    for z in zs:
         n += 1
         tab = BetaTable(z)
         for r in (2, 3):
@@ -248,11 +252,22 @@ SUITES = {
 
 
 def run_suite(name: str, q: int, gamma: int) -> list[CheckResult]:
+    """Run one suite, or all of them over one pass of zeta data.
+
+    A single suite recounts at its own budget (10**6 for zeta, 10**4 for
+    the rest); "all" builds each curve's zeta data once, at 10**6, so no
+    suite loses a recount.
+    """
     if name == "all":
-        out = []
-        for suite in SUITES.values():
-            out.extend(suite(q, gamma))
-        return out
+        # Only each validated P(t) is kept: holding every CurveZeta, with the
+        # zeta values its suites cache, raised peak RSS by about 1.3 kB a curve.
+        try:
+            lpolys = [z.coeffs for z in _curves(q, gamma)]
+        except InternalConsistencyError as exc:
+            return [CheckResult("zeta.construction", False, str(exc))]
+        return [res for suite in SUITES.values()
+                for res in suite(q, gamma, map(CurveZeta.from_coeffs, _family(q, gamma), lpolys))]
     if name not in SUITES:
         raise KeyError(name)
-    return list(SUITES[name](q, gamma))
+    budget = 10**6 if name == "zeta" else 10**4
+    return list(SUITES[name](q, gamma, _curves(q, gamma, budget)))

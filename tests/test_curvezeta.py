@@ -53,11 +53,35 @@ def test_point_count_examples():
 
 
 def test_point_count_matches_generic_enumeration():
-    for text in ("0,1,0,0,0,1", "1,0,1,0,0,1", "0,1,0,0,0,0,1", "2,2,0,1"):
-        F = parse_poly(F3, text)
+    cases = [
+        (3, "0,1,0,0,0,1"),      # x^5 + x: c_0 = 0
+        (3, "1,0,1,0,0,1"),
+        (3, "0,1,0,0,0,0,1"),    # even degree
+        (3, "2,2,0,1"),
+        (3, "1,1,0,0,1"),        # even degree 4
+        (5, "1,1,0,0,0,1"),
+        (5, "0,4,0,0,1"),        # x (x^3 - 1): c_0 = 0, roots in F_5 and F_25
+        (5, "1,0,0,0,0,0,1"),    # x^6 + 1: roots in F_5 and F_25
+        (5, "2,1,3,0,0,1"),
+        (7, "0,6,0,1"),          # x^3 - x splits over F_7
+        (7, "3,0,1,0,1"),        # even degree 4
+        (7, "1,2,0,4,0,1"),
+    ]
+    for q, text in cases:
+        F = parse_poly(make_field(q), text)
         C = HyperellipticCurve(F)
         for r in (1, 2, 3):
-            assert point_count(C, r) == brute_point_count(F, r)
+            assert point_count(C, r) == brute_point_count(F, r), (q, text, r)
+    # element digits past one byte
+    F = parse_poly(make_field(257), "1,1,0,1")
+    assert point_count(HyperellipticCurve(F), 1) == brute_point_count(F, 1), (257, 1)
+    # over F_9 = F_3[t]/(t^2 + 1), with the coefficient t outside F_3
+    F9 = extend_field(F3, 2)
+    t = F9.raw_of_index(3)
+    F = MonicPoly(F9, (F9.one_raw, t, F9.zero_raw, F9.zero_raw, F9.zero_raw, F9.one_raw))
+    C = HyperellipticCurve(F)
+    for r in (1, 2):
+        assert point_count(C, r) == brute_point_count(F, r), ("F_9", r)
 
 
 def test_point_count_budget():

@@ -46,6 +46,14 @@ def test_irreducible_examples():
     assert not is_irreducible(mp(F5, 1, 0, 1))   # 2^2 + 1 = 0 mod 5
 
 
+def test_polyring_routines_need_table_sized_fields():
+    from moduli_census.errors import BudgetError
+    big = make_field(4099)  # above ffield.TABLE_LIMIT
+    for routine in (is_irreducible, is_squarefree):
+        with pytest.raises(BudgetError):
+            routine(mp(big, 1, 0, 1))
+
+
 def brute_force_irreducible(f: MonicPoly) -> bool:
     # oracle: trial division by every lower-degree monic polynomial
     K = f.field

@@ -93,6 +93,28 @@ def test_env_var_workers(monkeypatch):
     assert resolve_workers(2) == 2
 
 
+def test_pool_size_bounded_by_chunks_and_cores(monkeypatch):
+    from moduli_census.sweep import pool_size
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert pool_size(8, 13) == 4
+    assert pool_size(8, 2) == 2
+    assert pool_size(3, 13) == 3
+    assert pool_size(1, 13) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert pool_size(8, 13) == 1
+
+
+def test_sweep_builds_tables_before_fork(monkeypatch):
+    from moduli_census import countfast
+    monkeypatch.setattr(countfast, "_tables", {})
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # H_{7,3} is three chunks; genus 3 counts r = 1..3, and the budget admits
+    # the recount at r = 4 (81) but not r = 5 (243)
+    cfg = SweepConfig(q=3, gamma=7, workers=2, compute_moduli=False, check_budget=100)
+    assert len(run_sweep(cfg)) == 3**7 - 3**6
+    assert sorted(countfast._tables) == [(3, 1), (3, 2), (3, 3), (3, 4)]
+
+
 # -- CLI --------------------------------------------------------------------------
 
 def run_cli(*args):
@@ -165,6 +187,42 @@ def test_cli_usage_error_exit_code():
 def test_cli_budget_error_exit_code(capsys):
     code = main(["sweep", "--q", "7", "--gamma", "9"])
     assert code == 3
+
+
+def test_cli_workers_env_not_integer_exit_code(monkeypatch, capsys):
+    monkeypatch.setenv("MODULI_CENSUS_WORKERS", "abc")
+    code = main(["sweep", "--q", "3", "--gamma", "3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: MODULI_CENSUS_WORKERS") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--out", "--report-out"])
+def test_cli_unwritable_output_exit_code(tmp_path, capsys, flag):
+    paths = {"--out": tmp_path / "rows.csv", "--report-out": tmp_path / "report.json"}
+    paths[flag] = tmp_path / "missing" / "file"
+    code = main(["sweep", "--q", "3", "--gamma", "3", "--no-moduli",
+                 "--out", str(paths["--out"]), "--report-out", str(paths["--report-out"])])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
+def test_validate_all_builds_zeta_data_once(monkeypatch):
+    from moduli_census import validate
+    calls = []
+    real = validate.zeta_data
+
+    def counting(curve, check_budget=10**4):
+        calls.append(check_budget)
+        return real(curve, check_budget=check_budget)
+
+    monkeypatch.setattr(validate, "zeta_data", counting)
+    together = validate.run_suite("all", 3, 5)
+    # one pass over the 162 curves at the largest budget, plus the higgs spot value
+    assert calls.count(10**6) == 162 and len(calls) == 163
+    apart = [res for name in validate.SUITES for res in validate.run_suite(name, 3, 5)]
+    assert together == apart
 
 
 def test_cli_validate_exit_zero():
