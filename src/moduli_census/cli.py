@@ -13,6 +13,8 @@ across worker counts (set --workers or MODULI_CENSUS_WORKERS).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 
 from .curvezeta import HyperellipticCurve, curve_zeta_json_dict, zeta_data
@@ -35,17 +37,26 @@ USAGE_ERROR = 2
 BUDGET_ERROR = 3
 
 
-def _write(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        try:
-            with open(path, "w") as fh:
+def _write(*outputs: tuple[str, str | None]) -> None:
+    """Write each (text, path), a path of None or "-" meaning stdout.  Files
+    are staged beside their targets and renamed into place only once all of
+    them are written, so a failed write leaves no output file behind."""
+    staged = [(f"{path}.{os.getpid()}.tmp", path, text)
+              for text, path in outputs if path not in (None, "-")]
+    try:
+        for tmp, path, text in staged:
+            with open(tmp, "w") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise DomainError(f"cannot write {path}: {exc.strerror}") from None
+        for tmp, path, _ in staged:
+            os.replace(tmp, path)
+    except OSError as exc:
+        for tmp, _, _ in staged:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise DomainError(f"cannot write {path}: {exc.strerror}") from None
+    for text, path in outputs:
+        if path in (None, "-"):
+            sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def _curve(args) -> HyperellipticCurve:
@@ -55,7 +66,7 @@ def _curve(args) -> HyperellipticCurve:
 
 def cmd_curve_info(args) -> int:
     z = zeta_data(_curve(args), check_budget=args.check_budget)
-    _write(json_dumps(curve_zeta_json_dict(z)), args.out)
+    _write((json_dumps(curve_zeta_json_dict(z)), args.out))
     return 0
 
 
@@ -72,7 +83,7 @@ def cmd_moduli(args) -> int:
                       - (args.rank**2 - 1) * (z.genus - 1) * math.log(z.q))
             payload["exact_log_gap"] = gap
             payload["within_envelope"] = gap <= env
-        _write(json_dumps(payload), args.out)
+        _write((json_dumps(payload), args.out))
         return 0
     if args.target == "m_rd":
         report = count_stable_fixed_det(z, args.rank, args.degree)
@@ -82,7 +93,7 @@ def cmd_moduli(args) -> int:
         report = count_ntilde(z)
     else:
         report = count_higgs(z)
-    _write(json_dumps(report.to_json_dict()), args.out)
+    _write((json_dumps(report.to_json_dict()), args.out))
     return 0
 
 
@@ -99,13 +110,10 @@ def cmd_sweep(args) -> int:
     records = run_sweep(cfg)
     csv_text = records_to_csv(records, cfg)
     report = build_report(records, cfg)
-    if args.out:
-        _write(csv_text, args.out)
-        _write(json_dumps(report.to_json_dict()), args.report_out)
-    else:
-        _write(csv_text, None)
-        if args.report_out:
-            _write(json_dumps(report.to_json_dict()), args.report_out)
+    outputs = [(csv_text, args.out)]
+    if args.out or args.report_out:
+        outputs.append((json_dumps(report.to_json_dict()), args.report_out))
+    _write(*outputs)
     return 0
 
 
@@ -132,13 +140,12 @@ def cmd_moments(args) -> int:
             row[f"{t:g}"] = {"re": phi.real, "im": phi.imag}
         samples[str(k)] = row
     payload["phi"] = samples
-    _write(json_dumps(payload), args.out)
+    _write((json_dumps(payload), args.out))
     return 0
 
 
 def cmd_validate(args) -> int:
     results = run_suite(args.suite, args.q, args.gamma)
-    failed = 0
     for res in results:
         status = "PASS" if res.ok else "FAIL"
         line = f"{status} {res.name}"

@@ -5,7 +5,8 @@ N_1..N_g over F_q .. F_{q^g} through Newton's identities (exact integer
 arithmetic; any non-integer intermediate aborts), extended by the
 functional equation c_{2g-i} = q^(g-i) c_i, and then validated:
 
-  * reciprocal roots sit on |alpha| = sqrt(q) (binary64 companion roots),
+  * reciprocal roots sit on |alpha| = sqrt(q) (an exact Sturm count on
+    the real Weil polynomial, in integer arithmetic),
   * P(1) > 0 and P(1) P(-1) > 0 (Jacobian counts over F_q and F_{q^2}),
   * the point counts N_m that P(t) predicts for g < m <= 2g match direct
     enumeration whenever q^m fits the check budget.
@@ -23,18 +24,17 @@ fields alike.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import countfast
 from .errors import BudgetError, DomainError, InternalConsistencyError
-from .polyring import MonicPoly, _iv, _iv_jacobi, _irreducible_ivs, is_squarefree, von_mangoldt
+from .polyring import (MonicPoly, _code_iv, _irreducible_ivs, _iv, _iv_jacobi, is_squarefree,
+                       von_mangoldt)
 
 POINT_BUDGET = 10**6
-RH_TOL = 1e-9
 
 
 class HyperellipticCurve:
@@ -127,66 +127,85 @@ def _psums_from_coeffs(coeffs: list[int], upto: int) -> list[int]:
     for m in range(1, upto + 1):
         s = m * coeffs[m] if m < len(coeffs) else 0
         for i in range(1, min(m, len(coeffs))):
-            if m - i >= 1:
-                s += coeffs[i] * p[m - i - 1]
+            s += coeffs[i] * p[m - i - 1]
         p.append(-s)
     return p
 
 
-def _squarefree_part(coeffs: tuple[int, ...]) -> list[Fraction]:
-    """Square-free part of an integer polynomial, over Q (ascending)."""
-    a = [Fraction(x) for x in coeffs]
-    b = [i * Fraction(x) for i, x in enumerate(coeffs)][1:]
-
-    def trim(u):
-        while u and u[-1] == 0:
-            u.pop()
-        return u
-
-    def pmod(u, v):
-        u = list(u)
-        dv = len(v) - 1
-        lead = v[-1]
-        while len(u) - 1 >= dv and u:
-            c = u[-1] / lead
-            if c:
-                for j in range(dv):
-                    u[len(u) - 1 - dv + j] -= c * v[j]
-            u.pop()
-            trim(u)
-        return u
-
-    u, v = list(a), trim(list(b))
-    while v:
-        u, v = v, pmod(u, v)
-    g = u  # gcd up to scalar
-    if len(g) - 1 == 0:
-        return a
-    # exact division a / g
-    quot = [Fraction(0)] * (len(a) - len(g) + 1)
-    rem = list(a)
-    lead = g[-1]
-    for pos in range(len(quot) - 1, -1, -1):
-        c = rem[pos + len(g) - 1] / lead
-        quot[pos] = c
-        if c:
-            for j in range(len(g)):
-                rem[pos + j] -= c * g[j]
-    return quot
+def _negprem(a: list[int], b: list[int]) -> list[int]:
+    """-rem(a, b) times a positive integer, made primitive (ascending)."""
+    a = list(a)
+    while len(a) >= len(b):  # a <- lc(b)^2 a - lc(b) a_top x^shift b
+        t, shift = b[-1] * a[-1], len(a) - len(b)
+        a = [b[-1] ** 2 * x for x in a]
+        for i, y in enumerate(b):
+            a[shift + i] -= t * y
+        while a and a[-1] == 0:
+            a.pop()
+    content = math.gcd(*a)
+    return [-x // content for x in a]
 
 
-def zeta_data(curve: HyperellipticCurve, check_budget: int = 10**4,
-              rh_tol: float = RH_TOL) -> CurveZeta:
+def _value(p: list[int], x: int) -> int:
+    return sum(c * x**i for i, c in enumerate(p))
+
+
+def _sign_changes(values) -> int:
+    signs = [v > 0 for v in values if v]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def check_riemann_hypothesis(coeffs, q: int) -> None:
+    """Raise unless every reciprocal root of P(t) has absolute value sqrt(q).
+
+    With P(t) = prod (1 - a_i t + q t^2), RH says every a_i is real with
+    a_i^2 <= 4q.  t^-g P(t) = h(qt + 1/t) for the real Weil polynomial
+    h(u) = prod (u - a_i) = c_g + sum_j c_{g-j} D_j(u), D_j = t^-j + (qt)^j,
+    and K(u^2) = (-1)^g h(u) h(-u) = prod (u^2 - a_i^2).  Once its factors
+    y^k and (y - 4q)^l are divided out, K passes when its Sturm chain, in
+    integer arithmetic, counts deg K - deg gcd(K, K') distinct roots in
+    (0, 4q) (Kedlaya, "Search techniques for root-unitary polynomials", 2008).
+    """
+    g = (len(coeffs) - 1) // 2
+    h = [coeffs[g]] + [0] * g
+    d_prev, d = [2], [0, 1]
+    for j in range(1, g + 1):
+        for i, x in enumerate(d):
+            h[i] += coeffs[g - j] * x
+        d_next = [0] + d  # D_{j+1} = u D_j - q D_{j-1}
+        for i, x in enumerate(d_prev):
+            d_next[i] -= q * x
+        d_prev, d = d, d_next
+    K = [(-1) ** g * sum((-1) ** i * h[i] * h[2 * k - i]
+                         for i in range(max(0, 2 * k - g), min(2 * k, g) + 1))
+         for k in range(g + 1)]
+    while K[0] == 0:  # roots y = 0
+        del K[0]
+    while _value(K, 4 * q) == 0:  # roots y = 4q: divide by y - 4q
+        K = [sum(c * (4 * q) ** (j - i - 1) for j, c in enumerate(K) if j > i)
+             for i in range(len(K) - 1)]
+    chain = [K, [i * x for i, x in enumerate(K)][1:]]
+    while chain[-1]:
+        chain.append(_negprem(chain[-2], chain[-1]))
+    chain.pop()  # the chain now ends in gcd(K, K')
+    distinct = len(K) - len(chain[-1])
+    inside = (_sign_changes(p[0] for p in chain)
+              - _sign_changes(_value(p, 4 * q) for p in chain))
+    if inside != distinct:
+        raise InternalConsistencyError(
+            f"riemann-hypothesis: {distinct - inside} of the {distinct} distinct roots"
+            f" of prod (y - a_i^2) other than 0 and 4q lie outside (0, 4q) for P = {list(coeffs)}")
+
+
+def zeta_data(curve: HyperellipticCurve, check_budget: int = 10**4) -> CurveZeta:
     """Count N_1..N_g, build and validate P(t), predict N_m up to 2g."""
     g = curve.genus
     q = curve.field.order
     if g < 1:
         raise DomainError("genus must be >= 1")
-    counted = [point_count(curve, m) for m in range(1, g + 1)]
-    psums_low = [q**m + 1 - counted[m - 1] for m in range(1, g + 1)]
+    psums_low = [q**m + 1 - point_count(curve, m) for m in range(1, g + 1)]
     c = _newton_coeffs(psums_low, g)
-    for i in range(g - 1, -1, -1):
-        c.append(q ** (g - i) * c[i])
+    c += [q ** (g - i) * c[i] for i in range(g - 1, -1, -1)]
     z = CurveZeta.from_coeffs(curve, c)
     if list(z.psums[:g]) != psums_low:  # pragma: no cover
         raise InternalConsistencyError("newton-roundtrip: power sums drift")
@@ -197,24 +216,8 @@ def zeta_data(curve: HyperellipticCurve, check_budget: int = 10**4,
             if direct != z.N[m - 1]:
                 raise InternalConsistencyError(
                     f"predicted-count-mismatch: N_{m} predicted {z.N[m-1]}, counted {direct}")
-    # Riemann hypothesis: reciprocal roots on the sqrt(q) circle.  Root-find
-    # the square-free part (repeated roots would cost half the precision)
-    # and polish with Newton so binary64 roots carry ~1e-14 accuracy.
-    sf = [float(x) for x in _squarefree_part(tuple(c))]
-    roots = np.roots(list(reversed(sf)))
-    dsf = [i * sf[i] for i in range(1, len(sf))]
-    for _ in range(2):
-        vals = np.polyval(list(reversed(sf)), roots)
-        dvals = np.polyval(list(reversed(dsf)), roots)
-        roots = roots - vals / dvals
-    sq = math.sqrt(q)
-    for t in roots:
-        if abs(1.0 / abs(t) - sq) >= rh_tol:
-            raise InternalConsistencyError(
-                f"riemann-hypothesis: |alpha| = {1.0 / abs(t)!r} vs sqrt(q) = {sq!r}")
-    p1 = sum(c)
-    pm1 = sum((-1) ** i * ci for i, ci in enumerate(c))
-    if p1 <= 0 or p1 * pm1 <= 0:
+    check_riemann_hypothesis(c, q)
+    if jacobian_count(z, 1) <= 0 or jacobian_count(z, 2) <= 0:
         raise InternalConsistencyError("jacobian-positivity: P(1) or P(1)P(-1) <= 0")
     return z
 
@@ -286,12 +289,21 @@ class IdentityReport:
         return self.lhs == self.rhs
 
 
+@functools.lru_cache(maxsize=None)
+def _prime_powers(K, m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(indices, Lambda(f)) for every monic prime power f of degree m over K."""
+    ivs = (_code_iv(code, K.order, m) for code in range(K.order**m))
+    lams = ((tuple(iv), von_mangoldt(MonicPoly.from_indices(K, iv))) for iv in ivs)
+    return tuple((iv, lam) for iv, lam in lams if lam)
+
+
 def lambda_character_identity(z: CurveZeta, m: int) -> IdentityReport:
     """Check -p_m = sum_{deg f = m} Lambda(f) (F/f) + delta exactly.
 
-    The right side enumerates every monic polynomial of degree m and uses
-    the curve's quadratic character (F/f); the left side comes from the
-    point-count route.
+    The right side runs over every monic polynomial of degree m (the prime
+    powers among them, with their Lambda, are listed once per field and m)
+    and uses the curve's quadratic character (F/f); the left side comes
+    from the point-count route.
     """
     if m < 1:
         raise DomainError("need m >= 1")
@@ -300,18 +312,7 @@ def lambda_character_identity(z: CurveZeta, m: int) -> IdentityReport:
     if q**m > POINT_BUDGET:
         raise BudgetError(f"enumerating q^m = {q**m} monic polynomials exceeds budget")
     F_iv = _iv(z.curve.F)
-    total = 0
-    for code in range(q**m):
-        indices = []
-        cc = code
-        for _ in range(m):
-            cc, rem = divmod(cc, q)
-            indices.append(rem)
-        indices.append(1)
-        f = MonicPoly.from_indices(K, indices)
-        lam = von_mangoldt(f)
-        if lam:
-            total += lam * _iv_jacobi(F_iv, indices, K)
+    total = sum(lam * _iv_jacobi(F_iv, indices, K) for indices, lam in _prime_powers(K, m))
     return IdentityReport(lhs=-z.power_sum(m), rhs=total + z.curve.delta)
 
 

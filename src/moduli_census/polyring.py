@@ -31,8 +31,6 @@ from . import ffield
 from .errors import DomainError, PolyParseError
 from .ffield import FieldHandle
 
-_SQUAREFREE_REJECTION_SALT = 0x9E3779B97F4A7C15
-
 
 class MonicPoly:
     """A monic polynomial over a FieldHandle; immutable."""
@@ -241,12 +239,7 @@ def is_squarefree(f: MonicPoly) -> bool:
     """gcd(f, f') = 1; equivalent to square-freeness in odd characteristic."""
     if f.degree < 1:
         raise DomainError("degree must be >= 1")
-    K = f.field
-    u = _iv(f)
-    d = _iv_deriv(list(u), K)
-    if not d:
-        return False
-    return len(_iv_gcd(u, d, K)) == 1
+    return _iv_squarefree(_iv(f), f.field)
 
 
 def is_irreducible(f: MonicPoly) -> bool:
@@ -468,17 +461,22 @@ def prime_count(q: int, n: int) -> int:
     return total // n
 
 
+def _code_iv(code: int, q: int, degree: int) -> list[int]:
+    """Indices of the monic polynomial of the given degree numbered `code`."""
+    indices = []
+    for _ in range(degree):
+        code, rem = divmod(code, q)
+        indices.append(rem)
+    indices.append(1)
+    return indices
+
+
 @functools.lru_cache(maxsize=None)
 def _irreducible_ivs(K: FieldHandle, e: int) -> tuple[tuple[int, ...], ...]:
     q = K.order
     out = []
     for code in range(q**e):
-        indices = []
-        c = code
-        for _ in range(e):
-            c, rem = divmod(c, q)
-            indices.append(rem)
-        indices.append(1)
+        indices = _code_iv(code, q, e)
         if is_irreducible(MonicPoly.from_indices(K, indices)):
             out.append(tuple(indices))
     if len(out) != prime_count(q, e):  # pragma: no cover
@@ -522,19 +520,12 @@ def family_size(q: int, gamma: int) -> int:
 
 
 def poly_from_code(K: FieldHandle, code: int, gamma: int) -> MonicPoly:
-    indices = []
-    for _ in range(gamma):
-        code, rem = divmod(code, K.order)
-        indices.append(rem)
-    indices.append(1)
-    return MonicPoly.from_indices(K, indices)
+    return MonicPoly.from_indices(K, _code_iv(code, K.order, gamma))
 
 
 def _iv_squarefree(u: list[int], K: FieldHandle) -> bool:
     d = _iv_deriv(list(u), K)
-    if not d:
-        return False
-    return len(_iv_gcd(list(u), d, K)) == 1
+    return bool(d) and len(_iv_gcd(u, d, K)) == 1
 
 
 def sample_member(spec: FamilySpec, i: int) -> MonicPoly:
@@ -549,16 +540,16 @@ def sample_member(spec: FamilySpec, i: int) -> MonicPoly:
             return f
 
 
-def family(spec: FamilySpec):
-    """Deterministic stream of the family members (generator)."""
+def family(spec: FamilySpec, start: int = 0, stop: int | None = None):
+    """Deterministic stream of the members with code (or draw) in [start, stop)."""
     if spec.gamma < 3:
         raise DomainError("family degree must be >= 3")
     K = spec.field
     if spec.mode == "enumerate":
-        for code in range(K.order**spec.gamma):
+        for code in range(start, K.order**spec.gamma if stop is None else stop):
             f = poly_from_code(K, code, spec.gamma)
             if _iv_squarefree(_iv(f), K):
                 yield f
     else:
-        for i in range(spec.count):
+        for i in range(start, spec.count if stop is None else stop):
             yield sample_member(spec, i)

@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from .curvezeta import CurveZeta
 from .errors import DomainError
-from .ffield import extend_field
 from .moduli import (
     count_higgs,
     count_ms20,
@@ -70,8 +69,22 @@ def character_sum(F: MonicPoly, m: int, convention: str = "F_over_f") -> int:
     return total
 
 
-def _charsums(F: MonicPoly, Z: int, convention: str) -> list[int]:
-    return [character_sum(F, m, convention) for m in range(1, Z + 1)]
+def trace_charsums(psums: list[int], q: int, gamma: int,
+                   convention: str = "F_over_f") -> list[int]:
+    """character_sum(F, m, convention) for m = 1..len(psums), from p_1, p_2, ...
+
+    The trace identity gives sum_{deg f = m} Lambda(f) (F/f) = -p_m - delta;
+    the mirrored symbol differs by the reciprocity sign (-1)^((q-1)/2 m gamma).
+    """
+    if convention not in CONVENTIONS:
+        raise DomainError(f"unknown symbol convention {convention!r}")
+    delta = 1 - gamma % 2
+    sign = -1 if convention == "f_over_F" and (q - 1) // 2 * gamma % 2 else 1
+    return [sign**m * (-p - delta) for m, p in enumerate(psums, 1)]
+
+
+def _weighted(charsums: list[int], q: int, k: int) -> float:
+    return math.fsum(s / (m * q ** ((k + 1) * m)) for m, s in enumerate(charsums, 1))
 
 
 def r_variable(F: MonicPoly, k: int, Z: int, convention: str = "F_over_f",
@@ -81,11 +94,9 @@ def r_variable(F: MonicPoly, k: int, Z: int, convention: str = "F_over_f",
         raise DomainError("need k >= 0")
     if Z < 1:
         raise DomainError("need Z >= 1")
-    q = F.field.order
     if charsums is None:
-        charsums = _charsums(F, Z, convention)
-    return math.fsum(charsums[m - 1] / (m * q ** ((k + 1) * m))
-                     for m in range(1, Z + 1))
+        charsums = [character_sum(F, m, convention) for m in range(1, Z + 1)]
+    return _weighted(charsums[:Z], F.field.order, k)
 
 
 def _log_frac(x: Fraction) -> float:
@@ -104,6 +115,8 @@ def decomposition_residual(z: CurveZeta, variant: str, Z: int | None = None,
     ms20:   log N(M^s(2,0))    - 3(g-1) log q - C_q(2) - R^(1)
     ntilde: log N(Ntilde(4,0)) - (4g-4) log q + delta log(1-1/q^2) - R^(0) over F_{q^2}
     higgs:  log N(Higgs_2)     - (8g-6) log q - C_q^Higgs - R^(0) - R^(1)
+
+    `charsums` defaults to trace_charsums of the power sums of z.
     """
     curve = z.curve
     q = z.q
@@ -111,8 +124,9 @@ def decomposition_residual(z: CurveZeta, variant: str, Z: int | None = None,
     gamma = curve.gamma
     if Z is None:
         Z = default_cutoff(gamma)
-    if charsums is None and variant != "ntilde":
-        charsums = _charsums(curve.F, Z, convention)
+    if charsums is None:
+        charsums = trace_charsums([z.power_sum(m) for m in range(1, Z + 1)],
+                                  q, gamma, convention)
     lq = math.log(q)
     if variant == "m_rd":
         value = count_stable_fixed_det(z, rank, degree).value
@@ -127,9 +141,10 @@ def decomposition_residual(z: CurveZeta, variant: str, Z: int | None = None,
                 - r_variable(curve.F, 1, Z, convention, charsums))
     if variant == "ntilde":
         value = count_ntilde(z).value
-        E = extend_field(curve.field, 2)
-        F_ext = MonicPoly(E, tuple(E.embed_raw(c) for c in curve.F.coeffs))
-        r0_ext = r_variable(F_ext, 0, Z, convention)
+        # the points over F_{q^2m} give the character sums over F_{q^2}
+        ext = trace_charsums([z.power_sum(2 * m) for m in range(1, Z + 1)],
+                             q * q, gamma, convention)
+        r0_ext = _weighted(ext, q * q, 0)
         return (_log_frac(value) - (4 * g - 4) * lq
                 + family_constant(q, gamma, "thm16") - r0_ext)
     if variant == "higgs":

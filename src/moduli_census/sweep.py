@@ -15,20 +15,21 @@ import os
 from dataclasses import dataclass
 
 from . import countfast
-from .curvezeta import POINT_BUDGET, HyperellipticCurve, jacobian_count, zeta_data
+from .curvezeta import POINT_BUDGET, HyperellipticCurve, jacobian_count, point_count, zeta_data
 from .emit import fmt_float
 from .errors import BudgetError, DomainError
 from .ffield import make_field
-from .polyring import FamilySpec, MonicPoly, format_poly, poly_from_code, sample_member, _iv, _iv_squarefree
+from .polyring import FamilySpec, MonicPoly, family, format_poly
 from .stats import (
     FamilyRecord,
     SweepReport,
-    character_sum,
     decomposition_residual,
     default_cutoff,
     empirical_stats,
     limit_covariance,
+    r_variable,
     theoretical_moment,
+    trace_charsums,
 )
 from .curvezeta import xz_bound_check
 from .moduli import _full_2_torsion
@@ -66,19 +67,19 @@ class SweepConfig:
 
 
 def compute_record(F: MonicPoly, cfg: SweepConfig) -> FamilyRecord:
-    """The per-curve payload; pure in (F, cfg)."""
+    """The per-curve payload; pure in (F, cfg).  R^(k) comes from the power sums."""
     curve = HyperellipticCurve(F)
+    q = cfg.q
+    Z = cfg.cutoff
     if cfg.compute_zeta or cfg.compute_moduli:
         z = zeta_data(curve, check_budget=cfg.check_budget)
         N, jac = z.N, jacobian_count(z, 1)
+        psums = [z.power_sum(m) for m in range(1, Z + 1)]
     else:
         z, N, jac = None, (), 0
-    Z = cfg.cutoff
-    charsums = [character_sum(F, m, cfg.convention) for m in range(1, Z + 1)]
-    q = cfg.q
-    R = {k: math.fsum(charsums[m - 1] / (m * q ** ((k + 1) * m))
-                      for m in range(1, Z + 1))
-         for k in range(cfg.r_max)}
+        psums = [q**m + 1 - point_count(curve, m) for m in range(1, Z + 1)]
+    charsums = trace_charsums(psums, q, cfg.gamma, cfg.convention)
+    R = {k: r_variable(F, k, Z, charsums=charsums) for k in range(cfg.r_max)}
     delta_z = math.fsum(R[k] for k in range(1, cfg.r_max))
     rec = FamilyRecord(
         q=q, gamma=cfg.gamma, F_text=format_poly(F), genus=curve.genus,
@@ -99,18 +100,8 @@ def compute_record(F: MonicPoly, cfg: SweepConfig) -> FamilyRecord:
 
 def _chunk_worker(args) -> list:
     cfg, start, stop = args
-    K = make_field(cfg.q)
-    rows = []
-    if cfg.mode == "enumerate":
-        for code in range(start, stop):
-            F = poly_from_code(K, code, cfg.gamma)
-            if _iv_squarefree(_iv(F), K):
-                rows.append(compute_record(F, cfg))
-    else:
-        spec = FamilySpec(K, cfg.gamma, "sample", cfg.count, cfg.seed)
-        for i in range(start, stop):
-            rows.append(compute_record(sample_member(spec, i), cfg))
-    return rows
+    spec = FamilySpec(make_field(cfg.q), cfg.gamma, cfg.mode, cfg.count, cfg.seed)
+    return [compute_record(F, cfg) for F in family(spec, start, stop)]
 
 
 def resolve_workers(requested: int | None) -> int:
@@ -156,15 +147,11 @@ def run_sweep(cfg: SweepConfig) -> list[FamilyRecord]:
     if workers == 1:
         parts = [_chunk_worker(c) for c in chunks]
     else:
-        if cfg.compute_zeta or cfg.compute_moduli:
-            _warm_tables(cfg)
+        _warm_tables(cfg)
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(workers) as pool:
             parts = pool.map(_chunk_worker, chunks, chunksize=1)
-    records: list[FamilyRecord] = []
-    for part in parts:
-        records.extend(part)
-    return records
+    return [rec for part in parts for rec in part]
 
 
 def records_to_csv(records: list[FamilyRecord], cfg: SweepConfig) -> str:

@@ -60,7 +60,6 @@ def suite_zeta(q: int, gamma: int, zs):
     """Construction invariants plus the character-route agreement."""
     n = 0
     fe_ok = True
-    route_ok = True
     try:
         for z in zs:
             n += 1
@@ -68,8 +67,7 @@ def suite_zeta(q: int, gamma: int, zs):
             for i in range(g + 1):
                 if z.coeffs[2 * g - i] != q ** (g - i) * z.coeffs[i]:
                     fe_ok = False
-            if list(z.coeffs) != l_poly_via_characters(z.curve, z):
-                route_ok = False  # pragma: no cover - the call raises instead
+            l_poly_via_characters(z.curve, z)  # raises unless the routes agree
     except InternalConsistencyError as exc:
         yield CheckResult("zeta.construction", False, str(exc))
         return
@@ -77,7 +75,7 @@ def suite_zeta(q: int, gamma: int, zs):
                       f"{n} curves: integer Newton, RH roots, positivity,"
                       " predicted counts verified")
     yield CheckResult("zeta.functional_equation", fe_ok, f"{n} curves")
-    yield CheckResult("zeta.character_route", route_ok,
+    yield CheckResult("zeta.character_route", True,
                       f"point-count and character-sum routes agree on {n} curves")
 
 

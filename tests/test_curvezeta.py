@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from moduli_census.errors import BudgetError, DomainError
+from moduli_census.errors import BudgetError, DomainError, InternalConsistencyError
 from moduli_census.ffield import extend_field, make_field
 from moduli_census.polyring import FamilySpec, MonicPoly, family, parse_poly
 from moduli_census.curvezeta import (
     HyperellipticCurve,
+    check_riemann_hypothesis,
     epsilon_bounds,
     epsilon_terms,
     jacobian_count,
@@ -123,6 +124,50 @@ def test_functional_equation_and_rh(z55):
     g, q = 2, 3
     for i in range(g + 1):
         assert z55.coeffs[2 * g - i] == q ** (g - i) * z55.coeffs[i]
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_exact_rh_test_edge_cases():
+    # y^2 = x^3 - x over F_3 is supersingular: a = 0, a root at y = 0
+    z = zeta_data(HyperellipticCurve(parse_poly(F3, "0,2,0,1")))
+    assert z.coeffs == (1, 0, 3)
+    check_riemann_hypothesis(z.coeffs, 3)
+    # the same curve over F_9: a = -6, a root at the boundary y = 4q = 36
+    F9 = extend_field(F3, 2)
+    F = MonicPoly(F9, tuple(F9.embed_raw(c) for c in parse_poly(F3, "0,2,0,1").coeffs))
+    z9 = zeta_data(HyperellipticCurve(F))
+    assert z9.coeffs == (1, 6, 9)
+    check_riemann_hypothesis(z9.coeffs, 9)
+    # repeated roots: at y = 0, inside (0, 4q) and on the boundary
+    check_riemann_hypothesis(_times([1, 0, 3], [1, 0, 3]), 3)
+    check_riemann_hypothesis(_times([1, -1, 3], [1, -1, 3]), 3)
+    check_riemann_hypothesis(_times([1, 6, 9], [1, 6, 9]), 9)
+    check_riemann_hypothesis(_times(_times([1, 6, 9], [1, 6, 9]), [1, -5, 9]), 9)
+    check_riemann_hypothesis([1, 0, -6, 0, 9], 3)  # a = +-sqrt(12), y = 12 twice
+
+
+@pytest.mark.parametrize("coeffs, q", [
+    ([1, -7, 3], 3),                # a = 7 > 2 sqrt(3)
+    ([1, 0, 7, 0, 9], 3),           # h(u) = u^2 + 1: a = +-i, y = -1 twice
+    ([1, -1, 7, -3, 9], 3),         # h(u) = u^2 - u + 1: a non-real, y non-real
+    ([1, 0, -7, 0, 9], 3),          # a = +-sqrt(13), y = 13 > 12 twice
+    (_times([1, -4, 3], [1, -3, 3]), 3),  # one a outside, one inside
+    # y = 36 = 4q twice beside y = 49 > 4q
+    (_times(_times([1, 6, 9], [1, 6, 9]), [1, -7, 9]), 9),
+])
+def test_exact_rh_test_rejects(coeffs, q):
+    # each satisfies the functional equation but not RH
+    g = (len(coeffs) - 1) // 2
+    assert all(coeffs[2 * g - i] == q ** (g - i) * coeffs[i] for i in range(g + 1))
+    with pytest.raises(InternalConsistencyError, match="riemann-hypothesis"):
+        check_riemann_hypothesis(coeffs, q)
 
 
 def test_zeta_value(z55):

@@ -6,9 +6,11 @@ import random
 import pytest
 
 from moduli_census.errors import DomainError
-from moduli_census.ffield import make_field
+from moduli_census.ffield import extend_field, make_field
+from moduli_census.moduli import count_ntilde, family_constant
 from moduli_census.polyring import (
     FamilySpec,
+    MonicPoly,
     family,
     irreducible_polys,
     is_squarefree,
@@ -29,7 +31,9 @@ from moduli_census.stats import (
     r_variable,
     residual_envelope,
     theoretical_moment,
+    trace_charsums,
 )
+from moduli_census.sweep import SweepConfig, compute_record
 
 F3 = make_field(3)
 X5X = parse_poly(F3, "0,1,0,0,0,1")
@@ -137,6 +141,69 @@ def test_ntilde_residual_runs():
         z = zeta_data(HyperellipticCurve(f))
         r = decomposition_residual(z, "ntilde")
         assert math.isfinite(r)
+
+
+@pytest.mark.parametrize("gamma", [5, 6])
+@pytest.mark.parametrize("convention", ["F_over_f", "f_over_F"])
+def test_record_r_route_matches_jacobi_route(gamma, convention):
+    # compute_record reads R^(k) off the power sums; the prime Jacobi symbols
+    # must give the same floats, bit for bit, on the whole family, also for
+    # Z = 5 past 2g = 4, where the power sums come from the Newton recurrence
+    for Z in (None, 5):
+        cfg = SweepConfig(q=3, gamma=gamma, z_override=Z, variants=(),
+                          convention=convention)
+        Z = cfg.cutoff
+        n = 0
+        for F in family(FamilySpec(F3, gamma)):
+            rec = compute_record(F, cfg)
+            R = {k: r_variable(F, k, Z, convention) for k in range(cfg.r_max)}
+            assert rec.R == R, (F, Z)
+            assert rec.delta_Z == math.fsum(R[k] for k in range(1, cfg.r_max))
+            n += 1
+        assert n == {5: 162, 6: 486}[gamma]
+
+
+@pytest.mark.parametrize("convention", ["F_over_f", "f_over_F"])
+def test_record_ntilde_matches_jacobi_route(convention):
+    # the ntilde residual takes R^(0) over F_9 from p_2, p_4, ...; the Jacobi
+    # symbols of F over F_9 must give the same float.  It needs genus >= 3:
+    # all of H_{7,3} at Z = 2, and some curves at Z = 4, which reaches p_8 > 2g
+    E = extend_field(F3, 2)
+    checked = 0
+    for Z, count in ((None, None), (4, 12)):
+        cfg = SweepConfig(q=3, gamma=7, z_override=Z, variants=("ntilde",),
+                          convention=convention)
+        Z = cfg.cutoff
+        for F in itertools.islice(family(FamilySpec(F3, 7)), count):
+            z = zeta_data(HyperellipticCurve(F))
+            value = count_ntilde(z).value
+            F_ext = MonicPoly(E, tuple(E.embed_raw(c) for c in F.coeffs))
+            want = (math.log(value.numerator) - math.log(value.denominator)
+                    - 8 * math.log(3) + family_constant(3, 7, "thm16")
+                    - r_variable(F_ext, 0, Z, convention))
+            assert compute_record(F, cfg).residuals["ntilde"] == want, (F, Z)
+            checked += 1
+    assert checked == 1458 + 12
+
+
+def test_record_without_zeta_counts_points():
+    # neither zeta data nor moduli: p_m comes from point_count, same R
+    for F in itertools.islice(family(FamilySpec(F3, 7)), 20):
+        full = compute_record(F, SweepConfig(q=3, gamma=7, z_override=3))
+        bare = compute_record(F, SweepConfig(q=3, gamma=7, z_override=3,
+                                             compute_zeta=False, compute_moduli=False))
+        assert bare.R == full.R and bare.delta_Z == full.delta_Z
+        assert bare.N == () and full.N
+
+
+def test_trace_charsums_sign():
+    # q = 3: the mirrored symbol flips the odd-degree sums of odd-degree F
+    assert trace_charsums([1, 2, 3], 3, 5) == [-1, -2, -3]
+    assert trace_charsums([1, 2, 3], 3, 5, "f_over_F") == [1, -2, 3]
+    assert trace_charsums([1, 2], 3, 6, "f_over_F") == [-2, -3]
+    assert trace_charsums([1, 2], 5, 5, "f_over_F") == [-1, -2]
+    with pytest.raises(DomainError):
+        trace_charsums([1], 3, 5, "upside_down")
 
 
 # -- empirical aggregation ----------------------------------------------------------

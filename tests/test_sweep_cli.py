@@ -206,6 +206,8 @@ def test_cli_unwritable_output_exit_code(tmp_path, capsys, flag):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write") and err.count("\n") == 1
+    # neither output, nor any temporary file, is left behind
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_validate_all_builds_zeta_data_once(monkeypatch):
