@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import stat
 import sys
 
 from .curvezeta import HyperellipticCurve, curve_zeta_json_dict, zeta_data
@@ -37,22 +38,55 @@ USAGE_ERROR = 2
 BUDGET_ERROR = 3
 
 
+def _stage_target(path: str):
+    """(real path, stat or None) where `path` can be staged, or None to write
+    it in place.  Only a missing path or a single-link regular file of ours
+    is staged, at the end of its symlinks; a device, a FIFO, or a file that
+    a rename would re-own or unlink is written directly."""
+    real = os.path.realpath(path)
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return real, None
+    try:
+        same = os.path.samestat(st, os.stat(real))
+    except OSError:
+        same = False
+    if same and stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_uid == os.geteuid():
+        return real, st
+    return None
+
+
 def _write(*outputs: tuple[str, str | None]) -> None:
     """Write each (text, path), a path of None or "-" meaning stdout.  Files
-    are staged beside their targets and renamed into place only once all of
-    them are written, so a failed write leaves no output file behind."""
-    staged = [(f"{path}.{os.getpid()}.tmp", path, text)
-              for text, path in outputs if path not in (None, "-")]
+    are staged beside their targets, with an existing file's mode (and,
+    where permitted, its group), and renamed into place only once every
+    output is written, so a failed write leaves no staged output and no temp
+    file behind."""
+    files = []
+    for n, (text, path) in enumerate(outputs):
+        if path not in (None, "-"):
+            target = _stage_target(path)
+            tmp = target and f"{target[0]}.{os.getpid()}.{n}.tmp"
+            files.append((path, text, tmp, target))
+    path = None
     try:
-        for tmp, path, text in staged:
-            with open(tmp, "w") as fh:
+        # staged files first, then those written in place, then the renames
+        for path, text, tmp, target in sorted(files, key=lambda f: f[2] is None):
+            with open(tmp or path, "w") as fh:
                 fh.write(text)
-        for tmp, path, _ in staged:
-            os.replace(tmp, path)
+                if tmp and target[1]:
+                    os.chmod(fh.fileno(), stat.S_IMODE(target[1].st_mode))
+                    with contextlib.suppress(OSError):
+                        os.chown(fh.fileno(), -1, target[1].st_gid)
+        for path, _, tmp, target in files:
+            if tmp:
+                os.replace(tmp, target[0])
     except OSError as exc:
-        for tmp, _, _ in staged:
-            with contextlib.suppress(OSError):
-                os.remove(tmp)
+        for _, _, tmp, _ in files:
+            if tmp:
+                with contextlib.suppress(OSError):
+                    os.remove(tmp)
         raise DomainError(f"cannot write {path}: {exc.strerror}") from None
     for text, path in outputs:
         if path in (None, "-"):

@@ -107,8 +107,7 @@ def _log_frac(x: Fraction) -> float:
 
 def decomposition_residual(z: CurveZeta, variant: str, Z: int | None = None,
                            convention: str = "F_over_f",
-                           rank: int = 2, degree: int = 1,
-                           charsums: list[int] | None = None) -> float:
+                           rank: int = 2, degree: int = 1) -> float:
     """Centered log-count residual for one decomposition variant.
 
     m_rd:   log N(M(r,d))      - (r^2-1)(g-1) log q - C_q(r) - sum_{k<r} R^(k)
@@ -116,7 +115,7 @@ def decomposition_residual(z: CurveZeta, variant: str, Z: int | None = None,
     ntilde: log N(Ntilde(4,0)) - (4g-4) log q + delta log(1-1/q^2) - R^(0) over F_{q^2}
     higgs:  log N(Higgs_2)     - (8g-6) log q - C_q^Higgs - R^(0) - R^(1)
 
-    `charsums` defaults to trace_charsums of the power sums of z.
+    R^(k) comes from the power sums of z through the trace identity.
     """
     curve = z.curve
     q = z.q
@@ -124,9 +123,8 @@ def decomposition_residual(z: CurveZeta, variant: str, Z: int | None = None,
     gamma = curve.gamma
     if Z is None:
         Z = default_cutoff(gamma)
-    if charsums is None:
-        charsums = trace_charsums([z.power_sum(m) for m in range(1, Z + 1)],
-                                  q, gamma, convention)
+    charsums = trace_charsums([z.power_sum(m) for m in range(1, Z + 1)],
+                              q, gamma, convention)
     lq = math.log(q)
     if variant == "m_rd":
         value = count_stable_fixed_det(z, rank, degree).value

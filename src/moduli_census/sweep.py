@@ -71,13 +71,17 @@ def compute_record(F: MonicPoly, cfg: SweepConfig) -> FamilyRecord:
     curve = HyperellipticCurve(F)
     q = cfg.q
     Z = cfg.cutoff
+    z, N, jac = None, (), 0
     if cfg.compute_zeta or cfg.compute_moduli:
         z = zeta_data(curve, check_budget=cfg.check_budget)
         N, jac = z.N, jacobian_count(z, 1)
         psums = [z.power_sum(m) for m in range(1, Z + 1)]
-    else:
-        z, N, jac = None, (), 0
+    elif Z <= curve.genus:
         psums = [q**m + 1 - point_count(curve, m) for m in range(1, Z + 1)]
+    else:
+        # N_1..N_g fix P(t), whose Newton recurrence gives p_m past g
+        low = zeta_data(curve, check_budget=0)
+        psums = [low.power_sum(m) for m in range(1, Z + 1)]
     charsums = trace_charsums(psums, q, cfg.gamma, cfg.convention)
     R = {k: r_variable(F, k, Z, charsums=charsums) for k in range(cfg.r_max)}
     delta_z = math.fsum(R[k] for k in range(1, cfg.r_max))
@@ -90,7 +94,7 @@ def compute_record(F: MonicPoly, cfg: SweepConfig) -> FamilyRecord:
             try:
                 rec.residuals[variant] = decomposition_residual(
                     z, variant, Z=Z, convention=cfg.convention,
-                    rank=cfg.rank, degree=cfg.degree, charsums=charsums)
+                    rank=cfg.rank, degree=cfg.degree)
             except DomainError:
                 rec.residuals[variant] = math.nan
         rec.flags["xz_pass"] = xz_bound_check(z)["xz"].holds
@@ -120,9 +124,10 @@ def pool_size(workers: int, n_chunks: int) -> int:
 
 
 def _warm_tables(cfg: SweepConfig) -> None:
-    """Build the table of every count zeta_data makes, for workers to inherit."""
+    """Build the table of every count compute_record makes, for workers to inherit."""
     g = (cfg.gamma - 1) // 2
-    for r in range(1, 2 * g + 1):
+    top = 2 * g if cfg.compute_zeta or cfg.compute_moduli else min(cfg.cutoff, g)
+    for r in range(1, top + 1):
         if cfg.q**r <= (POINT_BUDGET if r <= g else min(POINT_BUDGET, cfg.check_budget)):
             countfast.field_table(cfg.q, r, cfg.gamma)
 

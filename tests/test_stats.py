@@ -186,11 +186,13 @@ def test_record_ntilde_matches_jacobi_route(convention):
     assert checked == 1458 + 12
 
 
-def test_record_without_zeta_counts_points():
-    # neither zeta data nor moduli: p_m comes from point_count, same R
+@pytest.mark.parametrize("Z", [3, 5, 7])
+def test_record_without_zeta_counts_points(Z):
+    # neither zeta data nor moduli: p_m comes from point_count up to
+    # min(Z, g) = 3 and from the Newton recurrence past it; same R
     for F in itertools.islice(family(FamilySpec(F3, 7)), 20):
-        full = compute_record(F, SweepConfig(q=3, gamma=7, z_override=3))
-        bare = compute_record(F, SweepConfig(q=3, gamma=7, z_override=3,
+        full = compute_record(F, SweepConfig(q=3, gamma=7, z_override=Z))
+        bare = compute_record(F, SweepConfig(q=3, gamma=7, z_override=Z,
                                              compute_zeta=False, compute_moduli=False))
         assert bare.R == full.R and bare.delta_Z == full.delta_Z
         assert bare.N == () and full.N

@@ -210,6 +210,37 @@ def test_cli_unwritable_output_exit_code(tmp_path, capsys, flag):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_output_through_symlink_keeps_file(tmp_path):
+    real = tmp_path / "rows.csv"
+    real.write_text("old\n")
+    real.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    code = main(["sweep", "--q", "3", "--gamma", "3", "--no-moduli",
+                 "--out", str(link), "--report-out", str(tmp_path / "report.json")])
+    assert code == 0
+    # written through the link, in place of the file, with the file's mode
+    assert link.is_symlink() and real.read_text().startswith("q,gamma,F,genus")
+    assert real.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "report.json", "rows.csv"]
+
+
+def test_cli_output_to_fifo(tmp_path):
+    import stat
+    import threading
+    fifo = tmp_path / "rows.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    code = main(["sweep", "--q", "3", "--gamma", "3", "--no-moduli",
+                 "--out", str(fifo), "--report-out", str(tmp_path / "report.json")])
+    reader.join(timeout=30)
+    assert code == 0 and got and got[0].startswith("q,gamma,F,genus")
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "rows.fifo"]
+
+
 def test_validate_all_builds_zeta_data_once(monkeypatch):
     from moduli_census import validate
     calls = []
