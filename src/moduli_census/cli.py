@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import shutil
 import stat
 import sys
 
@@ -38,55 +39,49 @@ USAGE_ERROR = 2
 BUDGET_ERROR = 3
 
 
-def _stage_target(path: str):
-    """(real path, stat or None) where `path` can be staged, or None to write
-    it in place.  Only a missing path or a single-link regular file of ours
-    is staged, at the end of its symlinks; a device, a FIFO, or a file that
-    a rename would re-own or unlink is written directly."""
+def _stage_target(path: str) -> str | None:
+    """The real path of `path` when it may be written by temp file and
+    rename: it is missing, or a single-link regular file with our user and
+    group.  None for anything else (a FIFO, a device, another's file), which
+    is written in place."""
     real = os.path.realpath(path)
     try:
         st = os.stat(path)
     except FileNotFoundError:
-        return real, None
-    try:
-        same = os.path.samestat(st, os.stat(real))
-    except OSError:
-        same = False
-    if same and stat.S_ISREG(st.st_mode) and st.st_nlink == 1 and st.st_uid == os.geteuid():
-        return real, st
+        return real
+    with contextlib.suppress(OSError):
+        if (os.path.samestat(st, os.stat(real)) and stat.S_ISREG(st.st_mode)
+                and st.st_nlink == 1 and (st.st_uid, st.st_gid) == (os.geteuid(), os.getegid())):
+            return real
     return None
 
 
 def _write(*outputs: tuple[str, str | None]) -> None:
     """Write each (text, path), a path of None or "-" meaning stdout.  Files
-    are staged beside their targets, with an existing file's mode (and,
-    where permitted, its group), and renamed into place only once every
-    output is written, so a failed write leaves no staged output and no temp
-    file behind."""
-    files = []
-    for n, (text, path) in enumerate(outputs):
-        if path not in (None, "-"):
-            target = _stage_target(path)
-            tmp = target and f"{target[0]}.{os.getpid()}.{n}.tmp"
-            files.append((path, text, tmp, target))
+    are staged beside their real paths, with an existing file's mode, and
+    renamed into place only once every output is written, so a failed write
+    leaves no staged output and no temp file behind."""
+    files = [(text, path, _stage_target(path))
+             for text, path in outputs if path not in (None, "-")]
+    staged: dict[str, str] = {}
     path = None
     try:
         # staged files first, then those written in place, then the renames
-        for path, text, tmp, target in sorted(files, key=lambda f: f[2] is None):
-            with open(tmp or path, "w") as fh:
+        for text, path, real in sorted(files, key=lambda f: f[2] is None):
+            target = path
+            if real:
+                target = f"{real}.{os.getpid()}.{len(staged)}.tmp"
+                staged[target] = real
+            with open(target, "w") as fh:
                 fh.write(text)
-                if tmp and target[1]:
-                    os.chmod(fh.fileno(), stat.S_IMODE(target[1].st_mode))
-                    with contextlib.suppress(OSError):
-                        os.chown(fh.fileno(), -1, target[1].st_gid)
-        for path, _, tmp, target in files:
-            if tmp:
-                os.replace(tmp, target[0])
+            if real and os.path.exists(real):
+                shutil.copymode(real, target)
+        for tmp, real in staged.items():
+            os.replace(tmp, real)
     except OSError as exc:
-        for _, _, tmp, _ in files:
-            if tmp:
-                with contextlib.suppress(OSError):
-                    os.remove(tmp)
+        for tmp in staged:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         raise DomainError(f"cannot write {path}: {exc.strerror}") from None
     for text, path in outputs:
         if path in (None, "-"):
