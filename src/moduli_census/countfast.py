@@ -10,6 +10,15 @@ and an element of K keeps its index in E, so c_i x^i at x = g^k is
 antilog[log c_i + i k].  F has coefficients in K, so chi(F(x)) is constant
 on Frobenius orbits: the sum over E* visits one x per orbit, about Q / r
 of them, weighted by orbit size; x = 0 adds chi(c_0).
+
+There is one kernel, LogTable.chi_sums, for a block of polynomials of one
+degree: a (B, D) array of K-indices in, B character sums out.  Zero has
+its own log, 2 (Q - 1), which points past the doubled antilog table into
+Q - 1 rows of zero digits, so every row gathers steps + log c alike, with
+no per-polynomial term filtering.  The rows are gathered and digit-summed
+in sub-blocks of about SUB_BLOCK exponents, so the transient arrays stay
+under 1 MB whatever B is.  While a digit sum fits a byte (D (p - 1) <
+256), the 8 digit bytes of a padded row add as one uint64 word.
 """
 
 from __future__ import annotations
@@ -18,6 +27,8 @@ import numpy as np
 
 from .errors import InternalConsistencyError
 from .ffield import FieldHandle, _prime_divisors, extend_field, make_field
+
+SUB_BLOCK = 2**15  # exponents (rows x coefficients x orbits) gathered at once
 
 
 def _primitive_element(E: FieldHandle):
@@ -62,8 +73,15 @@ class LogTable:
             raise InternalConsistencyError(f"powers of g do not exhaust {E!r}")
         self.chi = np.zeros(Q, dtype=np.int64)
         self.chi[idx] = 1 - 2 * (k & 1)
-        # twice over, so log c + i k (both reduced mod Q - 1) needs no reduction
-        self.antilog = np.concatenate([rows, rows]).astype(np.uint8 if p < 256 else np.int64)
+        # twice over, so log c + i k (both reduced mod Q - 1) needs no reduction,
+        # then Q - 1 zero rows for the log of zero
+        self.log[0] = 2 * (Q - 1)
+        # digit rows padded to whole 64-bit words; pvec pads with 0
+        width = -(-n // 8) * 8
+        self.pvec = np.pad(self.pvec, (0, width - n))
+        rows = np.pad(rows, ((0, 0), (0, width - n)))
+        self.antilog = np.concatenate([rows, rows, np.zeros_like(rows)]).astype(
+            np.uint8 if p < 256 else np.int64)
         rep, cur = k.copy(), k
         for _ in range(r - 1):
             cur = cur * q % (Q - 1)
@@ -72,17 +90,31 @@ class LogTable:
         self.sizes = np.bincount(rep)[self.reps]
         self._steps = np.zeros((0, len(self.reps)), dtype=np.int64)
 
-    def chi_sum(self, coeffs: list[int]) -> int:
-        """sum over x in E of chi(F(x)); coeffs are K-indices, degree 0 first."""
-        if len(coeffs) > len(self._steps):
-            self._steps = np.arange(len(coeffs))[:, None] * self.reps % (self.Q - 1)
-        terms = [i for i, c in enumerate(coeffs) if c]
-        exps = self._steps[terms] + self.log[[coeffs[i] for i in terms]][:, None]
-        # digit sums stay below p * len(terms): uint8 for small p and degree
-        wide = len(terms) * (self.p - 1) > 255
-        y = np.take(self.antilog, exps, axis=0).sum(axis=0, dtype=np.int64 if wide else np.uint8)
-        y %= self.p
-        return int(self.chi.take(y @ self.pvec) @ self.sizes) + int(self.chi[coeffs[0]])
+    def chi_sums(self, rows) -> np.ndarray:
+        """sum over x in E of chi(F(x)) for each row of F's K-indices, degree 0 first.
+
+        All rows have one length D; the result is an int64 array of len(rows).
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        D = rows.shape[1]
+        if D > len(self._steps):
+            self._steps = np.arange(D)[:, None] * self.reps % (self.Q - 1)
+        steps = self._steps[:D]
+        logs = self.log[rows][:, :, None]
+        # Digit sums stay below p * D.  While they fit a byte, a row of 8 digit
+        # bytes adds as one uint64 with no carry between bytes.
+        bytewise = self.antilog.dtype == np.uint8 and D * (self.p - 1) <= 255
+        digits, dtype = ((self.antilog.view(np.uint64), np.uint64) if bytewise
+                         else (self.antilog, np.int64))
+        sums = np.empty(len(rows), dtype=np.int64)
+        b = max(1, SUB_BLOCK // steps.size)
+        for lo in range(0, len(rows), b):
+            y = digits.take(logs[lo:lo + b] + steps, axis=0).sum(axis=1, dtype=dtype)
+            if bytewise:
+                y = y.view(np.uint8)
+            y %= self.p
+            sums[lo:lo + b] = self.chi.take(y @ self.pvec) @ self.sizes
+        return sums + self.chi[rows[:, 0]]
 
 
 # keyed by (p, r) over a prime field, by (K, r) over a tower step K
@@ -110,23 +142,21 @@ def table(K: FieldHandle, r: int) -> LogTable:
     return field_table(K.p, r, 1) if K.base is None else _cached((K, r), K, r)
 
 
+def chi_sums(K: FieldHandle, r: int, rows) -> np.ndarray:
+    """sum over x in F_{q^r} of chi(F(x)) for each row of F's K-indices (K = F_q)."""
+    return table(K, r).chi_sums(rows)
+
+
 def affine_chi_sum(p: int, r: int, coeffs: list[int]) -> int:
-    """sum over x in F_{p^r} of chi(F(x)) for F with coefficients in F_p."""
-    return field_table(p, r, len(coeffs) - 1).chi_sum(coeffs)
-
-
-def chi_sum(K: FieldHandle, r: int, coeffs: list[int]) -> int:
-    """sum over x in F_{q^r} of chi(F(x)) for F with coefficients (indices) in K = F_q."""
-    if K.base is None:
-        return affine_chi_sum(K.p, r, coeffs)
-    return table(K, r).chi_sum(coeffs)
+    """The one-row case over F_p: sum over x in F_{p^r} of chi(F(x))."""
+    return int(field_table(p, r, len(coeffs) - 1).chi_sums([coeffs])[0])
 
 
 def dense_tables(K: FieldHandle) -> tuple[list[int], ...]:
     """FieldHandle.tables() of K, computed from the log table of K."""
     t = table(K, 1)
     n, p = K.order, K.p
-    dig = np.arange(n)[:, None] // t.pvec % p
+    dig = t.antilog[t.log].astype(np.int64)  # the digits of every element index
     power = t.antilog[: n - 1].astype(np.int64) @ t.pvec  # element index of g^k
     mul = power[(t.log[:, None] + t.log) % (n - 1)]
     mul[0] = mul[:, 0] = 0

@@ -19,7 +19,11 @@ N_r counts points of the smooth projective model: one point above
 x = infinity for odd deg F, two for even deg F (monic leading 1 is a
 square in every extension).  The affine part q^r + sum_x chi(F(x)) comes
 from the discrete-log kernel of countfast, over prime and tower base
-fields alike.
+fields alike, for a whole block of curves (one field, one degree) at a
+time: point_counts makes one kernel call per r, and zeta_data_block
+counts every N_m a block needs that way before it runs each curve
+through the validation above.  point_count and zeta_data are the
+one-curve blocks.
 """
 
 from __future__ import annotations
@@ -61,15 +65,27 @@ class HyperellipticCurve:
         return f"HyperellipticCurve(q={self.field.order}, F={self.F.indices()})"
 
 
+def point_counts(curves: list[HyperellipticCurve], rs, budget: int = POINT_BUDGET) -> dict[int, list[int]]:
+    """{r: N_r of each curve} for a block of curves over one field, all of one degree.
+
+    Each r is one call of the countfast kernel for the whole block.
+    """
+    K, gamma = curves[0].field, curves[0].gamma
+    if any(c.field is not K or c.gamma != gamma for c in curves):
+        raise DomainError("a block of curves needs one field and one degree")
+    for r in rs:
+        if r < 1:
+            raise DomainError("extension degree must be >= 1")
+        if K.order**r > budget:
+            raise BudgetError(f"q^r = {K.order}^{r} exceeds point budget {budget}")
+    rows = [c.F.indices() for c in curves]
+    base = curves[0].points_at_infinity
+    return {r: (countfast.chi_sums(K, r, rows) + (K.order**r + base)).tolist() for r in rs}
+
+
 def point_count(curve: HyperellipticCurve, r: int, budget: int = POINT_BUDGET) -> int:
     """N_r, the number of points of the smooth model over F_{q^r}."""
-    if r < 1:
-        raise DomainError("extension degree must be >= 1")
-    K = curve.field
-    if K.order**r > budget:
-        raise BudgetError(f"q^r = {K.order}^{r} exceeds point budget {budget}")
-    s = countfast.chi_sum(K, r, curve.F.indices())
-    return K.order**r + s + curve.points_at_infinity
+    return point_counts([curve], [r], budget)[r][0]
 
 
 @dataclass(frozen=True)
@@ -80,7 +96,8 @@ class CurveZeta:
     N: tuple[int, ...]          # N_1..N_{2g}
     psums: tuple[int, ...]      # p_1..p_{2g},  p_m = q^m + 1 - N_m
     coeffs: tuple[int, ...]     # c_0..c_{2g} of P(t)
-    _zeta_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # zeta values by k, and the moduli layer's "full_2_torsion" flag
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def from_coeffs(cls, curve: HyperellipticCurve, coeffs) -> "CurveZeta":
@@ -97,12 +114,6 @@ class CurveZeta:
     @property
     def genus(self) -> int:
         return self.curve.genus
-
-    def lpoly_eval(self, t: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
 
     def power_sum(self, m: int) -> int:
         """p_m for any m >= 1 (extends past 2g by the Newton recurrence)."""
@@ -197,25 +208,45 @@ def check_riemann_hypothesis(coeffs, q: int) -> None:
             f" of prod (y - a_i^2) other than 0 and 4q lie outside (0, 4q) for P = {list(coeffs)}")
 
 
-def zeta_data(curve: HyperellipticCurve, check_budget: int = 10**4) -> CurveZeta:
-    """Count N_1..N_g, build and validate P(t), predict N_m up to 2g."""
-    g = curve.genus
-    q = curve.field.order
+def zeta_data_block(curves, check_budget: int = 10**4):
+    """zeta_data of each curve of a block (one field, one degree), in order.
+
+    Every N_m the block needs is counted for the whole block at once: m <= g,
+    and the recounts g < m <= 2g with q^m <= check_budget.  The curves then
+    pass the validation tail one at a time, as they are yielded.
+    """
+    curves = list(curves)
+    if not curves:
+        return
+    g = curves[0].genus
+    q = curves[0].field.order
     if g < 1:
         raise DomainError("genus must be >= 1")
-    psums_low = [q**m + 1 - point_count(curve, m) for m in range(1, g + 1)]
+    counts = point_counts(curves, [m for m in range(1, 2 * g + 1)
+                                   if m <= g or q**m <= check_budget])
+    for i, curve in enumerate(curves):
+        yield _validated(curve, {m: N[i] for m, N in counts.items()})
+
+
+def zeta_data(curve: HyperellipticCurve, check_budget: int = 10**4) -> CurveZeta:
+    """Count N_1..N_g, build and validate P(t), predict N_m up to 2g."""
+    return next(zeta_data_block([curve], check_budget))
+
+
+def _validated(curve: HyperellipticCurve, N: dict[int, int]) -> CurveZeta:
+    """P(t) from N_1..N_g, checked against the recounts N_m, m > g, in N."""
+    g = curve.genus
+    q = curve.field.order
+    psums_low = [q**m + 1 - N[m] for m in range(1, g + 1)]
     c = _newton_coeffs(psums_low, g)
     c += [q ** (g - i) * c[i] for i in range(g - 1, -1, -1)]
     z = CurveZeta.from_coeffs(curve, c)
     if list(z.psums[:g]) != psums_low:  # pragma: no cover
         raise InternalConsistencyError("newton-roundtrip: power sums drift")
-    # direct recount of the predicted values while q^m stays affordable
     for m in range(g + 1, 2 * g + 1):
-        if q**m <= check_budget:
-            direct = point_count(curve, m)
-            if direct != z.N[m - 1]:
-                raise InternalConsistencyError(
-                    f"predicted-count-mismatch: N_{m} predicted {z.N[m-1]}, counted {direct}")
+        if m in N and N[m] != z.N[m - 1]:
+            raise InternalConsistencyError(
+                f"predicted-count-mismatch: N_{m} predicted {z.N[m-1]}, counted {N[m]}")
     check_riemann_hypothesis(c, q)
     if jacobian_count(z, 1) <= 0 or jacobian_count(z, 2) <= 0:
         raise InternalConsistencyError("jacobian-positivity: P(1) or P(1)P(-1) <= 0")
@@ -226,12 +257,14 @@ def zeta_value(z: CurveZeta, k: int) -> Fraction:
     """Exact zeta value at integer k >= 2: P(q^-k) / ((1-q^-k)(1-q^(1-k)))."""
     if k <= 1:
         raise DomainError("zeta value has a pole at k <= 1; need k >= 2")
-    cached = z._zeta_cache.get(k)
+    cached = z._cache.get(k)
     if cached is None:
-        q = z.q
-        num = z.lpoly_eval(Fraction(1, q**k))
-        cached = num * q ** (2 * k - 1) / ((q**k - 1) * (q ** (k - 1) - 1))
-        z._zeta_cache[k] = cached
+        # q^(nk) P(q^-k) = sum c_i q^(k(n-i)) is an integer, n = deg P = 2g
+        q, n = z.q, len(z.coeffs) - 1
+        num = sum(c * q ** (k * (n - i)) for i, c in enumerate(z.coeffs))
+        cached = Fraction(num * q ** (2 * k - 1),
+                          q ** (n * k) * (q**k - 1) * (q ** (k - 1) - 1))
+        z._cache[k] = cached
     return cached
 
 

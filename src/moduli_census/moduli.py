@@ -19,6 +19,7 @@ whether that hypothesis actually holds for the curve.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -132,24 +133,36 @@ def unstable_mass(z: CurveZeta, partition: tuple[int, ...], d: int,
     Q = Fraction(q)
     if len(partition) == 2:
         n1, n2 = partition
-        r = n1 + n2
-        d1_min = (d * n1) // r + 1
-        L = n1 if n1 == n2 else n1 * n2  # lcm of the two ranks
         total = Fraction(0)
-        for rho in range(L):
-            first = d1_min + ((rho - d1_min) % L)
+        for first, tail in _two_step_tails(q, n1, n2, d):
             b1 = table.beta(n1, first % n1) if n1 > 1 else Fraction(1, q - 1)
             b2 = table.beta(n2, (d - first) % n2) if n2 > 1 else Fraction(1, q - 1)
-            tail = Q ** (-r * first) / (1 - Q ** (-r * L))
             total += b1 * b2 * tail
         return nj * Q ** (n1 * n2 * (g - 1) + d * n1) * total
-    # (1,1,1): gaps a = d1-d2 >= 1, b = d2-d3 >= 1 with a-b = d (mod 3)
-    x = Q ** (-2)
+    return Fraction(nj * nj, (q - 1) ** 3) * Q ** (3 * (g - 1)) * _three_step_total(q, d % 3)
+
+
+@functools.lru_cache(maxsize=256)
+def _two_step_tails(q: int, n1: int, n2: int, d: int) -> tuple[tuple[int, Fraction], ...]:
+    """(first, Q^(-r first) / (1 - Q^(-r L))) for each residue class of d1 mod L.
+
+    d1 runs over d1 > d n1 / r; class rho starts at `first`, and its
+    geometric tail does not depend on the curve.
+    """
+    r = n1 + n2
+    d1_min = (d * n1) // r + 1
+    L = n1 if n1 == n2 else n1 * n2  # lcm of the two ranks
+    Q = Fraction(q)
+    firsts = (d1_min + ((rho - d1_min) % L) for rho in range(L))
+    return tuple((first, Q ** (-r * first) / (1 - Q ** (-r * L))) for first in firsts)
+
+
+@functools.lru_cache(maxsize=256)
+def _three_step_total(q: int, d: int) -> Fraction:
+    """(1,1,1): gaps a = d1-d2 >= 1, b = d2-d3 >= 1 with a-b = d (mod 3)."""
+    x = Fraction(1, q**2)
     geom = [x**3 / (1 - x**3), x / (1 - x**3), x**2 / (1 - x**3)]
-    total = Fraction(0)
-    for s in range(3):
-        total += geom[(s + d) % 3] * geom[s]
-    return Fraction(nj * nj, (q - 1) ** 3) * Q ** (3 * (g - 1)) * total
+    return sum((geom[(s + d) % 3] * geom[s] for s in range(3)), Fraction(0))
 
 
 def beta(z: CurveZeta, r: int, d: int, table: BetaTable | None = None) -> Fraction:
@@ -179,10 +192,13 @@ def count_stable_fixed_det(z: CurveZeta, r: int, d: int,
         raise DomainError("needs genus >= 2")
     if r not in (2, 3):
         raise UnsupportedRankError("exact counts implemented for r in {2, 3}")
+    if table is None:
+        table = BetaTable(z)
     q = z.q
-    value = (q - 1) * beta(z, r, d, table)
+    b = table.beta(r, d)
+    value = (q - 1) * b
     report = ModuliReport(target="m_rd", value=value)
-    report.components["beta"] = beta(z, r, d, table)
+    report.components["beta"] = b
     report.components["siegel_mass"] = siegel_mass(z, r)
     if r == 2:
         g = z.genus
@@ -249,11 +265,16 @@ def count_ms20(z: CurveZeta) -> ModuliReport:
 
 def _full_2_torsion(z: CurveZeta) -> bool:
     """True when F splits into deg(F) distinct roots over F_q, i.e. every
-    2-torsion class of the Jacobian is already rational."""
-    K = z.curve.field
-    F = z.curve.F
-    roots = sum(1 for i in range(K.order) if F(K.raw_of_index(i)) == K.zero_raw)
-    return roots == z.curve.gamma
+    2-torsion class of the Jacobian is already rational.  Computed once per
+    CurveZeta; never when deg(F) > q, since F_q then has too few elements."""
+    flag = z._cache.get("full_2_torsion")
+    if flag is None:
+        K = z.curve.field
+        F = z.curve.F
+        flag = z.curve.gamma <= K.order and z.curve.gamma == sum(
+            1 for i in range(K.order) if F(K.raw_of_index(i)) == K.zero_raw)
+        z._cache["full_2_torsion"] = flag
+    return flag
 
 
 def grassmannian_count(q: int, k: int, n: int) -> int:
@@ -327,8 +348,8 @@ def count_higgs(z: CurveZeta) -> ModuliReport:
     dp1 = sum(i * ci for i, ci in enumerate(c))
     a1 = Fraction(p1 * pq, (q - 1) * (q**2 - 1))
     a2 = -Fraction(p1 * pm1, 4 * (q + 1))
-    root_sum = 2 * g - Fraction(dp1, p1)  # sum over l of 1/(1 - alpha_l)
-    a3 = Fraction(p1 * p1, 2 * (q - 1)) * (Fraction(1, 2) - Fraction(1, q - 1) - root_sum)
+    # p1^2 / (2(q-1)) (1/2 - 1/(q-1) - sum_l 1/(1 - alpha_l)), the sum being 2g - dp1/p1
+    a3 = Fraction(p1 * (p1 * (q - 3 - 4 * g * (q - 1)) + 2 * (q - 1) * dp1), 4 * (q - 1) ** 2)
     a_g2 = a1 + a2 + a3
     value = q ** (4 * g - 3) * a_g2
     report = ModuliReport(target="higgs", value=value)

@@ -15,7 +15,8 @@ import os
 from dataclasses import dataclass
 
 from . import countfast
-from .curvezeta import POINT_BUDGET, HyperellipticCurve, jacobian_count, point_count, zeta_data
+from .curvezeta import (POINT_BUDGET, CurveZeta, HyperellipticCurve, jacobian_count, point_count,
+                        zeta_data, zeta_data_block)
 from .emit import fmt_float
 from .errors import BudgetError, DomainError
 from .ffield import make_field
@@ -66,14 +67,19 @@ class SweepConfig:
         return self.z_override or default_cutoff(self.gamma)
 
 
-def compute_record(F: MonicPoly, cfg: SweepConfig) -> FamilyRecord:
-    """The per-curve payload; pure in (F, cfg).  R^(k) comes from the power sums."""
-    curve = HyperellipticCurve(F)
+def compute_record(F: MonicPoly, cfg: SweepConfig, z: CurveZeta | None = None) -> FamilyRecord:
+    """The per-curve payload; pure in (F, cfg).  R^(k) comes from the power sums.
+
+    z is F's zeta data at cfg.check_budget when the caller has built it
+    already (a sweep chunk does, for the whole chunk at once).
+    """
+    curve = z.curve if z is not None else HyperellipticCurve(F)
     q = cfg.q
     Z = cfg.cutoff
-    z, N, jac = None, (), 0
+    N, jac = (), 0
     if cfg.compute_zeta or cfg.compute_moduli:
-        z = zeta_data(curve, check_budget=cfg.check_budget)
+        if z is None:
+            z = zeta_data(curve, check_budget=cfg.check_budget)
         N, jac = z.N, jacobian_count(z, 1)
         psums = [z.power_sum(m) for m in range(1, Z + 1)]
     elif Z <= curve.genus:
@@ -103,9 +109,14 @@ def compute_record(F: MonicPoly, cfg: SweepConfig) -> FamilyRecord:
 
 
 def _chunk_worker(args) -> list:
+    """The records of one chunk; its zeta data is counted as one block."""
     cfg, start, stop = args
     spec = FamilySpec(make_field(cfg.q), cfg.gamma, cfg.mode, cfg.count, cfg.seed)
-    return [compute_record(F, cfg) for F in family(spec, start, stop)]
+    polys = family(spec, start, stop)
+    if not (cfg.compute_zeta or cfg.compute_moduli):
+        return [compute_record(F, cfg) for F in polys]
+    zs = zeta_data_block(map(HyperellipticCurve, polys), cfg.check_budget)
+    return [compute_record(z.curve.F, cfg, z) for z in zs]
 
 
 def resolve_workers(requested: int | None) -> int:

@@ -9,6 +9,7 @@ pattern, hypothesis flags) ride along in the detail text.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +24,7 @@ from .curvezeta import (
     lambda_character_identity,
     xz_bound_check,
     zeta_data,
+    zeta_data_block,
     zeta_value,
 )
 from .errors import InternalConsistencyError
@@ -38,6 +40,7 @@ from .moduli import (
     unstable_mass,
 )
 from .polyring import FamilySpec, family, format_poly
+from .sweep import CHUNK
 
 
 @dataclass
@@ -52,8 +55,10 @@ def _family(q: int, gamma: int):
 
 
 def _curves(q: int, gamma: int, check_budget: int = 10**6):
-    for curve in _family(q, gamma):
-        yield zeta_data(curve, check_budget=check_budget)
+    """The family's zeta data, counted in blocks of at most CHUNK curves."""
+    curves = _family(q, gamma)
+    while block := list(itertools.islice(curves, CHUNK)):
+        yield from zeta_data_block(block, check_budget)
 
 
 def suite_zeta(q: int, gamma: int, zs):

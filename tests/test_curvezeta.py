@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from moduli_census import countfast
 from moduli_census.errors import BudgetError, DomainError, InternalConsistencyError
 from moduli_census.ffield import extend_field, make_field
 from moduli_census.polyring import FamilySpec, MonicPoly, family, parse_poly
@@ -15,8 +16,10 @@ from moduli_census.curvezeta import (
     l_poly_via_characters,
     lambda_character_identity,
     point_count,
+    point_counts,
     xz_bound_check,
     zeta_data,
+    zeta_data_block,
     zeta_value,
 )
 
@@ -83,6 +86,76 @@ def test_point_count_matches_generic_enumeration():
     C = HyperellipticCurve(F)
     for r in (1, 2):
         assert point_count(C, r) == brute_point_count(F, r), ("F_9", r)
+
+
+F9 = extend_field(F3, 2)
+
+# (field, degree, edge cases, extension degrees): each block mixes the edge
+# cases (c_0 = 0, zero coefficients, roots in F_q) with sampled members
+BLOCK_CASES = [
+    (F3, 5, ["0,1,0,0,0,1", "1,0,1,0,0,1"], (1, 2, 3)),
+    (F3, 6, ["0,1,0,0,0,0,1"], (1, 2, 3)),
+    (make_field(5), 4, ["0,4,0,0,1"], (1, 2, 3)),
+    (make_field(5), 6, ["1,0,0,0,0,0,1"], (1, 2)),
+    (make_field(7), 3, ["0,6,0,1"], (1, 2, 3)),
+    (make_field(7), 4, ["3,0,1,0,1"], (1, 2)),
+    (make_field(131), 3, ["1,1,0,1", "0,1,0,1"], (1,)),  # byte digits, sums past a byte
+    (make_field(257), 3, ["1,1,0,1", "0,1,0,1"], (1,)),  # digits past a byte
+    (F9, 5, [], (1, 2)),
+]
+
+
+@pytest.mark.parametrize("K, gamma, edge, rs", BLOCK_CASES,
+                         ids=[f"q{c[0].order}-d{c[1]}" for c in BLOCK_CASES])
+@pytest.mark.parametrize("sub_block", [countfast.SUB_BLOCK, 64])
+def test_block_counts_match_generic_enumeration(monkeypatch, K, gamma, edge, rs, sub_block):
+    monkeypatch.setattr(countfast, "SUB_BLOCK", sub_block)
+    polys = [parse_poly(K, text) for text in edge]
+    polys += family(FamilySpec(K, gamma, "sample", 9 - len(polys), 5))
+    if K is F9:  # a coefficient outside F_3
+        t = F9.raw_of_index(3)
+        polys.append(MonicPoly(F9, (F9.one_raw, t, F9.zero_raw, F9.zero_raw, F9.zero_raw,
+                                    F9.one_raw)))
+    curves = [HyperellipticCurve(F) for F in polys]
+    if sub_block == 64 and K.order == 3:
+        # several sub-blocks per block, the last one short
+        rows_per_step = 64 // ((gamma + 1) * len(countfast.table(K, 1).reps))
+        assert 1 < rows_per_step < len(curves) and len(curves) % rows_per_step
+    want = {r: [brute_point_count(F, r) for F in polys] for r in rs}
+    assert point_counts(curves, rs) == want
+    assert point_counts(curves[:1], rs) == {r: want[r][:1] for r in rs}
+    assert [point_count(C, rs[-1]) for C in curves] == want[rs[-1]]
+    if K.base is None:  # the one-row sum over F_p
+        affine = [n - K.order**rs[0] - C.points_at_infinity for n, C in zip(want[rs[0]], curves)]
+        assert [countfast.affine_chi_sum(K.p, rs[0], F.indices()) for F in polys] == affine
+
+
+def test_block_zeta_data_matches_per_curve():
+    for gamma in (5, 6):
+        curves = [HyperellipticCurve(F) for F in family(FamilySpec(F3, gamma))]
+        block = list(zeta_data_block(curves, check_budget=10**6))
+        assert [z.curve for z in block] == curves
+        single = [zeta_data(C, check_budget=10**6) for C in curves]
+        assert [(z.N, z.coeffs) for z in block] == [(z.N, z.coeffs) for z in single]
+
+
+def test_block_recount_mismatch_is_caught(monkeypatch):
+    # N_3 (r = g + 1) of row 5 is off by 2: the block path must still compare it
+    real = countfast.LogTable.chi_sums
+
+    def perturbed(self, rows):
+        out = real(self, rows)
+        if self.Q == 27 and len(out) > 5:
+            out[5] += 2
+        return out
+
+    monkeypatch.setattr(countfast.LogTable, "chi_sums", perturbed)
+    curves = [HyperellipticCurve(F) for F in family(FamilySpec(F3, 5), 0, 40)]
+    zs = zeta_data_block(curves, check_budget=10**6)
+    for _ in range(5):
+        next(zs)
+    with pytest.raises(InternalConsistencyError, match="predicted-count-mismatch: N_3"):
+        next(zs)
 
 
 def test_point_count_budget():

@@ -355,3 +355,92 @@ def test_family_constants():
     assert family_constant(3, 6, "thm16") == pytest.approx(math.log(1 - 1 / 9))
     with pytest.raises(DomainError):
         family_constant(3, 5, "nope")
+
+
+# -- the integer forms against the plain Fraction expressions ---------------------------
+
+def _ref_zeta_value(z, k):
+    q = z.q
+    acc = Fraction(0)
+    for c in reversed(z.coeffs):  # P(q^-k) by Horner in Fraction
+        acc = acc * Fraction(1, q**k) + c
+    return acc * q ** (2 * k - 1) / ((q**k - 1) * (q ** (k - 1) - 1))
+
+
+def _ref_siegel(z, r):
+    out = Fraction(z.q ** ((r * r - 1) * (z.genus - 1)), z.q - 1)
+    for k in range(2, r + 1):
+        out *= _ref_zeta_value(z, k)
+    return out
+
+
+def _ref_unstable(z, partition, d):
+    q, g, nj, Q = z.q, z.genus, jacobian_count(z, 1), Fraction(z.q)
+    if len(partition) == 2:
+        n1, n2 = partition
+        r = n1 + n2
+        d1_min = (d * n1) // r + 1
+        L = n1 if n1 == n2 else n1 * n2
+        total = Fraction(0)
+        for rho in range(L):
+            first = d1_min + ((rho - d1_min) % L)
+            b1 = _ref_beta(z, n1, first % n1)
+            b2 = _ref_beta(z, n2, (d - first) % n2)
+            total += b1 * b2 * Q ** (-r * first) / (1 - Q ** (-r * L))
+        return nj * Q ** (n1 * n2 * (g - 1) + d * n1) * total
+    x = Q ** (-2)
+    geom = [x**3 / (1 - x**3), x / (1 - x**3), x**2 / (1 - x**3)]
+    total = sum((geom[(s + d) % 3] * geom[s] for s in range(3)), Fraction(0))
+    return Fraction(nj * nj, (q - 1) ** 3) * Q ** (3 * (g - 1)) * total
+
+
+def _ref_beta(z, r, d):
+    if r == 1:
+        return Fraction(1, z.q - 1)
+    parts = [(1, 1)] if r == 2 else [(1, 1, 1), (2, 1), (1, 2)]
+    return _ref_siegel(z, r) - sum(_ref_unstable(z, p, d % r) for p in parts)
+
+
+def _ref_full_2_torsion(z):
+    K, F = z.curve.field, z.curve.F
+    return sum(1 for i in range(K.order) if F(K.raw_of_index(i)) == K.zero_raw) == z.curve.gamma
+
+
+def test_integer_forms_match_fraction_expressions():
+    for f in family(FamilySpec(F3, 5)):
+        z = zeta_data(HyperellipticCurve(f))
+        q, g, c = z.q, z.genus, z.coeffs
+        for k in (2, 3, 4):
+            assert zeta_value(z, k) == _ref_zeta_value(z, k)
+        for r, d in ((2, 0), (2, 1), (3, 0), (3, 1), (3, 2)):
+            assert beta(z, r, d) == _ref_beta(z, r, d), (f, r, d)
+        for part, d in itertools.product(((1, 1), (2, 1), (1, 2), (1, 1, 1)), (-2, 0, 1, 4)):
+            assert unstable_mass(z, part, d) == _ref_unstable(z, part, d), (f, part, d)
+        nj, nj2 = jacobian_count(z, 1), jacobian_count(z, 2)
+        ms = count_ms20(z)
+        assert ms.value == (Fraction(q ** (3 * g - 3)) * _ref_zeta_value(z, 2)
+                            - Fraction(q ** (g + 1) - q**2 + q, (q - 1) ** 2 * (q + 1)) * nj
+                            - Fraction(nj2, 2 * (q + 1)) + Fraction(4**g, 2 * (q + 1)))
+        assert ms.hypotheses["full_2_torsion"] is _ref_full_2_torsion(z) is False
+        p1 = sum(c)
+        dp1 = sum(i * ci for i, ci in enumerate(c))
+        a3 = Fraction(p1 * p1, 2 * (q - 1)) * (Fraction(1, 2) - Fraction(1, q - 1)
+                                               - (2 * g - Fraction(dp1, p1)))
+        higgs = count_higgs(z)
+        assert higgs.components["A_3"] == a3
+        assert higgs.value == q ** (4 * g - 3) * (
+            Fraction(p1 * sum(ci * q**i for i, ci in enumerate(c)), (q - 1) * (q**2 - 1))
+            - Fraction(p1 * sum((-1) ** i * ci for i, ci in enumerate(c)), 4 * (q + 1)) + a3)
+
+
+def test_full_2_torsion_flag_matches_root_count():
+    # deg F <= q, where F can split over F_q; the other case is covered above
+    from moduli_census.moduli import _full_2_torsion
+    flags = []
+    for q, gamma in ((3, 3), (5, 4), (5, 5)):
+        for f in itertools.islice(family(FamilySpec(make_field(q), gamma)), 400):
+            z = zeta_data(HyperellipticCurve(f))
+            flags.append(_full_2_torsion(z))
+            assert flags[-1] is _ref_full_2_torsion(z), f
+            assert _full_2_torsion(z) is flags[-1]  # the cached flag
+    assert any(flags) and not all(flags)

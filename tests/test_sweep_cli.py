@@ -244,13 +244,18 @@ def test_cli_output_to_fifo(tmp_path):
 def test_validate_all_builds_zeta_data_once(monkeypatch):
     from moduli_census import validate
     calls = []
-    real = validate.zeta_data
+    real, real_block = validate.zeta_data, validate.zeta_data_block
 
     def counting(curve, check_budget=10**4):
         calls.append(check_budget)
         return real(curve, check_budget=check_budget)
 
+    def counting_block(curves, check_budget=10**4):
+        calls.extend(check_budget for _ in curves)
+        return real_block(curves, check_budget)
+
     monkeypatch.setattr(validate, "zeta_data", counting)
+    monkeypatch.setattr(validate, "zeta_data_block", counting_block)
     together = validate.run_suite("all", 3, 5)
     # one pass over the 162 curves at the largest budget, plus the higgs spot value
     assert calls.count(10**6) == 162 and len(calls) == 163
