@@ -142,11 +142,6 @@ def table(K: FieldHandle, r: int) -> LogTable:
     return field_table(K.p, r, 1) if K.base is None else _cached((K, r), K, r)
 
 
-def chi_sums(K: FieldHandle, r: int, rows) -> np.ndarray:
-    """sum over x in F_{q^r} of chi(F(x)) for each row of F's K-indices (K = F_q)."""
-    return table(K, r).chi_sums(rows)
-
-
 def affine_chi_sum(p: int, r: int, coeffs: list[int]) -> int:
     """The one-row case over F_p: sum over x in F_{p^r} of chi(F(x))."""
     return int(field_table(p, r, len(coeffs) - 1).chi_sums([coeffs])[0])

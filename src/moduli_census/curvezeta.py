@@ -80,7 +80,7 @@ def point_counts(curves: list[HyperellipticCurve], rs, budget: int = POINT_BUDGE
             raise BudgetError(f"q^r = {K.order}^{r} exceeds point budget {budget}")
     rows = [c.F.indices() for c in curves]
     base = curves[0].points_at_infinity
-    return {r: (countfast.chi_sums(K, r, rows) + (K.order**r + base)).tolist() for r in rs}
+    return {r: (countfast.table(K, r).chi_sums(rows) + (K.order**r + base)).tolist() for r in rs}
 
 
 def point_count(curve: HyperellipticCurve, r: int, budget: int = POINT_BUDGET) -> int:
