@@ -65,6 +65,16 @@ class HyperellipticCurve:
         return f"HyperellipticCurve(q={self.field.order}, F={self.F.indices()})"
 
 
+def count_tables(K, rs, budget: int = POINT_BUDGET) -> dict:
+    """{r: the countfast table of F_{q^r}}, built only once every q^r fits the budget."""
+    for r in rs:
+        if r < 1:
+            raise DomainError("extension degree must be >= 1")
+        if K.order**r > budget:
+            raise BudgetError(f"q^r = {K.order}^{r} exceeds point budget {budget}")
+    return {r: countfast.table(K, r) for r in rs}
+
+
 def point_counts(curves: list[HyperellipticCurve], rs, budget: int = POINT_BUDGET) -> dict[int, list[int]]:
     """{r: N_r of each curve} for a block of curves over one field, all of one degree.
 
@@ -73,14 +83,10 @@ def point_counts(curves: list[HyperellipticCurve], rs, budget: int = POINT_BUDGE
     K, gamma = curves[0].field, curves[0].gamma
     if any(c.field is not K or c.gamma != gamma for c in curves):
         raise DomainError("a block of curves needs one field and one degree")
-    for r in rs:
-        if r < 1:
-            raise DomainError("extension degree must be >= 1")
-        if K.order**r > budget:
-            raise BudgetError(f"q^r = {K.order}^{r} exceeds point budget {budget}")
     rows = [c.F.indices() for c in curves]
     base = curves[0].points_at_infinity
-    return {r: (countfast.table(K, r).chi_sums(rows) + (K.order**r + base)).tolist() for r in rs}
+    return {r: (t.chi_sums(rows) + (K.order**r + base)).tolist()
+            for r, t in count_tables(K, rs, budget).items()}
 
 
 def point_count(curve: HyperellipticCurve, r: int, budget: int = POINT_BUDGET) -> int:
@@ -208,22 +214,23 @@ def check_riemann_hypothesis(coeffs, q: int) -> None:
             f" of prod (y - a_i^2) other than 0 and 4q lie outside (0, 4q) for P = {list(coeffs)}")
 
 
+def zeta_degrees(q: int, g: int, check_budget: int) -> list[int]:
+    """The m of every N_m that zeta data counts: m <= g, and the recounts
+    g < m <= 2g with q^m <= check_budget."""
+    return [m for m in range(1, 2 * g + 1) if m <= g or q**m <= check_budget]
+
+
 def zeta_data_block(curves, check_budget: int = 10**4):
     """zeta_data of each curve of a block (one field, one degree), in order.
 
-    Every N_m the block needs is counted for the whole block at once: m <= g,
-    and the recounts g < m <= 2g with q^m <= check_budget.  The curves then
-    pass the validation tail one at a time, as they are yielded.
+    Every N_m of zeta_degrees is counted for the whole block at once.  The
+    curves then pass the validation tail one at a time, as they are yielded.
     """
     curves = list(curves)
     if not curves:
         return
-    g = curves[0].genus
-    q = curves[0].field.order
-    if g < 1:
-        raise DomainError("genus must be >= 1")
-    counts = point_counts(curves, [m for m in range(1, 2 * g + 1)
-                                   if m <= g or q**m <= check_budget])
+    degrees = zeta_degrees(curves[0].field.order, curves[0].genus, check_budget)
+    counts = point_counts(curves, degrees)
     for i, curve in enumerate(curves):
         yield _validated(curve, {m: N[i] for m, N in counts.items()})
 
@@ -385,13 +392,13 @@ def xz_bound_check(z: CurveZeta, cprime: float = 8.0, ks: tuple[int, ...] = (2, 
     return report
 
 
-def l_poly_via_characters(curve: HyperellipticCurve, z: CurveZeta | None = None) -> list[int]:
+def l_poly_via_characters(curve: HyperellipticCurve, z: CurveZeta) -> list[int]:
     """P(t) assembled from the prime Jacobi symbols (F/P).
 
     The Euler product over monic irreducibles of the character (F/.)
     gives the full character sum sum_f (F/f) t^deg f; for even deg F it
     carries the split infinite place as an exact (1 - t) factor which is
-    divided out.  The result must match the point-count route exactly.
+    divided out.  The result must match z, from the point counts, exactly.
     """
     K = curve.field
     gamma = curve.gamma
@@ -418,8 +425,6 @@ def l_poly_via_characters(curve: HyperellipticCurve, z: CurveZeta | None = None)
             c.append(acc)
     else:
         c = b[: 2 * g + 1]
-    if z is None:
-        z = zeta_data(curve)
     if tuple(c) != z.coeffs:
         raise InternalConsistencyError(
             f"character-route mismatch: {c} vs {list(z.coeffs)}")

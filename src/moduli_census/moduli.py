@@ -28,6 +28,7 @@ from .curvezeta import CurveZeta, jacobian_count, zeta_value
 from .errors import DomainError, UnsupportedRankError
 
 SUPPORTED_PARTITIONS = ((1, 1), (2, 1), (1, 2), (1, 1, 1))
+EXACT_RANKS = (2, 3)  # the ranks r >= 2 whose HN strata, beta and stable counts are exact
 
 
 @dataclass
@@ -96,7 +97,7 @@ class BetaTable:
     def beta(self, r: int, d: int) -> Fraction:
         if r == 1:
             return Fraction(1, self.z.q - 1)
-        if r not in (2, 3):
+        if r not in EXACT_RANKS:
             raise UnsupportedRankError("beta implemented for ranks 1..3")
         key = (r, d % r)
         val = self._memo.get(key)
@@ -181,17 +182,22 @@ def genus2_oracle(z: CurveZeta) -> int:
     return q**3 + q**2 + q + 1 - q * z.psums[0]
 
 
+def check_stable_domain(r: int, d: int) -> None:
+    """Raise unless count_stable_fixed_det covers rank r and degree d."""
+    if math.gcd(r, d) != 1:
+        raise DomainError("rank and degree must be coprime"
+                          " (strictly semistable handling only exists for (2,0))")
+    if r not in EXACT_RANKS:
+        raise UnsupportedRankError("exact counts implemented for r in {2, 3}")
+
+
 def count_stable_fixed_det(z: CurveZeta, r: int, d: int,
                            table: BetaTable | None = None) -> ModuliReport:
     """N_q of the moduli of stable fixed-determinant bundles, gcd(r,d)=1:
     (q-1) beta(r, d)."""
-    if math.gcd(r, d) != 1:
-        raise DomainError("rank and degree must be coprime"
-                          " (strictly semistable handling only exists for (2,0))")
+    check_stable_domain(r, d)
     if z.genus < 2:
         raise DomainError("needs genus >= 2")
-    if r not in (2, 3):
-        raise UnsupportedRankError("exact counts implemented for r in {2, 3}")
     if table is None:
         table = BetaTable(z)
     q = z.q

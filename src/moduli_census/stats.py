@@ -32,6 +32,7 @@ from .moduli import (
 from .polyring import MonicPoly, _irreducible_ivs, _iv, _iv_jacobi, is_squarefree, prime_count
 
 CONVENTIONS = ("F_over_f", "f_over_F")
+RESIDUAL_VARIANTS = ("m_rd", "ms20", "ntilde", "higgs")
 
 
 def default_cutoff(gamma: int) -> int:
@@ -117,6 +118,8 @@ def decomposition_residual(z: CurveZeta, variant: str, Z: int | None = None,
 
     R^(k) comes from the power sums of z through the trace identity.
     """
+    if variant not in RESIDUAL_VARIANTS:
+        raise DomainError(f"unknown residual variant {variant!r}")
     curve = z.curve
     q = z.q
     g = z.genus
@@ -145,13 +148,10 @@ def decomposition_residual(z: CurveZeta, variant: str, Z: int | None = None,
         r0_ext = _weighted(ext, q * q, 0)
         return (_log_frac(value) - (4 * g - 4) * lq
                 + family_constant(q, gamma, "thm16") - r0_ext)
-    if variant == "higgs":
-        value = count_higgs(z).value
-        rsum = math.fsum(r_variable(curve.F, k, Z, convention, charsums)
-                         for k in (0, 1))
-        return (_log_frac(value) - (8 * g - 6) * lq
-                - family_constant(q, gamma, "higgs") - rsum)
-    raise DomainError(f"unknown residual variant {variant!r}")
+    value = count_higgs(z).value
+    rsum = math.fsum(r_variable(curve.F, k, Z, convention, charsums) for k in (0, 1))
+    return (_log_frac(value) - (8 * g - 6) * lq
+            - family_constant(q, gamma, "higgs") - rsum)
 
 
 def residual_envelope(q: int, g: int, C: float = 10.0, c: float = 0.5) -> float:

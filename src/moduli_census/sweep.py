@@ -1,10 +1,11 @@
 """Family sweeps: per-curve records, deterministic parallel execution, CSV.
 
-A sweep walks H_{gamma,q} (exhaustively or by seeded sampling), computes a
-FamilyRecord per curve, and aggregates a SweepReport.  Each record is a
-pure function of the curve alone, chunks are dealt in a fixed order and
-reassembled in that order, and the final aggregation is a single ordered
-pass, so output is byte-identical for any worker count.
+A sweep walks H_{gamma,q} (exhaustively or by seeded sampling) in chunks,
+counts the points of each chunk as one block, assembles a FamilyRecord per
+curve from its counts, and aggregates a SweepReport.  Each record is a pure
+function of the curve alone, chunks are dealt and reassembled in a fixed
+order, and the final aggregation is a single ordered pass, so output is
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -14,26 +15,16 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 
-from . import countfast
-from .curvezeta import (POINT_BUDGET, CurveZeta, HyperellipticCurve, jacobian_count, point_count,
-                        zeta_data, zeta_data_block)
+from .curvezeta import (CurveZeta, HyperellipticCurve, count_tables, jacobian_count, point_counts,
+                        xz_bound_check, zeta_data_block, zeta_degrees)
 from .emit import fmt_float
 from .errors import BudgetError, DomainError
 from .ffield import make_field
-from .polyring import FamilySpec, MonicPoly, family, format_poly
-from .stats import (
-    FamilyRecord,
-    SweepReport,
-    decomposition_residual,
-    default_cutoff,
-    empirical_stats,
-    limit_covariance,
-    r_variable,
-    theoretical_moment,
-    trace_charsums,
-)
-from .curvezeta import xz_bound_check
-from .moduli import _full_2_torsion
+from .moduli import _full_2_torsion, check_stable_domain
+from .polyring import FamilySpec, family, format_poly
+from .stats import (RESIDUAL_VARIANTS, FamilyRecord, SweepReport, decomposition_residual,
+                    default_cutoff, empirical_stats, limit_covariance, r_variable,
+                    theoretical_moment, trace_charsums)
 
 ENUM_BUDGET = 2 * 10**6
 CHUNK = 1024
@@ -64,59 +55,65 @@ class SweepConfig:
 
     @property
     def cutoff(self) -> int:
-        return self.z_override or default_cutoff(self.gamma)
+        return default_cutoff(self.gamma) if self.z_override is None else self.z_override
+
+    @property
+    def with_zeta(self) -> bool:
+        """Whether records carry zeta data: the N columns and the residuals need it."""
+        return self.compute_zeta or self.compute_moduli
 
 
-def compute_record(F: MonicPoly, cfg: SweepConfig, z: CurveZeta | None = None) -> FamilyRecord:
-    """The per-curve payload; pure in (F, cfg).  R^(k) comes from the power sums.
+def compute_record(curve: HyperellipticCurve, cfg: SweepConfig, psums: list[int],
+                   z: CurveZeta | None = None) -> FamilyRecord:
+    """The record of one curve from its p_1..p_Z; it makes no count.
 
-    z is F's zeta data at cfg.check_budget when the caller has built it
-    already (a sweep chunk does, for the whole chunk at once).
+    z is the curve's zeta data at cfg.check_budget, or None for an R-only
+    record (no N columns, no residuals).  R^(k) comes from the power sums.
     """
-    curve = z.curve if z is not None else HyperellipticCurve(F)
-    q = cfg.q
-    Z = cfg.cutoff
-    N, jac = (), 0
-    if cfg.compute_zeta or cfg.compute_moduli:
-        if z is None:
-            z = zeta_data(curve, check_budget=cfg.check_budget)
-        N, jac = z.N, jacobian_count(z, 1)
-        psums = [z.power_sum(m) for m in range(1, Z + 1)]
-    elif Z <= curve.genus:
-        psums = [q**m + 1 - point_count(curve, m) for m in range(1, Z + 1)]
-    else:
-        # N_1..N_g fix P(t), whose Newton recurrence gives p_m past g
-        low = zeta_data(curve, check_budget=0)
-        psums = [low.power_sum(m) for m in range(1, Z + 1)]
+    q, Z = cfg.q, cfg.cutoff
     charsums = trace_charsums(psums, q, cfg.gamma, cfg.convention)
-    R = {k: r_variable(F, k, Z, charsums=charsums) for k in range(cfg.r_max)}
+    R = {k: r_variable(curve.F, k, Z, charsums=charsums) for k in range(cfg.r_max)}
     delta_z = math.fsum(R[k] for k in range(1, cfg.r_max))
-    rec = FamilyRecord(
-        q=q, gamma=cfg.gamma, F_text=format_poly(F), genus=curve.genus,
-        N=N, jacobian=jac, Z=Z, R=R, delta_Z=delta_z,
-    )
+    N, jac = (z.N, jacobian_count(z, 1)) if z is not None else ((), 0)
+    rec = FamilyRecord(q=q, gamma=cfg.gamma, F_text=format_poly(curve.F), genus=curve.genus,
+                       N=N, jacobian=jac, Z=Z, R=R, delta_Z=delta_z)
     if cfg.compute_moduli:
         for variant in cfg.variants:
             try:
                 rec.residuals[variant] = decomposition_residual(
-                    z, variant, Z=Z, convention=cfg.convention,
-                    rank=cfg.rank, degree=cfg.degree)
-            except DomainError:
+                    z, variant, Z, cfg.convention, cfg.rank, cfg.degree)
+            except DomainError:  # a genus the variant does not cover
                 rec.residuals[variant] = math.nan
         rec.flags["xz_pass"] = xz_bound_check(z)["xz"].holds
         rec.flags["full_2_torsion"] = _full_2_torsion(z)
     return rec
 
 
+def _count_plan(cfg: SweepConfig) -> tuple[int | None, list[int]]:
+    """(budget, ms): a chunk counts N_m for m in ms, as zeta data at this check
+    budget, or as bare counts when it is None.  An R-only record past Z > g
+    takes p_m from the Newton recurrence of N_1..N_g (zeta data at budget 0)."""
+    g = (cfg.gamma - 1) // 2
+    if cfg.with_zeta or cfg.cutoff > g:
+        budget = cfg.check_budget if cfg.with_zeta else 0
+        return budget, zeta_degrees(cfg.q, g, budget)
+    return None, list(range(1, cfg.cutoff + 1))
+
+
 def _chunk_worker(args) -> list:
-    """The records of one chunk; its zeta data is counted as one block."""
+    """The records of one chunk; each N_m is counted for the whole chunk at once."""
     cfg, start, stop = args
     spec = FamilySpec(make_field(cfg.q), cfg.gamma, cfg.mode, cfg.count, cfg.seed)
-    polys = family(spec, start, stop)
-    if not (cfg.compute_zeta or cfg.compute_moduli):
-        return [compute_record(F, cfg) for F in polys]
-    zs = zeta_data_block(map(HyperellipticCurve, polys), cfg.check_budget)
-    return [compute_record(z.curve.F, cfg, z) for z in zs]
+    curves = [HyperellipticCurve(F) for F in family(spec, start, stop)]
+    ms = range(1, cfg.cutoff + 1)
+    budget, degrees = _count_plan(cfg)
+    if budget is None:
+        N = point_counts(curves, degrees)
+        return [compute_record(c, cfg, [cfg.q**m + 1 - N[m][i] for m in ms])
+                for i, c in enumerate(curves)]
+    return [compute_record(z.curve, cfg, [z.power_sum(m) for m in ms],
+                           z if cfg.with_zeta else None)
+            for z in zeta_data_block(curves, budget)]
 
 
 def resolve_workers(requested: int | None) -> int:
@@ -134,36 +131,30 @@ def pool_size(workers: int, n_chunks: int) -> int:
     return max(1, min(workers, n_chunks, os.cpu_count() or 1))
 
 
-def _warm_tables(cfg: SweepConfig) -> None:
-    """Build the table of every count compute_record makes, for workers to inherit."""
-    g = (cfg.gamma - 1) // 2
-    top = 2 * g if cfg.compute_zeta or cfg.compute_moduli else min(cfg.cutoff, g)
-    for r in range(1, top + 1):
-        if cfg.q**r <= (POINT_BUDGET if r <= g else min(POINT_BUDGET, cfg.check_budget)):
-            countfast.field_table(cfg.q, r, cfg.gamma)
-
-
 def run_sweep(cfg: SweepConfig) -> list[FamilyRecord]:
     """All records of the configured sweep, in family order."""
     if cfg.gamma < 3:
         raise DomainError("family degree must be >= 3")
-    if cfg.mode == "enumerate":
-        space = cfg.q**cfg.gamma
-        if space > ENUM_BUDGET:
-            raise BudgetError(
-                f"enumerate mode needs q^gamma = {space} <= {ENUM_BUDGET};"
-                " use sample mode")
-        total = space
-    else:
-        if not cfg.count or cfg.count < 1:
-            raise DomainError("sample mode needs a positive count")
-        total = cfg.count
+    if cfg.cutoff < 1:
+        raise DomainError("truncation Z must be >= 1")
+    if cfg.compute_moduli:
+        for variant in cfg.variants:
+            if variant not in RESIDUAL_VARIANTS:
+                raise DomainError(f"unknown residual variant {variant!r}")
+        if "m_rd" in cfg.variants:
+            check_stable_domain(cfg.rank, cfg.degree)
+    FamilySpec(make_field(cfg.q), cfg.gamma, cfg.mode, cfg.count)  # rejects a bad mode or count
+    total = cfg.q**cfg.gamma if cfg.mode == "enumerate" else cfg.count
+    if cfg.mode == "enumerate" and total > ENUM_BUDGET:
+        raise BudgetError(f"enumerate mode needs q^gamma = {total} <= {ENUM_BUDGET};"
+                          " use sample mode")
     chunks = [(cfg, lo, min(lo + CHUNK, total)) for lo in range(0, total, CHUNK)]
     workers = pool_size(resolve_workers(cfg.workers), len(chunks))
     if workers == 1:
         parts = [_chunk_worker(c) for c in chunks]
     else:
-        _warm_tables(cfg)
+        # every table the chunks use, built once for the workers to inherit
+        count_tables(make_field(cfg.q), _count_plan(cfg)[1])
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(workers) as pool:
             parts = pool.map(_chunk_worker, chunks, chunksize=1)
@@ -174,10 +165,9 @@ def records_to_csv(records: list[FamilyRecord], cfg: SweepConfig) -> str:
     """CSV rows, one per curve.  The polynomial column joins coefficients
     with ':' so the file needs no quoting."""
     two_g = 2 * ((cfg.gamma - 1) // 2)
-    with_zeta = cfg.compute_zeta or cfg.compute_moduli
     header = (["q", "gamma", "F", "genus"]
               + ([f"N{m}" for m in range(1, two_g + 1)] + ["jacobian"]
-                 if with_zeta else [])
+                 if cfg.with_zeta else [])
               + [f"R{k}" for k in range(cfg.r_max)]
               + ["delta_Z"]
               + [f"residual_{v}" for v in (cfg.variants if cfg.compute_moduli else ())]
@@ -186,7 +176,7 @@ def records_to_csv(records: list[FamilyRecord], cfg: SweepConfig) -> str:
     for rec in records:
         row = [str(rec.q), str(rec.gamma), rec.F_text.replace(",", ":"),
                str(rec.genus)]
-        if with_zeta:
+        if cfg.with_zeta:
             row += [str(n) for n in rec.N]
             row.append(str(rec.jacobian))
         row += [fmt_float(rec.R[k]) for k in range(cfg.r_max)]

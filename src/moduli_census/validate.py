@@ -50,13 +50,9 @@ class CheckResult:
     detail: str = ""
 
 
-def _family(q: int, gamma: int):
-    return (HyperellipticCurve(F) for F in family(FamilySpec(make_field(q), gamma)))
-
-
 def _curves(q: int, gamma: int, check_budget: int = 10**6):
     """The family's zeta data, counted in blocks of at most CHUNK curves."""
-    curves = _family(q, gamma)
+    curves = (HyperellipticCurve(F) for F in family(FamilySpec(make_field(q), gamma)))
     while block := list(itertools.islice(curves, CHUNK)):
         yield from zeta_data_block(block, check_budget)
 
@@ -262,14 +258,15 @@ def run_suite(name: str, q: int, gamma: int) -> list[CheckResult]:
     suite loses a recount.
     """
     if name == "all":
-        # Only each validated P(t) is kept: holding every CurveZeta, with the
-        # zeta values its suites cache, raised peak RSS by about 1.3 kB a curve.
+        # Only each curve and its validated P(t) are kept: holding every
+        # CurveZeta, with the zeta values its suites cache, raised peak RSS
+        # by about 1.3 kB a curve.
         try:
-            lpolys = [z.coeffs for z in _curves(q, gamma)]
+            rows = [(z.curve, z.coeffs) for z in _curves(q, gamma)]
         except InternalConsistencyError as exc:
             return [CheckResult("zeta.construction", False, str(exc))]
         return [res for suite in SUITES.values()
-                for res in suite(q, gamma, map(CurveZeta.from_coeffs, _family(q, gamma), lpolys))]
+                for res in suite(q, gamma, itertools.starmap(CurveZeta.from_coeffs, rows))]
     if name not in SUITES:
         raise KeyError(name)
     budget = 10**6 if name == "zeta" else 10**4

@@ -12,6 +12,7 @@ from moduli_census.polyring import (
     FamilySpec,
     MonicPoly,
     family,
+    format_poly,
     irreducible_polys,
     is_squarefree,
     parse_poly,
@@ -33,7 +34,7 @@ from moduli_census.stats import (
     theoretical_moment,
     trace_charsums,
 )
-from moduli_census.sweep import SweepConfig, compute_record
+from moduli_census.sweep import SweepConfig, _chunk_worker, run_sweep
 
 F3 = make_field(3)
 X5X = parse_poly(F3, "0,1,0,0,0,1")
@@ -146,7 +147,7 @@ def test_ntilde_residual_runs():
 @pytest.mark.parametrize("gamma", [5, 6])
 @pytest.mark.parametrize("convention", ["F_over_f", "f_over_F"])
 def test_record_r_route_matches_jacobi_route(gamma, convention):
-    # compute_record reads R^(k) off the power sums; the prime Jacobi symbols
+    # a sweep reads R^(k) off the power sums; the prime Jacobi symbols
     # must give the same floats, bit for bit, on the whole family, also for
     # Z = 5 past 2g = 4, where the power sums come from the Newton recurrence
     for Z in (None, 5):
@@ -154,8 +155,8 @@ def test_record_r_route_matches_jacobi_route(gamma, convention):
                           convention=convention)
         Z = cfg.cutoff
         n = 0
-        for F in family(FamilySpec(F3, gamma)):
-            rec = compute_record(F, cfg)
+        for F, rec in zip(family(FamilySpec(F3, gamma)), run_sweep(cfg), strict=True):
+            assert rec.F_text == format_poly(F)
             R = {k: r_variable(F, k, Z, convention) for k in range(cfg.r_max)}
             assert rec.R == R, (F, Z)
             assert rec.delta_Z == math.fsum(R[k] for k in range(1, cfg.r_max))
@@ -174,28 +175,31 @@ def test_record_ntilde_matches_jacobi_route(convention):
         cfg = SweepConfig(q=3, gamma=7, z_override=Z, variants=("ntilde",),
                           convention=convention)
         Z = cfg.cutoff
-        for F in itertools.islice(family(FamilySpec(F3, 7)), count):
+        recs = run_sweep(cfg)
+        for F, rec in itertools.islice(zip(family(FamilySpec(F3, 7)), recs), count):
             z = zeta_data(HyperellipticCurve(F))
             value = count_ntilde(z).value
             F_ext = MonicPoly(E, tuple(E.embed_raw(c) for c in F.coeffs))
             want = (math.log(value.numerator) - math.log(value.denominator)
                     - 8 * math.log(3) + family_constant(3, 7, "thm16")
                     - r_variable(F_ext, 0, Z, convention))
-            assert compute_record(F, cfg).residuals["ntilde"] == want, (F, Z)
+            assert rec.F_text == format_poly(F)
+            assert rec.residuals["ntilde"] == want, (F, Z)
             checked += 1
     assert checked == 1458 + 12
 
 
 @pytest.mark.parametrize("Z", [3, 5, 7])
 def test_record_without_zeta_counts_points(Z):
-    # neither zeta data nor moduli: p_m comes from point_count up to
-    # min(Z, g) = 3 and from the Newton recurrence past it; same R
-    for F in itertools.islice(family(FamilySpec(F3, 7)), 20):
-        full = compute_record(F, SweepConfig(q=3, gamma=7, z_override=Z))
-        bare = compute_record(F, SweepConfig(q=3, gamma=7, z_override=Z,
-                                             compute_zeta=False, compute_moduli=False))
-        assert bare.R == full.R and bare.delta_Z == full.delta_Z
-        assert bare.N == () and full.N
+    # neither zeta data nor moduli: p_m comes from the block point counts up
+    # to min(Z, g) = 3 and from the Newton recurrence past it; same R
+    full = _chunk_worker((SweepConfig(q=3, gamma=7, z_override=Z), 0, 30))
+    bare = _chunk_worker((SweepConfig(q=3, gamma=7, z_override=Z, compute_zeta=False,
+                                      compute_moduli=False), 0, 30))
+    assert len(bare) == len(full) == 20
+    for b, f in zip(bare, full):
+        assert b.F_text == f.F_text and b.R == f.R and b.delta_Z == f.delta_Z
+        assert b.N == () and f.N
 
 
 def test_trace_charsums_sign():

@@ -115,6 +115,52 @@ def test_sweep_builds_tables_before_fork(monkeypatch):
     assert sorted(countfast._tables) == [(3, 1), (3, 2), (3, 3), (3, 4)]
 
 
+@pytest.mark.parametrize("Z, built", [(2, [1, 2]), (3, [1, 2, 3]), (5, [1, 2, 3])])
+def test_r_only_sweep_builds_its_tables_before_fork(monkeypatch, Z, built):
+    # R-only records count N_1..N_Z for Z <= g = 3, and N_1..N_g past it
+    from moduli_census import countfast
+    monkeypatch.setattr(countfast, "_tables", {})
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = SweepConfig(q=3, gamma=7, workers=2, z_override=Z,
+                      compute_moduli=False, compute_zeta=False)
+    assert len(run_sweep(cfg)) == 3**7 - 3**6
+    assert sorted(countfast._tables) == [(3, r) for r in built]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_over_point_budget_builds_no_table_above_it(monkeypatch, capsys, workers):
+    # genus 6 over F_11 needs N_6 over 11^6 > POINT_BUDGET points
+    from moduli_census import countfast
+    from moduli_census.curvezeta import POINT_BUDGET
+    monkeypatch.setattr(countfast, "_tables", {})
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code = main(["sweep", "--q", "11", "--gamma", "13", "--mode", "sample",
+                 "--count", "2048", "--workers", workers])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("budget error: q^r = 11^6")
+    assert all(p**r <= POINT_BUDGET for p, r in countfast._tables)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--variants", "bogus"],
+    ["--rank", "4", "--variants", "m_rd"],
+    ["--rank", "2", "--degree", "2", "--variants", "m_rd"],
+    ["--z", "0"],
+    ["--z", "-1"],
+])
+def test_cli_sweep_bad_config_exit_code(capsys, flags):
+    # rejected before any count, instead of a NaN column or a silent default
+    code = main(["sweep", "--q", "3", "--gamma", "7", *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sweep_cutoff_zero_is_not_the_default():
+    assert SweepConfig(q=3, gamma=9, z_override=0).cutoff == 0
+    assert SweepConfig(q=3, gamma=9).cutoff == 3
+
+
 # -- CLI --------------------------------------------------------------------------
 
 def run_cli(*args):
