@@ -13,7 +13,11 @@ functional equation c_{2g-i} = q^(g-i) c_i, and then validated:
 
 An entirely independent construction of the same polynomial from prime
 Jacobi-symbol data lives in l_poly_via_characters; the two must agree
-coefficient by coefficient.
+coefficient by coefficient.  It takes a block of curves: for each monic
+irreducible P, F mod P is reduced for the whole block at once through the
+field's dense add/mul tables, and the reciprocity symbol (F mod P / P) is
+computed once per residue, never from a discrete log or a point count.
+lambda_character_identity checks the trace identity the same way.
 
 N_r counts points of the smooth projective model: one point above
 x = infinity for odd deg F, two for even deg F (monic leading 1 is a
@@ -33,12 +37,20 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from . import countfast
 from .errors import BudgetError, DomainError, InternalConsistencyError
-from .polyring import (MonicPoly, _code_iv, _irreducible_ivs, _iv, _iv_jacobi, is_squarefree,
-                       von_mangoldt)
+from .polyring import (MonicPoly, _code_iv, _irreducible_ivs, _iv_jacobi, _iv_mod, format_poly,
+                       is_squarefree, von_mangoldt)
 
 POINT_BUDGET = 10**6
+# A modulus with at most this many residues gets every symbol computed once
+# per field; one with more, once per distinct residue of each block.  A
+# block has up to sweep.CHUNK = 1024 curves, so a larger table would cost
+# more symbols than the residues one block can hold.
+SYMBOL_TABLE_LIMIT = 1024
+RESIDUE_SUB_BLOCK = 2**14  # residue digits (curves x moduli x degree) reduced at once
 
 
 class HyperellipticCurve:
@@ -75,15 +87,21 @@ def count_tables(K, rs, budget: int = POINT_BUDGET) -> dict:
     return {r: countfast.table(K, r) for r in rs}
 
 
+def _block_rows(curves: list[HyperellipticCurve]):
+    """(K, the (B, gamma + 1) array of each F's K-indices) for a block of
+    curves over one field K, all of one degree."""
+    K, gamma = curves[0].field, curves[0].gamma
+    if any(c.field is not K or c.gamma != gamma for c in curves):
+        raise DomainError("a block of curves needs one field and one degree")
+    return K, np.array([c.F.indices() for c in curves], dtype=np.int64)
+
+
 def point_counts(curves: list[HyperellipticCurve], rs, budget: int = POINT_BUDGET) -> dict[int, list[int]]:
     """{r: N_r of each curve} for a block of curves over one field, all of one degree.
 
     Each r is one call of the countfast kernel for the whole block.
     """
-    K, gamma = curves[0].field, curves[0].gamma
-    if any(c.field is not K or c.gamma != gamma for c in curves):
-        raise DomainError("a block of curves needs one field and one degree")
-    rows = [c.F.indices() for c in curves]
+    K, rows = _block_rows(curves)
     base = curves[0].points_at_infinity
     return {r: (t.chi_sums(rows) + (K.order**r + base)).tolist()
             for r, t in count_tables(K, rs, budget).items()}
@@ -337,23 +355,92 @@ def _prime_powers(K, m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple((iv, lam) for iv, lam in lams if lam)
 
 
-def lambda_character_identity(z: CurveZeta, m: int) -> IdentityReport:
-    """Check -p_m = sum_{deg f = m} Lambda(f) (F/f) + delta exactly.
+@functools.lru_cache(maxsize=None)
+def _dense_tables(K) -> tuple[np.ndarray, np.ndarray]:
+    """K's dense add and mul tables (FieldHandle.tables()) as numpy arrays."""
+    add, mul, _inv, _chi, _neg = K.tables()
+    return np.array(add, dtype=np.int64), np.array(mul, dtype=np.int64)
+
+
+@functools.lru_cache(maxsize=None)
+def _power_rows(K, mods: tuple, D: int) -> np.ndarray:
+    """(len(mods), D, e): row i of modulus f holds the K-indices of x^i mod f."""
+    add, mul, _inv, _chi, neg = K.tables()
+    rows = np.zeros((len(mods), D, len(mods[0]) - 1), dtype=np.int64)
+    for j, f in enumerate(mods):
+        for i in range(D):
+            r = _iv_mod([0] * i + [1], list(f), add, mul, neg, K.order)
+            rows[j, i, :len(r)] = r
+    return rows
+
+
+def _residue_symbol(code: int, f: tuple, K) -> int:
+    """(r/f) for the residue r mod f numbered `code` (base-q digits, degree 0 first)."""
+    return _iv_jacobi(_code_iv(code, K.order, len(f) - 1)[:-1], list(f), K)
+
+
+@functools.lru_cache(maxsize=None)
+def _symbol_table(K, f: tuple) -> np.ndarray:
+    """(r/f) for every residue r mod f, by its number."""
+    return np.array([_residue_symbol(code, f, K) for code in range(K.order ** (len(f) - 1))],
+                    dtype=np.int8)
+
+
+def _jacobi_block(K, rows: np.ndarray, mods: tuple) -> np.ndarray:
+    """(F/f) for each row F of K-indices and each monic f of mods, all of one
+    degree e: a (len(rows), len(mods)) array.
+
+    F mod f = sum_i F_i (x^i mod f) is gathered through K's dense tables for
+    a sub-block of rows at a time, and numbered as a base-q integer.  The
+    symbol (F mod f / f) is the reciprocity _iv_jacobi, made once per residue
+    of f and field (_symbol_table) when f has at most SYMBOL_TABLE_LIMIT
+    residues, and once per distinct residue of this block otherwise.
+    """
+    add, mul = _dense_tables(K)
+    n, e = K.order, len(mods[0]) - 1
+    powers = _power_rows(K, mods, rows.shape[1])
+    weights = n ** np.arange(e)
+    table = np.stack([_symbol_table(K, f) for f in mods]) if n**e <= SYMBOL_TABLE_LIMIT else None
+    # the symbols, or, without a table, the residue numbers until they are replaced
+    out = np.empty((len(rows), len(mods)), dtype=np.int64 if table is None else np.int8)
+    step = max(1, RESIDUE_SUB_BLOCK // (len(mods) * e))
+    for lo in range(0, len(rows), step):
+        F = rows[lo:lo + step, :, None, None] * n
+        acc = np.zeros((len(F), len(mods), e), dtype=np.int64)
+        for i in range(rows.shape[1]):
+            acc = add[acc * n + mul[F[:, i] + powers[:, i]]]
+        codes = acc @ weights
+        out[lo:lo + step] = codes if table is None else table[np.arange(len(mods)), codes]
+    if table is None:
+        for j, f in enumerate(mods):
+            residues, where = np.unique(out[:, j], return_inverse=True)
+            out[:, j] = np.array([_residue_symbol(c, f, K) for c in residues.tolist()])[where]
+    return out
+
+
+def lambda_character_identity(zs, m: int) -> list[IdentityReport]:
+    """Check -p_m = sum_{deg f = m} Lambda(f) (F/f) + delta exactly, for
+    each curve of a block of CurveZeta (one field, one degree).
 
     The right side runs over every monic polynomial of degree m (the prime
     powers among them, with their Lambda, are listed once per field and m)
-    and uses the curve's quadratic character (F/f); the left side comes
-    from the point-count route.
+    and uses the curve's quadratic character (F/f), one symbol per residue
+    of F mod f; the left side comes from the point-count route.
     """
     if m < 1:
         raise DomainError("need m >= 1")
-    K = z.curve.field
+    zs = list(zs)
+    if not zs:
+        return []
+    K, rows = _block_rows([z.curve for z in zs])
     q = K.order
     if q**m > POINT_BUDGET:
         raise BudgetError(f"enumerating q^m = {q**m} monic polynomials exceeds budget")
-    F_iv = _iv(z.curve.F)
-    total = sum(lam * _iv_jacobi(F_iv, indices, K) for indices, lam in _prime_powers(K, m))
-    return IdentityReport(lhs=-z.power_sum(m), rhs=total + z.curve.delta)
+    mods, lams = zip(*_prime_powers(K, m))
+    totals = _jacobi_block(K, rows, mods) @ np.array(lams, dtype=np.int64)
+    delta = zs[0].curve.delta
+    return [IdentityReport(lhs=-z.power_sum(m), rhs=total + delta)
+            for z, total in zip(zs, totals.tolist())]
 
 
 @dataclass(frozen=True)
@@ -392,49 +479,50 @@ def xz_bound_check(z: CurveZeta, cprime: float = 8.0, ks: tuple[int, ...] = (2, 
     return report
 
 
-def l_poly_via_characters(curve: HyperellipticCurve, z: CurveZeta) -> list[int]:
-    """P(t) assembled from the prime Jacobi symbols (F/P).
+def l_poly_via_characters(zs) -> list[list[int]]:
+    """P(t) of each curve of a block of CurveZeta (one field, one degree),
+    assembled from the prime Jacobi symbols (F/P).
 
     The Euler product over monic irreducibles of the character (F/.)
     gives the full character sum sum_f (F/f) t^deg f; for even deg F it
     carries the split infinite place as an exact (1 - t) factor which is
-    divided out.  The result must match z, from the point counts, exactly.
+    divided out.  Each P of degree e <= gamma - 1 multiplies the whole
+    block's series by 1 / (1 - (F/P) t^e).  Every result must match its z,
+    from the point counts, exactly.
     """
-    K = curve.field
-    gamma = curve.gamma
+    zs = list(zs)
+    if not zs:
+        return []
+    K, rows = _block_rows([z.curve for z in zs])
+    curve = zs[0].curve
     g = curve.genus
-    M = gamma - 1  # 2g for odd gamma, 2g+1 for even gamma
-    F_iv = _iv(curve.F)
-    b = [0] * (M + 1)
-    b[0] = 1
+    M = curve.gamma - 1  # 2g for odd gamma, 2g+1 for even gamma
+    b = np.zeros((len(zs), M + 1), dtype=np.int64)
+    b[:, 0] = 1
     for e in range(1, M + 1):
-        for piv in _irreducible_ivs(K, e):
-            s = _iv_jacobi(F_iv, list(piv), K)
-            if s == 0:
-                continue
+        for s in _jacobi_block(K, rows, _irreducible_ivs(K, e)).T:
             for m in range(e, M + 1):
-                b[m] += s * b[m - e]
+                b[:, m] += s * b[:, m - e]
     if curve.delta:
-        if sum(b) != 0:
-            raise InternalConsistencyError(
-                "character-route: raw sum does not vanish at t = 1")
-        c = []
-        acc = 0
-        for m in range(2 * g + 1):
-            acc += b[m]
-            c.append(acc)
+        for z, total in zip(zs, b.sum(axis=1).tolist()):
+            if total != 0:
+                raise InternalConsistencyError(
+                    f"character-route: raw sum does not vanish at t = 1 for"
+                    f" F = {format_poly(z.curve.F)}")
+        c = np.cumsum(b[:, : 2 * g + 1], axis=1).tolist()
     else:
-        c = b[: 2 * g + 1]
-    if tuple(c) != z.coeffs:
-        raise InternalConsistencyError(
-            f"character-route mismatch: {c} vs {list(z.coeffs)}")
+        c = b[:, : 2 * g + 1].tolist()
+    for z, ci in zip(zs, c):
+        if tuple(ci) != z.coeffs:
+            raise InternalConsistencyError(
+                f"character-route mismatch for F = {format_poly(z.curve.F)}:"
+                f" {ci} vs {list(z.coeffs)}")
     return c
 
 
 def curve_zeta_json_dict(z: CurveZeta, zeta_ks: tuple[int, ...] = (2, 3, 4)) -> dict:
     """JSON-ready view: q, gamma, genus, F, N, L_poly, jacobians, zeta values."""
     from .emit import frac_str
-    from .polyring import format_poly
 
     return {
         "q": z.q,

@@ -27,7 +27,7 @@ from .curvezeta import (
     zeta_data_block,
     zeta_value,
 )
-from .errors import InternalConsistencyError
+from .errors import BudgetError, InternalConsistencyError
 from .ffield import make_field
 from .moduli import (
     BetaTable,
@@ -40,7 +40,7 @@ from .moduli import (
     unstable_mass,
 )
 from .polyring import FamilySpec, family, format_poly
-from .sweep import CHUNK
+from .sweep import CHUNK, ENUM_BUDGET
 
 
 @dataclass
@@ -61,14 +61,21 @@ def suite_zeta(q: int, gamma: int, zs):
     """Construction invariants plus the character-route agreement."""
     n = 0
     fe_ok = True
+    route_error = None
+    zs = iter(zs)
     try:
-        for z in zs:
-            n += 1
-            g = z.genus
-            for i in range(g + 1):
-                if z.coeffs[2 * g - i] != q ** (g - i) * z.coeffs[i]:
-                    fe_ok = False
-            l_poly_via_characters(z.curve, z)  # raises unless the routes agree
+        while block := list(itertools.islice(zs, CHUNK)):
+            n += len(block)
+            for z in block:
+                g = z.genus
+                for i in range(g + 1):
+                    if z.coeffs[2 * g - i] != q ** (g - i) * z.coeffs[i]:
+                        fe_ok = False
+            if route_error is None:
+                try:
+                    l_poly_via_characters(block)  # raises unless the routes agree
+                except InternalConsistencyError as exc:
+                    route_error = str(exc)
     except InternalConsistencyError as exc:
         yield CheckResult("zeta.construction", False, str(exc))
         return
@@ -76,20 +83,19 @@ def suite_zeta(q: int, gamma: int, zs):
                       f"{n} curves: integer Newton, RH roots, positivity,"
                       " predicted counts verified")
     yield CheckResult("zeta.functional_equation", fe_ok, f"{n} curves")
-    yield CheckResult("zeta.character_route", True,
-                      f"point-count and character-sum routes agree on {n} curves")
+    yield CheckResult("zeta.character_route", route_error is None,
+                      route_error or f"point-count and character-sum routes agree on {n} curves")
 
 
 def suite_lambda(q: int, gamma: int, zs):
     """Exact trace identity for m in {1, 2} on the whole family."""
     n = 0
     bad = 0
-    for z in zs:
-        n += 1
+    zs = iter(zs)
+    while block := list(itertools.islice(zs, CHUNK)):
+        n += len(block)
         for m in (1, 2):
-            rep = lambda_character_identity(z, m)
-            if not rep.holds:
-                bad += 1
+            bad += sum(not rep.holds for rep in lambda_character_identity(block, m))
     yield CheckResult("lambda.identity", bad == 0,
                       f"{n} curves, m in {{1,2}}, {bad} violations")
 
@@ -255,8 +261,15 @@ def run_suite(name: str, q: int, gamma: int) -> list[CheckResult]:
 
     A single suite recounts at its own budget (10**6 for zeta, 10**4 for
     the rest); "all" builds each curve's zeta data once, at 10**6, so no
-    suite loses a recount.
+    suite loses a recount.  The family is enumerated whole, so q^gamma must
+    fit sweep.ENUM_BUDGET.
     """
+    if name != "all" and name not in SUITES:
+        raise KeyError(name)
+    make_field(q)  # rejects a q that is not an odd prime
+    if q**gamma > ENUM_BUDGET:
+        raise BudgetError(f"validate enumerates the family: q^gamma = {q**gamma}"
+                          f" must be <= {ENUM_BUDGET}")
     if name == "all":
         # Only each curve and its validated P(t) are kept: holding every
         # CurveZeta, with the zeta values its suites cache, raised peak RSS
@@ -267,7 +280,5 @@ def run_suite(name: str, q: int, gamma: int) -> list[CheckResult]:
             return [CheckResult("zeta.construction", False, str(exc))]
         return [res for suite in SUITES.values()
                 for res in suite(q, gamma, itertools.starmap(CurveZeta.from_coeffs, rows))]
-    if name not in SUITES:
-        raise KeyError(name)
     budget = 10**6 if name == "zeta" else 10**4
     return list(SUITES[name](q, gamma, _curves(q, gamma, budget)))

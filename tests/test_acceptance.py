@@ -55,7 +55,7 @@ def zeta_families():
         zs = []
         for F in family(FamilySpec(K, gamma)):
             z = zeta_data(HyperellipticCurve(F), check_budget=10**6)
-            l_poly_via_characters(z.curve, z)
+            l_poly_via_characters([z])
             zs.append(z)
         out[(q, gamma)] = zs
     return out, time.perf_counter() - t0
@@ -101,7 +101,7 @@ def test_criterion_02_lambda_identity(zeta_families):
     for (q, gamma), zs in zetas.items():
         for z in zs:
             for m in (1, 2):
-                rep = lambda_character_identity(z, m)
+                rep, = lambda_character_identity([z], m)
                 assert rep.holds, (q, gamma, z.curve.F.indices(), m)
             checked += 1
     _report(f"C2 PASS exact trace identity on {checked} curves, m in {{1,2}}, "

@@ -1,13 +1,15 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from moduli_census import countfast
+from moduli_census import countfast, curvezeta
 from moduli_census.errors import BudgetError, DomainError, InternalConsistencyError
 from moduli_census.ffield import extend_field, make_field
 from moduli_census.polyring import FamilySpec, MonicPoly, family, parse_poly
 from moduli_census.curvezeta import (
+    SYMBOL_TABLE_LIMIT,
     HyperellipticCurve,
     check_riemann_hypothesis,
     epsilon_bounds,
@@ -22,6 +24,7 @@ from moduli_census.curvezeta import (
     zeta_data_block,
     zeta_value,
 )
+from moduli_census.sweep import CHUNK
 
 F3 = make_field(3)
 X5X = parse_poly(F3, "0,1,0,0,0,1")    # x^5 + x
@@ -297,13 +300,13 @@ def test_epsilon_terms(z55):
 
 
 def test_lambda_character_identity(z55):
-    rep = lambda_character_identity(z55, 1)
+    rep, = lambda_character_identity([z55], 1)
     assert rep.holds and rep.lhs == 0
-    rep = lambda_character_identity(z55, 2)
+    rep, = lambda_character_identity([z55], 2)
     assert rep.holds and rep.lhs == 4
     # even degree: the infinite-place shift enters through delta
     z6 = zeta_data(HyperellipticCurve(X6X), check_budget=10**6)
-    rep = lambda_character_identity(z6, 1)
+    rep, = lambda_character_identity([z6], 1)
     assert rep.holds
     assert rep.rhs == -z6.psums[0] - 1 + 1  # rhs includes +delta
 
@@ -316,7 +319,7 @@ def test_xz_bound_example(z55):
 
 
 def test_l_poly_via_characters_x5x(z55):
-    assert l_poly_via_characters(HyperellipticCurve(X5X), z55) == [1, 0, 2, 0, 9]
+    assert l_poly_via_characters([z55]) == [[1, 0, 2, 0, 9]]
 
 
 def test_l_poly_character_route_brute_force():
@@ -350,7 +353,7 @@ def test_l_poly_even_gamma_division():
         acc += raw[m]
         prefix.append(acc)
     assert prefix == list(z6.coeffs)
-    assert l_poly_via_characters(HyperellipticCurve(X6X), z6) == list(z6.coeffs)
+    assert l_poly_via_characters([z6]) == [list(z6.coeffs)]
 
 
 def test_predicted_counts_cross_checked():
@@ -359,3 +362,120 @@ def test_predicted_counts_cross_checked():
         z = zeta_data(HyperellipticCurve(f), check_budget=10**6)
         for m in range(3, 5):
             assert z.N[m - 1] == point_count(z.curve, m)
+
+
+# -- the character route on blocks -------------------------------------------
+
+def reference_l_poly(z) -> list[int]:
+    """The per-curve Euler product: one reciprocity symbol (F/P) per prime P."""
+    from moduli_census.polyring import _irreducible_ivs, _iv_jacobi
+    curve = z.curve
+    K, g, M = curve.field, curve.genus, curve.gamma - 1
+    F_iv = curve.F.indices()
+    b = [1] + [0] * M
+    for e in range(1, M + 1):
+        for piv in _irreducible_ivs(K, e):
+            s = _iv_jacobi(F_iv, list(piv), K)
+            for m in range(e, M + 1):
+                b[m] += s * b[m - e]
+    if curve.delta:
+        assert sum(b) == 0
+        return list(itertools.accumulate(b[: 2 * g + 1]))
+    return b[: 2 * g + 1]
+
+
+def reference_lambda_rhs(z, m: int) -> int:
+    """sum over the prime powers f of degree m of Lambda(f) (F/f), plus delta."""
+    from moduli_census.curvezeta import _prime_powers
+    from moduli_census.polyring import _iv_jacobi
+    K, F_iv = z.curve.field, z.curve.F.indices()
+    return sum(lam * _iv_jacobi(F_iv, list(f), K) for f, lam in _prime_powers(K, m)) + z.curve.delta
+
+
+def blocks(zs, size):
+    return [zs[i:i + size] for i in range(0, len(zs), size)]
+
+
+@pytest.fixture(scope="module")
+def families():
+    """Zeta data of all of H_{5,3}, H_{6,3} and H_{5,5}, and of 40 draws of H_{6,5}."""
+    specs = {(3, 5): FamilySpec(F3, 5), (3, 6): FamilySpec(F3, 6),
+             (5, 5): FamilySpec(make_field(5), 5),
+             (5, 6): FamilySpec(make_field(5), 6, mode="sample", count=40, seed=11)}
+    return {key: list(zeta_data_block([HyperellipticCurve(F) for F in family(spec)]))
+            for key, spec in specs.items()}
+
+
+@pytest.mark.parametrize("key, size", [((3, 5), 1), ((3, 5), 7), ((3, 6), CHUNK),
+                                       ((5, 5), CHUNK), ((5, 6), 1)])
+def test_l_poly_blocks_match_per_curve_euler_product(families, key, size):
+    zs = families[key]
+    got = [c for block in blocks(zs, size) for c in l_poly_via_characters(block)]
+    assert got == [reference_l_poly(z) for z in zs]
+    assert got == [list(z.coeffs) for z in zs]
+
+
+def test_l_poly_block_over_prime_of_many_residues(families):
+    # H_{6,5} has primes of degree 5, with 3125 residues each: more than a
+    # symbol table holds, so each block computes one symbol per residue it has
+    assert 5**5 > SYMBOL_TABLE_LIMIT >= 5**4
+    zs = families[(5, 6)]
+    assert len(zs) == 40
+    assert l_poly_via_characters(zs) == [reference_l_poly(z) for z in zs]
+
+
+def test_l_poly_block_over_tower_field():
+    K9 = extend_field(F3, 2)
+    spec = FamilySpec(K9, 5, mode="sample", count=12, seed=5)
+    zs = list(zeta_data_block([HyperellipticCurve(F) for F in family(spec)]))
+    assert any(i >= 3 for z in zs for i in z.curve.F.indices())  # outside F_3
+    assert l_poly_via_characters(zs) == [reference_l_poly(z) for z in zs]
+    assert l_poly_via_characters(zs[:1]) == [reference_l_poly(zs[0])]
+
+
+@pytest.mark.parametrize("size", [1, 300, CHUNK])
+def test_lambda_identity_blocks_match_per_curve_sum(families, size):
+    zs = families[(5, 5)]
+    for m in (1, 2):
+        reps = [rep for block in blocks(zs, size) for rep in lambda_character_identity(block, m)]
+        assert [rep.rhs for rep in reps] == [reference_lambda_rhs(z, m) for z in zs]
+        assert all(rep.holds for rep in reps)
+        assert [rep.lhs for rep in reps] == [-z.power_sum(m) for z in zs]
+
+
+def test_lambda_identity_budget(z55):
+    with pytest.raises(BudgetError):
+        lambda_character_identity([z55], 13)  # 3^13 > POINT_BUDGET
+
+
+def test_character_route_needs_no_point_count(families, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the character route made a point count")
+
+    monkeypatch.setattr(countfast, "table", forbidden)
+    monkeypatch.setattr(countfast, "field_table", forbidden)
+    monkeypatch.setattr(curvezeta, "point_counts", forbidden)
+    monkeypatch.setattr(curvezeta, "point_count", forbidden)
+    curvezeta._symbol_table.cache_clear()
+    for key in ((3, 6), (5, 6)):
+        zs = families[key]
+        assert l_poly_via_characters(zs) == [list(z.coeffs) for z in zs]
+        assert all(rep.holds for m in (1, 2) for rep in lambda_character_identity(zs, m))
+
+
+def test_validate_zeta_and_lambda_symbol_count(monkeypatch):
+    # one symbol per residue of each prime P of degree <= 4 over F_5:
+    # 5*5 + 10*25 + 40*125 + 150*625 = 99025, and 400 for the lambda moduli
+    from moduli_census.validate import run_suite
+    calls = []
+    real = curvezeta._iv_jacobi
+
+    def counting(u, v, K):
+        calls.append(1)
+        return real(u, v, K)
+
+    monkeypatch.setattr(curvezeta, "_iv_jacobi", counting)
+    curvezeta._symbol_table.cache_clear()
+    results = run_suite("zeta", 5, 5) + run_suite("lambda", 5, 5)
+    assert all(res.ok for res in results)
+    assert len(calls) <= 99_425

@@ -315,6 +315,45 @@ def test_cli_validate_exit_zero():
     assert "PASS" in out
 
 
+def test_cli_validate_over_enumeration_budget(monkeypatch, capsys):
+    # 3^15 > ENUM_BUDGET: validate must refuse before it counts anything
+    from moduli_census import validate
+
+    def no_count(*args, **kwargs):
+        raise AssertionError("validate counted a curve")
+
+    monkeypatch.setattr(validate, "zeta_data_block", no_count)
+    code = main(["validate", "--suite", "xz", "--q", "3", "--gamma", "15"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "budget error: validate enumerates the family: q^gamma = 14348907 must be <= 2000000"]
+
+
+def test_cli_validate_reports_a_character_route_mismatch(monkeypatch):
+    # flip one cached symbol, (1/x) over F_3: every F with F(0) = 1 then
+    # disagrees with its point counts in the coefficient of t
+    from moduli_census import curvezeta
+    real = curvezeta._symbol_table
+
+    def flipped(K, f):
+        table = real(K, f)
+        if f == (0, 1):
+            table = table.copy()
+            table[1] = -table[1]
+        return table
+
+    monkeypatch.setattr(curvezeta, "_symbol_table", flipped)
+    code, out = run_cli("validate", "--suite", "zeta", "--q", "3", "--gamma", "5")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("PASS zeta.construction - 162 curves")
+    assert lines[1] == "PASS zeta.functional_equation - 162 curves"
+    assert lines[2].startswith("FAIL zeta.character_route - character-route mismatch for F = 1,")
+    assert lines[3] == "FAILED: 2/3 checks passed"
+
+
 def test_cli_moments():
     code, out = run_cli("moments", "--q", "3", "--k-max", "2", "--n-max", "2",
                         "--D", "6", "--t", "0.5")
