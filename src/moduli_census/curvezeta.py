@@ -16,7 +16,10 @@ Jacobi-symbol data lives in l_poly_via_characters; the two must agree
 coefficient by coefficient.  It takes a block of curves: for each monic
 irreducible P, F mod P is reduced for the whole block at once through the
 field's dense add/mul tables, and the reciprocity symbol (F mod P / P) is
-computed once per residue, never from a discrete log or a point count.
+computed once per residue and field, never from a discrete log or a point
+count.  The symbols of one degree sit in a table of one byte per prime and
+residue, filled as the blocks meet them; a table of more than
+SYMBOL_BUDGET entries is refused with a BudgetError.
 lambda_character_identity checks the trace identity the same way.
 
 N_r counts points of the smooth projective model: one point above
@@ -45,11 +48,12 @@ from .polyring import (MonicPoly, _code_iv, _irreducible_ivs, _iv_jacobi, _iv_mo
                        is_squarefree, von_mangoldt)
 
 POINT_BUDGET = 10**6
-# A modulus with at most this many residues gets every symbol computed once
-# per field; one with more, once per distinct residue of each block.  A
-# block has up to sweep.CHUNK = 1024 curves, so a larger table would cost
-# more symbols than the residues one block can hold.
-SYMBOL_TABLE_LIMIT = 1024
+# entries of one degree's symbol table (one int8 per modulus and residue).
+# A reciprocity symbol costs about 10 us at degree <= 4 (H_{5,5}) and 21 us
+# at degree <= 7 (H_{8,3}) on a 2-core x86 host, so filling a table of this
+# size is 11-23 minutes of work.
+SYMBOL_BUDGET = 2**26
+UNKNOWN = 2  # a symbol table entry not yet computed; symbols are -1, 0, 1
 RESIDUE_SUB_BLOCK = 2**14  # residue digits (curves x moduli x degree) reduced at once
 
 
@@ -380,41 +384,50 @@ def _residue_symbol(code: int, f: tuple, K) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _symbol_table(K, f: tuple) -> np.ndarray:
-    """(r/f) for every residue r mod f, by its number."""
-    return np.array([_residue_symbol(code, f, K) for code in range(K.order ** (len(f) - 1))],
-                    dtype=np.int8)
+def _symbol_table(K, mods: tuple) -> np.ndarray:
+    """The symbols (r/f) of the monic f of mods, all of one degree e over K,
+    at index (index of f) q^e + (number of r): int8, UNKNOWN until a block
+    meets the residue r of f.
+
+    An exhaustive family meets nearly every entry, so the table's size is
+    the reciprocity work the route will do; it must fit SYMBOL_BUDGET.
+    """
+    size = len(mods) * K.order ** (len(mods[0]) - 1)
+    if size > SYMBOL_BUDGET:
+        raise BudgetError(f"the character route's symbol table of {len(mods)} moduli of degree"
+                          f" {len(mods[0]) - 1} over F_{K.order} has {size} entries,"
+                          f" more than the budget {SYMBOL_BUDGET}")
+    return np.full(size, UNKNOWN, dtype=np.int8)
 
 
 def _jacobi_block(K, rows: np.ndarray, mods: tuple) -> np.ndarray:
     """(F/f) for each row F of K-indices and each monic f of mods, all of one
-    degree e: a (len(rows), len(mods)) array.
+    degree e: a (len(rows), len(mods)) int8 array.
 
     F mod f = sum_i F_i (x^i mod f) is gathered through K's dense tables for
-    a sub-block of rows at a time, and numbered as a base-q integer.  The
-    symbol (F mod f / f) is the reciprocity _iv_jacobi, made once per residue
-    of f and field (_symbol_table) when f has at most SYMBOL_TABLE_LIMIT
-    residues, and once per distinct residue of this block otherwise.
+    a sub-block of rows at a time and numbered as a base-q integer.  The
+    symbol (F mod f / f) is looked up in the field's _symbol_table, where
+    the reciprocity _iv_jacobi fills each entry the first time a block
+    meets it.
     """
     add, mul = _dense_tables(K)
     n, e = K.order, len(mods[0]) - 1
     powers = _power_rows(K, mods, rows.shape[1])
     weights = n ** np.arange(e)
-    table = np.stack([_symbol_table(K, f) for f in mods]) if n**e <= SYMBOL_TABLE_LIMIT else None
-    # the symbols, or, without a table, the residue numbers until they are replaced
-    out = np.empty((len(rows), len(mods)), dtype=np.int64 if table is None else np.int8)
+    offsets = np.arange(len(mods)) * n**e  # the index of (f, 0) for each f
+    symbols = _symbol_table(K, mods)
+    out = np.empty((len(rows), len(mods)), dtype=np.int8)
     step = max(1, RESIDUE_SUB_BLOCK // (len(mods) * e))
     for lo in range(0, len(rows), step):
         F = rows[lo:lo + step, :, None, None] * n
         acc = np.zeros((len(F), len(mods), e), dtype=np.int64)
         for i in range(rows.shape[1]):
             acc = add[acc * n + mul[F[:, i] + powers[:, i]]]
-        codes = acc @ weights
-        out[lo:lo + step] = codes if table is None else table[np.arange(len(mods)), codes]
-    if table is None:
-        for j, f in enumerate(mods):
-            residues, where = np.unique(out[:, j], return_inverse=True)
-            out[:, j] = np.array([_residue_symbol(c, f, K) for c in residues.tolist()])[where]
+        at = acc @ weights + offsets
+        for index in set(at[symbols[at] == UNKNOWN].tolist()):
+            j, code = divmod(index, n**e)
+            symbols[index] = _residue_symbol(code, mods[j], K)
+        out[lo:lo + step] = symbols[at]
     return out
 
 

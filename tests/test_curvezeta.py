@@ -1,15 +1,16 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from moduli_census import countfast, curvezeta
 from moduli_census.errors import BudgetError, DomainError, InternalConsistencyError
 from moduli_census.ffield import extend_field, make_field
-from moduli_census.polyring import FamilySpec, MonicPoly, family, parse_poly
+from moduli_census.polyring import FamilySpec, MonicPoly, _irreducible_ivs, family, parse_poly
 from moduli_census.curvezeta import (
-    SYMBOL_TABLE_LIMIT,
     HyperellipticCurve,
     check_riemann_hypothesis,
     epsilon_bounds,
@@ -415,13 +416,23 @@ def test_l_poly_blocks_match_per_curve_euler_product(families, key, size):
     assert got == [list(z.coeffs) for z in zs]
 
 
-def test_l_poly_block_over_prime_of_many_residues(families):
-    # H_{6,5} has primes of degree 5, with 3125 residues each: more than a
-    # symbol table holds, so each block computes one symbol per residue it has
-    assert 5**5 > SYMBOL_TABLE_LIMIT >= 5**4
+@pytest.fixture
+def fresh_symbols(monkeypatch):
+    """Empty symbol tables for the test; the shared ones are left as they were."""
+    monkeypatch.setattr(curvezeta, "_symbol_table",
+                        functools.lru_cache(maxsize=None)(curvezeta._symbol_table.__wrapped__))
+
+
+def test_l_poly_block_over_prime_of_many_residues(families, fresh_symbols):
+    # H_{6,5} has 624 primes of degree 5 with 3125 residues each; 40 draws
+    # meet at most 40 residues of each, and only those get a symbol
     zs = families[(5, 6)]
     assert len(zs) == 40
     assert l_poly_via_characters(zs) == [reference_l_poly(z) for z in zs]
+    K = make_field(5)
+    table = curvezeta._symbol_table(K, _irreducible_ivs(K, 5))
+    assert len(table) == 624 * 5**5
+    assert 0 < np.count_nonzero(table != curvezeta.UNKNOWN) <= 40 * 624
 
 
 def test_l_poly_block_over_tower_field():
@@ -448,7 +459,16 @@ def test_lambda_identity_budget(z55):
         lambda_character_identity([z55], 13)  # 3^13 > POINT_BUDGET
 
 
-def test_character_route_needs_no_point_count(families, monkeypatch):
+def test_symbol_table_budget(z55, monkeypatch, fresh_symbols):
+    # the 18 primes of degree 4 over F_3 have 81 residues each: 1458 entries
+    monkeypatch.setattr(curvezeta, "SYMBOL_BUDGET", 1457)
+    with pytest.raises(BudgetError, match="18 moduli of degree 4 over F_3 has 1458 entries"):
+        l_poly_via_characters([z55])
+    monkeypatch.setattr(curvezeta, "SYMBOL_BUDGET", 1458)
+    assert l_poly_via_characters([z55]) == [[1, 0, 2, 0, 9]]
+
+
+def test_character_route_needs_no_point_count(families, monkeypatch, fresh_symbols):
     def forbidden(*args, **kwargs):
         raise AssertionError("the character route made a point count")
 
@@ -456,16 +476,16 @@ def test_character_route_needs_no_point_count(families, monkeypatch):
     monkeypatch.setattr(countfast, "field_table", forbidden)
     monkeypatch.setattr(curvezeta, "point_counts", forbidden)
     monkeypatch.setattr(curvezeta, "point_count", forbidden)
-    curvezeta._symbol_table.cache_clear()
     for key in ((3, 6), (5, 6)):
         zs = families[key]
         assert l_poly_via_characters(zs) == [list(z.coeffs) for z in zs]
         assert all(rep.holds for m in (1, 2) for rep in lambda_character_identity(zs, m))
 
 
-def test_validate_zeta_and_lambda_symbol_count(monkeypatch):
-    # one symbol per residue of each prime P of degree <= 4 over F_5:
-    # 5*5 + 10*25 + 40*125 + 150*625 = 99025, and 400 for the lambda moduli
+def test_validate_zeta_and_lambda_symbol_count(monkeypatch, fresh_symbols):
+    # at most one symbol per residue of each prime P of degree <= 4 over F_5,
+    # 5*5 + 10*25 + 40*125 + 150*625 = 99025, and at most 15*25 = 375 for
+    # the lambda moduli of degree 2; the bound is 99025 + 400
     from moduli_census.validate import run_suite
     calls = []
     real = curvezeta._iv_jacobi
@@ -475,7 +495,6 @@ def test_validate_zeta_and_lambda_symbol_count(monkeypatch):
         return real(u, v, K)
 
     monkeypatch.setattr(curvezeta, "_iv_jacobi", counting)
-    curvezeta._symbol_table.cache_clear()
     results = run_suite("zeta", 5, 5) + run_suite("lambda", 5, 5)
     assert all(res.ok for res in results)
     assert len(calls) <= 99_425

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -331,20 +332,33 @@ def test_cli_validate_over_enumeration_budget(monkeypatch, capsys):
         "budget error: validate enumerates the family: q^gamma = 14348907 must be <= 2000000"]
 
 
+def test_cli_validate_over_symbol_budget(monkeypatch, capsys):
+    from moduli_census import curvezeta
+    monkeypatch.setattr(curvezeta, "SYMBOL_BUDGET", 1457)
+    monkeypatch.setattr(curvezeta, "_symbol_table",
+                        functools.lru_cache(maxsize=None)(curvezeta._symbol_table.__wrapped__))
+    code = main(["validate", "--suite", "zeta", "--q", "3", "--gamma", "5"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "budget error: the character route's symbol table of 18 moduli of degree 4 over F_3"
+        " has 1458 entries, more than the budget 1457"]
+
+
 def test_cli_validate_reports_a_character_route_mismatch(monkeypatch):
     # flip one cached symbol, (1/x) over F_3: every F with F(0) = 1 then
     # disagrees with its point counts in the coefficient of t
     from moduli_census import curvezeta
-    real = curvezeta._symbol_table
+    real = curvezeta._residue_symbol
 
-    def flipped(K, f):
-        table = real(K, f)
-        if f == (0, 1):
-            table = table.copy()
-            table[1] = -table[1]
-        return table
+    def flipped(code, f, K):
+        s = real(code, f, K)
+        return -s if (code, f) == (1, (0, 1)) else s
 
-    monkeypatch.setattr(curvezeta, "_symbol_table", flipped)
+    monkeypatch.setattr(curvezeta, "_residue_symbol", flipped)
+    monkeypatch.setattr(curvezeta, "_symbol_table",
+                        functools.lru_cache(maxsize=None)(curvezeta._symbol_table.__wrapped__))
     code, out = run_cli("validate", "--suite", "zeta", "--q", "3", "--gamma", "5")
     assert code == 1
     lines = out.splitlines()
