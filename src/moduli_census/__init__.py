@@ -49,6 +49,7 @@ from .moduli import (
     count_ms20,
     count_ntilde,
     count_stable_fixed_det,
+    count_value,
     family_constant,
     genus2_oracle,
     grassmannian_count,

@@ -28,6 +28,7 @@ from .moduli import (
     count_ms20,
     count_ntilde,
     count_stable_fixed_det,
+    count_value,
     log_count_estimate,
 )
 from .polyring import parse_poly
@@ -107,7 +108,7 @@ def cmd_moduli(args) -> int:
                    "estimate": est, "envelope": env}
         if args.rank <= 3:
             import math
-            exact = count_stable_fixed_det(z, args.rank, args.degree).value
+            exact = count_value(z, "m_rd", args.rank, args.degree)
             gap = abs(math.log(exact.numerator) - math.log(exact.denominator)
                       - (args.rank**2 - 1) * (z.genus - 1) * math.log(z.q))
             payload["exact_log_gap"] = gap

@@ -124,7 +124,7 @@ class CurveZeta:
     N: tuple[int, ...]          # N_1..N_{2g}
     psums: tuple[int, ...]      # p_1..p_{2g},  p_m = q^m + 1 - N_m
     coeffs: tuple[int, ...]     # c_0..c_{2g} of P(t)
-    # zeta values by k, and the moduli layer's "full_2_torsion" flag
+    # zeta values by k, and the moduli layer's "full_2_torsion" flag and "monomials"
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod

@@ -15,6 +15,13 @@ strictly-semistable stratum Y), the report carries both values and the
 residual; nothing is silently reconciled.  The 4^g terms assume every
 2-torsion class of the Jacobian is rational over F_q; the report flags
 whether that hypothesis actually holds for the curve.
+
+Each count's value comes from count_value: an integer polynomial in the
+curve's own integers (MONOMIALS) over a denominator that depends only on
+(q, g, target, r, d mod r), both cached per key.  The count_* reports
+build their components and cross-checks around that value from the
+Fraction route (BetaTable, unstable_mass, the component assemblies), so
+every cross-check compares two different computations.
 """
 
 from __future__ import annotations
@@ -191,18 +198,162 @@ def check_stable_domain(r: int, d: int) -> None:
         raise UnsupportedRankError("exact counts implemented for r in {2, 3}")
 
 
+# -- the integer form: each count as N / D -----------------------------------
+#
+# A form is a polynomial in the curve's integers nj = P(1), P(-1), P(q),
+# P'(1) and Z_k = q^(2gk) P(q^-k): a tuple of (monomial, coefficient) pairs,
+# a monomial being the sorted tuple of its factors' names.
+
+def _mono(*factors: str) -> tuple[str, ...]:
+    return tuple(sorted(factors))
+
+
+MONOMIALS = (_mono("Z2"), _mono("Z2", "Z3"), _mono("nj", "Z2"), _mono("nj", "nj"), _mono("nj"),
+             _mono("nj", "P(-1)"), _mono("nj", "P(q)"), _mono("nj", "P'(1)"), _mono())
+COUNT_TARGETS = ("m_rd", "ms20", "ntilde", "higgs")
+
+
+def _sum_forms(*terms) -> tuple:
+    """sum of scale * form over the (scale, form) pairs."""
+    out: dict = {}
+    for scale, form in terms:
+        for mono, coef in form:
+            out[mono] = out.get(mono, 0) + scale * coef
+    return tuple(out.items())
+
+
+def _mul_forms(a, b) -> tuple:
+    out: dict = {}
+    for ma, ca in a:
+        for mb, cb in b:
+            m = _mono(*ma, *mb)
+            out[m] = out.get(m, 0) + ca * cb
+    return tuple(out.items())
+
+
+def _zeta_scale(q: int, g: int, k: int) -> Fraction:
+    """zeta_value(z, k) / Z_k."""
+    return Fraction(q ** (2 * k - 1), q ** (2 * g * k) * (q**k - 1) * (q ** (k - 1) - 1))
+
+
+@functools.lru_cache(maxsize=256)
+def _beta_form(q: int, g: int, r: int, d: int) -> tuple:
+    """beta(r, d) for 0 <= d < r as a form: BetaTable.beta, with the forms
+    of the smaller ranks in place of their values."""
+    if r == 1:
+        return ((_mono(), Fraction(1, q - 1)),)
+    mass = Fraction(q ** ((r * r - 1) * (g - 1)), q - 1)
+    for k in range(2, r + 1):
+        mass *= _zeta_scale(q, g, k)
+    terms = [(mass, ((_mono(*(f"Z{k}" for k in range(2, r + 1))), 1),))]
+    Q = Fraction(q)
+    nj = ((_mono("nj"), 1),)
+    for n1, n2 in ((1, 1),) if r == 2 else ((2, 1), (1, 2)):
+        scale = -Q ** (n1 * n2 * (g - 1) + d * n1)
+        for first, tail in _two_step_tails(q, n1, n2, d):
+            b1b2 = _mul_forms(_beta_form(q, g, n1, first % n1), _beta_form(q, g, n2, (d - first) % n2))
+            terms.append((scale * tail, _mul_forms(nj, b1b2)))
+    if r == 3:
+        terms.append((-Q ** (3 * (g - 1)) / (q - 1) ** 3 * _three_step_total(q, d),
+                      ((_mono("nj", "nj"), 1),)))
+    return _sum_forms(*terms)
+
+
+def _count_form(q: int, g: int, target: str, r: int, d: int) -> tuple:
+    if target == "m_rd":
+        return _sum_forms((q - 1, _beta_form(q, g, r, d)))
+    two2g = 2 ** (2 * g)
+    ms20 = ((_mono("Z2"), q ** (3 * g - 3) * _zeta_scale(q, g, 2)),
+            (_mono("nj"), -Fraction(q ** (g + 1) - q**2 + q, (q - 1) ** 2 * (q + 1))),
+            (_mono("nj", "P(-1)"), -Fraction(1, 2 * (q + 1))),
+            (_mono(), Fraction(two2g, 2 * (q + 1))))
+    if target == "ms20":
+        return ms20
+    if target == "ntilde":
+        # Y = A p_g2^2 + B p2_g2 with A = (nj - 4^g)/2 and B = (nj P(-1) - nj)/2
+        p_g2 = _proj_count(q, g - 2)
+        p2_g2 = Fraction(q ** (2 * (g - 1)) - 1, q**2 - 1)
+        y = ((_mono("nj"), (p_g2**2 - p2_g2) / 2), (_mono("nj", "P(-1)"), p2_g2 / 2),
+             (_mono(), -two2g * p_g2**2 / 2))
+        rs = two2g * (q ** (g - 2) * grassmannian_count(q, 2, g) + grassmannian_count(q, 3, g))
+        return _sum_forms((1, ms20), (1, y), (rs, ((_mono(), 1),)))
+    # higgs: q^(4g-3) (A_1 + A_2 + A_3)
+    return _sum_forms((q ** (4 * g - 3), (
+        (_mono("nj", "P(q)"), Fraction(1, (q - 1) * (q**2 - 1))),
+        (_mono("nj", "P(-1)"), -Fraction(1, 4 * (q + 1))),
+        (_mono("nj", "nj"), Fraction(q - 3 - 4 * g * (q - 1), 4 * (q - 1) ** 2)),
+        (_mono("nj", "P'(1)"), Fraction(1, 2 * (q - 1))))))
+
+
+@functools.lru_cache(maxsize=256)
+def _count_vector(q: int, g: int, target: str, r: int, d: int) -> tuple[tuple[int, ...], int]:
+    """(N_j, D): the count is sum_j N_j m_j / D over the curve's MONOMIALS m_j."""
+    form = dict(_count_form(q, g, target, r, d))
+    assert set(form) <= set(MONOMIALS), set(form) - set(MONOMIALS)
+    den = math.lcm(*(Fraction(c).denominator for c in form.values()))
+    return tuple(int(form.get(m, 0) * den) for m in MONOMIALS), den
+
+
+def _horner(coeffs, x: int) -> int:
+    """sum c_i x^(n-i) for coeffs c_0..c_n."""
+    acc = 0
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+def _monomial_values(z: CurveZeta) -> tuple[int, ...]:
+    """The curve's MONOMIALS, computed once per CurveZeta."""
+    vals = z._cache.get("monomials")
+    if vals is None:
+        q, c = z.q, z.coeffs
+        f = {"nj": sum(c), "P(-1)": sum(c[0::2]) - sum(c[1::2]), "P(q)": _horner(c[::-1], q),
+             "P'(1)": sum(i * ci for i, ci in enumerate(c)),
+             "Z2": _horner(c, q**2), "Z3": _horner(c, q**3)}
+        vals = tuple(math.prod(f[x] for x in m) for m in MONOMIALS)
+        z._cache["monomials"] = vals
+    return vals
+
+
+def count_value(z: CurveZeta, target: str, r: int = 2, d: int = 1) -> Fraction:
+    """The value of one count of COUNT_TARGETS, as one Fraction(N, D).
+
+    m_rd is (q-1) beta(r, d) for r in {2, 3} and gcd(r, d) = 1; ms20,
+    ntilde and higgs are the values of count_ms20, count_ntilde and
+    count_higgs, whatever r and d.  N is an integer polynomial in the
+    curve's integers (MONOMIALS) with coefficients cached per
+    (q, g, target, r, d mod r), like D.  It raises as the count_* reports do.
+    """
+    if target == "m_rd":
+        check_stable_domain(r, d)
+        d %= r
+    elif target in COUNT_TARGETS:
+        r, d = 2, 1
+    else:
+        raise DomainError(f"unknown count target {target!r}")
+    g = z.genus
+    if target == "ntilde" and g < 3:
+        raise DomainError("requires genus >= 3")
+    if g < 2:
+        raise DomainError("needs genus >= 2")
+    nums, den = _count_vector(z.q, g, target, r, d)
+    return Fraction(sum(a * m for a, m in zip(nums, _monomial_values(z)) if a), den)
+
+
 def count_stable_fixed_det(z: CurveZeta, r: int, d: int,
                            table: BetaTable | None = None) -> ModuliReport:
     """N_q of the moduli of stable fixed-determinant bundles, gcd(r,d)=1:
-    (q-1) beta(r, d)."""
-    check_stable_domain(r, d)
-    if z.genus < 2:
-        raise DomainError("needs genus >= 2")
+    (q-1) beta(r, d).
+
+    The value comes from count_value; the beta_table check compares it with
+    (q-1) beta(r, d) from BetaTable, and for r = 2 the closed form (and, in
+    genus 2, the quadric-intersection oracle) are checked against it too.
+    """
+    value = count_value(z, "m_rd", r, d)
     if table is None:
         table = BetaTable(z)
     q = z.q
     b = table.beta(r, d)
-    value = (q - 1) * b
     report = ModuliReport(target="m_rd", value=value)
     report.components["beta"] = b
     report.components["siegel_mass"] = siegel_mass(z, r)
@@ -215,6 +366,7 @@ def count_stable_fixed_det(z: CurveZeta, r: int, d: int,
         if g == 2:
             report.cross_checks["genus2_oracle"] = _check(
                 Fraction(genus2_oracle(z)), value)
+    report.cross_checks["beta_table"] = _check((q - 1) * b, value)
     return report
 
 
@@ -228,23 +380,20 @@ def _proj_count(q: int, m: int) -> Fraction:
 def count_ms20(z: CurveZeta) -> ModuliReport:
     """Stable locus of the trivial-determinant rank-2 space.
 
-    The value is the four-term closed form; the component assembly
-    q^(3g-3) zeta(2) - (q-1)(beta'(2,0) + beta_1 + beta_2) is recorded as
-    a cross-check (the two disagree by exactly 4^g/(q+1); both reported).
+    The value is the four-term closed form
+    q^(3g-3) zeta(2) - (q^(g+1) - q^2 + q) P(1) / ((q-1)^2 (q+1))
+    - P(1) P(-1) / (2(q+1)) + 4^g / (2(q+1)), from count_value; the
+    component assembly q^(3g-3) zeta(2) - (q-1)(beta'(2,0) + beta_1 + beta_2)
+    is recorded as a cross-check (the two disagree by exactly 4^g/(q+1);
+    both reported).
     """
+    closed = count_value(z, "ms20")
     g = z.genus
-    if g < 2:
-        raise DomainError("needs genus >= 2")
     q = z.q
     nj = jacobian_count(z, 1)
     nj2 = jacobian_count(z, 2)
     two2g = 2 ** (2 * g)
-    zeta2 = zeta_value(z, 2)
-    main = Fraction(q ** (3 * g - 3)) * zeta2
-    closed = (main
-              - Fraction(q ** (g + 1) - q**2 + q, (q - 1) ** 2 * (q + 1)) * nj
-              - Fraction(nj2, 2 * (q + 1))
-              + Fraction(two2g, 2 * (q + 1)))
+    main = Fraction(q ** (3 * g - 3)) * zeta_value(z, 2)
     beta_prime = Fraction(nj * q ** (g - 1), (q - 1) ** 3 * (q + 1))
     a_size = Fraction(nj - two2g, 2)
     b_size = Fraction(nj2 - nj, 2)
@@ -300,12 +449,12 @@ def count_ntilde(z: CurveZeta) -> ModuliReport:
     """The desingularized rank-4 trivial-determinant space, genus >= 3.
 
     value = N(M^s) + N(Y) + 4^g N(R) + 4^g N(S) with N(Y) evaluated
-    directly from the A/B strata; the alternative expanded form of N(Y)
-    is recorded as a cross-check, not reconciled.
+    directly from the A/B strata, from count_value; the components are
+    recomputed here, and the alternative expanded form of N(Y) is recorded
+    as a cross-check, not reconciled.
     """
+    value = count_value(z, "ntilde")
     g = z.genus
-    if g < 3:
-        raise DomainError("requires genus >= 3")
     q = z.q
     ms = count_ms20(z)
     nj = jacobian_count(z, 1)
@@ -321,7 +470,6 @@ def count_ntilde(z: CurveZeta) -> ModuliReport:
                   - Fraction(q ** (2 * g - 3) - 1, 2 * (q - 1)) * two2g)
     r_count = Fraction(q ** (g - 2) * grassmannian_count(q, 2, g))
     s_count = Fraction(grassmannian_count(q, 3, g))
-    value = ms.value + y_direct + two2g * r_count + two2g * s_count
     report = ModuliReport(target="ntilde", value=value)
     report.hypotheses["full_2_torsion"] = ms.hypotheses["full_2_torsion"]
     report.cross_checks["y_expansion"] = _check(y_direct, y_expanded)
@@ -341,11 +489,11 @@ def count_higgs(z: CurveZeta) -> ModuliReport:
     """Rank-2 odd-degree stable Higgs count q^(4g-3) A_{g,2}.
 
     A_{g,2} = A_1 + A_2 + A_3 in terms of P(1), P(q), P(-1) and the
-    logarithmic derivative of P at 1; the value is degree-independent.
+    logarithmic derivative of P at 1; the value is degree-independent.  It
+    comes from count_value; the components A_i are recomputed here.
     """
+    value = count_value(z, "higgs")
     g = z.genus
-    if g < 2:
-        raise DomainError("needs genus >= 2")
     q = z.q
     c = z.coeffs
     p1 = sum(c)
@@ -357,7 +505,6 @@ def count_higgs(z: CurveZeta) -> ModuliReport:
     # p1^2 / (2(q-1)) (1/2 - 1/(q-1) - sum_l 1/(1 - alpha_l)), the sum being 2g - dp1/p1
     a3 = Fraction(p1 * (p1 * (q - 3 - 4 * g * (q - 1)) + 2 * (q - 1) * dp1), 4 * (q - 1) ** 2)
     a_g2 = a1 + a2 + a3
-    value = q ** (4 * g - 3) * a_g2
     report = ModuliReport(target="higgs", value=value)
     report.cross_checks["a2_jacobian_identity"] = _check(
         -Fraction(jacobian_count(z, 2), 4 * (q + 1)), a2)
@@ -387,6 +534,7 @@ def log_count_estimate(z: CurveZeta, r: int, C: float = 10.0,
     return est, envelope
 
 
+@functools.lru_cache(maxsize=256)
 def family_constant(q: int, gamma: int, variant: str = "base", r: int = 2) -> float:
     """The centering constants of the log-count decompositions."""
     delta = 1 if gamma % 2 == 0 else 0

@@ -22,17 +22,11 @@ from fractions import Fraction
 
 from .curvezeta import CurveZeta
 from .errors import DomainError
-from .moduli import (
-    count_higgs,
-    count_ms20,
-    count_ntilde,
-    count_stable_fixed_det,
-    family_constant,
-)
+from .moduli import COUNT_TARGETS, count_value, family_constant
 from .polyring import MonicPoly, _irreducible_ivs, _iv, _iv_jacobi, is_squarefree, prime_count
 
 CONVENTIONS = ("F_over_f", "f_over_F")
-RESIDUAL_VARIANTS = ("m_rd", "ms20", "ntilde", "higgs")
+RESIDUAL_VARIANTS = COUNT_TARGETS  # one residual per moduli count
 
 
 def default_cutoff(gamma: int) -> int:
@@ -108,7 +102,8 @@ def _log_frac(x: Fraction) -> float:
 
 def decomposition_residual(z: CurveZeta, variant: str, Z: int | None = None,
                            convention: str = "F_over_f",
-                           rank: int = 2, degree: int = 1) -> float:
+                           rank: int = 2, degree: int = 1,
+                           charsums: list[int] | None = None) -> float:
     """Centered log-count residual for one decomposition variant.
 
     m_rd:   log N(M(r,d))      - (r^2-1)(g-1) log q - C_q(r) - sum_{k<r} R^(k)
@@ -116,7 +111,9 @@ def decomposition_residual(z: CurveZeta, variant: str, Z: int | None = None,
     ntilde: log N(Ntilde(4,0)) - (4g-4) log q + delta log(1-1/q^2) - R^(0) over F_{q^2}
     higgs:  log N(Higgs_2)     - (8g-6) log q - C_q^Higgs - R^(0) - R^(1)
 
-    R^(k) comes from the power sums of z through the trace identity.
+    R^(k) comes from the power sums of z through the trace identity, or
+    from `charsums`, trace_charsums of p_1..p_Z, when the caller has them.
+    The count is count_value(z, variant, rank, degree).
     """
     if variant not in RESIDUAL_VARIANTS:
         raise DomainError(f"unknown residual variant {variant!r}")
@@ -126,29 +123,27 @@ def decomposition_residual(z: CurveZeta, variant: str, Z: int | None = None,
     gamma = curve.gamma
     if Z is None:
         Z = default_cutoff(gamma)
-    charsums = trace_charsums([z.power_sum(m) for m in range(1, Z + 1)],
-                              q, gamma, convention)
+    if charsums is None:
+        charsums = trace_charsums([z.power_sum(m) for m in range(1, Z + 1)],
+                                  q, gamma, convention)
+    value = count_value(z, variant, rank, degree)
     lq = math.log(q)
     if variant == "m_rd":
-        value = count_stable_fixed_det(z, rank, degree).value
         rsum = math.fsum(r_variable(curve.F, k, Z, convention, charsums)
                          for k in range(1, rank))
         return (_log_frac(value) - (rank * rank - 1) * (g - 1) * lq
                 - family_constant(q, gamma, "base", rank) - rsum)
     if variant == "ms20":
-        value = count_ms20(z).value
         return (_log_frac(value) - 3 * (g - 1) * lq
                 - family_constant(q, gamma, "thm15")
                 - r_variable(curve.F, 1, Z, convention, charsums))
     if variant == "ntilde":
-        value = count_ntilde(z).value
         # the points over F_{q^2m} give the character sums over F_{q^2}
         ext = trace_charsums([z.power_sum(2 * m) for m in range(1, Z + 1)],
                              q * q, gamma, convention)
         r0_ext = _weighted(ext, q * q, 0)
         return (_log_frac(value) - (4 * g - 4) * lq
                 + family_constant(q, gamma, "thm16") - r0_ext)
-    value = count_higgs(z).value
     rsum = math.fsum(r_variable(curve.F, k, Z, convention, charsums) for k in (0, 1))
     return (_log_frac(value) - (8 * g - 6) * lq
             - family_constant(q, gamma, "higgs") - rsum)

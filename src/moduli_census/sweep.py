@@ -81,7 +81,7 @@ def compute_record(curve: HyperellipticCurve, cfg: SweepConfig, psums: list[int]
         for variant in cfg.variants:
             try:
                 rec.residuals[variant] = decomposition_residual(
-                    z, variant, Z, cfg.convention, cfg.rank, cfg.degree)
+                    z, variant, Z, cfg.convention, cfg.rank, cfg.degree, charsums)
             except DomainError:  # a genus the variant does not cover
                 rec.residuals[variant] = math.nan
         rec.flags["xz_pass"] = xz_bound_check(z)["xz"].holds

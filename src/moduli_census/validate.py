@@ -2,9 +2,10 @@
 
 Each suite walks the zeta data `zs` of one family H_{gamma,q} and yields
 CheckResult rows; a suite passes when every row passes.  The
-cross-validation suite is a reporting suite: it always passes once the
-report covers the family, and its findings (oracle residuals, integrality
-pattern, hypothesis flags) ride along in the detail text.
+cross-validation suite is a reporting suite: it passes once the report
+covers the family and the two exact identities between its routes hold,
+and its findings (oracle residuals, integrality pattern, hypothesis flags)
+ride along in the detail text.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .moduli import (
     count_higgs,
     count_ms20,
     count_stable_fixed_det,
+    count_value,
     genus2_oracle,
     log_count_estimate,
     siegel_mass,
@@ -160,7 +162,12 @@ def suite_unstable(q: int, gamma: int, zs):
 
 
 def suite_crossval(q: int, gamma: int, zs):
-    """Genus-2 cross-validation report; summarizes, never patches."""
+    """Genus-2 cross-validation report; summarizes, never patches.
+
+    It fails where an exact identity breaks: the stable (2,1) count against
+    (q-1) beta(2, 1) from BetaTable, or the ms20 closed form against its
+    component assembly plus 4^g/(q+1).
+    """
     if (gamma - 1) // 2 != 2:
         yield CheckResult("crossval.applicable", True,
                           "skipped: needs a genus-2 family")
@@ -170,6 +177,7 @@ def suite_crossval(q: int, gamma: int, zs):
     nonint_m = 0
     nonint_ms = 0
     tors = 0
+    broken = 0
     for z in zs:
         n += 1
         rep = count_stable_fixed_det(z, 2, 1)
@@ -182,12 +190,16 @@ def suite_crossval(q: int, gamma: int, zs):
             nonint_ms += 1
         if ms.hypotheses["full_2_torsion"]:
             tors += 1
+        if (rep.cross_checks["beta_table"]["residual"] != 0
+                or ms.cross_checks["component_assembly"]["residual"] != Fraction(4**z.genus, q + 1)):
+            broken += 1
     zero = sum(1 for r in oracle_residuals if r == 0)
     yield CheckResult(
-        "crossval.report", n > 0 and len(oracle_residuals) == n,
+        "crossval.report", n > 0 and len(oracle_residuals) == n and broken == 0,
         f"{n} curves; stable-count vs oracle residual zero on {zero}/{n}; "
         f"non-integer m_rd: {nonint_m}, non-integer ms20: {nonint_ms}; "
-        f"full 2-torsion on {tors}/{n}")
+        f"full 2-torsion on {tors}/{n}"
+        + (f"; {broken} curves break the beta_table or ms20 assembly identity" if broken else ""))
 
 
 def suite_epsilon(q: int, gamma: int, zs):
@@ -228,13 +240,12 @@ def suite_estimate(q: int, gamma: int, zs):
     worst = -math.inf
     for z in zs:
         n += 1
-        tab = BetaTable(z)
         for r in (2, 3):
             est, env = log_count_estimate(z, r)
             mass_log = math.log(float((q - 1) * siegel_mass(z, r)))
             if abs(mass_log - est) > 1e-9:
                 main_ok = False
-            value = count_stable_fixed_det(z, r, 1, tab).value
+            value = count_value(z, "m_rd", r, 1)
             gap = abs(math.log(float(value)) - (r * r - 1) * (z.genus - 1) * math.log(q))
             worst = max(worst, gap - env)
             if gap > env:

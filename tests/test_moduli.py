@@ -7,14 +7,17 @@ import pytest
 from moduli_census.errors import DomainError, UnsupportedRankError
 from moduli_census.ffield import make_field
 from moduli_census.polyring import FamilySpec, family, parse_poly
-from moduli_census.curvezeta import HyperellipticCurve, jacobian_count, zeta_data, zeta_value
+from moduli_census.curvezeta import (HyperellipticCurve, jacobian_count, zeta_data, zeta_data_block,
+                                    zeta_value)
 from moduli_census.moduli import (
+    COUNT_TARGETS,
     BetaTable,
     beta,
     count_higgs,
     count_ms20,
     count_ntilde,
     count_stable_fixed_det,
+    count_value,
     family_constant,
     genus2_oracle,
     grassmannian_count,
@@ -168,6 +171,17 @@ def test_count_stable_21(z55):
     assert rep.is_integer
     assert rep.cross_checks["genus2_oracle"]["residual"] == 0
     assert rep.cross_checks["closed_form"]["residual"] == 0
+
+
+def test_count_stable_beta_table_check(z55, z73):
+    for z in (z55, z73):
+        q = z.q
+        for r, d in ((2, 1), (2, -1), (3, 1), (3, 2), (3, -4)):
+            rep = count_stable_fixed_det(z, r, d)
+            chk = rep.cross_checks["beta_table"]
+            assert chk["expected"] == (q - 1) * BetaTable(z).beta(r, d) == rep.value
+            assert chk["got"] == rep.value and chk["residual"] == 0
+    assert set(count_stable_fixed_det(z55, 3, 1).cross_checks) == {"beta_table"}
 
 
 def test_count_stable_d_periodic(z55):
@@ -409,28 +423,103 @@ def _ref_full_2_torsion(z):
 def test_integer_forms_match_fraction_expressions():
     for f in family(FamilySpec(F3, 5)):
         z = zeta_data(HyperellipticCurve(f))
-        q, g, c = z.q, z.genus, z.coeffs
         for k in (2, 3, 4):
             assert zeta_value(z, k) == _ref_zeta_value(z, k)
         for r, d in ((2, 0), (2, 1), (3, 0), (3, 1), (3, 2)):
             assert beta(z, r, d) == _ref_beta(z, r, d), (f, r, d)
         for part, d in itertools.product(((1, 1), (2, 1), (1, 2), (1, 1, 1)), (-2, 0, 1, 4)):
             assert unstable_mass(z, part, d) == _ref_unstable(z, part, d), (f, part, d)
-        nj, nj2 = jacobian_count(z, 1), jacobian_count(z, 2)
         ms = count_ms20(z)
-        assert ms.value == (Fraction(q ** (3 * g - 3)) * _ref_zeta_value(z, 2)
-                            - Fraction(q ** (g + 1) - q**2 + q, (q - 1) ** 2 * (q + 1)) * nj
-                            - Fraction(nj2, 2 * (q + 1)) + Fraction(4**g, 2 * (q + 1)))
+        assert ms.value == _ref_ms20(z)
         assert ms.hypotheses["full_2_torsion"] is _ref_full_2_torsion(z) is False
-        p1 = sum(c)
-        dp1 = sum(i * ci for i, ci in enumerate(c))
-        a3 = Fraction(p1 * p1, 2 * (q - 1)) * (Fraction(1, 2) - Fraction(1, q - 1)
-                                               - (2 * g - Fraction(dp1, p1)))
         higgs = count_higgs(z)
-        assert higgs.components["A_3"] == a3
-        assert higgs.value == q ** (4 * g - 3) * (
-            Fraction(p1 * sum(ci * q**i for i, ci in enumerate(c)), (q - 1) * (q**2 - 1))
-            - Fraction(p1 * sum((-1) ** i * ci for i, ci in enumerate(c)), 4 * (q + 1)) + a3)
+        assert higgs.components["A_3"] == _ref_higgs_a3(z)
+        assert higgs.value == _ref_higgs(z)
+
+
+def _ref_ms20(z):
+    q, g = z.q, z.genus
+    nj, nj2 = jacobian_count(z, 1), jacobian_count(z, 2)
+    return (Fraction(q ** (3 * g - 3)) * _ref_zeta_value(z, 2)
+            - Fraction(q ** (g + 1) - q**2 + q, (q - 1) ** 2 * (q + 1)) * nj
+            - Fraction(nj2, 2 * (q + 1)) + Fraction(4**g, 2 * (q + 1)))
+
+
+def _ref_higgs_a3(z):
+    q, g, c = z.q, z.genus, z.coeffs
+    p1 = sum(c)
+    dp1 = sum(i * ci for i, ci in enumerate(c))
+    return Fraction(p1 * p1, 2 * (q - 1)) * (Fraction(1, 2) - Fraction(1, q - 1)
+                                             - (2 * g - Fraction(dp1, p1)))
+
+
+def _ref_higgs(z):
+    q, g, c = z.q, z.genus, z.coeffs
+    p1 = sum(c)
+    return q ** (4 * g - 3) * (
+        Fraction(p1 * sum(ci * q**i for i, ci in enumerate(c)), (q - 1) * (q**2 - 1))
+        - Fraction(p1 * sum((-1) ** i * ci for i, ci in enumerate(c)), 4 * (q + 1))
+        + _ref_higgs_a3(z))
+
+
+def _ref_ntilde(z):
+    # N(M^s(2,0)) + A N(P^(g-2))^2 + B N_{q^2}(P^(g-2)) + 4^g (q^(g-2) [g 2]_q + [g 3]_q)
+    q, g = z.q, z.genus
+    nj, nj2 = jacobian_count(z, 1), jacobian_count(z, 2)
+    a, b = Fraction(nj - 4**g, 2), Fraction(nj2 - nj, 2)
+    y = (a * Fraction(q ** (g - 1) - 1, q - 1) ** 2
+         + b * Fraction(q ** (2 * g - 2) - 1, q**2 - 1))
+    return (_ref_ms20(z) + y
+            + 4**g * (q ** (g - 2) * grassmannian_count(q, 2, g) + grassmannian_count(q, 3, g)))
+
+
+def _ref_count(z, target, r, d):
+    if target == "m_rd":
+        return (z.q - 1) * _ref_beta(z, r, d)
+    return {"ms20": _ref_ms20, "ntilde": _ref_ntilde, "higgs": _ref_higgs}[target](z)
+
+
+def _family_zetas(q, gamma):
+    curves = [HyperellipticCurve(f) for f in family(FamilySpec(make_field(q), gamma))]
+    return list(zeta_data_block(curves))
+
+
+@pytest.mark.parametrize("q,gamma", [(3, 5), (3, 6), (5, 5)])
+def test_count_value_matches_fraction_route(q, gamma):
+    # every target, r in {2, 3} and d in -2..4 prime to r, on the whole family
+    keys = [(t, 2, 1) for t in COUNT_TARGETS if t != "m_rd"]
+    keys += [("m_rd", r, d) for r in (2, 3) for d in range(-2, 5) if math.gcd(r, d) == 1]
+    for z in _family_zetas(q, gamma):
+        refs = {}  # the reference beta depends only on d mod r
+        for target, r, d in keys:
+            if target == "ntilde":  # genus 2
+                with pytest.raises(DomainError):
+                    count_value(z, target)
+                continue
+            key = (target, r, d % r)
+            if key not in refs:
+                refs[key] = _ref_count(z, target, r, d)
+            assert count_value(z, target, r, d) == refs[key], (z.curve.F.indices(), target, r, d)
+
+
+def test_count_value_ntilde_matches_fraction_route():
+    zs = _family_zetas(3, 7)[::10]
+    assert len(zs) == 146
+    for z in zs:
+        assert count_value(z, "ntilde") == _ref_ntilde(z), z.curve.F.indices()
+
+
+def test_count_value_domain(z55):
+    with pytest.raises(DomainError):
+        count_value(z55, "nope")
+    with pytest.raises(DomainError):
+        count_value(z55, "m_rd", 2, 0)
+    with pytest.raises(UnsupportedRankError):
+        count_value(z55, "m_rd", 4, 1)
+    g1 = zeta_data(HyperellipticCurve(parse_poly(F3, "0,2,0,1")))
+    for target in COUNT_TARGETS:
+        with pytest.raises(DomainError):
+            count_value(g1, target)
 
 
 def test_full_2_torsion_flag_matches_root_count():

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 import os
@@ -221,6 +222,27 @@ def test_cli_sweep_worker_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# sha256 of the CSV and report JSON of `sweep --q 3 --gamma 7 --mode sample
+# --count 256 --seed 1` with the extra flags; the report does not depend on
+# the moduli columns, so all three share one
+REPORT_SHA = "f699b871c4b59960a6e82fdd98aa614bf967c7db38522d31b72dbbe3a63cf3b6"
+
+
+@pytest.mark.parametrize("flags,csv_sha", [
+    ((), "96278123c183ebbfe54ce29afc79319418eb3aed02809a5f5105c7a0a9b8456c"),
+    (("--rank", "3", "--degree", "2"),
+     "2352c94248b0b8895efea199d44601491faf81102d808d9e430ab0d1bbaa3754"),
+    (("--variants", "ntilde"), "780ef75bde358670f25b82e9138387bb91f8824fcd2e19fa4a5ea7abd2841ffb"),
+], ids=["default", "rank3-degree2", "ntilde"])
+def test_cli_sweep_golden_bytes(tmp_path, flags, csv_sha):
+    csv_path, report_path = tmp_path / "s.csv", tmp_path / "s.json"
+    code, _ = run_cli("sweep", "--q", "3", "--gamma", "7", "--mode", "sample", "--count", "256",
+                      "--seed", "1", *flags, "--out", str(csv_path), "--report-out", str(report_path))
+    assert code == 0
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_sha
+    assert hashlib.sha256(report_path.read_bytes()).hexdigest() == REPORT_SHA
+
+
 def test_cli_parse_error_exit_code(capsys):
     code = main(["curve-info", "--q", "3", "--f", "0,zz,1"])
     assert code == 2
@@ -366,6 +388,33 @@ def test_cli_validate_reports_a_character_route_mismatch(monkeypatch):
     assert lines[1] == "PASS zeta.functional_equation - 162 curves"
     assert lines[2].startswith("FAIL zeta.character_route - character-route mismatch for F = 1,")
     assert lines[3] == "FAILED: 2/3 checks passed"
+
+
+@pytest.mark.parametrize("target", ["m_rd", "ms20"])
+def test_cli_validate_crossval_catches_a_mutated_count(monkeypatch, target):
+    # one more unit in the constant coefficient of the cached integer form
+    # moves the count by 1/D; the Fraction route of crossval must notice
+    from moduli_census import moduli
+    real = moduli._count_vector
+
+    def mutated(q, g, tgt, r, d):
+        nums, den = real(q, g, tgt, r, d)
+        return (nums[:-1] + (nums[-1] + 1,), den) if tgt == target else (nums, den)
+
+    monkeypatch.setattr(moduli, "_count_vector", mutated)
+    code, out = run_cli("validate", "--suite", "crossval", "--q", "3", "--gamma", "5")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL crossval.report - 162 curves;")
+    assert lines[0].endswith("; 162 curves break the beta_table or ms20 assembly identity")
+    assert lines[1] == "FAILED: 0/1 checks passed"
+    if target == "m_rd":
+        from moduli_census.curvezeta import HyperellipticCurve, zeta_data
+        from moduli_census.ffield import make_field
+        from moduli_census.polyring import parse_poly
+        z = zeta_data(HyperellipticCurve(parse_poly(make_field(5), "0,1,0,0,0,0,0,1")))
+        for r, d in ((2, 1), (3, 1), (3, 2)):
+            assert moduli.count_stable_fixed_det(z, r, d).cross_checks["beta_table"]["residual"] != 0
 
 
 def test_cli_moments():
