@@ -16,11 +16,14 @@ Jacobi-symbol data lives in l_poly_via_characters; the two must agree
 coefficient by coefficient.  It takes a block of curves: for each monic
 irreducible P, F mod P is reduced for the whole block at once through the
 field's dense add/mul tables, and the reciprocity symbol (F mod P / P) is
-computed once per residue and field, never from a discrete log or a point
-count.  The symbols of one degree sit in a table of one byte per prime and
-residue, filled as the blocks meet them; a table of more than
-SYMBOL_BUDGET entries is refused with a BudgetError.
-lambda_character_identity checks the trace identity the same way.
+computed once per monic residue and field, never from a discrete log or a
+point count: a residue c u with u monic and c in F_q^* takes
+(c u / P) = chi(c)^deg P (u / P).  The symbols of one degree sit in a table
+of one byte per prime and residue, whose monic and zero entries, at most
+(q^e - 1)/(q - 1) + 1 of the q^e for a modulus of degree e, are filled as
+the blocks meet them; a table of more than SYMBOL_BUDGET entries is refused
+with a BudgetError.  lambda_character_identity checks the trace identity the
+same way, over prime powers.
 
 N_r counts points of the smooth projective model: one point above
 x = infinity for odd deg F, two for even deg F (monic leading 1 is a
@@ -50,8 +53,10 @@ from .polyring import (MonicPoly, _code_iv, _irreducible_ivs, _iv_jacobi, _iv_mo
 POINT_BUDGET = 10**6
 # entries of one degree's symbol table (one int8 per modulus and residue).
 # A reciprocity symbol costs about 10 us at degree <= 4 (H_{5,5}) and 21 us
-# at degree <= 7 (H_{8,3}) on a 2-core x86 host, so filling a table of this
-# size is 11-23 minutes of work.
+# at degree <= 7 (H_{8,3}) on a 2-core x86 host.  Only the monic and zero
+# residues are filled, so a table of this size is (11-23 minutes) / (q - 1)
+# of work: the budget overstates the fill work by a factor of q - 1, and
+# is kept at this size so that the same families are refused.
 SYMBOL_BUDGET = 2**26
 UNKNOWN = 2  # a symbol table entry not yet computed; symbols are -1, 0, 1
 RESIDUE_SUB_BLOCK = 2**14  # residue digits (curves x moduli x degree) reduced at once
@@ -360,10 +365,11 @@ def _prime_powers(K, m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _dense_tables(K) -> tuple[np.ndarray, np.ndarray]:
-    """K's dense add and mul tables (FieldHandle.tables()) as numpy arrays."""
-    add, mul, _inv, _chi, _neg = K.tables()
-    return np.array(add, dtype=np.int64), np.array(mul, dtype=np.int64)
+def _dense_tables(K) -> tuple[np.ndarray, ...]:
+    """K's dense add, mul, inv and chi tables (FieldHandle.tables()) as numpy
+    arrays; inv[0] = 0."""
+    add, mul, inv, chi, _neg = K.tables()
+    return tuple(np.array(t, dtype=np.int64) for t in (add, mul, inv, chi))
 
 
 @functools.lru_cache(maxsize=None)
@@ -387,10 +393,12 @@ def _residue_symbol(code: int, f: tuple, K) -> int:
 def _symbol_table(K, mods: tuple) -> np.ndarray:
     """The symbols (r/f) of the monic f of mods, all of one degree e over K,
     at index (index of f) q^e + (number of r): int8, UNKNOWN until a block
-    meets the residue r of f.
+    meets the monic residue r of f, or r = 0.
 
-    An exhaustive family meets nearly every entry, so the table's size is
-    the reciprocity work the route will do; it must fit SYMBOL_BUDGET.
+    Only those entries are ever filled, at most (q^e - 1)/(q - 1) + 1 per
+    modulus; _jacobi_block takes every other residue from its monic
+    multiple.  The table keeps all q^e entries per modulus, and its size
+    must fit SYMBOL_BUDGET.
     """
     size = len(mods) * K.order ** (len(mods[0]) - 1)
     if size > SYMBOL_BUDGET:
@@ -405,12 +413,14 @@ def _jacobi_block(K, rows: np.ndarray, mods: tuple) -> np.ndarray:
     degree e: a (len(rows), len(mods)) int8 array.
 
     F mod f = sum_i F_i (x^i mod f) is gathered through K's dense tables for
-    a sub-block of rows at a time and numbered as a base-q integer.  The
-    symbol (F mod f / f) is looked up in the field's _symbol_table, where
-    the reciprocity _iv_jacobi fills each entry the first time a block
+    a sub-block of rows at a time.  Each nonzero residue c u, with c its
+    leading digit and u monic, is made monic through the inv and mul
+    tables and numbered as a base-q integer; its symbol is chi(c)^e times
+    (u / f), looked up in the field's _symbol_table, where the reciprocity
+    _iv_jacobi fills each monic (or zero) entry the first time a block
     meets it.
     """
-    add, mul = _dense_tables(K)
+    add, mul, inv, chi = _dense_tables(K)
     n, e = K.order, len(mods[0]) - 1
     powers = _power_rows(K, mods, rows.shape[1])
     weights = n ** np.arange(e)
@@ -423,11 +433,14 @@ def _jacobi_block(K, rows: np.ndarray, mods: tuple) -> np.ndarray:
         acc = np.zeros((len(F), len(mods), e), dtype=np.int64)
         for i in range(rows.shape[1]):
             acc = add[acc * n + mul[F[:, i] + powers[:, i]]]
-        at = acc @ weights + offsets
+        # (c u / f) = chi(c)^e (u / f) for the leading digit c of c u, u monic
+        top = e - 1 - np.argmax(acc[..., ::-1] != 0, axis=-1)
+        c = np.take_along_axis(acc, top[..., None], axis=-1)
+        at = mul[inv[c] * n + acc] @ weights + offsets  # the residue 0 keeps code 0
         for index in set(at[symbols[at] == UNKNOWN].tolist()):
             j, code = divmod(index, n**e)
             symbols[index] = _residue_symbol(code, mods[j], K)
-        out[lo:lo + step] = symbols[at]
+        out[lo:lo + step] = symbols[at] * chi[c[..., 0]] if e & 1 else symbols[at]
     return out
 
 

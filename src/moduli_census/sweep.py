@@ -84,7 +84,7 @@ def compute_record(curve: HyperellipticCurve, cfg: SweepConfig, psums: list[int]
                     z, variant, Z, cfg.convention, cfg.rank, cfg.degree, charsums)
             except DomainError:  # a genus the variant does not cover
                 rec.residuals[variant] = math.nan
-        rec.flags["xz_pass"] = xz_bound_check(z)["xz"].holds
+        rec.flags["xz_pass"] = xz_bound_check(z, ks=())["xz"].holds
         rec.flags["full_2_torsion"] = _full_2_torsion(z)
     return rec
 

@@ -282,14 +282,14 @@ def run_suite(name: str, q: int, gamma: int) -> list[CheckResult]:
         raise BudgetError(f"validate enumerates the family: q^gamma = {q**gamma}"
                           f" must be <= {ENUM_BUDGET}")
     if name == "all":
-        # Only each curve and its validated P(t) are kept: holding every
-        # CurveZeta, with the zeta values its suites cache, raised peak RSS
-        # by about 1.3 kB a curve.
+        # Only each curve's validated fields are kept, and every suite gets
+        # fresh CurveZeta of them: holding every CurveZeta, with the zeta
+        # values its suites cache, raised peak RSS by about 1.3 kB a curve.
         try:
-            rows = [(z.curve, z.coeffs) for z in _curves(q, gamma)]
+            rows = [(z.curve, z.N, z.psums, z.coeffs) for z in _curves(q, gamma)]
         except InternalConsistencyError as exc:
             return [CheckResult("zeta.construction", False, str(exc))]
         return [res for suite in SUITES.values()
-                for res in suite(q, gamma, itertools.starmap(CurveZeta.from_coeffs, rows))]
+                for res in suite(q, gamma, itertools.starmap(CurveZeta, rows))]
     budget = 10**6 if name == "zeta" else 10**4
     return list(SUITES[name](q, gamma, _curves(q, gamma, budget)))

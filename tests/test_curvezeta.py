@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moduli_census import countfast, curvezeta
 from moduli_census.errors import BudgetError, DomainError, InternalConsistencyError
 from moduli_census.ffield import extend_field, make_field
-from moduli_census.polyring import FamilySpec, MonicPoly, _irreducible_ivs, family, parse_poly
+from moduli_census.polyring import FamilySpec, MonicPoly, _code_iv, _irreducible_ivs, family, parse_poly
 from moduli_census.curvezeta import (
     HyperellipticCurve,
     check_riemann_hypothesis,
@@ -483,9 +485,11 @@ def test_character_route_needs_no_point_count(families, monkeypatch, fresh_symbo
 
 
 def test_validate_zeta_and_lambda_symbol_count(monkeypatch, fresh_symbols):
-    # at most one symbol per residue of each prime P of degree <= 4 over F_5,
-    # 5*5 + 10*25 + 40*125 + 150*625 = 99025, and at most 15*25 = 375 for
-    # the lambda moduli of degree 2; the bound is 99025 + 400
+    # at most one symbol per monic or zero residue of each prime P of degree
+    # e <= 4 over F_5, (5^e - 1)/4 + 1 of them: 5*2 + 10*7 + 40*32 + 150*157
+    # = 24910, and at most 15*7 = 105 for the 15 lambda moduli of degree 2
+    # (the primes of degree 1 share the zeta suite's table); the bound is
+    # 24910 + 105 = 25015
     from moduli_census.validate import run_suite
     calls = []
     real = curvezeta._iv_jacobi
@@ -497,4 +501,61 @@ def test_validate_zeta_and_lambda_symbol_count(monkeypatch, fresh_symbols):
     monkeypatch.setattr(curvezeta, "_iv_jacobi", counting)
     results = run_suite("zeta", 5, 5) + run_suite("lambda", 5, 5)
     assert all(res.ok for res in results)
-    assert len(calls) <= 99_425
+    assert len(calls) <= 25_015
+
+
+
+_FIELDS = [F3, make_field(5), make_field(7), extend_field(F3, 2)]
+
+
+@pytest.mark.parametrize("K", _FIELDS, ids=["F3", "F5", "F7", "F9"])
+def test_jacobi_block_matches_reciprocity_per_entry(K, fresh_symbols):
+    # hand-built rows of 6 digits: zero, each degree below e with leading
+    # digit 1, -1 and one more (outside F_3 over F_9), c f (x + a) for two
+    # moduli f (so f | F), and random rows; moduli of odd and even degree,
+    # and the prime powers of degree 2, (x - a)^2 among them
+    from moduli_census.curvezeta import _jacobi_block, _prime_powers
+    from moduli_census.polyring import _iv_jacobi, _iv_trim
+    n = K.order
+    _add, mul, _inv, _chi, neg = K.tables()
+    rng = np.random.default_rng(n)
+    leads = list(dict.fromkeys([1, neg[1], 2, n - 1]))
+    cases = [_irreducible_ivs(K, e) for e in (1, 2, 3)] + [tuple(f for f, _ in _prime_powers(K, 2))]
+    if n == 3:
+        cases.append(tuple(f for f, _ in _prime_powers(K, 4)))  # P^2, P of degree 2
+    for mods in cases:
+        e = len(mods[0]) - 1
+        rows = [[0] * 6]
+        for d in range(e):
+            for c in leads:
+                rows.append(list(rng.integers(0, n, d)) + [c] + [0] * (5 - d))
+        for f in (mods[0], mods[-1]):
+            for c in leads[1:]:
+                x_a = MonicPoly.from_indices(K, [int(rng.integers(n)), 1])
+                fx = (MonicPoly.from_indices(K, f) * x_a).indices()
+                rows.append(([mul[c * n + a] for a in fx] + [0] * 6)[:6])
+        rows += rng.integers(0, n, (12, 6)).tolist()
+        rows = np.array(rows, dtype=np.int64)
+        want = [[_iv_jacobi(_iv_trim(row), list(f), K) for f in mods] for row in rows.tolist()]
+        assert any(0 in w for w in want) and any(-1 in w for w in want)
+        for _ in range(2):  # the filling pass, then the lookups alone
+            assert _jacobi_block(K, rows, mods).tolist() == want
+        # only the zero and the monic residues got a symbol
+        filled = np.flatnonzero(curvezeta._symbol_table(K, mods) != curvezeta.UNKNOWN) % n**e
+        assert {tuple(_iv_trim(_code_iv(code, n, e)[:-1])[-1:]) for code in filled.tolist()} == {(), (1,)}
+
+
+@given(st.sampled_from(_FIELDS).flatmap(lambda K: st.tuples(
+    st.just(K),
+    st.integers(1, K.order - 1),
+    st.lists(st.integers(0, K.order - 1), max_size=9),
+    st.lists(st.integers(0, K.order - 1), min_size=1, max_size=6))))
+@settings(max_examples=300, deadline=None)
+def test_jacobi_symbol_of_a_constant_multiple(case):
+    # (c u / f) = chi(c)^deg f (u / f) for c in F_q^* and any monic f
+    from moduli_census.polyring import _iv_jacobi, _iv_trim
+    K, c, u, f = case
+    f = f + [1]
+    _add, mul, _inv, chi, _neg = K.tables()
+    cu = _iv_trim([mul[c * K.order + a] for a in u])
+    assert _iv_jacobi(cu, f, K) == chi[c] ** (len(f) - 1) * _iv_jacobi(_iv_trim(u), f, K)
