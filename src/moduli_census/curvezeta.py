@@ -22,8 +22,9 @@ point count: a residue c u with u monic and c in F_q^* takes
 of one byte per prime and residue, whose monic and zero entries, at most
 (q^e - 1)/(q - 1) + 1 of the q^e for a modulus of degree e, are filled as
 the blocks meet them; a table of more than SYMBOL_BUDGET entries is refused
-with a BudgetError.  lambda_character_identity checks the trace identity the
-same way, over prime powers.
+with a BudgetError.  lambda_character_identity checks the trace identity from
+the same prime tables: Lambda(P^j) = deg P and (F/P^j) = (F/P)^j, so it reads
+the symbols of the primes of each degree e | m.
 
 N_r counts points of the smooth projective model: one point above
 x = infinity for odd deg F, two for even deg F (monic leading 1 is a
@@ -48,7 +49,7 @@ import numpy as np
 from . import countfast
 from .errors import BudgetError, DomainError, InternalConsistencyError
 from .polyring import (MonicPoly, _code_iv, _irreducible_ivs, _iv_jacobi, _iv_mod, format_poly,
-                       is_squarefree, von_mangoldt)
+                       is_squarefree)
 
 POINT_BUDGET = 10**6
 # entries of one degree's symbol table (one int8 per modulus and residue).
@@ -86,13 +87,13 @@ class HyperellipticCurve:
         return f"HyperellipticCurve(q={self.field.order}, F={self.F.indices()})"
 
 
-def count_tables(K, rs, budget: int = POINT_BUDGET) -> dict:
-    """{r: the countfast table of F_{q^r}}, built only once every q^r fits the budget."""
+def count_tables(K, rs) -> dict:
+    """{r: the countfast table of F_{q^r}}, built only once every q^r fits POINT_BUDGET."""
     for r in rs:
         if r < 1:
             raise DomainError("extension degree must be >= 1")
-        if K.order**r > budget:
-            raise BudgetError(f"q^r = {K.order}^{r} exceeds point budget {budget}")
+        if K.order**r > POINT_BUDGET:
+            raise BudgetError(f"q^r = {K.order}^{r} exceeds point budget {POINT_BUDGET}")
     return {r: countfast.table(K, r) for r in rs}
 
 
@@ -105,7 +106,7 @@ def _block_rows(curves: list[HyperellipticCurve]):
     return K, np.array([c.F.indices() for c in curves], dtype=np.int64)
 
 
-def point_counts(curves: list[HyperellipticCurve], rs, budget: int = POINT_BUDGET) -> dict[int, list[int]]:
+def point_counts(curves: list[HyperellipticCurve], rs) -> dict[int, list[int]]:
     """{r: N_r of each curve} for a block of curves over one field, all of one degree.
 
     Each r is one call of the countfast kernel for the whole block.
@@ -113,12 +114,12 @@ def point_counts(curves: list[HyperellipticCurve], rs, budget: int = POINT_BUDGE
     K, rows = _block_rows(curves)
     base = curves[0].points_at_infinity
     return {r: (t.chi_sums(rows) + (K.order**r + base)).tolist()
-            for r, t in count_tables(K, rs, budget).items()}
+            for r, t in count_tables(K, rs).items()}
 
 
-def point_count(curve: HyperellipticCurve, r: int, budget: int = POINT_BUDGET) -> int:
+def point_count(curve: HyperellipticCurve, r: int) -> int:
     """N_r, the number of points of the smooth model over F_{q^r}."""
-    return point_counts([curve], [r], budget)[r][0]
+    return point_counts([curve], [r])[r][0]
 
 
 @dataclass(frozen=True)
@@ -357,14 +358,6 @@ class IdentityReport:
 
 
 @functools.lru_cache(maxsize=None)
-def _prime_powers(K, m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(indices, Lambda(f)) for every monic prime power f of degree m over K."""
-    ivs = (_code_iv(code, K.order, m) for code in range(K.order**m))
-    lams = ((tuple(iv), von_mangoldt(MonicPoly.from_indices(K, iv))) for iv in ivs)
-    return tuple((iv, lam) for iv, lam in lams if lam)
-
-
-@functools.lru_cache(maxsize=None)
 def _dense_tables(K) -> tuple[np.ndarray, ...]:
     """K's dense add, mul, inv and chi tables (FieldHandle.tables()) as numpy
     arrays; inv[0] = 0."""
@@ -448,10 +441,11 @@ def lambda_character_identity(zs, m: int) -> list[IdentityReport]:
     """Check -p_m = sum_{deg f = m} Lambda(f) (F/f) + delta exactly, for
     each curve of a block of CurveZeta (one field, one degree).
 
-    The right side runs over every monic polynomial of degree m (the prime
-    powers among them, with their Lambda, are listed once per field and m)
-    and uses the curve's quadratic character (F/f), one symbol per residue
-    of F mod f; the left side comes from the point-count route.
+    Only prime powers f = P^j carry Lambda(f) = deg P, and (F/P^j) = (F/P)^j,
+    so the right side is sum_{e | m} e sum_{deg P = e} (F/P)^(m/e): the
+    symbols of the primes of each degree e | m, from the same tables as the
+    Euler product of l_poly_via_characters.  The left side comes from the
+    point-count route.
     """
     if m < 1:
         raise DomainError("need m >= 1")
@@ -462,10 +456,12 @@ def lambda_character_identity(zs, m: int) -> list[IdentityReport]:
     q = K.order
     if q**m > POINT_BUDGET:
         raise BudgetError(f"enumerating q^m = {q**m} monic polynomials exceeds budget")
-    mods, lams = zip(*_prime_powers(K, m))
-    totals = _jacobi_block(K, rows, mods) @ np.array(lams, dtype=np.int64)
-    delta = zs[0].curve.delta
-    return [IdentityReport(lhs=-z.power_sum(m), rhs=total + delta)
+    totals = zs[0].curve.delta
+    for e in range(1, m + 1):
+        if m % e == 0:  # the primes P of degree e, f = P^(m/e)
+            symbols = _jacobi_block(K, rows, _irreducible_ivs(K, e)) ** (m // e)
+            totals = totals + e * symbols.sum(axis=1, dtype=np.int64)
+    return [IdentityReport(lhs=-z.power_sum(m), rhs=total)
             for z, total in zip(zs, totals.tolist())]
 
 
@@ -480,13 +476,13 @@ class BoundReport:
         return self.lhs <= self.rhs
 
 
-def xz_bound_check(z: CurveZeta, cprime: float = 8.0, ks: tuple[int, ...] = (2, 3)):
+def xz_bound_check(z: CurveZeta, ks: tuple[int, ...] = (2, 3)):
     """Jacobian log bound and the two-sided zeta envelope.
 
     Returns a dict with the N=2 Jacobian bound
         |log N_q(J) - g log q| <= log max(1, log(7g)/log q) + 3
     and, for each k, the envelope |log zeta(k)| <= 2c'(1/sqrt(q) +
-    loglog(g)/q^k), together with the smallest c' that would do.
+    loglog(g)/q^k) at c' = 8, together with the smallest c' that would do.
     """
     q = z.q
     g = z.genus
@@ -498,7 +494,7 @@ def xz_bound_check(z: CurveZeta, cprime: float = 8.0, ks: tuple[int, ...] = (2, 
         zk = zeta_value(z, k)
         lz = abs(math.log(zk.numerator) - math.log(zk.denominator))
         scale = 2.0 * (1.0 / math.sqrt(q) + math.log(math.log(g)) / q**k) if g > 1 else 0.0
-        envelope = cprime * scale
+        envelope = 8.0 * scale
         required = lz / scale if scale > 0 else math.inf
         report[f"zeta_envelope_k{k}"] = BoundReport(f"zeta_envelope_k{k}", lz, envelope)
         report[f"zeta_cprime_required_k{k}"] = required
@@ -546,8 +542,8 @@ def l_poly_via_characters(zs) -> list[list[int]]:
     return c
 
 
-def curve_zeta_json_dict(z: CurveZeta, zeta_ks: tuple[int, ...] = (2, 3, 4)) -> dict:
-    """JSON-ready view: q, gamma, genus, F, N, L_poly, jacobians, zeta values."""
+def curve_zeta_json_dict(z: CurveZeta) -> dict:
+    """JSON-ready view: q, gamma, genus, F, N, L_poly, jacobians, zeta(2..4)."""
     from .emit import frac_str
 
     return {
@@ -559,5 +555,5 @@ def curve_zeta_json_dict(z: CurveZeta, zeta_ks: tuple[int, ...] = (2, 3, 4)) -> 
         "L_poly": list(z.coeffs),
         "jacobian_q": jacobian_count(z, 1),
         "jacobian_q2": jacobian_count(z, 2),
-        "zeta": {str(k): frac_str(zeta_value(z, k)) for k in zeta_ks},
+        "zeta": {str(k): frac_str(zeta_value(z, k)) for k in (2, 3, 4)},
     }

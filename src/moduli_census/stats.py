@@ -149,9 +149,9 @@ def decomposition_residual(z: CurveZeta, variant: str, Z: int | None = None,
             - family_constant(q, gamma, "higgs") - rsum)
 
 
-def residual_envelope(q: int, g: int, C: float = 10.0, c: float = 0.5) -> float:
-    """Configured decay envelope C * q^(-c g) for residual magnitude checks."""
-    return C * q ** (-c * g)
+def residual_envelope(q: int, g: int) -> float:
+    """Decay envelope 10 q^(-g/2) for residual magnitude checks."""
+    return 10.0 * q ** (-0.5 * g)
 
 
 # -- per-curve records and their aggregation --------------------------------
@@ -381,8 +381,7 @@ def limit_covariance(q: int, i: int, j: int, D: int) -> tuple[float, float]:
     return total, tail
 
 
-def characteristic_function(q: int, k: int, t: float, D: int,
-                            n_max: int = 40) -> complex:
+def characteristic_function(q: int, k: int, t: float, D: int) -> complex:
     """phi(t) of the limiting variable: distinct-prime expansion.
 
     `q` is the order of the coefficient field of the primes (pass q^2 for
@@ -403,7 +402,8 @@ def characteristic_function(q: int, k: int, t: float, D: int,
             / (1.0 + q ** (-e))
         weights.append(w)
         counts.append(prime_count(q, e))
-    # elementary symmetric functions of the weight multiset via Newton
+    # elementary symmetric functions of degree <= 40 of the weight multiset via Newton
+    n_max = 40
     pw = [complex(0)] * (n_max + 1)
     for jj in range(1, n_max + 1):
         pw[jj] = sum(c * w**jj for c, w in zip(counts, weights))

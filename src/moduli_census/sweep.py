@@ -51,7 +51,6 @@ class SweepConfig:
     compute_moduli: bool = True
     compute_zeta: bool = True
     max_n: int = 4
-    moment_D: int | None = None
 
     @property
     def cutoff(self) -> int:
@@ -197,7 +196,7 @@ def build_report(records: list[FamilyRecord], cfg: SweepConfig) -> SweepReport:
         "count": len(records), "seed": cfg.seed, "Z": cfg.cutoff,
         "convention": cfg.convention,
     }
-    D = cfg.moment_D or 2 * cfg.gamma
+    D = 2 * cfg.gamma
     theo_m: dict = {}
     for k in sorted(records[0].R.keys()):
         theo_m[str(k)] = {}

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from moduli_census import countfast, curvezeta
 from moduli_census.errors import BudgetError, DomainError, InternalConsistencyError
 from moduli_census.ffield import extend_field, make_field
-from moduli_census.polyring import FamilySpec, MonicPoly, _code_iv, _irreducible_ivs, family, parse_poly
+from moduli_census.polyring import (FamilySpec, MonicPoly, _code_iv, _irreducible_ivs, family, parse_poly,
+                                    von_mangoldt)
 from moduli_census.curvezeta import (
     HyperellipticCurve,
     check_riemann_hypothesis,
@@ -387,12 +388,21 @@ def reference_l_poly(z) -> list[int]:
     return b[: 2 * g + 1]
 
 
+@functools.lru_cache(maxsize=None)
+def prime_powers(K, m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(indices, Lambda(f)) for every monic prime power f of degree m over K,
+    found by running von_mangoldt on all q^m monic polynomials."""
+    ivs = (_code_iv(code, K.order, m) for code in range(K.order**m))
+    lams = ((tuple(iv), von_mangoldt(MonicPoly.from_indices(K, iv))) for iv in ivs)
+    return tuple((iv, lam) for iv, lam in lams if lam)
+
+
 def reference_lambda_rhs(z, m: int) -> int:
-    """sum over the prime powers f of degree m of Lambda(f) (F/f), plus delta."""
-    from moduli_census.curvezeta import _prime_powers
+    """sum over the prime powers f of degree m of Lambda(f) (F/f), plus delta:
+    one reciprocity symbol per curve and prime power, no prime table."""
     from moduli_census.polyring import _iv_jacobi
     K, F_iv = z.curve.field, z.curve.F.indices()
-    return sum(lam * _iv_jacobi(F_iv, list(f), K) for f, lam in _prime_powers(K, m)) + z.curve.delta
+    return sum(lam * _iv_jacobi(F_iv, list(f), K) for f, lam in prime_powers(K, m)) + z.curve.delta
 
 
 def blocks(zs, size):
@@ -456,6 +466,19 @@ def test_lambda_identity_blocks_match_per_curve_sum(families, size):
         assert [rep.lhs for rep in reps] == [-z.power_sum(m) for z in zs]
 
 
+def test_lambda_identity_over_tower_field():
+    # 40 draws of H_{5,9} over F_9 = F_3[i]; m = 2 meets the squares P^2 of
+    # the degree-1 primes and m = 3 the cubes
+    K9 = extend_field(F3, 2)
+    spec = FamilySpec(K9, 5, mode="sample", count=40, seed=7)
+    zs = list(zeta_data_block([HyperellipticCurve(F) for F in family(spec)]))
+    assert any(i >= 3 for z in zs for i in z.curve.F.indices())  # outside F_3
+    for m in (1, 2, 3):
+        reps = lambda_character_identity(zs, m)
+        assert [rep.rhs for rep in reps] == [reference_lambda_rhs(z, m) for z in zs]
+        assert all(rep.holds for rep in reps)
+
+
 def test_lambda_identity_budget(z55):
     with pytest.raises(BudgetError):
         lambda_character_identity([z55], 13)  # 3^13 > POINT_BUDGET
@@ -487,9 +510,9 @@ def test_character_route_needs_no_point_count(families, monkeypatch, fresh_symbo
 def test_validate_zeta_and_lambda_symbol_count(monkeypatch, fresh_symbols):
     # at most one symbol per monic or zero residue of each prime P of degree
     # e <= 4 over F_5, (5^e - 1)/4 + 1 of them: 5*2 + 10*7 + 40*32 + 150*157
-    # = 24910, and at most 15*7 = 105 for the 15 lambda moduli of degree 2
-    # (the primes of degree 1 share the zeta suite's table); the bound is
-    # 24910 + 105 = 25015
+    # = 24910.  The lambda suite (m = 1, 2) reads only the tables of the
+    # primes of degree 1 and 2, which the zeta suite has already filled for
+    # the same blocks, so it adds no symbol: the bound is 24910
     from moduli_census.validate import run_suite
     calls = []
     real = curvezeta._iv_jacobi
@@ -501,7 +524,7 @@ def test_validate_zeta_and_lambda_symbol_count(monkeypatch, fresh_symbols):
     monkeypatch.setattr(curvezeta, "_iv_jacobi", counting)
     results = run_suite("zeta", 5, 5) + run_suite("lambda", 5, 5)
     assert all(res.ok for res in results)
-    assert len(calls) <= 25_015
+    assert len(calls) <= 24_910
 
 
 
@@ -514,15 +537,15 @@ def test_jacobi_block_matches_reciprocity_per_entry(K, fresh_symbols):
     # digit 1, -1 and one more (outside F_3 over F_9), c f (x + a) for two
     # moduli f (so f | F), and random rows; moduli of odd and even degree,
     # and the prime powers of degree 2, (x - a)^2 among them
-    from moduli_census.curvezeta import _jacobi_block, _prime_powers
+    from moduli_census.curvezeta import _jacobi_block
     from moduli_census.polyring import _iv_jacobi, _iv_trim
     n = K.order
     _add, mul, _inv, _chi, neg = K.tables()
     rng = np.random.default_rng(n)
     leads = list(dict.fromkeys([1, neg[1], 2, n - 1]))
-    cases = [_irreducible_ivs(K, e) for e in (1, 2, 3)] + [tuple(f for f, _ in _prime_powers(K, 2))]
+    cases = [_irreducible_ivs(K, e) for e in (1, 2, 3)] + [tuple(f for f, _ in prime_powers(K, 2))]
     if n == 3:
-        cases.append(tuple(f for f, _ in _prime_powers(K, 4)))  # P^2, P of degree 2
+        cases.append(tuple(f for f, _ in prime_powers(K, 4)))  # P^2, P of degree 2
     for mods in cases:
         e = len(mods[0]) - 1
         rows = [[0] * 6]

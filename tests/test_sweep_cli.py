@@ -368,9 +368,13 @@ def test_cli_validate_over_symbol_budget(monkeypatch, capsys):
         " has 1458 entries, more than the budget 1457"]
 
 
-def test_cli_validate_reports_a_character_route_mismatch(monkeypatch):
-    # flip one cached symbol, (1/x) over F_3: every F with F(0) = 1 then
-    # disagrees with its point counts in the coefficient of t
+@pytest.fixture
+def flipped_symbol(monkeypatch):
+    """Fresh symbol tables whose symbol (1/x) over F_3 has the wrong sign.
+
+    Every residue c = c * 1 mod x takes chi(c) (1/x), so (F/x) is wrong for
+    every F with F(0) != 0: 122 of the 162 curves of H_{5,3}.
+    """
     from moduli_census import curvezeta
     real = curvezeta._residue_symbol
 
@@ -381,6 +385,10 @@ def test_cli_validate_reports_a_character_route_mismatch(monkeypatch):
     monkeypatch.setattr(curvezeta, "_residue_symbol", flipped)
     monkeypatch.setattr(curvezeta, "_symbol_table",
                         functools.lru_cache(maxsize=None)(curvezeta._symbol_table.__wrapped__))
+
+
+def test_cli_validate_reports_a_character_route_mismatch(flipped_symbol):
+    # those F disagree with their point counts in the coefficient of t
     code, out = run_cli("validate", "--suite", "zeta", "--q", "3", "--gamma", "5")
     assert code == 1
     lines = out.splitlines()
@@ -388,6 +396,26 @@ def test_cli_validate_reports_a_character_route_mismatch(monkeypatch):
     assert lines[1] == "PASS zeta.functional_equation - 162 curves"
     assert lines[2].startswith("FAIL zeta.character_route - character-route mismatch for F = 1,")
     assert lines[3] == "FAILED: 2/3 checks passed"
+
+
+def test_cli_validate_reports_a_lambda_identity_violation(flipped_symbol):
+    # those F break the identity at m = 1; at m = 2, (F/x)^2 is unchanged
+    code, out = run_cli("validate", "--suite", "lambda", "--q", "3", "--gamma", "5")
+    assert code == 1
+    assert out.splitlines() == ["FAIL lambda.identity - 162 curves, m in {1,2}, 122 violations",
+                                "FAILED: 0/1 checks passed"]
+
+
+# sha256 of the stdout of `validate --suite all` at (q, gamma)
+@pytest.mark.parametrize("q,gamma,sha", [
+    (3, 5, "6729cffe5a60bcd29cf5f10186c71ae04467f3b52749c7fb246bd56c3fa88a41"),
+    (3, 6, "e6cfa136004878595117a6eade104e515e4bc32e58431832f62e3ebbae1f17a1"),
+    (5, 5, "85880803b477736dc1b180960029e0ca12ad0a67a30f1016ace74b88c383fe13"),
+], ids=["q3-gamma5", "q3-gamma6", "q5-gamma5"])
+def test_cli_validate_golden_bytes(q, gamma, sha):
+    code, out = run_cli("validate", "--suite", "all", "--q", str(q), "--gamma", str(gamma))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 @pytest.mark.parametrize("target", ["m_rd", "ms20"])
