@@ -294,13 +294,27 @@ def zeta_value(z: CurveZeta, k: int) -> Fraction:
         raise DomainError("zeta value has a pole at k <= 1; need k >= 2")
     cached = z._cache.get(k)
     if cached is None:
-        # q^(nk) P(q^-k) = sum c_i q^(k(n-i)) is an integer, n = deg P = 2g
-        q, n = z.q, len(z.coeffs) - 1
-        num = sum(c * q ** (k * (n - i)) for i, c in enumerate(z.coeffs))
-        cached = Fraction(num * q ** (2 * k - 1),
-                          q ** (n * k) * (q**k - 1) * (q ** (k - 1) - 1))
+        scale = zeta_scale(z.q, z.genus, k)
+        cached = Fraction(zeta_numerator(z, k) * scale.numerator, scale.denominator)
         z._cache[k] = cached
     return cached
+
+
+@functools.lru_cache(maxsize=256)
+def zeta_scale(q: int, g: int, k: int) -> Fraction:
+    """zeta_value(z, k) / zeta_numerator(z, k) for every genus-g curve over F_q:
+    q^(2k-1) / (q^(2gk) (q^k-1) (q^(k-1)-1))."""
+    return Fraction(q ** (2 * k - 1), q ** (2 * g * k) * (q**k - 1) * (q ** (k - 1) - 1))
+
+
+def zeta_numerator(z: CurveZeta, k: int) -> int:
+    """Z_k = q^(2gk) P(q^-k) = sum c_i q^(k(2g-i)), the integer that
+    zeta_value(z, k) is built on."""
+    x = z.q**k
+    acc = 0
+    for c in z.coeffs:
+        acc = acc * x + c
+    return acc
 
 
 def jacobian_count(z: CurveZeta, r: int) -> int:
@@ -325,13 +339,22 @@ def epsilon_terms(z: CurveZeta, k: int, Z: int) -> tuple[Fraction, float]:
     if Z < 1:
         raise DomainError("need Z >= 1")
     q = z.q
-    eps1 = -sum(Fraction(z.power_sum(m), m * q ** (k * m)) for m in range(1, Z + 1))
+    weights, den = _eps1_weights(q, k, Z)
+    eps1 = Fraction(-sum(w * z.power_sum(m) for m, w in enumerate(weights, 1)), den)
     zk = zeta_value(z, k)
     log_lhs = (math.log(zk.numerator) - math.log(zk.denominator)
                - (2 * k - 1) * math.log(q)
                + math.log((q**k - 1) * (q ** (k - 1) - 1)))
     eps2 = log_lhs - float(eps1)
     return eps1, eps2
+
+
+@functools.lru_cache(maxsize=256)
+def _eps1_weights(q: int, k: int, Z: int) -> tuple[tuple[int, ...], int]:
+    """(w_1..w_Z, D): D = lcm(m q^(km)) over m <= Z and w_m = D / (m q^(km))."""
+    dens = [m * q ** (k * m) for m in range(1, Z + 1)]
+    den = math.lcm(*dens)
+    return tuple(den // d for d in dens), den
 
 
 def epsilon_bounds(z: CurveZeta, k: int, Z: int) -> tuple[float, float]:

@@ -19,9 +19,15 @@ whether that hypothesis actually holds for the curve.
 Each count's value comes from count_value: an integer polynomial in the
 curve's own integers (MONOMIALS) over a denominator that depends only on
 (q, g, target, r, d mod r), both cached per key.  The count_* reports
-build their components and cross-checks around that value from the
-Fraction route (BetaTable, unstable_mass, the component assemblies), so
-every cross-check compares two different computations.
+build their components and cross-checks around that value from the value
+route: siegel_mass, BetaTable, unstable_mass and the component
+assemblies.  That route also runs on integer numerators over cached
+denominators, keyed by (q, g, r) for the Siegel mass and by
+(q, g, partition, d) for each Harder-Narasimhan stratum, and builds one
+Fraction per returned value.  It stays apart from count_value: its
+constants are its own, and BetaTable runs the Harder-Narasimhan recursion
+on the curve's values instead of reading count_value's forms, so every
+cross-check still compares two different computations.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .curvezeta import CurveZeta, jacobian_count, zeta_value
+from .curvezeta import CurveZeta, jacobian_count, zeta_numerator, zeta_scale, zeta_value
 from .errors import DomainError, UnsupportedRankError
 
 SUPPORTED_PARTITIONS = ((1, 1), (2, 1), (1, 2), (1, 1, 1))
@@ -78,46 +84,42 @@ def _check(expected: Fraction, got: Fraction) -> dict:
 def siegel_mass(z: CurveZeta, r: int) -> Fraction:
     """Total mass of rank-r fixed-determinant bundles:
     q^((r^2-1)(g-1)) zeta(2)...zeta(r) / (q-1)."""
-    if not 2 <= r <= 4:
-        raise DomainError("rank must be between 2 and 4")
-    g = z.genus
-    if g < 2:
-        raise DomainError("needs genus >= 2")
-    q = z.q
-    out = Fraction(q ** ((r * r - 1) * (g - 1)), q - 1)
-    for k in range(2, r + 1):
-        out *= zeta_value(z, k)
-    return out
+    return Fraction(*_siegel_pair(z, r))
 
 
 class BetaTable:
     """Memo of semistable masses beta(r, d) for one curve; r <= 3.
 
     beta depends only on d mod r (twisting by a line bundle of degree 1),
-    so the memo is keyed that way.
+    so the memo is keyed that way.  It runs the Harder-Narasimhan recursion
+    on the curve's own integers: each entry is the integer numerator of
+    beta(r, d) over a denominator cached per (q, g, r, d mod r), and the
+    rank-3 strata read the rank-2 numerators.  It never reads count_value's
+    forms, so count_stable_fixed_det's beta_table check still compares two
+    computations.
     """
 
     def __init__(self, z: CurveZeta):
         self.z = z
-        self._memo: dict[tuple[int, int], Fraction] = {}
+        self.q, self.g, self.nj = z.q, z.genus, jacobian_count(z, 1)
+        self._memo: dict[tuple[int, int], int] = {}
 
     def beta(self, r: int, d: int) -> Fraction:
         if r == 1:
-            return Fraction(1, self.z.q - 1)
+            return Fraction(1, self.q - 1)
         if r not in EXACT_RANKS:
             raise UnsupportedRankError("beta implemented for ranks 1..3")
-        key = (r, d % r)
-        val = self._memo.get(key)
+        d %= r
+        return Fraction(self.numerator(r, d), _beta_const(self.q, self.g, r, d)[1])
+
+    def numerator(self, r: int, d: int) -> int:
+        """beta(r, d) times _beta_const's denominator, for r in EXACT_RANKS and 0 <= d < r."""
+        val = self._memo.get((r, d))
         if val is None:
-            dd = d % r
-            val = siegel_mass(self.z, r)
-            if r == 2:
-                val -= unstable_mass(self.z, (1, 1), dd, self)
-            else:
-                val -= unstable_mass(self.z, (1, 1, 1), dd, self)
-                val -= unstable_mass(self.z, (2, 1), dd, self)
-                val -= unstable_mass(self.z, (1, 2), dd, self)
-            self._memo[key] = val
+            nums = [_siegel_pair(self.z, r)[0]] + [_stratum_pair(self, p, d)[0] for p in _STRATA[r]]
+            mults, _ = _beta_const(self.q, self.g, r, d)
+            val = sum(m * n for m, n in zip(mults, nums))
+            self._memo[(r, d)] = val
         return val
 
 
@@ -135,19 +137,102 @@ def unstable_mass(z: CurveZeta, partition: tuple[int, ...], d: int,
                                    " (total rank must be <= 3)")
     if table is None:
         table = BetaTable(z)
-    q = z.q
+    return Fraction(*_stratum_pair(table, partition, d))
+
+
+def beta(z: CurveZeta, r: int, d: int, table: BetaTable | None = None) -> Fraction:
+    """Semistable mass beta(r, d) = Siegel mass minus the unstable strata."""
+    if table is None:
+        table = BetaTable(z)
+    return table.beta(r, d)
+
+
+# -- the value route: integer numerators over cached denominators --------------
+#
+# Each curve-independent factor of siegel_mass, beta and unstable_mass is a
+# constant cached per (q, g, r) or (q, g, partition, d): integers a_i over
+# one denominator D.  A curve multiplies them by its own integers (P(1),
+# Z_k = q^(2gk) P(q^-k) and the numerators of its beta(2, e)) and builds one
+# Fraction per returned value.  count_value's forms (_beta_form) share only
+# the geometric tails with these constants: one wrong constant shared by
+# both would reach both sides of the beta_table check and pass it.
+
+_STRATA = {2: ((1, 1),), 3: ((1, 1, 1), (2, 1), (1, 2))}  # the HN strata of rank r
+
+
+def _common_den(*coefs) -> tuple[tuple[int, ...], int]:
+    """(a_i, D) with coefs[i] = a_i / D, D the lcm of their denominators."""
+    den = math.lcm(*(Fraction(c).denominator for c in coefs))
+    return tuple(int(c * den) for c in coefs), den
+
+
+def _siegel_pair(z: CurveZeta, r: int) -> tuple[int, int]:
+    """siegel_mass as (a Z_2 ... Z_r, D)."""
+    if not 2 <= r <= 4:
+        raise DomainError("rank must be between 2 and 4")
     g = z.genus
-    nj = jacobian_count(z, 1)
-    Q = Fraction(q)
-    if len(partition) == 2:
-        n1, n2 = partition
-        total = Fraction(0)
-        for first, tail in _two_step_tails(q, n1, n2, d):
-            b1 = table.beta(n1, first % n1) if n1 > 1 else Fraction(1, q - 1)
-            b2 = table.beta(n2, (d - first) % n2) if n2 > 1 else Fraction(1, q - 1)
-            total += b1 * b2 * tail
-        return nj * Q ** (n1 * n2 * (g - 1) + d * n1) * total
-    return Fraction(nj * nj, (q - 1) ** 3) * Q ** (3 * (g - 1)) * _three_step_total(q, d % 3)
+    if g < 2:
+        raise DomainError("needs genus >= 2")
+    (num,), den = _siegel_const(z.q, g, r)
+    for k in range(2, r + 1):
+        num *= zeta_numerator(z, k)
+    return num, den
+
+
+@functools.lru_cache(maxsize=256)
+def _siegel_const(q: int, g: int, r: int) -> tuple[tuple[int], int]:
+    """q^((r^2-1)(g-1)) / (q-1) times zeta(k) / Z_k for k = 2..r."""
+    c = Fraction(q) ** ((r * r - 1) * (g - 1)) / (q - 1)
+    for k in range(2, r + 1):
+        c *= zeta_scale(q, g, k)
+    return _common_den(c)
+
+
+def _stratum_pair(table: BetaTable, partition: tuple[int, ...], d: int) -> tuple[int, int]:
+    """unstable_mass of the table's curve as (numerator, D), D cached with _stratum_const."""
+    nj = table.nj
+    w, den = _stratum_const(table.q, table.g, partition, d)
+    if len(partition) == 3:
+        return nj * nj * w[0], den
+    if partition == (1, 1):
+        return nj * w[0], den
+    return nj * (w[0] * table.numerator(2, 0) + w[1] * table.numerator(2, 1)), den
+
+
+@functools.lru_cache(maxsize=1024)
+def _stratum_const(q: int, g: int, partition: tuple[int, ...], d: int) -> tuple[tuple[int, ...], int]:
+    """(w, W): the stratum's mass is nj^2 w_0 / W for (1,1,1), nj w_0 / W for
+    (1,1), and nj (w_0 B_0 + w_1 B_1) / W for (2,1) and (1,2), B_e being the
+    curve's BetaTable numerator of beta(2, e).
+
+    For two steps, w_e / W sums Q^(n1 n2 (g-1) + d n1) times the tail of
+    each residue class whose rank-2 factor has degree e mod 2, with the
+    rank-1 factors 1/(q-1) and the rank-2 denominators folded in.
+    """
+    if len(partition) == 3:
+        return _common_den(Fraction(q) ** (3 * (g - 1)) / (q - 1) ** 3 * _three_step_total(q, d % 3))
+    n1, n2 = partition
+    scale = Fraction(q) ** (n1 * n2 * (g - 1) + d * n1)
+    w = [Fraction(0), Fraction(0)]
+    for first, tail in _two_step_tails(q, n1, n2, d):
+        c, e = scale * tail, 0
+        for n, deg in ((n1, first), (n2, d - first)):
+            if n == 1:
+                c /= q - 1
+            else:
+                e = deg % 2
+                c /= _beta_const(q, g, 2, e)[1]
+        w[e] += c
+    return _common_den(*w)
+
+
+@functools.lru_cache(maxsize=256)
+def _beta_const(q: int, g: int, r: int, d: int) -> tuple[tuple[int, ...], int]:
+    """(m, D) for 0 <= d < r: D beta(r, d) = m_0 S - m_1 U_1 - m_2 U_2 - ...,
+    S and U_i the numerators of the Siegel pair and of the _STRATA[r] pairs."""
+    dens = [_siegel_const(q, g, r)[1]] + [_stratum_const(q, g, p, d)[1] for p in _STRATA[r]]
+    den = math.lcm(*dens)
+    return tuple(den // dd if i == 0 else -(den // dd) for i, dd in enumerate(dens)), den
 
 
 @functools.lru_cache(maxsize=256)
@@ -171,13 +256,6 @@ def _three_step_total(q: int, d: int) -> Fraction:
     x = Fraction(1, q**2)
     geom = [x**3 / (1 - x**3), x / (1 - x**3), x**2 / (1 - x**3)]
     return sum((geom[(s + d) % 3] * geom[s] for s in range(3)), Fraction(0))
-
-
-def beta(z: CurveZeta, r: int, d: int, table: BetaTable | None = None) -> Fraction:
-    """Semistable mass beta(r, d) = Siegel mass minus the unstable strata."""
-    if table is None:
-        table = BetaTable(z)
-    return table.beta(r, d)
 
 
 def genus2_oracle(z: CurveZeta) -> int:
@@ -231,11 +309,6 @@ def _mul_forms(a, b) -> tuple:
     return tuple(out.items())
 
 
-def _zeta_scale(q: int, g: int, k: int) -> Fraction:
-    """zeta_value(z, k) / Z_k."""
-    return Fraction(q ** (2 * k - 1), q ** (2 * g * k) * (q**k - 1) * (q ** (k - 1) - 1))
-
-
 @functools.lru_cache(maxsize=256)
 def _beta_form(q: int, g: int, r: int, d: int) -> tuple:
     """beta(r, d) for 0 <= d < r as a form: BetaTable.beta, with the forms
@@ -244,7 +317,7 @@ def _beta_form(q: int, g: int, r: int, d: int) -> tuple:
         return ((_mono(), Fraction(1, q - 1)),)
     mass = Fraction(q ** ((r * r - 1) * (g - 1)), q - 1)
     for k in range(2, r + 1):
-        mass *= _zeta_scale(q, g, k)
+        mass *= zeta_scale(q, g, k)
     terms = [(mass, ((_mono(*(f"Z{k}" for k in range(2, r + 1))), 1),))]
     Q = Fraction(q)
     nj = ((_mono("nj"), 1),)
@@ -263,7 +336,7 @@ def _count_form(q: int, g: int, target: str, r: int, d: int) -> tuple:
     if target == "m_rd":
         return _sum_forms((q - 1, _beta_form(q, g, r, d)))
     two2g = 2 ** (2 * g)
-    ms20 = ((_mono("Z2"), q ** (3 * g - 3) * _zeta_scale(q, g, 2)),
+    ms20 = ((_mono("Z2"), q ** (3 * g - 3) * zeta_scale(q, g, 2)),
             (_mono("nj"), -Fraction(q ** (g + 1) - q**2 + q, (q - 1) ** 2 * (q + 1))),
             (_mono("nj", "P(-1)"), -Fraction(1, 2 * (q + 1))),
             (_mono(), Fraction(two2g, 2 * (q + 1))))
@@ -290,8 +363,7 @@ def _count_vector(q: int, g: int, target: str, r: int, d: int) -> tuple[tuple[in
     """(N_j, D): the count is sum_j N_j m_j / D over the curve's MONOMIALS m_j."""
     form = dict(_count_form(q, g, target, r, d))
     assert set(form) <= set(MONOMIALS), set(form) - set(MONOMIALS)
-    den = math.lcm(*(Fraction(c).denominator for c in form.values()))
-    return tuple(int(form.get(m, 0) * den) for m in MONOMIALS), den
+    return _common_den(*(form.get(m, 0) for m in MONOMIALS))
 
 
 def _horner(coeffs, x: int) -> int:
@@ -309,7 +381,7 @@ def _monomial_values(z: CurveZeta) -> tuple[int, ...]:
         q, c = z.q, z.coeffs
         f = {"nj": sum(c), "P(-1)": sum(c[0::2]) - sum(c[1::2]), "P(q)": _horner(c[::-1], q),
              "P'(1)": sum(i * ci for i, ci in enumerate(c)),
-             "Z2": _horner(c, q**2), "Z3": _horner(c, q**3)}
+             "Z2": zeta_numerator(z, 2), "Z3": zeta_numerator(z, 3)}
         vals = tuple(math.prod(f[x] for x in m) for m in MONOMIALS)
         z._cache["monomials"] = vals
     return vals
@@ -359,15 +431,22 @@ def count_stable_fixed_det(z: CurveZeta, r: int, d: int,
     report.components["siegel_mass"] = siegel_mass(z, r)
     if r == 2:
         g = z.genus
-        nj = jacobian_count(z, 1)
-        alt = (Fraction(q ** (3 * g - 3)) * zeta_value(z, 2)
-               - Fraction(q ** (g - 1 + (d % 2)) * nj, (q - 1) ** 2 * (q + 1)))
+        (c_z2, c_nj), den = _closed_form_const(q, g, d % 2)
+        alt = Fraction(c_z2 * zeta_numerator(z, 2) - c_nj * jacobian_count(z, 1), den)
         report.cross_checks["closed_form"] = _check(alt, value)
         if g == 2:
             report.cross_checks["genus2_oracle"] = _check(
                 Fraction(genus2_oracle(z)), value)
     report.cross_checks["beta_table"] = _check((q - 1) * b, value)
     return report
+
+
+@functools.lru_cache(maxsize=256)
+def _closed_form_const(q: int, g: int, parity: int) -> tuple[tuple[int, int], int]:
+    """((a, b), D): q^(3g-3) zeta(2) - q^(g-1+parity) P(1) / ((q-1)^2 (q+1))
+    is (a Z_2 - b P(1)) / D."""
+    return _common_den(q ** (3 * g - 3) * zeta_scale(q, g, 2),
+                       Fraction(q ** (g - 1 + parity), (q - 1) ** 2 * (q + 1)))
 
 
 def _proj_count(q: int, m: int) -> Fraction:
@@ -388,23 +467,15 @@ def count_ms20(z: CurveZeta) -> ModuliReport:
     both reported).
     """
     closed = count_value(z, "ms20")
-    g = z.genus
-    q = z.q
     nj = jacobian_count(z, 1)
     nj2 = jacobian_count(z, 2)
-    two2g = 2 ** (2 * g)
-    main = Fraction(q ** (3 * g - 3)) * zeta_value(z, 2)
-    beta_prime = Fraction(nj * q ** (g - 1), (q - 1) ** 3 * (q + 1))
+    two2g = 2 ** (2 * z.genus)
+    xs = (zeta_numerator(z, 2), nj, nj2, 1)
+    beta_prime, beta1, beta2, assembly = (
+        Fraction(sum(a * x for a, x in zip(nums, xs)), den)
+        for nums, den in _ms20_consts(z.q, z.genus))
     a_size = Fraction(nj - two2g, 2)
     b_size = Fraction(nj2 - nj, 2)
-    p_g2 = _proj_count(q, g - 2)
-    p_g1 = _proj_count(q, g - 1)
-    beta1 = (a_size / (q - 1) ** 2
-             + 2 * a_size * p_g2 / (q - 1)
-             + b_size / (q**2 - 1))
-    n_gl2 = (q**2 - 1) * (q**2 - q)
-    beta2 = Fraction(two2g, n_gl2) + Fraction(two2g) * p_g1 / (q * (q - 1))
-    assembly = main - (q - 1) * (beta_prime + beta1 + beta2)
     report = ModuliReport(target="ms20", value=closed)
     report.hypotheses["full_2_torsion"] = _full_2_torsion(z)
     report.cross_checks["component_assembly"] = _check(closed, assembly)
@@ -416,6 +487,28 @@ def count_ms20(z: CurveZeta) -> ModuliReport:
         "B_size": b_size,
     })
     return report
+
+
+@functools.lru_cache(maxsize=64)
+def _ms20_consts(q: int, g: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """count_ms20's beta'(2,0), beta_1, beta_2 and component assembly, each as
+    (a, D) with the value a . (Z_2, P(1), N_{q^2}(J), 1) / D.
+
+    beta_1 = A/(q-1)^2 + 2 A N(P^(g-2))/(q-1) + B/(q^2-1) with
+    A = (P(1) - 4^g)/2 and B = (N_{q^2}(J) - P(1))/2; beta_2 = 4^g/|GL_2(F_q)|
+    + 4^g N(P^(g-1))/(q(q-1)); the assembly is
+    q^(3g-3) zeta(2) - (q-1)(beta'(2,0) + beta_1 + beta_2).
+    """
+    two2g = 2 ** (2 * g)
+    k_a = (Fraction(1, (q - 1) ** 2) + 2 * _proj_count(q, g - 2) / (q - 1)) / 2
+    k_b = Fraction(1, 2 * (q**2 - 1))
+    beta_prime = (0, Fraction(q ** (g - 1), (q - 1) ** 3 * (q + 1)), 0, 0)
+    beta1 = (0, k_a - k_b, k_b, -two2g * k_a)
+    beta2 = (0, 0, 0, Fraction(two2g, (q**2 - 1) * (q**2 - q))
+             + two2g * _proj_count(q, g - 1) / (q * (q - 1)))
+    main = (q ** (3 * g - 3) * zeta_scale(q, g, 2), 0, 0, 0)
+    assembly = tuple(m - (q - 1) * (a + b + c) for m, a, b, c in zip(main, beta_prime, beta1, beta2))
+    return tuple(_common_den(*form) for form in (beta_prime, beta1, beta2, assembly))
 
 
 def _full_2_torsion(z: CurveZeta) -> bool:

@@ -10,6 +10,7 @@ ride along in the detail text.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,7 +27,8 @@ from .curvezeta import (
     xz_bound_check,
     zeta_data,
     zeta_data_block,
-    zeta_value,
+    zeta_numerator,
+    zeta_scale,
 )
 from .errors import BudgetError, InternalConsistencyError
 from .ffield import make_field
@@ -134,18 +136,13 @@ def suite_unstable(q: int, gamma: int, zs):
     duality_ok = True
     for z in zs:
         n += 1
-        g = z.genus
         nj = jacobian_count(z, 1)
-        bp = Fraction(nj * q ** (g - 1), (q - 1) ** 3 * (q + 1))
-        if unstable_mass(z, (1, 1), 0) != bp:
-            closed_ok = False
-        uns3 = Fraction(q**5 * nj * nj * q ** (3 * (g - 1)),
-                        (q - 1) ** 3 * (q**2 - 1) * (q**3 - 1))
-        uns41 = (Fraction(q**6 * nj * q ** (2 * (g - 1)), (q - 1) * (q**6 - 1))
-                 * (2 * Fraction(q ** (3 * (g - 1))) * zeta_value(z, 2) / (q - 1)
-                    - Fraction(q ** (g - 1) * nj, (q - 1) ** 3 * (q + 1))
-                    - Fraction(q**g * nj, (q - 1) ** 3 * (q + 1))))
+        c_bp, c_3, (a_41, b_41, den_41) = _unstable_envelopes(q, z.genus)
         tab = BetaTable(z)
+        if unstable_mass(z, (1, 1), 0, tab) != c_bp * nj:
+            closed_ok = False
+        uns3 = c_3 * (nj * nj)
+        uns41 = Fraction(nj * (a_41 * zeta_numerator(z, 2) - b_41 * nj), den_41)
         for d in (0, 1, 2):
             c111 = unstable_mass(z, (1, 1, 1), d, tab)
             c21 = unstable_mass(z, (2, 1), d, tab)
@@ -159,6 +156,22 @@ def suite_unstable(q: int, gamma: int, zs):
                       f"{n} curves, d in {{0,1,2}}")
     yield CheckResult("unstable.transpose_duality", duality_ok,
                       "C(2,1; d) = C(1,2; -d) family-wide")
+
+
+@functools.lru_cache(maxsize=64)
+def _unstable_envelopes(q: int, g: int) -> tuple[Fraction, Fraction, tuple[int, int, int]]:
+    """suite_unstable's curve-independent factors, for P(1) = nj and
+    zeta(2) = Z_2 zeta_scale(q, g, 2): beta'(2,0) = c_bp nj, the (1,1,1)
+    envelope c_3 nj^2, and the (2,1) envelope
+    c_41 nj (2 q^(3(g-1)) zeta(2) / (q-1) - (q^(g-1) + q^g) nj / ((q-1)^3 (q+1)))
+    = nj (a Z_2 - b nj) / D, returned as (c_bp, c_3, (a, b, D))."""
+    c_bp = Fraction(q ** (g - 1), (q - 1) ** 3 * (q + 1))
+    c_3 = Fraction(q**5 * q ** (3 * (g - 1)), (q - 1) ** 3 * (q**2 - 1) * (q**3 - 1))
+    c_41 = Fraction(q**6 * q ** (2 * (g - 1)), (q - 1) * (q**6 - 1))
+    a = c_41 * 2 * q ** (3 * (g - 1)) * zeta_scale(q, g, 2) / (q - 1)
+    b = c_41 * (q + 1) * c_bp
+    den = math.lcm(a.denominator, b.denominator)
+    return c_bp, c_3, (int(a * den), int(b * den), den)
 
 
 def suite_crossval(q: int, gamma: int, zs):

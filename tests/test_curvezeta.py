@@ -301,6 +301,11 @@ def test_epsilon_terms(z55):
            + math.log((q**k - 1) * (q ** (k - 1) - 1)))
     assert abs(float(e1) + e2 - lhs) < 1e-12
     assert abs(e2) < 1e-12
+    # eps1 over its cached common denominator against the plain sum, Z past 2g too
+    for k in (2, 3):
+        for Z in range(1, 7):
+            ref = -sum(Fraction(z55.power_sum(m), m * q ** (k * m)) for m in range(1, Z + 1))
+            assert epsilon_terms(z55, k, Z)[0] == ref, (k, Z)
 
 
 def test_lambda_character_identity(z55):

@@ -11,6 +11,7 @@ from moduli_census.curvezeta import (HyperellipticCurve, jacobian_count, zeta_da
                                     zeta_value)
 from moduli_census.moduli import (
     COUNT_TARGETS,
+    SUPPORTED_PARTITIONS,
     BetaTable,
     beta,
     count_higgs,
@@ -435,6 +436,28 @@ def test_integer_forms_match_fraction_expressions():
         higgs = count_higgs(z)
         assert higgs.components["A_3"] == _ref_higgs_a3(z)
         assert higgs.value == _ref_higgs(z)
+
+
+@pytest.mark.parametrize("q,gamma,step", [(5, 5, 25), (3, 7, 15)], ids=["H55", "H73"])
+def test_value_route_matches_fraction_references(q, gamma, step):
+    # siegel_mass, beta and unstable_mass on integer numerators over cached
+    # denominators, against the plain Fraction expressions: every partition and
+    # d in -4..4, on every step-th curve of a genus-2 family over F_5 and of a
+    # genus-3 family over F_3, through one shared BetaTable and a fresh one
+    zs = _family_zetas(q, gamma)[::step]
+    assert len(zs) == {5: 100, 3: 98}[q]
+    for z in zs:
+        tab = BetaTable(z)
+        for r in (2, 3, 4):
+            assert siegel_mass(z, r) == _ref_siegel(z, r), (z.curve.F.indices(), r)
+        ref_beta = {(r, e): _ref_beta(z, r, e) for r in (1, 2, 3) for e in range(r)}
+        for d in range(-4, 5):
+            for r in (1, 2, 3):
+                assert beta(z, r, d, tab) == ref_beta[r, d % r], (z.curve.F.indices(), r, d)
+            for part in SUPPORTED_PARTITIONS:
+                ref = _ref_unstable(z, part, d)
+                assert unstable_mass(z, part, d, tab) == ref, (z.curve.F.indices(), part, d)
+                assert unstable_mass(z, part, d) == ref
 
 
 def _ref_ms20(z):

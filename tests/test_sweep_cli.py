@@ -445,6 +445,29 @@ def test_cli_validate_crossval_catches_a_mutated_count(monkeypatch, target):
             assert moduli.count_stable_fixed_det(z, r, d).cross_checks["beta_table"]["residual"] != 0
 
 
+def test_cli_validate_catches_a_mutated_stratum_constant(monkeypatch):
+    # one more unit in the value route's cached (1, 1) constant moves every
+    # (1, 1) stratum and beta(2, d) by P(1)/W; count_value's forms do not read
+    # that constant, so the closed form and the beta_table check must notice
+    from moduli_census import moduli
+    real = moduli._stratum_const
+
+    def mutated(q, g, partition, d):
+        w, den = real(q, g, partition, d)
+        return ((w[0] + 1,) + w[1:], den) if partition == (1, 1) else (w, den)
+
+    monkeypatch.setattr(moduli, "_stratum_const", mutated)
+    code, out = run_cli("validate", "--suite", "unstable", "--q", "3", "--gamma", "5")
+    assert code == 1
+    assert out.splitlines()[0] == "FAIL unstable.beta_prime_closed_form - 162 curves"
+    code, out = run_cli("validate", "--suite", "crossval", "--q", "3", "--gamma", "5")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL crossval.report - 162 curves;")
+    assert lines[0].endswith("; 162 curves break the beta_table or ms20 assembly identity")
+    assert lines[1] == "FAILED: 0/1 checks passed"
+
+
 def test_cli_moments():
     code, out = run_cli("moments", "--q", "3", "--k-max", "2", "--n-max", "2",
                         "--D", "6", "--t", "0.5")
