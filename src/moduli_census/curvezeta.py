@@ -32,9 +32,14 @@ square in every extension).  The affine part q^r + sum_x chi(F(x)) comes
 from the discrete-log kernel of countfast, over prime and tower base
 fields alike, for a whole block of curves (one field, one degree) at a
 time: point_counts makes one kernel call per r, and zeta_data_block
-counts every N_m a block needs that way before it runs each curve
-through the validation above.  point_count and zeta_data are the
-one-curve blocks.
+counts every N_m a block needs that way before it validates the block.
+point_count and zeta_data are the one-curve blocks.
+
+P(t) is a function of N_1..N_g alone (Newton's identities and the
+functional equation), so Newton, the RH check and Jacobian positivity run
+once per distinct (N_1..N_g) of a block, and the curves that share it share
+its N, psums and coeffs tuples.  What reads F stays per curve: each curve's
+own recounts N_m, m > g, are compared with the prediction.
 """
 
 from __future__ import annotations
@@ -251,16 +256,28 @@ def zeta_degrees(q: int, g: int, check_budget: int) -> list[int]:
 def zeta_data_block(curves, check_budget: int = 10**4):
     """zeta_data of each curve of a block (one field, one degree), in order.
 
-    Every N_m of zeta_degrees is counted for the whole block at once.  The
-    curves then pass the validation tail one at a time, as they are yielded.
+    Every N_m of zeta_degrees is counted for the whole block at once.  P(t)
+    is built and validated once per distinct (N_1..N_g) of the block, and
+    each curve's recounts are checked against it, as the curves are yielded.
     """
     curves = list(curves)
     if not curves:
         return
-    degrees = zeta_degrees(curves[0].field.order, curves[0].genus, check_budget)
+    g = curves[0].genus
+    degrees = zeta_degrees(curves[0].field.order, g, check_budget)
     counts = point_counts(curves, degrees)
+    seen: dict[tuple[int, ...], tuple] = {}  # N_1..N_g -> (N, psums, coeffs)
     for i, curve in enumerate(curves):
-        yield _validated(curve, {m: N[i] for m, N in counts.items()})
+        N = {m: Ns[i] for m, Ns in counts.items()}
+        key = tuple(N[m] for m in range(1, g + 1))
+        data = seen.get(key)
+        if data is None:
+            z = _validated(curve, N)
+            seen[key] = (z.N, z.psums, z.coeffs)
+        else:
+            z = CurveZeta(curve, *data)
+            _check_recounts(z, N)
+        yield z
 
 
 def zeta_data(curve: HyperellipticCurve, check_budget: int = 10**4) -> CurveZeta:
@@ -278,14 +295,19 @@ def _validated(curve: HyperellipticCurve, N: dict[int, int]) -> CurveZeta:
     z = CurveZeta.from_coeffs(curve, c)
     if list(z.psums[:g]) != psums_low:  # pragma: no cover
         raise InternalConsistencyError("newton-roundtrip: power sums drift")
-    for m in range(g + 1, 2 * g + 1):
-        if m in N and N[m] != z.N[m - 1]:
-            raise InternalConsistencyError(
-                f"predicted-count-mismatch: N_{m} predicted {z.N[m-1]}, counted {N[m]}")
+    _check_recounts(z, N)
     check_riemann_hypothesis(c, q)
     if jacobian_count(z, 1) <= 0 or jacobian_count(z, 2) <= 0:
         raise InternalConsistencyError("jacobian-positivity: P(1) or P(1)P(-1) <= 0")
     return z
+
+
+def _check_recounts(z: CurveZeta, N: dict[int, int]) -> None:
+    """Raise unless every recount N_m, m > g, in N is the N_m that z predicts."""
+    for m in range(z.genus + 1, 2 * z.genus + 1):
+        if m in N and N[m] != z.N[m - 1]:
+            raise InternalConsistencyError(
+                f"predicted-count-mismatch: N_{m} predicted {z.N[m-1]}, counted {N[m]}")
 
 
 def zeta_value(z: CurveZeta, k: int) -> Fraction:

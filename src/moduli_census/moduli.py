@@ -514,13 +514,25 @@ def _ms20_consts(q: int, g: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 def _full_2_torsion(z: CurveZeta) -> bool:
     """True when F splits into deg(F) distinct roots over F_q, i.e. every
     2-torsion class of the Jacobian is already rational.  Computed once per
-    CurveZeta; never when deg(F) > q, since F_q then has too few elements."""
+    CurveZeta; never when deg(F) > q, since F_q then has too few elements.
+
+    The roots are counted by a Horner pass of F's K-indices over every
+    element index of F_q, through the field's dense add and mul tables."""
     flag = z._cache.get("full_2_torsion")
     if flag is None:
-        K = z.curve.field
-        F = z.curve.F
-        flag = z.curve.gamma <= K.order and z.curve.gamma == sum(
-            1 for i in range(K.order) if F(K.raw_of_index(i)) == K.zero_raw)
+        K, gamma = z.curve.field, z.curve.gamma
+        n = K.order
+        flag = False
+        if gamma <= n:
+            add, mul = K.tables()[:2]
+            coeffs = z.curve.F.indices()[::-1]
+            roots = 0
+            for x in range(n):
+                acc = 0
+                for c in coeffs:
+                    acc = add[mul[acc * n + x] * n + c]
+                roots += acc == 0
+            flag = roots == gamma
         z._cache["full_2_torsion"] = flag
     return flag
 

@@ -6,6 +6,13 @@ curve from its counts, and aggregates a SweepReport.  Each record is a pure
 function of the curve alone, chunks are dealt and reassembled in a fixed
 order, and the final aggregation is a single ordered pass, so output is
 byte-identical for any worker count.
+
+Within a chunk, the fields that read only P(t) (the N columns, the
+Jacobian, R^(k), delta_Z, the residuals and xz_pass) are computed once per
+distinct L-polynomial and copied to the other curves that have it: P(t)
+determines the power sums, and so the character sums R^(k) is built from,
+and every count a residual reads.  The F column and the full_2_torsion
+flag, which read F, are computed per curve.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .curvezeta import (CurveZeta, HyperellipticCurve, count_tables, jacobian_count, point_counts,
                         xz_bound_check, zeta_data_block, zeta_degrees)
@@ -63,27 +70,36 @@ class SweepConfig:
 
 
 def compute_record(curve: HyperellipticCurve, cfg: SweepConfig, psums: list[int],
-                   z: CurveZeta | None = None) -> FamilyRecord:
+                   z: CurveZeta | None = None, like: FamilyRecord | None = None) -> FamilyRecord:
     """The record of one curve from its p_1..p_Z; it makes no count.
 
     z is the curve's zeta data at cfg.check_budget, or None for an R-only
     record (no N columns, no residuals).  R^(k) comes from the power sums.
+    like, when given, is the record of a curve with the same p_1..p_Z and
+    zeta data: every field but the two that read F, the F column and the
+    full_2_torsion flag, is copied from it, each dict into a new one.
     """
-    q, Z = cfg.q, cfg.cutoff
-    charsums = trace_charsums(psums, q, cfg.gamma, cfg.convention)
-    R = {k: r_variable(curve.F, k, Z, charsums=charsums) for k in range(cfg.r_max)}
-    delta_z = math.fsum(R[k] for k in range(1, cfg.r_max))
-    N, jac = (z.N, jacobian_count(z, 1)) if z is not None else ((), 0)
-    rec = FamilyRecord(q=q, gamma=cfg.gamma, F_text=format_poly(curve.F), genus=curve.genus,
-                       N=N, jacobian=jac, Z=Z, R=R, delta_Z=delta_z)
+    F_text = format_poly(curve.F)
+    if like is not None:
+        rec = replace(like, F_text=F_text, R=dict(like.R),
+                      residuals=dict(like.residuals), flags=dict(like.flags))
+    else:
+        q, Z = cfg.q, cfg.cutoff
+        charsums = trace_charsums(psums, q, cfg.gamma, cfg.convention)
+        R = {k: r_variable(curve.F, k, Z, charsums=charsums) for k in range(cfg.r_max)}
+        delta_z = math.fsum(R[k] for k in range(1, cfg.r_max))
+        N, jac = (z.N, jacobian_count(z, 1)) if z is not None else ((), 0)
+        rec = FamilyRecord(q=q, gamma=cfg.gamma, F_text=F_text, genus=curve.genus,
+                           N=N, jacobian=jac, Z=Z, R=R, delta_Z=delta_z)
+        if cfg.compute_moduli:
+            for variant in cfg.variants:
+                try:
+                    rec.residuals[variant] = decomposition_residual(
+                        z, variant, Z, cfg.convention, cfg.rank, cfg.degree, charsums)
+                except DomainError:  # a genus the variant does not cover
+                    rec.residuals[variant] = math.nan
+            rec.flags["xz_pass"] = xz_bound_check(z, ks=())["xz"].holds
     if cfg.compute_moduli:
-        for variant in cfg.variants:
-            try:
-                rec.residuals[variant] = decomposition_residual(
-                    z, variant, Z, cfg.convention, cfg.rank, cfg.degree, charsums)
-            except DomainError:  # a genus the variant does not cover
-                rec.residuals[variant] = math.nan
-        rec.flags["xz_pass"] = xz_bound_check(z, ks=())["xz"].holds
         rec.flags["full_2_torsion"] = _full_2_torsion(z)
     return rec
 
@@ -100,7 +116,11 @@ def _count_plan(cfg: SweepConfig) -> tuple[int | None, list[int]]:
 
 
 def _chunk_worker(args) -> list:
-    """The records of one chunk; each N_m is counted for the whole chunk at once."""
+    """The records of one chunk; each N_m is counted for the whole chunk at once.
+
+    The first record of each distinct L-polynomial (or, for bare counts,
+    each distinct p_1..p_Z) of the chunk lends its shared fields to the rest.
+    """
     cfg, start, stop = args
     spec = FamilySpec(make_field(cfg.q), cfg.gamma, cfg.mode, cfg.count, cfg.seed)
     curves = [HyperellipticCurve(F) for F in family(spec, start, stop)]
@@ -108,11 +128,17 @@ def _chunk_worker(args) -> list:
     budget, degrees = _count_plan(cfg)
     if budget is None:
         N = point_counts(curves, degrees)
-        return [compute_record(c, cfg, [cfg.q**m + 1 - N[m][i] for m in ms])
-                for i, c in enumerate(curves)]
-    return [compute_record(z.curve, cfg, [z.power_sum(m) for m in ms],
-                           z if cfg.with_zeta else None)
-            for z in zeta_data_block(curves, budget)]
+        rows = ((c, [cfg.q**m + 1 - N[m][i] for m in ms], None) for i, c in enumerate(curves))
+    else:
+        rows = ((z.curve, [z.power_sum(m) for m in ms], z if cfg.with_zeta else None)
+                for z in zeta_data_block(curves, budget))
+    first: dict[tuple[int, ...], FamilyRecord] = {}
+    records = []
+    for curve, psums, z in rows:
+        key = z.coeffs if z is not None else tuple(psums)
+        records.append(compute_record(curve, cfg, psums, z, first.get(key)))
+        first.setdefault(key, records[-1])
+    return records
 
 
 def resolve_workers(requested: int | None) -> int:

@@ -165,6 +165,51 @@ def test_block_recount_mismatch_is_caught(monkeypatch):
         next(zs)
 
 
+def test_block_validates_each_l_polynomial_once(monkeypatch):
+    # P(t) is a function of N_1..N_g: Newton, RH and positivity run once per
+    # distinct N_1..N_g of a block, and its curves share the validated tuples
+    checked = []
+    real = curvezeta.check_riemann_hypothesis
+
+    def counting(coeffs, q):
+        checked.append(tuple(coeffs))
+        return real(coeffs, q)
+
+    monkeypatch.setattr(curvezeta, "check_riemann_hypothesis", counting)
+    curves = [HyperellipticCurve(F) for F in family(FamilySpec(make_field(5), 5), 0, CHUNK)]
+    zs = list(zeta_data_block(curves, check_budget=10**6))
+    first = {}
+    for z in zs:
+        shared = first.setdefault(z.N[:2], z)
+        assert z.N is shared.N and z.psums is shared.psums and z.coeffs is shared.coeffs
+    assert checked == [z.coeffs for z in first.values()]
+    assert len(checked) < len(zs)
+    checked.clear()
+    list(zeta_data_block(curves[:1], check_budget=10**6))
+    assert len(checked) == 1  # a new block validates afresh
+
+
+def test_block_recount_mismatch_after_a_passing_twin(monkeypatch):
+    # curve j shares N_1..N_g with an earlier curve that passed; its own
+    # recount N_3 is still compared with the prediction
+    curves = [HyperellipticCurve(F) for F in family(FamilySpec(F3, 5))]
+    keys = [z.N[:2] for z in zeta_data_block(curves, check_budget=10**6)]
+    j = next(i for i, key in enumerate(keys) if key in keys[:i])
+    real = curvezeta.point_counts
+
+    def perturbed(block, rs):
+        counts = real(block, rs)
+        counts[3][j] += 2
+        return counts
+
+    monkeypatch.setattr(curvezeta, "point_counts", perturbed)
+    zs = zeta_data_block(curves, check_budget=10**6)
+    for _ in range(j):
+        next(zs)
+    with pytest.raises(InternalConsistencyError, match="predicted-count-mismatch: N_3"):
+        next(zs)
+
+
 def test_point_count_budget():
     with pytest.raises(BudgetError):
         point_count(HyperellipticCurve(X5X), 20)

@@ -468,6 +468,122 @@ def test_cli_validate_catches_a_mutated_stratum_constant(monkeypatch):
     assert lines[1] == "FAILED: 0/1 checks passed"
 
 
+@functools.lru_cache(maxsize=None)
+def per_curve_zeta(q, gamma):
+    """zeta_data of every curve of H_{gamma,q}, one curve per block."""
+    from moduli_census.curvezeta import HyperellipticCurve, zeta_data
+    from moduli_census.ffield import make_field
+    from moduli_census.polyring import FamilySpec, family
+    return tuple(zeta_data(HyperellipticCurve(F)) for F in family(FamilySpec(make_field(q), gamma)))
+
+
+def busiest_l_polynomial(q, gamma):
+    """(coeffs, number of curves, F of its first curve) of the P(t) most
+    curves of H_{gamma,q} share."""
+    from collections import Counter
+    from moduli_census.polyring import format_poly
+    zs = per_curve_zeta(q, gamma)
+    coeffs, k = Counter(z.coeffs for z in zs).most_common(1)[0]
+    first = next(z for z in zs if z.coeffs == coeffs)
+    assert k > 1
+    return coeffs, k, format_poly(first.curve.F)
+
+
+@pytest.mark.parametrize("q,gamma", [(3, 5), (5, 5)])
+def test_validate_weights_each_l_polynomial_by_its_curves(monkeypatch, q, gamma):
+    # the suites check one curve per distinct P(t); a check failing for one
+    # P(t) must still count every curve that has it, and name its first curve
+    from moduli_census import validate
+    from moduli_census.curvezeta import BoundReport
+    from moduli_census.moduli import ModuliReport
+    coeffs, k, first = busiest_l_polynomial(q, gamma)
+    n = len(per_curve_zeta(q, gamma))
+    real_xz, real_bounds, real_higgs = (validate.xz_bound_check, validate.epsilon_bounds,
+                                        validate.count_higgs)
+
+    def xz(z):
+        rep = real_xz(z)
+        if z.coeffs == coeffs:
+            rep["xz"] = BoundReport("xz", 1.0, 0.0)
+        return rep
+
+    def bounds(z, kk, Z):
+        return (-1.0, -1.0) if z.coeffs == coeffs else real_bounds(z, kk, Z)
+
+    def higgs(z):
+        rep = real_higgs(z)
+        if z.coeffs == coeffs:
+            rep = ModuliReport("higgs", rep.value, rep.hypotheses, rep.cross_checks,
+                               {**rep.components, "A_g2": Fraction(1, 2)})
+        return rep
+
+    monkeypatch.setattr(validate, "xz_bound_check", xz)
+    monkeypatch.setattr(validate, "epsilon_bounds", bounds)
+    monkeypatch.setattr(validate, "count_higgs", higgs)
+    assert run_cli("validate", "--suite", "xz", "--q", str(q), "--gamma", str(gamma)) == (
+        1, f"FAIL xz.jacobian_and_zeta_envelopes - {n} curves, {k} violations\n"
+           "FAILED: 0/1 checks passed\n")
+    assert run_cli("validate", "--suite", "epsilon", "--q", str(q), "--gamma", str(gamma)) == (
+        1, f"FAIL epsilon.envelopes - {n} curves x 6 (k, Z) combinations, {6 * k} violations\n"
+           "FAILED: 0/1 checks passed\n")
+    code, out = run_cli("validate", "--suite", "higgs", "--q", str(q), "--gamma", str(gamma))
+    assert code == 1
+    assert out.splitlines()[0] == f"FAIL higgs.integrality - violations: {[first]}"
+
+
+def test_validate_crossval_counts_full_2_torsion_per_curve(monkeypatch):
+    # the flag reads F, not P(t): a flag that differs between curves of one
+    # P(t) must be counted curve by curve
+    from moduli_census import validate
+    coeffs, k, _ = busiest_l_polynomial(5, 5)
+    monkeypatch.setattr(validate, "_full_2_torsion", lambda z: z.curve.F.indices()[0] == 0)
+    want = sum(z.curve.F.indices()[0] == 0 for z in per_curve_zeta(5, 5))
+    assert 0 < sum(z.curve.F.indices()[0] == 0 for z in per_curve_zeta(5, 5)
+                   if z.coeffs == coeffs) < k
+    code, out = run_cli("validate", "--suite", "crossval", "--q", "5", "--gamma", "5")
+    assert code == 0
+    assert out.splitlines()[0].endswith(f"; full 2-torsion on {want}/2500")
+
+
+def test_sweep_records_of_one_l_polynomial_stay_apart():
+    # a chunk computes the fields that read only P(t) once per L-polynomial;
+    # F and the full 2-torsion flag are each curve's own, and no record
+    # shares a mutable field with another
+    import copy
+    from collections import defaultdict
+    for q, gamma in ((5, 3), (5, 5)):
+        by_lpoly = defaultdict(list)
+        for rec in run_sweep(SweepConfig(q=q, gamma=gamma)):
+            by_lpoly[rec.N].append(rec)  # N_1..N_2g determines P(t)
+        if q == 5 and gamma == 3:
+            a, b = next((a, b) for recs in by_lpoly.values() for a in recs for b in recs
+                        if a.flags["full_2_torsion"] != b.flags["full_2_torsion"])
+        else:
+            a, b = max(by_lpoly.values(), key=len)[:2]
+        assert a.F_text != b.F_text
+        kept = copy.deepcopy(b)
+        a.R[1] += 1.0
+        a.residuals["ms20"] = 0.5
+        a.flags["xz_pass"] = not a.flags["xz_pass"]
+        a.flags["full_2_torsion"] = not a.flags["full_2_torsion"]
+        assert (b.R, b.flags) == (kept.R, kept.flags)
+        assert list(map(fmt_float, b.residuals.values())) == list(map(fmt_float, kept.residuals.values()))
+
+
+def test_sweep_csv_matches_a_per_curve_reference():
+    # H_{5,5} has gamma <= q, so its full 2-torsion flag varies
+    import dataclasses
+    from moduli_census.sweep import compute_record
+    cfg = SweepConfig(q=5, gamma=5)
+    ms = range(1, cfg.cutoff + 1)
+    reference = records_to_csv(
+        [compute_record(z.curve, cfg, [z.power_sum(m) for m in ms], z) for z in per_curve_zeta(5, 5)],
+        cfg)
+    assert ",1\n" in reference and ",0\n" in reference
+    for workers in (1, 2):
+        assert records_to_csv(run_sweep(dataclasses.replace(cfg, workers=workers)), cfg) == reference
+
+
 def test_cli_moments():
     code, out = run_cli("moments", "--q", "3", "--k-max", "2", "--n-max", "2",
                         "--D", "6", "--t", "0.5")
