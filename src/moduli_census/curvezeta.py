@@ -12,19 +12,12 @@ functional equation c_{2g-i} = q^(g-i) c_i, and then validated:
     enumeration whenever q^m fits the check budget.
 
 An entirely independent construction of the same polynomial from prime
-Jacobi-symbol data lives in l_poly_via_characters; the two must agree
-coefficient by coefficient.  It takes a block of curves: for each monic
-irreducible P, F mod P is reduced for the whole block at once through the
-field's dense add/mul tables, and the reciprocity symbol (F mod P / P) is
-computed once per monic residue and field, never from a discrete log or a
-point count: a residue c u with u monic and c in F_q^* takes
-(c u / P) = chi(c)^deg P (u / P).  The symbols of one degree sit in a table
-of one byte per prime and residue, whose monic and zero entries, at most
-(q^e - 1)/(q - 1) + 1 of the q^e for a modulus of degree e, are filled as
-the blocks meet them; a table of more than SYMBOL_BUDGET entries is refused
-with a BudgetError.  lambda_character_identity checks the trace identity from
-the same prime tables: Lambda(P^j) = deg P and (F/P^j) = (F/P)^j, so it reads
-the symbols of the primes of each degree e | m.
+Jacobi symbols lives in l_poly_via_characters; the two must agree
+coefficient by coefficient.  It reduces a block of F modulo every prime P of
+one degree at once (polyring._reduce_block), and reads each residue c u, u
+monic, as chi(c)^deg P (u / P) from a table per field and degree filled from
+the squares mod P: no discrete log, point count or reciprocity step.  The
+trace identity (lambda_character_identity) reads the same tables.
 
 N_r counts points of the smooth projective model: one point above
 x = infinity for odd deg F, two for even deg F (monic leading 1 is a
@@ -53,19 +46,15 @@ import numpy as np
 
 from . import countfast
 from .errors import BudgetError, DomainError, InternalConsistencyError
-from .polyring import (MonicPoly, _code_iv, _irreducible_ivs, _iv_jacobi, _iv_mod, format_poly,
-                       is_squarefree)
+from .polyring import (MonicPoly, _dense_tables, _irreducible_ivs, _reduce_block, format_poly,
+                       is_squarefree, prime_count)
 
 POINT_BUDGET = 10**6
-# entries of one degree's symbol table (one int8 per modulus and residue).
-# A reciprocity symbol costs about 10 us at degree <= 4 (H_{5,5}) and 21 us
-# at degree <= 7 (H_{8,3}) on a 2-core x86 host.  Only the monic and zero
-# residues are filled, so a table of this size is (11-23 minutes) / (q - 1)
-# of work: the budget overstates the fill work by a factor of q - 1, and
-# is kept at this size so that the same families are refused.
+# entries of one degree's symbol table (one int8 per prime and residue); a
+# route that needs a larger one is refused before any work.  The largest
+# table within it, degree 9 over F_3 (43 M entries), fills in about 22 s on
+# a 2-core x86 host; the size is kept so that the same families are refused.
 SYMBOL_BUDGET = 2**26
-UNKNOWN = 2  # a symbol table entry not yet computed; symbols are -1, 0, 1
-RESIDUE_SUB_BLOCK = 2**14  # residue digits (curves x moduli x degree) reduced at once
 
 
 class HyperellipticCurve:
@@ -402,84 +391,42 @@ class IdentityReport:
         return self.lhs == self.rhs
 
 
-@functools.lru_cache(maxsize=None)
-def _dense_tables(K) -> tuple[np.ndarray, ...]:
-    """K's dense add, mul, inv and chi tables (FieldHandle.tables()) as numpy
-    arrays; inv[0] = 0."""
-    add, mul, inv, chi, _neg = K.tables()
-    return tuple(np.array(t, dtype=np.int64) for t in (add, mul, inv, chi))
+def check_symbol_budget(q: int, degrees) -> None:
+    """Refuse a symbol table of prime_count(q, e) q^e > SYMBOL_BUDGET entries."""
+    for e in degrees:
+        if (size := prime_count(q, e) * q**e) > SYMBOL_BUDGET:
+            raise BudgetError(f"the character route's symbol table of {prime_count(q, e)} moduli"
+                              f" of degree {e} over F_{q} has {size} entries, more than the"
+                              f" budget {SYMBOL_BUDGET}")
 
 
 @functools.lru_cache(maxsize=None)
-def _power_rows(K, mods: tuple, D: int) -> np.ndarray:
-    """(len(mods), D, e): row i of modulus f holds the K-indices of x^i mod f."""
-    add, mul, _inv, _chi, neg = K.tables()
-    rows = np.zeros((len(mods), D, len(mods[0]) - 1), dtype=np.int64)
-    for j, f in enumerate(mods):
-        for i in range(D):
-            r = _iv_mod([0] * i + [1], list(f), add, mul, neg, K.order)
-            rows[j, i, :len(r)] = r
-    return rows
+def _symbol_table(K, e: int) -> np.ndarray:
+    """int8 (u/P) at (index of P) q^e + (number of u), for each prime P of
+    degree e and each monic u or u = 0 (other entries stay 0, never read).
+    (u/P) = 1 iff u != 0 is a square mod P, and the squares are c^2 v^2 for
+    monic v of degree < e: the monic u = (v^2 mod P) / c', c' its leading
+    digit, takes chi(c')^e, and every monic u that no v reaches takes -1."""
+    n = K.order
+    add, mul, _inv, chi, _neg = _dense_tables(K)
+    table = np.zeros(prime_count(n, e) * n**e, dtype=np.int8)
+    monic = np.concatenate([np.arange(n**d, 2 * n**d) for d in range(e)])
+    table.reshape(-1, n**e)[:, monic] = -1
+    v = monic[:, None] // n ** np.arange(e) % n
+    squares = np.zeros((len(v), 2 * e - 1), dtype=np.int64)
+    for i, j in np.ndindex(e, e):
+        squares[:, i + j] = add[squares[:, i + j] * n + mul[v[:, i] * n + v[:, j]]]
+    for c, at in _reduce_block(K, squares, _irreducible_ivs(K, e)):
+        table[at] = chi[c] if e & 1 else 1
+    return table
 
 
-def _residue_symbol(code: int, f: tuple, K) -> int:
-    """(r/f) for the residue r mod f numbered `code` (base-q digits, degree 0 first)."""
-    return _iv_jacobi(_code_iv(code, K.order, len(f) - 1)[:-1], list(f), K)
-
-
-@functools.lru_cache(maxsize=None)
-def _symbol_table(K, mods: tuple) -> np.ndarray:
-    """The symbols (r/f) of the monic f of mods, all of one degree e over K,
-    at index (index of f) q^e + (number of r): int8, UNKNOWN until a block
-    meets the monic residue r of f, or r = 0.
-
-    Only those entries are ever filled, at most (q^e - 1)/(q - 1) + 1 per
-    modulus; _jacobi_block takes every other residue from its monic
-    multiple.  The table keeps all q^e entries per modulus, and its size
-    must fit SYMBOL_BUDGET.
-    """
-    size = len(mods) * K.order ** (len(mods[0]) - 1)
-    if size > SYMBOL_BUDGET:
-        raise BudgetError(f"the character route's symbol table of {len(mods)} moduli of degree"
-                          f" {len(mods[0]) - 1} over F_{K.order} has {size} entries,"
-                          f" more than the budget {SYMBOL_BUDGET}")
-    return np.full(size, UNKNOWN, dtype=np.int8)
-
-
-def _jacobi_block(K, rows: np.ndarray, mods: tuple) -> np.ndarray:
-    """(F/f) for each row F of K-indices and each monic f of mods, all of one
-    degree e: a (len(rows), len(mods)) int8 array.
-
-    F mod f = sum_i F_i (x^i mod f) is gathered through K's dense tables for
-    a sub-block of rows at a time.  Each nonzero residue c u, with c its
-    leading digit and u monic, is made monic through the inv and mul
-    tables and numbered as a base-q integer; its symbol is chi(c)^e times
-    (u / f), looked up in the field's _symbol_table, where the reciprocity
-    _iv_jacobi fills each monic (or zero) entry the first time a block
-    meets it.
-    """
-    add, mul, inv, chi = _dense_tables(K)
-    n, e = K.order, len(mods[0]) - 1
-    powers = _power_rows(K, mods, rows.shape[1])
-    weights = n ** np.arange(e)
-    offsets = np.arange(len(mods)) * n**e  # the index of (f, 0) for each f
-    symbols = _symbol_table(K, mods)
-    out = np.empty((len(rows), len(mods)), dtype=np.int8)
-    step = max(1, RESIDUE_SUB_BLOCK // (len(mods) * e))
-    for lo in range(0, len(rows), step):
-        F = rows[lo:lo + step, :, None, None] * n
-        acc = np.zeros((len(F), len(mods), e), dtype=np.int64)
-        for i in range(rows.shape[1]):
-            acc = add[acc * n + mul[F[:, i] + powers[:, i]]]
-        # (c u / f) = chi(c)^e (u / f) for the leading digit c of c u, u monic
-        top = e - 1 - np.argmax(acc[..., ::-1] != 0, axis=-1)
-        c = np.take_along_axis(acc, top[..., None], axis=-1)
-        at = mul[inv[c] * n + acc] @ weights + offsets  # the residue 0 keeps code 0
-        for index in set(at[symbols[at] == UNKNOWN].tolist()):
-            j, code = divmod(index, n**e)
-            symbols[index] = _residue_symbol(code, mods[j], K)
-        out[lo:lo + step] = symbols[at] * chi[c[..., 0]] if e & 1 else symbols[at]
-    return out
+def _jacobi_block(K, rows: np.ndarray, e: int) -> np.ndarray:
+    """(F/P) for each row F of K-indices and each prime P of degree e, in the
+    order of _irreducible_ivs: (c u / P) = chi(c)^e (u / P) for F mod P = c u."""
+    chi, symbols = _dense_tables(K)[3].astype(np.int8), _symbol_table(K, e)
+    return np.concatenate([symbols[at] * (chi[c] if e & 1 else 1)
+                           for c, at in _reduce_block(K, rows, _irreducible_ivs(K, e))])
 
 
 def lambda_character_identity(zs, m: int) -> list[IdentityReport]:
@@ -501,11 +448,11 @@ def lambda_character_identity(zs, m: int) -> list[IdentityReport]:
     q = K.order
     if q**m > POINT_BUDGET:
         raise BudgetError(f"enumerating q^m = {q**m} monic polynomials exceeds budget")
+    degrees = [e for e in range(1, m + 1) if m % e == 0]  # f = P^(m/e), deg P = e
+    check_symbol_budget(q, degrees)
     totals = zs[0].curve.delta
-    for e in range(1, m + 1):
-        if m % e == 0:  # the primes P of degree e, f = P^(m/e)
-            symbols = _jacobi_block(K, rows, _irreducible_ivs(K, e)) ** (m // e)
-            totals = totals + e * symbols.sum(axis=1, dtype=np.int64)
+    for e in degrees:
+        totals = totals + e * (_jacobi_block(K, rows, e) ** (m // e)).sum(axis=1, dtype=np.int64)
     return [IdentityReport(lhs=-z.power_sum(m), rhs=total)
             for z, total in zip(zs, totals.tolist())]
 
@@ -536,13 +483,13 @@ def xz_bound_check(z: CurveZeta, ks: tuple[int, ...] = (2, 3)):
     rhs = math.log(max(1.0, math.log(7 * g) / math.log(q))) + 3.0
     report = {"xz": BoundReport("xz", lhs, rhs)}
     for k in ks:
+        if g < 2:
+            raise DomainError("needs genus >= 2")
         zk = zeta_value(z, k)
         lz = abs(math.log(zk.numerator) - math.log(zk.denominator))
-        scale = 2.0 * (1.0 / math.sqrt(q) + math.log(math.log(g)) / q**k) if g > 1 else 0.0
-        envelope = 8.0 * scale
-        required = lz / scale if scale > 0 else math.inf
-        report[f"zeta_envelope_k{k}"] = BoundReport(f"zeta_envelope_k{k}", lz, envelope)
-        report[f"zeta_cprime_required_k{k}"] = required
+        scale = 2.0 * (1.0 / math.sqrt(q) + math.log(math.log(g)) / q**k)
+        report[f"zeta_envelope_k{k}"] = BoundReport(f"zeta_envelope_k{k}", lz, 8.0 * scale)
+        report[f"zeta_cprime_required_k{k}"] = lz / scale
     return report
 
 
@@ -564,10 +511,11 @@ def l_poly_via_characters(zs) -> list[list[int]]:
     curve = zs[0].curve
     g = curve.genus
     M = curve.gamma - 1  # 2g for odd gamma, 2g+1 for even gamma
+    check_symbol_budget(K.order, range(1, M + 1))
     b = np.zeros((len(zs), M + 1), dtype=np.int64)
     b[:, 0] = 1
     for e in range(1, M + 1):
-        for s in _jacobi_block(K, rows, _irreducible_ivs(K, e)).T:
+        for s in _jacobi_block(K, rows, e).T:
             for m in range(e, M + 1):
                 b[:, m] += s * b[:, m - e]
     if curve.delta:

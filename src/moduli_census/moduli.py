@@ -103,6 +103,7 @@ class BetaTable:
         self.z = z
         self.q, self.g, self.nj = z.q, z.genus, jacobian_count(z, 1)
         self._memo: dict[tuple[int, int], int] = {}
+        self.siegel: dict[int, tuple[int, int]] = {}  # r -> siegel_mass(z, r) as (N, D)
 
     def beta(self, r: int, d: int) -> Fraction:
         if r == 1:
@@ -116,7 +117,8 @@ class BetaTable:
         """beta(r, d) times _beta_const's denominator, for r in EXACT_RANKS and 0 <= d < r."""
         val = self._memo.get((r, d))
         if val is None:
-            nums = [_siegel_pair(self.z, r)[0]] + [_stratum_pair(self, p, d)[0] for p in _STRATA[r]]
+            self.siegel[r] = _siegel_pair(self.z, r)
+            nums = [self.siegel[r][0]] + [_stratum_pair(self, p, d)[0] for p in _STRATA[r]]
             mults, _ = _beta_const(self.q, self.g, r, d)
             val = sum(m * n for m, n in zip(mults, nums))
             self._memo[(r, d)] = val
@@ -428,7 +430,7 @@ def count_stable_fixed_det(z: CurveZeta, r: int, d: int,
     b = table.beta(r, d)
     report = ModuliReport(target="m_rd", value=value)
     report.components["beta"] = b
-    report.components["siegel_mass"] = siegel_mass(z, r)
+    report.components["siegel_mass"] = Fraction(*table.siegel[r])  # filled by table.beta
     if r == 2:
         g = z.genus
         (c_z2, c_nj), den = _closed_form_const(q, g, d % 2)

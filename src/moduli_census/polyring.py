@@ -13,7 +13,7 @@ reciprocity law
     (f/g) = (g/f) * (-1)^((q-1)/2 * deg f * deg g),   (c/g) = chi(c)^deg g,
 
 and a factor-the-modulus route that reduces to Euler's criterion prime by
-prime.  The reciprocity route is the one used in anger.
+prime.
 
 Family enumeration is total-ordered: coefficient vectors of monic
 square-free polynomials read as base-q integers, degree-0 digit least
@@ -26,6 +26,8 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import ffield
 from .errors import DomainError, PolyParseError
@@ -431,6 +433,48 @@ def jacobi_symbol_via_factorization(f: MonicPoly, F: MonicPoly) -> int:
     return result
 
 
+RESIDUE_SUB_BLOCK = 2**14  # residue digits (rows x moduli x degree) reduced at once
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_tables(K: FieldHandle) -> tuple[np.ndarray, ...]:
+    """K.tables() (add, mul, inv, chi, neg) as numpy arrays."""
+    return tuple(np.array(t) for t in K.tables())
+
+
+@functools.lru_cache(maxsize=None)
+def _power_rows(K: FieldHandle, mods: tuple, D: int) -> np.ndarray:
+    """(len(mods), D, e): row i of modulus f holds the K-indices of x^i mod f."""
+    add, mul, _inv, _chi, neg = K.tables()
+    rows = np.zeros((len(mods), D, len(mods[0]) - 1), dtype=np.int64)
+    for j, f in enumerate(mods):
+        for i in range(D):
+            r = _iv_mod([0] * i + [1], list(f), add, mul, neg, K.order)
+            rows[j, i, :len(r)] = r
+    return rows
+
+
+def _reduce_block(K: FieldHandle, rows: np.ndarray, mods: tuple):
+    """Reduce each row F of a (B, D) array of K-indices mod each monic f of mods, all of
+    degree e, as sum_i F_i (x^i mod f); yields (c, at) for each sub-block of rows in turn:
+    c[b, j] is the leading digit of F_b mod f_j, and at[b, j] is j q^e plus the base-q
+    number of the monic (F_b mod f_j) / c, both 0 for the zero residue."""
+    add, mul, inv, _chi, _neg = _dense_tables(K)
+    n, e = K.order, len(mods[0]) - 1
+    powers = _power_rows(K, mods, rows.shape[1])
+    weights = n ** np.arange(e)
+    offsets = np.arange(len(mods)) * n**e  # the index of (f, 0) for each f
+    step = max(1, RESIDUE_SUB_BLOCK // (len(mods) * e))
+    for lo in range(0, len(rows), step):
+        F = rows[lo:lo + step, :, None, None] * n
+        acc = np.zeros((len(F), len(mods), e), dtype=np.int64)
+        for i in range(rows.shape[1]):
+            acc = add[acc * n + mul[F[:, i] + powers[:, i]]]
+        top = e - 1 - np.argmax(acc[..., ::-1] != 0, axis=-1)
+        c = np.take_along_axis(acc, top[..., None], axis=-1)
+        yield c[..., 0], mul[inv[c] * n + acc] @ weights + offsets
+
+
 # -- counting and listing irreducibles --------------------------------------
 
 def _moebius(n: int) -> int:
@@ -473,16 +517,19 @@ def _code_iv(code: int, q: int, degree: int) -> list[int]:
 
 @functools.lru_cache(maxsize=None)
 def _irreducible_ivs(K: FieldHandle, e: int) -> tuple[tuple[int, ...], ...]:
+    """Monic irreducibles of degree e over K in code order, sieved by the primes of degree <= e/2."""
     q = K.order
-    out = []
-    for code in range(q**e):
-        indices = _code_iv(code, q, e)
-        if is_irreducible(MonicPoly.from_indices(K, indices)):
-            out.append(tuple(indices))
+    rows = np.column_stack([np.arange(q**e)[:, None] // q ** np.arange(e) % q,
+                            np.ones(q**e, dtype=np.int64)])
+    keep = np.ones(q**e, dtype=bool)
+    for d in range(1, e // 2 + 1):
+        keep &= np.concatenate([(c != 0).all(axis=1)
+                                for c, _at in _reduce_block(K, rows, _irreducible_ivs(K, d))])
+    out = tuple(map(tuple, rows[keep].tolist()))
     if len(out) != prime_count(q, e):  # pragma: no cover
         raise AssertionError(f"irreducible enumeration disagrees with the "
                              f"Moebius count for q={q}, n={e}")
-    return tuple(out)
+    return out
 
 
 def irreducible_polys(K: FieldHandle, e: int) -> list[MonicPoly]:

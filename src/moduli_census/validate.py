@@ -31,6 +31,7 @@ from fractions import Fraction
 from .curvezeta import (
     CurveZeta,
     HyperellipticCurve,
+    check_symbol_budget,
     epsilon_bounds,
     epsilon_terms,
     jacobian_count,
@@ -315,8 +316,8 @@ def run_suite(name: str, q: int, gamma: int) -> list[CheckResult]:
 
     A single suite recounts at its own budget (10**6 for zeta, 10**4 for
     the rest); "all" builds each curve's zeta data once, at 10**6, so no
-    suite loses a recount.  The family is enumerated whole, so q^gamma must
-    fit sweep.ENUM_BUDGET.
+    suite loses a recount.  Before anything is counted, q^gamma must fit
+    sweep.ENUM_BUDGET and, for zeta and all, each symbol table SYMBOL_BUDGET.
     """
     if name != "all" and name not in SUITES:
         raise KeyError(name)
@@ -324,6 +325,8 @@ def run_suite(name: str, q: int, gamma: int) -> list[CheckResult]:
     if q**gamma > ENUM_BUDGET:
         raise BudgetError(f"validate enumerates the family: q^gamma = {q**gamma}"
                           f" must be <= {ENUM_BUDGET}")
+    if name in ("zeta", "all"):
+        check_symbol_budget(q, range(1, gamma))
     if name == "all":
         # Only each curve's validated fields are kept, and every suite gets
         # fresh CurveZeta of them: holding every CurveZeta, with the zeta

@@ -372,6 +372,17 @@ def test_xz_bound_example(z55):
     assert rep["xz"].rhs == pytest.approx(math.log(math.log(14) / math.log(3)) + 3)
 
 
+def test_xz_bound_check_genus_one():
+    # the sweep reads only the Jacobian bound, which holds in genus 1; the
+    # zeta envelope needs loglog(g), so genus 1 is refused
+    z = zeta_data(HyperellipticCurve(parse_poly(make_field(5), "1,1,0,1")))
+    assert z.genus == 1
+    rep = xz_bound_check(z, ks=())
+    assert list(rep) == ["xz"] and rep["xz"].holds
+    with pytest.raises(DomainError, match="needs genus >= 2"):
+        xz_bound_check(z)
+
+
 def test_l_poly_via_characters_x5x(z55):
     assert l_poly_via_characters([z55]) == [[1, 0, 2, 0, 9]]
 
@@ -485,16 +496,25 @@ def fresh_symbols(monkeypatch):
                         functools.lru_cache(maxsize=None)(curvezeta._symbol_table.__wrapped__))
 
 
+def monic_codes(n: int, e: int) -> list[int]:
+    """The numbers of the monic residues of degree < e over F_n, leading digit 1."""
+    return [code for d in range(e) for code in range(n**d, 2 * n**d)]
+
+
 def test_l_poly_block_over_prime_of_many_residues(families, fresh_symbols):
-    # H_{6,5} has 624 primes of degree 5 with 3125 residues each; 40 draws
-    # meet at most 40 residues of each, and only those get a symbol
+    # H_{6,5} has 624 primes of degree 5 with 3125 residues each.  40 draws
+    # meet few of them, but the table is filled whole: a symbol +-1 at each of
+    # the 781 monic residues and 0 at the zero residue, 624 x 782 entries, and
+    # nothing at the non-monic residues
     zs = families[(5, 6)]
     assert len(zs) == 40
     assert l_poly_via_characters(zs) == [reference_l_poly(z) for z in zs]
     K = make_field(5)
-    table = curvezeta._symbol_table(K, _irreducible_ivs(K, 5))
-    assert len(table) == 624 * 5**5
-    assert 0 < np.count_nonzero(table != curvezeta.UNKNOWN) <= 40 * 624
+    table = curvezeta._symbol_table(K, 5).reshape(624, 5**5)
+    monic = monic_codes(5, 5)
+    assert len(monic) + 1 == 782
+    assert np.all(np.abs(table[:, monic]) == 1) and np.all(table[:, 0] == 0)
+    assert np.count_nonzero(table) == 624 * 781
 
 
 def test_l_poly_block_over_tower_field():
@@ -558,23 +578,29 @@ def test_character_route_needs_no_point_count(families, monkeypatch, fresh_symbo
 
 
 def test_validate_zeta_and_lambda_symbol_count(monkeypatch, fresh_symbols):
-    # at most one symbol per monic or zero residue of each prime P of degree
-    # e <= 4 over F_5, (5^e - 1)/4 + 1 of them: 5*2 + 10*7 + 40*32 + 150*157
-    # = 24910.  The lambda suite (m = 1, 2) reads only the tables of the
-    # primes of degree 1 and 2, which the zeta suite has already filled for
-    # the same blocks, so it adds no symbol: the bound is 24910
+    # one symbol per monic or zero residue of each prime P of degree e <= 4
+    # over F_5, (5^e - 1)/4 + 1 of them: 5*2 + 10*7 + 40*32 + 150*157 = 24910,
+    # in one table per degree.  The lambda suite (m = 1, 2) reads the tables
+    # of degree 1 and 2 that the zeta suite has built, and neither suite makes
+    # a reciprocity step
+    from moduli_census import polyring
     from moduli_census.validate import run_suite
-    calls = []
-    real = curvezeta._iv_jacobi
 
-    def counting(u, v, K):
-        calls.append(1)
-        return real(u, v, K)
+    def forbidden(*args):
+        raise AssertionError("the character route made a reciprocity step")
 
-    monkeypatch.setattr(curvezeta, "_iv_jacobi", counting)
+    monkeypatch.setattr(polyring, "_iv_jacobi", forbidden)
     results = run_suite("zeta", 5, 5) + run_suite("lambda", 5, 5)
     assert all(res.ok for res in results)
-    assert len(calls) <= 24_910
+    assert curvezeta._symbol_table.cache_info().currsize == 4
+    K = make_field(5)
+    filled = 0
+    for e in range(1, 5):
+        table = curvezeta._symbol_table(K, e).reshape(-1, 5**e)
+        monic = monic_codes(5, e)
+        assert np.all(np.abs(table[:, monic]) == 1) and np.all(table[:, 0] == 0)
+        filled += table[:, [0] + monic].size
+    assert filled == 24_910
 
 
 
@@ -585,19 +611,16 @@ _FIELDS = [F3, make_field(5), make_field(7), extend_field(F3, 2)]
 def test_jacobi_block_matches_reciprocity_per_entry(K, fresh_symbols):
     # hand-built rows of 6 digits: zero, each degree below e with leading
     # digit 1, -1 and one more (outside F_3 over F_9), c f (x + a) for two
-    # moduli f (so f | F), and random rows; moduli of odd and even degree,
-    # and the prime powers of degree 2, (x - a)^2 among them
+    # primes f (so f | F), and random rows; primes of odd and even degree,
+    # up to degree 4 over F_3
     from moduli_census.curvezeta import _jacobi_block
     from moduli_census.polyring import _iv_jacobi, _iv_trim
     n = K.order
     _add, mul, _inv, _chi, neg = K.tables()
     rng = np.random.default_rng(n)
     leads = list(dict.fromkeys([1, neg[1], 2, n - 1]))
-    cases = [_irreducible_ivs(K, e) for e in (1, 2, 3)] + [tuple(f for f, _ in prime_powers(K, 2))]
-    if n == 3:
-        cases.append(tuple(f for f, _ in prime_powers(K, 4)))  # P^2, P of degree 2
-    for mods in cases:
-        e = len(mods[0]) - 1
+    for e in (1, 2, 3, 4) if n == 3 else (1, 2, 3):
+        mods = _irreducible_ivs(K, e)
         rows = [[0] * 6]
         for d in range(e):
             for c in leads:
@@ -611,11 +634,38 @@ def test_jacobi_block_matches_reciprocity_per_entry(K, fresh_symbols):
         rows = np.array(rows, dtype=np.int64)
         want = [[_iv_jacobi(_iv_trim(row), list(f), K) for f in mods] for row in rows.tolist()]
         assert any(0 in w for w in want) and any(-1 in w for w in want)
-        for _ in range(2):  # the filling pass, then the lookups alone
-            assert _jacobi_block(K, rows, mods).tolist() == want
-        # only the zero and the monic residues got a symbol
-        filled = np.flatnonzero(curvezeta._symbol_table(K, mods) != curvezeta.UNKNOWN) % n**e
-        assert {tuple(_iv_trim(_code_iv(code, n, e)[:-1])[-1:]) for code in filled.tolist()} == {(), (1,)}
+        assert _jacobi_block(K, rows, e).tolist() == want
+        # only the monic residues hold a nonzero symbol
+        filled = np.flatnonzero(curvezeta._symbol_table(K, e)) % n**e
+        assert {tuple(_iv_trim(_code_iv(code, n, e)[:-1])[-1:]) for code in filled.tolist()} == {(1,)}
+
+
+_TABLE_DEGREES = [(F3, 5), (make_field(5), 3), (make_field(7), 3), (extend_field(F3, 2), 3)]
+
+
+@pytest.mark.parametrize("K, top", _TABLE_DEGREES, ids=["F3", "F5", "F7", "F9"])
+def test_symbol_tables_match_reciprocity_on_every_entry(K, top, fresh_symbols):
+    # the bulk table of each degree holds (u/P) from the squares mod P; the
+    # reciprocity _iv_jacobi must give the same symbol at every prime P and
+    # every monic or zero residue u
+    from moduli_census.polyring import _iv_jacobi, _iv_trim
+    n = K.order
+    for e in range(1, top + 1):
+        table = curvezeta._symbol_table(K, e).reshape(-1, n**e)
+        for j, P in enumerate(_irreducible_ivs(K, e)):
+            for code in [0] + monic_codes(n, e):
+                u = _iv_trim(_code_iv(code, n, e)[:-1])
+                assert table[j, code] == _iv_jacobi(u, list(P), K), (n, e, P, u)
+
+
+@pytest.mark.parametrize("K, top", _TABLE_DEGREES, ids=["F3", "F5", "F7", "F9"])
+def test_prime_sieve_matches_rabin_on_every_code(K, top):
+    from moduli_census.polyring import is_irreducible
+    n = K.order
+    for e in range(1, top + 1):
+        codes = [_code_iv(code, n, e) for code in range(n**e)]
+        rabin = [tuple(iv) for iv in codes if is_irreducible(MonicPoly.from_indices(K, iv))]
+        assert list(_irreducible_ivs.__wrapped__(K, e)) == rabin
 
 
 @given(st.sampled_from(_FIELDS).flatmap(lambda K: st.tuples(

@@ -185,6 +185,27 @@ def test_count_stable_beta_table_check(z55, z73):
     assert set(count_stable_fixed_det(z55, 3, 1).cross_checks) == {"beta_table"}
 
 
+def test_count_stable_siegel_mass_built_once(z55, z73, monkeypatch):
+    # the Siegel mass comes from the BetaTable the count builds, and the
+    # components are the ones siegel_mass and beta give
+    from moduli_census import moduli
+    want = {(z, r, d): (siegel_mass(z, r), BetaTable(z).beta(r, d))
+            for z in (z55, z73) for r, d in ((2, 1), (3, 1), (3, 2))}
+    calls = []
+    real = moduli._siegel_pair
+
+    def counting(z, r):
+        calls.append(r)
+        return real(z, r)
+
+    monkeypatch.setattr(moduli, "_siegel_pair", counting)
+    for (z, r, d), (mass, b) in want.items():
+        calls.clear()
+        rep = count_stable_fixed_det(z, r, d)
+        assert rep.components == {"beta": b, "siegel_mass": mass}
+        assert calls.count(r) == 1
+
+
 def test_count_stable_d_periodic(z55):
     assert count_stable_fixed_det(z55, 2, 3).value == count_stable_fixed_det(z55, 2, 1).value
 

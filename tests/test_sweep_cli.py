@@ -368,23 +368,64 @@ def test_cli_validate_over_symbol_budget(monkeypatch, capsys):
         " has 1458 entries, more than the budget 1457"]
 
 
+@pytest.mark.parametrize("suite", ["zeta", "all"])
+def test_cli_validate_refuses_the_symbol_budget_before_any_work(monkeypatch, capsys, suite):
+    # the budget is checked for every degree the route needs before a curve
+    # is counted or a prime of degree 4 is listed
+    from moduli_census import curvezeta, polyring
+    real = polyring._irreducible_ivs.__wrapped__
+
+    def no_degree_4(K, e):
+        if K.order == 3 and e == 4:
+            raise AssertionError("the primes of degree 4 were listed")
+        return real(K, e)
+
+    def no_count(*args, **kwargs):
+        raise AssertionError("validate counted a curve")
+
+    fresh_primes = functools.lru_cache(maxsize=None)(no_degree_4)
+    monkeypatch.setattr(polyring, "_irreducible_ivs", fresh_primes)
+    monkeypatch.setattr(curvezeta, "_irreducible_ivs", fresh_primes)
+    monkeypatch.setattr(curvezeta, "point_counts", no_count)
+    monkeypatch.setattr(curvezeta, "SYMBOL_BUDGET", 1457)
+    code = main(["validate", "--suite", suite, "--q", "3", "--gamma", "5"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "budget error: the character route's symbol table of 18 moduli of degree 4 over F_3"
+        " has 1458 entries, more than the budget 1457"]
+
+
+def test_cli_validate_xz_needs_genus_two(capsys):
+    # the zeta envelope's scale loglog(g) needs g >= 2: a genus-1 family is
+    # refused as higgs, unstable and estimate refuse it
+    code = main(["validate", "--suite", "xz", "--q", "5", "--gamma", "3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: needs genus >= 2"]
+
+
 @pytest.fixture
 def flipped_symbol(monkeypatch):
-    """Fresh symbol tables whose symbol (1/x) over F_3 has the wrong sign.
+    """Fresh symbol tables whose filled symbol (1/x) over F_3 has the wrong sign.
 
     Every residue c = c * 1 mod x takes chi(c) (1/x), so (F/x) is wrong for
     every F with F(0) != 0: 122 of the 162 curves of H_{5,3}.
     """
     from moduli_census import curvezeta
-    real = curvezeta._residue_symbol
+    real = curvezeta._symbol_table.__wrapped__
 
-    def flipped(code, f, K):
-        s = real(code, f, K)
-        return -s if (code, f) == (1, (0, 1)) else s
+    def flipped(K, e):
+        table = real(K, e)
+        if K.order == 3 and e == 1:
+            at = curvezeta._irreducible_ivs(K, 1).index((0, 1)) * 3 + 1  # (x, the residue 1)
+            assert table[at] == 1
+            table[at] = -1
+        return table
 
-    monkeypatch.setattr(curvezeta, "_residue_symbol", flipped)
-    monkeypatch.setattr(curvezeta, "_symbol_table",
-                        functools.lru_cache(maxsize=None)(curvezeta._symbol_table.__wrapped__))
+    monkeypatch.setattr(curvezeta, "_symbol_table", functools.lru_cache(maxsize=None)(flipped))
 
 
 def test_cli_validate_reports_a_character_route_mismatch(flipped_symbol):
