@@ -11,13 +11,12 @@ functional equation c_{2g-i} = q^(g-i) c_i, and then validated:
   * the point counts N_m that P(t) predicts for g < m <= 2g match direct
     enumeration whenever q^m fits the check budget.
 
-An entirely independent construction of the same polynomial from prime
-Jacobi symbols lives in l_poly_via_characters; the two must agree
-coefficient by coefficient.  It reduces a block of F modulo every prime P of
-one degree at once (polyring._reduce_block), and reads each residue c u, u
-monic, as chi(c)^deg P (u / P) from a table per field and degree filled from
-the squares mod P: no discrete log, point count or reciprocity step.  The
-trace identity (lambda_character_identity) reads the same tables.
+An independent construction of the same polynomial from prime Jacobi
+symbols, l_poly_via_characters, must agree with it exactly.  It reduces a
+block of F modulo every prime P of one degree at once (polyring._reduce_block)
+and reads each residue c u, u monic, as chi(c)^deg P (u / P) from a table per
+field and degree filled from the squares mod P: no discrete log, point count
+or reciprocity step.  lambda_character_identity reads the same tables.
 
 N_r counts points of the smooth projective model: one point above
 x = infinity for odd deg F, two for even deg F (monic leading 1 is a
@@ -52,7 +51,7 @@ from .polyring import (MonicPoly, _dense_tables, _irreducible_ivs, _reduce_block
 POINT_BUDGET = 10**6
 # entries of one degree's symbol table (one int8 per prime and residue); a
 # route that needs a larger one is refused before any work.  The largest
-# table within it, degree 9 over F_3 (43 M entries), fills in about 22 s on
+# table within it, degree 9 over F_3 (43 M entries), fills in about 10 s on
 # a 2-core x86 host; the size is kept so that the same families are refused.
 SYMBOL_BUDGET = 2**26
 

@@ -466,10 +466,11 @@ def _reduce_block(K: FieldHandle, rows: np.ndarray, mods: tuple):
     offsets = np.arange(len(mods)) * n**e  # the index of (f, 0) for each f
     step = max(1, RESIDUE_SUB_BLOCK // (len(mods) * e))
     for lo in range(0, len(rows), step):
-        F = rows[lo:lo + step, :, None, None] * n
+        F = rows[lo:lo + step]
         acc = np.zeros((len(F), len(mods), e), dtype=np.int64)
-        for i in range(rows.shape[1]):
-            acc = add[acc * n + mul[F[:, i] + powers[:, i]]]
+        acc[..., :F.shape[1]] = F[:, None, :e]  # x^i mod f = x^i for i < e
+        for i in range(e, rows.shape[1]):
+            acc = add[acc * n + mul[F[:, i, None, None] * n + powers[:, i]]]
         top = e - 1 - np.argmax(acc[..., ::-1] != 0, axis=-1)
         c = np.take_along_axis(acc, top[..., None], axis=-1)
         yield c[..., 0], mul[inv[c] * n + acc] @ weights + offsets
