@@ -559,6 +559,8 @@ def test_symbol_table_budget(z55, monkeypatch, fresh_symbols):
     monkeypatch.setattr(curvezeta, "SYMBOL_BUDGET", 1457)
     with pytest.raises(BudgetError, match="18 moduli of degree 4 over F_3 has 1458 entries"):
         l_poly_via_characters([z55])
+    with pytest.raises(BudgetError, match="18 moduli of degree 4 over F_3 has 1458 entries"):
+        lambda_character_identity([z55], 4)  # the primes of degree 1, 2 and 4
     monkeypatch.setattr(curvezeta, "SYMBOL_BUDGET", 1458)
     assert l_poly_via_characters([z55]) == [[1, 0, 2, 0, 9]]
 
