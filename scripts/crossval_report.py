@@ -15,10 +15,9 @@ from collections import Counter
 
 from moduli_census import (
     FamilySpec,
-    HyperellipticCurve,
     count_ms20,
     count_stable_fixed_det,
-    family,
+    family_curves,
     format_poly,
     genus2_oracle,
     make_field,
@@ -42,8 +41,8 @@ def main() -> int:
     resid_counter = Counter()
     nonint = 0
     total = 0
-    for F in family(FamilySpec(K, args.gamma)):
-        z = zeta_data(HyperellipticCurve(F))
+    for curve in family_curves(FamilySpec(K, args.gamma)):
+        z = zeta_data(curve)
         m21 = count_stable_fixed_det(z, 2, 1)
         ms = count_ms20(z)
         oracle = genus2_oracle(z)
@@ -52,7 +51,7 @@ def main() -> int:
         nonint += 0 if ms.is_integer else 1
         total += 1
         lines.append(",".join([
-            format_poly(F, ":"), frac_str(m21.value), str(m21.is_integer),
+            format_poly(curve.F, ":"), frac_str(m21.value), str(m21.is_integer),
             str(oracle), frac_str(resid), frac_str(ms.value),
             str(ms.is_integer),
             frac_str(ms.cross_checks["component_assembly"]["residual"]),

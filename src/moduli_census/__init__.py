@@ -1,6 +1,13 @@
 """moduli_census: exact zeta data, moduli-space point counts, and family
 statistics for hyperelliptic curves over small odd finite fields."""
 
+import os
+
+# The package makes no BLAS call (every product is of integer arrays, which
+# numpy computes without BLAS), so OpenBLAS need not start a thread per core
+# when numpy is imported.  A value set by the user is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import (
     BudgetError,
     DomainError,
@@ -33,6 +40,7 @@ from .curvezeta import (
     HyperellipticCurve,
     epsilon_bounds,
     epsilon_terms,
+    family_curves,
     jacobian_count,
     l_poly_via_characters,
     lambda_character_identity,

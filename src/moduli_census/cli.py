@@ -148,6 +148,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    make_field(args.q)  # rejects a q that is not an odd prime, as every --q does
+    try:
+        ts = [float(s) for s in args.t.split(",")]
+    except ValueError:
+        raise DomainError(f"--t must be comma-separated numbers, got {args.t!r}") from None
     payload: dict = {"q": args.q, "D": args.D}
     moments = {}
     for k in range(args.k_max + 1):
@@ -165,7 +170,7 @@ def cmd_moments(args) -> int:
     samples = {}
     for k in range(args.k_max + 1):
         row = {}
-        for t in (float(s) for s in args.t.split(",")):
+        for t in ts:
             phi = characteristic_function(args.q, k, t, args.D)
             row[f"{t:g}"] = {"re": phi.real, "im": phi.imag}
         samples[str(k)] = row

@@ -45,8 +45,8 @@ import numpy as np
 
 from . import countfast
 from .errors import BudgetError, DomainError, InternalConsistencyError
-from .polyring import (MonicPoly, _dense_tables, _irreducible_ivs, _reduce_block, format_poly,
-                       is_squarefree, prime_count)
+from .polyring import (FamilySpec, MonicPoly, _dense_tables, _irreducible_ivs, _members,
+                       _reduce_block, format_poly, is_squarefree, prime_count)
 
 POINT_BUDGET = 10**6
 # entries of one degree's symbol table (one int8 per prime and residue); a
@@ -59,15 +59,19 @@ SYMBOL_BUDGET = 2**26
 class HyperellipticCurve:
     """y^2 = F(x) with F monic square-free of degree gamma >= 3 over odd F_q."""
 
-    __slots__ = ("field", "F", "gamma", "genus", "delta")
+    __slots__ = ("field", "F", "gamma", "genus", "delta", "row")
 
     def __init__(self, F: MonicPoly):
         if F.degree < 3:
             raise DomainError("curve polynomial must have degree >= 3")
         if not is_squarefree(F):
             raise DomainError("curve polynomial must be square-free")
+        self._set(F, tuple(F.indices()))
+
+    def _set(self, F: MonicPoly, row: tuple[int, ...]) -> None:
         self.field = F.field
         self.F = F
+        self.row = row  # F's K-indices, degree 0 first
         self.gamma = F.degree
         self.genus = (F.degree - 1) // 2
         self.delta = 1 if F.degree % 2 == 0 else 0
@@ -78,6 +82,19 @@ class HyperellipticCurve:
 
     def __repr__(self):
         return f"HyperellipticCurve(q={self.field.order}, F={self.F.indices()})"
+
+
+def family_curves(spec: FamilySpec, start: int = 0, stop: int | None = None):
+    """The curves y^2 = F of the family's members F with code (or draw) in
+    [start, stop), in family order.  The family's stream is square-free by
+    construction, so no member is checked again, and each curve keeps the
+    row of K-indices the stream made it from."""
+    K = spec.field
+    for row in _members(spec, start, stop):
+        row = tuple(row)  # over a prime field, F.coeffs is this tuple
+        curve = HyperellipticCurve.__new__(HyperellipticCurve)
+        curve._set(MonicPoly.from_indices(K, row), row)
+        yield curve
 
 
 def count_tables(K, rs) -> dict:
@@ -96,7 +113,7 @@ def _block_rows(curves: list[HyperellipticCurve]):
     K, gamma = curves[0].field, curves[0].gamma
     if any(c.field is not K or c.gamma != gamma for c in curves):
         raise DomainError("a block of curves needs one field and one degree")
-    return K, np.array([c.F.indices() for c in curves], dtype=np.int64)
+    return K, np.array([c.row for c in curves], dtype=np.int64)
 
 
 def point_counts(curves: list[HyperellipticCurve], rs) -> dict[int, list[int]]:
@@ -115,7 +132,7 @@ def point_count(curve: HyperellipticCurve, r: int) -> int:
     return point_counts([curve], [r])[r][0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CurveZeta:
     """A curve together with its validated zeta data."""
 
@@ -245,8 +262,10 @@ def zeta_data_block(curves, check_budget: int = 10**4):
     """zeta_data of each curve of a block (one field, one degree), in order.
 
     Every N_m of zeta_degrees is counted for the whole block at once.  P(t)
-    is built and validated once per distinct (N_1..N_g) of the block, and
-    each curve's recounts are checked against it, as the curves are yielded.
+    is built and validated once per distinct (N_1..N_g) of the block, at its
+    first curve, against that curve's recounts; every other curve's recounts
+    are compared with those in one array comparison.  A failure is raised
+    when its curve's turn comes.
     """
     curves = list(curves)
     if not curves:
@@ -254,17 +273,20 @@ def zeta_data_block(curves, check_budget: int = 10**4):
     g = curves[0].genus
     degrees = zeta_degrees(curves[0].field.order, g, check_budget)
     counts = point_counts(curves, degrees)
-    seen: dict[tuple[int, ...], tuple] = {}  # N_1..N_g -> (N, psums, coeffs)
-    for i, curve in enumerate(curves):
-        N = {m: Ns[i] for m, Ns in counts.items()}
-        key = tuple(N[m] for m in range(1, g + 1))
-        data = seen.get(key)
+    N = np.array([counts[m] for m in degrees], dtype=np.int64).T  # column j is N_{degrees[j]}
+    _, first, key = np.unique(N[:, :g], axis=0, return_index=True, return_inverse=True)
+    key = key.reshape(-1)
+    off = (N[:, g:] != N[first[key], g:]).any(axis=1).tolist()
+    seen: dict[int, tuple] = {}  # key -> (N, psums, coeffs)
+    for i, k in enumerate(key.tolist()):
+        data = seen.get(k)
         if data is None:
-            z = _validated(curve, N)
-            seen[key] = (z.N, z.psums, z.coeffs)
+            z = _validated(curves[i], dict(zip(degrees, N[i].tolist())))
+            seen[k] = (z.N, z.psums, z.coeffs)
         else:
-            z = CurveZeta(curve, *data)
-            _check_recounts(z, N)
+            z = CurveZeta(curves[i], *data)
+            if off[i]:
+                _check_recounts(z, dict(zip(degrees, N[i].tolist())))
         yield z
 
 
@@ -428,6 +450,16 @@ def _jacobi_block(K, rows: np.ndarray, e: int) -> np.ndarray:
                            for c, at in _reduce_block(K, rows, _irreducible_ivs(K, e))])
 
 
+def _block_symbols(zs, degrees, symbols: dict) -> None:
+    """Add to symbols _jacobi_block of the block zs of CurveZeta for each
+    degree of degrees that it does not hold yet."""
+    missing = [e for e in degrees if e not in symbols]
+    if missing:
+        K, rows = _block_rows([z.curve for z in zs])
+        for e in missing:
+            symbols[e] = _jacobi_block(K, rows, e)
+
+
 def lambda_character_identity(zs, m: int) -> list[IdentityReport]:
     """Check -p_m = sum_{deg f = m} Lambda(f) (F/f) + delta exactly, for
     each curve of a block of CurveZeta (one field, one degree).
@@ -438,20 +470,25 @@ def lambda_character_identity(zs, m: int) -> list[IdentityReport]:
     Euler product of l_poly_via_characters.  The left side comes from the
     point-count route.
     """
+    return _lambda_identity(list(zs), m, {})
+
+
+def _lambda_identity(zs: list, m: int, symbols: dict) -> list[IdentityReport]:
+    """lambda_character_identity of the block zs, which takes the symbols
+    (F/P) of each degree e | m from symbols[e] and adds those it makes."""
     if m < 1:
         raise DomainError("need m >= 1")
-    zs = list(zs)
     if not zs:
         return []
-    K, rows = _block_rows([z.curve for z in zs])
-    q = K.order
+    q = zs[0].curve.field.order
     if q**m > POINT_BUDGET:
         raise BudgetError(f"enumerating q^m = {q**m} monic polynomials exceeds budget")
     degrees = [e for e in range(1, m + 1) if m % e == 0]  # f = P^(m/e), deg P = e
     check_symbol_budget(q, degrees)
+    _block_symbols(zs, degrees, symbols)
     totals = zs[0].curve.delta
     for e in degrees:
-        totals = totals + e * (_jacobi_block(K, rows, e) ** (m // e)).sum(axis=1, dtype=np.int64)
+        totals = totals + e * (symbols[e] ** (m // e)).sum(axis=1, dtype=np.int64)
     return [IdentityReport(lhs=-z.power_sum(m), rhs=total)
             for z, total in zip(zs, totals.tolist())]
 
@@ -503,18 +540,23 @@ def l_poly_via_characters(zs) -> list[list[int]]:
     block's series by 1 / (1 - (F/P) t^e).  Every result must match its z,
     from the point counts, exactly.
     """
-    zs = list(zs)
+    return _l_poly(list(zs), {})
+
+
+def _l_poly(zs: list, symbols: dict) -> list[list[int]]:
+    """l_poly_via_characters of the block zs, which takes the symbols (F/P)
+    of each degree e from symbols[e] and adds those it makes."""
     if not zs:
         return []
-    K, rows = _block_rows([z.curve for z in zs])
     curve = zs[0].curve
     g = curve.genus
     M = curve.gamma - 1  # 2g for odd gamma, 2g+1 for even gamma
-    check_symbol_budget(K.order, range(1, M + 1))
+    check_symbol_budget(curve.field.order, range(1, M + 1))
+    _block_symbols(zs, range(1, M + 1), symbols)
     b = np.zeros((len(zs), M + 1), dtype=np.int64)
     b[:, 0] = 1
     for e in range(1, M + 1):
-        for s in _jacobi_block(K, rows, e).T:
+        for s in symbols[e].T:
             for m in range(e, M + 1):
                 b[:, m] += s * b[:, m - e]
     if curve.delta:

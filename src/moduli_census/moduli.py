@@ -527,7 +527,7 @@ def _full_2_torsion(z: CurveZeta) -> bool:
         flag = False
         if gamma <= n:
             add, mul = K.tables()[:2]
-            coeffs = z.curve.F.indices()[::-1]
+            coeffs = z.curve.row[::-1]
             roots = 0
             for x in range(n):
                 acc = 0

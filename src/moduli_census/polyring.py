@@ -18,12 +18,17 @@ prime.
 Family enumeration is total-ordered: coefficient vectors of monic
 square-free polynomials read as base-q integers, degree-0 digit least
 significant.  Sampling is rejection from all monic polynomials of the
-requested degree, with draw i a pure function of (seed, i).
+requested degree, with draw i a pure function of (seed, i).  Membership is
+sieved on blocks of codes: F of degree gamma is square-free iff no P^2 with
+2 deg P <= gamma divides it, and each block is reduced mod every such P^2
+at once (_reduce_block's reduction).  A family with too many P^2 for that to
+pay tests gcd(F, F') = 1 code by code instead.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -48,6 +53,8 @@ class MonicPoly:
 
     @classmethod
     def from_indices(cls, field: FieldHandle, indices) -> "MonicPoly":
+        if field.base is None:  # a prime field's raws are their indices
+            return cls(field, indices)
         return cls(field, tuple(field.raw_of_index(i) for i in indices))
 
     @property
@@ -434,6 +441,13 @@ def jacobi_symbol_via_factorization(f: MonicPoly, F: MonicPoly) -> int:
 
 
 RESIDUE_SUB_BLOCK = 2**14  # residue digits (rows x moduli x degree) reduced at once
+# a family is sieved by its squares P^2 when it has at most this many.  Each
+# costs a gather per digit of every row, so the sieve's cost per code grows
+# like q^(gamma/2); near 100 it costs what the gcd test of one code does
+# (2-core x86 host: H_{11,5} has 66, H_{13,5} 91 and H_{7,7} 140).  Every
+# family within it has q^gamma <= 97^3, so its codes fit int64.
+SIEVE_MODULI = 100
+SIEVE_BLOCK = 2**12  # codes sieved at once
 
 
 @functools.lru_cache(maxsize=None)
@@ -454,16 +468,13 @@ def _power_rows(K: FieldHandle, mods: tuple, D: int) -> np.ndarray:
     return rows
 
 
-def _reduce_block(K: FieldHandle, rows: np.ndarray, mods: tuple):
+def _residues(K: FieldHandle, rows: np.ndarray, mods: tuple):
     """Reduce each row F of a (B, D) array of K-indices mod each monic f of mods, all of
-    degree e, as sum_i F_i (x^i mod f); yields (c, at) for each sub-block of rows in turn:
-    c[b, j] is the leading digit of F_b mod f_j, and at[b, j] is j q^e plus the base-q
-    number of the monic (F_b mod f_j) / c, both 0 for the zero residue."""
-    add, mul, inv, _chi, _neg = _dense_tables(K)
+    degree e, as sum_i F_i (x^i mod f); yields, for each sub-block of rows in turn, the
+    (b, len(mods), e) K-indices of each F mod each f."""
+    add, mul = _dense_tables(K)[:2]
     n, e = K.order, len(mods[0]) - 1
     powers = _power_rows(K, mods, rows.shape[1])
-    weights = n ** np.arange(e)
-    offsets = np.arange(len(mods)) * n**e  # the index of (f, 0) for each f
     step = max(1, RESIDUE_SUB_BLOCK // (len(mods) * e))
     for lo in range(0, len(rows), step):
         F = rows[lo:lo + step]
@@ -471,9 +482,27 @@ def _reduce_block(K: FieldHandle, rows: np.ndarray, mods: tuple):
         acc[..., :F.shape[1]] = F[:, None, :e]  # x^i mod f = x^i for i < e
         for i in range(e, rows.shape[1]):
             acc = add[acc * n + mul[F[:, i, None, None] * n + powers[:, i]]]
+        yield acc
+
+
+def _reduce_block(K: FieldHandle, rows: np.ndarray, mods: tuple):
+    """_residues as (c, at) for each sub-block of rows in turn: c[b, j] is the leading
+    digit of F_b mod f_j, and at[b, j] is j q^e plus the base-q number of the monic
+    (F_b mod f_j) / c, both 0 for the zero residue."""
+    _add, mul, inv, _chi, _neg = _dense_tables(K)
+    n, e = K.order, len(mods[0]) - 1
+    weights = n ** np.arange(e)
+    offsets = np.arange(len(mods)) * n**e  # the index of (f, 0) for each f
+    for acc in _residues(K, rows, mods):
         top = e - 1 - np.argmax(acc[..., ::-1] != 0, axis=-1)
         c = np.take_along_axis(acc, top[..., None], axis=-1)
         yield c[..., 0], mul[inv[c] * n + acc] @ weights + offsets
+
+
+def _indivisible(K: FieldHandle, rows: np.ndarray, mods: tuple) -> np.ndarray:
+    """Whether each row F of a (B, D) array of K-indices is divisible by no f of
+    mods (monic, all of one degree)."""
+    return np.concatenate([acc.any(axis=-1).all(axis=-1) for acc in _residues(K, rows, mods)])
 
 
 # -- counting and listing irreducibles --------------------------------------
@@ -524,8 +553,7 @@ def _irreducible_ivs(K: FieldHandle, e: int) -> tuple[tuple[int, ...], ...]:
                             np.ones(q**e, dtype=np.int64)])
     keep = np.ones(q**e, dtype=bool)
     for d in range(1, e // 2 + 1):
-        keep &= np.concatenate([(c != 0).all(axis=1)
-                                for c, _at in _reduce_block(K, rows, _irreducible_ivs(K, d))])
+        keep &= _indivisible(K, rows, _irreducible_ivs(K, d))
     out = tuple(map(tuple, rows[keep].tolist()))
     if len(out) != prime_count(q, e):  # pragma: no cover
         raise AssertionError(f"irreducible enumeration disagrees with the "
@@ -576,28 +604,89 @@ def _iv_squarefree(u: list[int], K: FieldHandle) -> bool:
     return bool(d) and len(_iv_gcd(u, d, K)) == 1
 
 
+@functools.lru_cache(maxsize=None)
+def _square_moduli(K: FieldHandle, gamma: int) -> tuple[tuple[tuple[int, ...], ...], ...] | None:
+    """The squares P^2 of the monic primes P with 2 deg P <= gamma, one tuple
+    per degree of P: F of degree gamma is square-free iff none divides it.
+    None when there are more than SIEVE_MODULI of them, and the family is
+    tested code by code."""
+    degrees = range(1, gamma // 2 + 1)
+    if sum(prime_count(K.order, d) for d in degrees) > SIEVE_MODULI:
+        return None
+    return tuple(tuple(tuple((MonicPoly.from_indices(K, P) ** 2).indices())
+                       for P in _irreducible_ivs(K, d)) for d in degrees)
+
+
+def _squarefree_rows(K: FieldHandle, codes, gamma: int, squares) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, keep) for a batch of codes: the (B, gamma + 1) K-indices of each
+    monic F, and whether F mod P^2 is nonzero for every P^2 of squares."""
+    q = K.order
+    codes = np.asarray(codes, dtype=np.int64)
+    rows = np.ones((len(codes), gamma + 1), dtype=np.int64)
+    rows[:, :gamma] = codes[:, None] // q ** np.arange(gamma) % q
+    keep = np.ones(len(codes), dtype=bool)
+    for mods in squares:
+        keep &= _indivisible(K, rows, mods)
+    return rows, keep
+
+
+def _draws(spec: FamilySpec, i: int):
+    """The codes draw i tries in turn; a pure function of (seed, i)."""
+    rng = random.Random(((spec.seed & (2**64 - 1)) << 64) | (i & (2**64 - 1)))
+    space = spec.field.order**spec.gamma
+    while True:
+        yield rng.randrange(space)
+
+
+def _draw_iv(spec: FamilySpec, i: int, skip: int = 0) -> list[int]:
+    """The K-indices of draw i: its first square-free code past the first skip."""
+    K = spec.field
+    for code in itertools.islice(_draws(spec, i), skip, None):
+        iv = _code_iv(code, K.order, spec.gamma)
+        if _iv_squarefree(iv, K):
+            return iv
+
+
 def sample_member(spec: FamilySpec, i: int) -> MonicPoly:
     """Draw i of the sample stream; a pure function of (seed, i)."""
-    K = spec.field
-    q = K.order
-    rng = random.Random(((spec.seed & (2**64 - 1)) << 64) | (i & (2**64 - 1)))
-    space = q**spec.gamma
-    while True:
-        f = poly_from_code(K, rng.randrange(space), spec.gamma)
-        if _iv_squarefree(_iv(f), K):
-            return f
+    return MonicPoly.from_indices(spec.field, _draw_iv(spec, i))
+
+
+def _members(spec: FamilySpec, start: int = 0, stop: int | None = None):
+    """The K-indices of each member with code (or draw) in [start, stop), in order.
+
+    A family with at most SIEVE_MODULI squares P^2 to test is sieved
+    SIEVE_BLOCK codes at a time: enumerate mode sieves code blocks in
+    order, and sample mode sieves the first code of each draw and redraws
+    only the rejects, one code at a time.  A larger family tests each
+    code by gcd(F, F'), as sample_member does.
+    """
+    if spec.gamma < 3:
+        raise DomainError("family degree must be >= 3")
+    K, gamma = spec.field, spec.gamma
+    squares = _square_moduli(K, gamma)
+    if spec.mode == "enumerate":
+        stop = K.order**gamma if stop is None else stop
+        if squares is None:
+            ivs = (_code_iv(code, K.order, gamma) for code in range(start, stop))
+            yield from (iv for iv in ivs if _iv_squarefree(iv, K))
+            return
+        for lo in range(start, stop, SIEVE_BLOCK):
+            rows, keep = _squarefree_rows(K, range(lo, min(lo + SIEVE_BLOCK, stop)), gamma, squares)
+            yield from rows[keep].tolist()
+        return
+    stop = spec.count if stop is None else stop
+    if squares is None:
+        yield from (_draw_iv(spec, i) for i in range(start, stop))
+        return
+    for lo in range(start, stop, SIEVE_BLOCK):
+        ids = range(lo, min(lo + SIEVE_BLOCK, stop))
+        rows, keep = _squarefree_rows(K, [next(_draws(spec, i)) for i in ids], gamma, squares)
+        for i, row, ok in zip(ids, rows.tolist(), keep.tolist()):
+            yield row if ok else _draw_iv(spec, i, skip=1)
 
 
 def family(spec: FamilySpec, start: int = 0, stop: int | None = None):
     """Deterministic stream of the members with code (or draw) in [start, stop)."""
-    if spec.gamma < 3:
-        raise DomainError("family degree must be >= 3")
     K = spec.field
-    if spec.mode == "enumerate":
-        for code in range(start, K.order**spec.gamma if stop is None else stop):
-            f = poly_from_code(K, code, spec.gamma)
-            if _iv_squarefree(_iv(f), K):
-                yield f
-    else:
-        for i in range(start, spec.count if stop is None else stop):
-            yield sample_member(spec, i)
+    return (MonicPoly.from_indices(K, iv) for iv in _members(spec, start, stop))

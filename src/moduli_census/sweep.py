@@ -18,17 +18,16 @@ flag, which read F, are computed per curve.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass, replace
 
-from .curvezeta import (CurveZeta, HyperellipticCurve, count_tables, jacobian_count, point_counts,
-                        xz_bound_check, zeta_data_block, zeta_degrees)
+from .curvezeta import (CurveZeta, HyperellipticCurve, count_tables, family_curves, jacobian_count,
+                        point_counts, xz_bound_check, zeta_data_block, zeta_degrees)
 from .emit import fmt_float
 from .errors import BudgetError, DomainError
 from .ffield import make_field
 from .moduli import _full_2_torsion, check_stable_domain
-from .polyring import FamilySpec, family, format_poly
+from .polyring import FamilySpec, format_poly
 from .stats import (RESIDUAL_VARIANTS, FamilyRecord, SweepReport, decomposition_residual,
                     default_cutoff, empirical_stats, limit_covariance, r_variable,
                     theoretical_moment, trace_charsums)
@@ -123,7 +122,7 @@ def _chunk_worker(args) -> list:
     """
     cfg, start, stop = args
     spec = FamilySpec(make_field(cfg.q), cfg.gamma, cfg.mode, cfg.count, cfg.seed)
-    curves = [HyperellipticCurve(F) for F in family(spec, start, stop)]
+    curves = list(family_curves(spec, start, stop))
     ms = range(1, cfg.cutoff + 1)
     budget, degrees = _count_plan(cfg)
     if budget is None:
@@ -162,6 +161,8 @@ def run_sweep(cfg: SweepConfig) -> list[FamilyRecord]:
         raise DomainError("family degree must be >= 3")
     if cfg.cutoff < 1:
         raise DomainError("truncation Z must be >= 1")
+    if cfg.max_n < 1:
+        raise DomainError("the highest moment max_n must be >= 1")
     if cfg.compute_moduli:
         for variant in cfg.variants:
             if variant not in RESIDUAL_VARIANTS:
@@ -180,6 +181,8 @@ def run_sweep(cfg: SweepConfig) -> list[FamilyRecord]:
     else:
         # every table the chunks use, built once for the workers to inherit
         count_tables(make_field(cfg.q), _count_plan(cfg)[1])
+        import multiprocessing  # here, not at the top: it costs every process ~8 ms to import
+
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(workers) as pool:
             parts = pool.map(_chunk_worker, chunks, chunksize=1)

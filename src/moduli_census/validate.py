@@ -17,7 +17,10 @@ count and extreme is the one a pass over every curve gives; a failing
 check's detail names the first curve of each failing P(t).  What reads F
 stays per curve: crossval's full 2-torsion flag, and the zeta and lambda
 suites, whose character route and trace identity are the independent
-check of P(t) itself.
+check of P(t) itself.  A run of every suite holds the family's zeta data
+once (_Family): its P(t) are grouped once for all six suites, and the
+lambda suite reads the symbols (F/P), deg P <= 2, that the zeta suite's
+character route made for each block.
 """
 
 from __future__ import annotations
@@ -29,14 +32,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curvezeta import (
-    CurveZeta,
     HyperellipticCurve,
+    _l_poly,
+    _lambda_identity,
     check_symbol_budget,
     epsilon_bounds,
     epsilon_terms,
+    family_curves,
     jacobian_count,
-    l_poly_via_characters,
-    lambda_character_identity,
     xz_bound_check,
     zeta_data,
     zeta_data_block,
@@ -57,7 +60,7 @@ from .moduli import (
     siegel_mass,
     unstable_mass,
 )
-from .polyring import FamilySpec, family, format_poly
+from .polyring import FamilySpec, format_poly
 from .sweep import CHUNK, ENUM_BUDGET
 
 
@@ -70,16 +73,38 @@ class CheckResult:
 
 def _curves(q: int, gamma: int, check_budget: int = 10**6):
     """The family's zeta data, counted in blocks of at most CHUNK curves."""
-    curves = (HyperellipticCurve(F) for F in family(FamilySpec(make_field(q), gamma)))
+    curves = family_curves(FamilySpec(make_field(q), gamma))
     while block := list(itertools.islice(curves, CHUNK)):
         yield from zeta_data_block(block, check_budget)
 
 
-def _by_lpoly(zs) -> list[list]:
+class _Family(list):
+    """Every CurveZeta of one family, in family order, held for all the
+    suites of a `validate --suite all` run.  Its P(t) are grouped once, for
+    every suite that reads only P(t), and the zeta suite leaves in `symbols`
+    each block's (F/P), deg P <= 2, for the lambda suite."""
+
+    def __init__(self, zs):
+        super().__init__(zs)
+        self.groups = _by_lpoly(iter(self))  # iter: group the curves, not the grouped _Family
+        # per block of CHUNK curves, {deg P: (F/P) for each curve and prime P}
+        self.symbols = [{} for _ in range(0, len(self), CHUNK)]
+
+
+def _by_lpoly(zs, each=None) -> list[list]:
     """[z, k] for the first CurveZeta z of each distinct P(t) of zs, in
-    first-seen order, with the number k of curves of zs that have it."""
+    first-seen order, with the number k of curves of zs that have it.
+    each(z), when given, is called on every curve of zs.  A _Family comes
+    grouped."""
+    if isinstance(zs, _Family):
+        if each:
+            for z in zs:
+                each(z)
+        return zs.groups
     groups: dict[tuple[int, ...], list] = {}
     for z in zs:
+        if each:
+            each(z)
         group = groups.get(z.coeffs)
         if group is None:
             groups[z.coeffs] = [z, 1]
@@ -88,25 +113,38 @@ def _by_lpoly(zs) -> list[list]:
     return list(groups.values())
 
 
+def _blocks(zs):
+    """(kept, block) for each block of at most CHUNK CurveZeta of zs, in
+    order: kept is the dict of the block's (F/P) by deg P that a _Family
+    keeps from suite to suite, or a new one."""
+    held = zs.symbols if isinstance(zs, _Family) else None
+    zs = iter(zs)
+    for i in itertools.count():
+        block = list(itertools.islice(zs, CHUNK))
+        if not block:
+            return
+        yield ({} if held is None else held[i]), block
+
+
 def suite_zeta(q: int, gamma: int, zs):
     """Construction invariants plus the character-route agreement."""
     n = 0
     fe_ok = True
     route_error = None
-    zs = iter(zs)
     try:
-        while block := list(itertools.islice(zs, CHUNK)):
+        for kept, block in _blocks(zs):
             n += len(block)
-            for z in block:
-                g = z.genus
-                for i in range(g + 1):
-                    if z.coeffs[2 * g - i] != q ** (g - i) * z.coeffs[i]:
-                        fe_ok = False
+            g = block[0].genus
+            for c in {z.coeffs for z in block}:  # P(t) is shared: once per distinct P(t)
+                if any(c[2 * g - i] != q ** (g - i) * c[i] for i in range(g + 1)):
+                    fe_ok = False
             if route_error is None:
+                symbols: dict = {}
                 try:
-                    l_poly_via_characters(block)  # raises unless the routes agree
+                    _l_poly(block, symbols)  # raises unless the routes agree
                 except InternalConsistencyError as exc:
                     route_error = str(exc)
+                kept.update((e, symbols[e]) for e in (1, 2))  # the lambda suite's degrees
     except InternalConsistencyError as exc:
         yield CheckResult("zeta.construction", False, str(exc))
         return
@@ -122,11 +160,10 @@ def suite_lambda(q: int, gamma: int, zs):
     """Exact trace identity for m in {1, 2} on the whole family."""
     n = 0
     bad = 0
-    zs = iter(zs)
-    while block := list(itertools.islice(zs, CHUNK)):
+    for symbols, block in _blocks(zs):
         n += len(block)
         for m in (1, 2):
-            bad += sum(not rep.holds for rep in lambda_character_identity(block, m))
+            bad += sum(not rep.holds for rep in _lambda_identity(block, m, symbols))
     yield CheckResult("lambda.identity", bad == 0,
                       f"{n} curves, m in {{1,2}}, {bad} violations")
 
@@ -219,13 +256,11 @@ def suite_crossval(q: int, gamma: int, zs):
     tors = 0
     broken = 0
 
-    def torsion_counted():  # the flag reads F, so every curve counts it
+    def count_torsion(z):  # the flag reads F, so every curve counts it
         nonlocal tors
-        for z in zs:
-            tors += _full_2_torsion(z)
-            yield z
+        tors += _full_2_torsion(z)
 
-    for z, k in _by_lpoly(torsion_counted()):
+    for z, k in _by_lpoly(zs, count_torsion):
         n += k
         rep = count_stable_fixed_det(z, 2, 1)
         if rep.cross_checks["genus2_oracle"]["residual"] == 0:
@@ -328,14 +363,10 @@ def run_suite(name: str, q: int, gamma: int) -> list[CheckResult]:
     if name in ("zeta", "all"):
         check_symbol_budget(q, range(1, gamma))
     if name == "all":
-        # Only each curve's validated fields are kept, and every suite gets
-        # fresh CurveZeta of them: holding every CurveZeta, with the zeta
-        # values its suites cache, raised peak RSS by about 1.3 kB a curve.
         try:
-            rows = [(z.curve, z.N, z.psums, z.coeffs) for z in _curves(q, gamma)]
+            zs = _Family(_curves(q, gamma))
         except InternalConsistencyError as exc:
             return [CheckResult("zeta.construction", False, str(exc))]
-        return [res for suite in SUITES.values()
-                for res in suite(q, gamma, itertools.starmap(CurveZeta, rows))]
+        return [res for suite in SUITES.values() for res in suite(q, gamma, zs)]
     budget = 10**6 if name == "zeta" else 10**4
     return list(SUITES[name](q, gamma, _curves(q, gamma, budget)))

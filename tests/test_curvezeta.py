@@ -220,6 +220,23 @@ def test_curve_requires_squarefree():
         HyperellipticCurve(parse_poly(F3, "0,0,1,0,0,1"))  # x^2 (x^3 + 1)... x^5+x^2 = x^2(x^3+1)
 
 
+def test_family_curves_are_checked_once(monkeypatch):
+    # the family's members are square-free by construction: its curves are
+    # built without a second test, and keep the stream's K-indices
+    def no_check(F):
+        raise AssertionError("a family member was tested again")
+
+    monkeypatch.setattr(curvezeta, "is_squarefree", no_check)
+    for spec in (FamilySpec(F3, 6), FamilySpec(F9, 5, "sample", 30, 2)):
+        curves = list(curvezeta.family_curves(spec, 3, 20))
+        assert [C.F for C in curves] == list(family(spec, 3, 20))
+        assert [list(C.row) for C in curves] == [C.F.indices() for C in curves]
+        assert all((C.gamma, C.genus, C.delta) == (spec.gamma, (spec.gamma - 1) // 2, 1 - spec.gamma % 2)
+                   for C in curves)
+    with pytest.raises(AssertionError, match="tested again"):
+        HyperellipticCurve(X5X)  # user input is still checked
+
+
 def test_zeta_data_x5x(z55):
     assert z55.coeffs == (1, 0, 2, 0, 9)
     assert z55.N == (4, 14, 28, 110)

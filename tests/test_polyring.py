@@ -218,6 +218,64 @@ def test_sampling_deterministic():
         assert is_squarefree(f) and f.degree == 5
 
 
+# the families the square-free sieve covers, each checked on every code
+SIEVE_CASES = ([(F3, g) for g in range(3, 9)] + [(F5, g) for g in range(3, 6)]
+               + [(make_field(7), g) for g in (3, 4)] + [(make_field(3, 2), g) for g in (3, 4)])
+
+
+@pytest.mark.parametrize("K, gamma", SIEVE_CASES,
+                         ids=[f"q{K.order}-d{gamma}" for K, gamma in SIEVE_CASES])
+def test_squarefree_sieve_matches_gcd_on_every_code(K, gamma):
+    from moduli_census.polyring import _code_iv, _iv_squarefree, _square_moduli, _squarefree_rows
+    q = K.order
+    squares = _square_moduli(K, gamma)
+    assert squares is not None
+    rows, keep = _squarefree_rows(K, range(q**gamma), gamma, squares)
+    ivs = [_code_iv(code, q, gamma) for code in range(q**gamma)]
+    assert rows.tolist() == ivs
+    assert keep.tolist() == [_iv_squarefree(iv, K) for iv in ivs]
+    # the enumerate stream is the sieved code blocks, in code order
+    assert [f.indices() for f in family(FamilySpec(K, gamma))] == [
+        iv for iv, ok in zip(ivs, keep.tolist()) if ok]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sieved_sample_stream_matches_each_draw(monkeypatch, seed):
+    # each draw's first code is sieved in a batch and only the rejects are
+    # redrawn; the stream must be sample_member's, across batch boundaries
+    # and across a sweep chunk boundary (draws 1000..1049)
+    from moduli_census import polyring
+    from moduli_census.sweep import CHUNK
+    for K, gamma in ((F3, 9), (F5, 5)):
+        spec = FamilySpec(K, gamma, "sample", 1100, seed)
+        want = [sample_member(spec, i) for i in range(1000, 1050)]
+        assert 1000 < CHUNK < 1050
+        assert list(family(spec, 1000, 1050)) == want
+        monkeypatch.setattr(polyring, "SIEVE_BLOCK", 16)
+        assert list(family(spec, 1000, 1050)) == want
+        monkeypatch.undo()
+
+
+def test_large_family_is_tested_code_by_code(monkeypatch):
+    # H_{13,11} has 331364 squares P^2 to sieve by; its members are tested by
+    # gcd(F, F') one code at a time, as sample_member does
+    from moduli_census import polyring
+    from moduli_census.polyring import _square_moduli
+    K11 = make_field(11)
+    assert _square_moduli(F5, 5) is not None
+    assert _square_moduli(K11, 13) is None
+    assert sum(prime_count(11, d) for d in range(1, 7)) > polyring.SIEVE_MODULI
+
+    def no_sieve(*args):
+        raise AssertionError("a family above SIEVE_MODULI was sieved")
+
+    monkeypatch.setattr(polyring, "_residues", no_sieve)
+    spec = FamilySpec(K11, 13, "sample", 40, 1)
+    assert list(family(spec)) == [sample_member(spec, i) for i in range(40)]
+    first = list(family(FamilySpec(K11, 13), 0, 200))
+    assert first and all(is_squarefree(f) for f in first)
+
+
 # -- text format ---------------------------------------------------------------
 
 def test_parse_format_roundtrip():

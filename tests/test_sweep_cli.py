@@ -149,6 +149,8 @@ def test_sweep_over_point_budget_builds_no_table_above_it(monkeypatch, capsys, w
     ["--rank", "2", "--degree", "2", "--variants", "m_rd"],
     ["--z", "0"],
     ["--z", "-1"],
+    ["--max-n", "0"],
+    ["--max-n", "-2"],
 ])
 def test_cli_sweep_bad_config_exit_code(capsys, flags):
     # rejected before any count, instead of a NaN column or a silent default
@@ -632,6 +634,61 @@ def test_cli_moments():
     data = json.loads(out)
     assert data["moments"]["1"]["1"]["value"] == pytest.approx(0.0141886, abs=1e-6)
     assert "1,2" in data["covariance"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--q", "1"],
+    ["--q", "0"],
+    ["--q", "2"],
+    ["--q", "4"],
+    ["--q", "3", "--t", "abc"],
+])
+def test_cli_moments_bad_input_exit_code(capsys, flags):
+    # a q that make_field refuses, and a --t that is not numbers, are usage
+    # errors, as for every other subcommand
+    code = main(["moments", *flags])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_cli_curve_info_refuses_a_square(capsys):
+    # x^5 + 1 = (x + 1)^5 over F_5: user input is checked as before
+    code = main(["curve-info", "--q", "5", "--f", "1,0,0,0,0,1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: curve polynomial must be square-free\n"
+
+
+def test_validate_tests_no_family_member_for_square_freeness(monkeypatch):
+    # the family's sieve is the only square-free test of H_{5,5}
+    from moduli_census import polyring, validate
+    tested = []
+    real = polyring._iv_squarefree
+
+    def counting(u, K):
+        tested.append(u)
+        return real(u, K)
+
+    monkeypatch.setattr(polyring, "_iv_squarefree", counting)
+    assert all(res.ok for res in validate.run_suite("all", 5, 5))
+    assert tested == []
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
+def test_import_starts_no_blas_thread_pool(preset, want):
+    # the package makes no BLAS call, so OpenBLAS starts one thread, unless
+    # the user has asked for more
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os, moduli_census; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout == want + "\n"
 
 
 def test_console_entry_point():
