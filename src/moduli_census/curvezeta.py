@@ -28,10 +28,20 @@ counts every N_m a block needs that way before it validates the block.
 point_count and zeta_data are the one-curve blocks.
 
 P(t) is a function of N_1..N_g alone (Newton's identities and the
-functional equation), so Newton, the RH check and Jacobian positivity run
-once per distinct (N_1..N_g) of a block, and the curves that share it share
-its N, psums and coeffs tuples.  What reads F stays per curve: each curve's
-own recounts N_m, m > g, are compared with the prediction.
+functional equation), and so is everything that reads only (q, P(t)).
+Sharing it is per run: a sweep (sweep.run_sweep) or a validate call
+(validate.run_suite) owns one L-polynomial registry for as long as it runs,
+{(N_1..N_g): [z, k]}, and a forked pool worker keeps its copy across its
+chunks.  z is the zeta data of the run's first curve with that key,
+validated there (Newton, the RH test, Jacobian positivity) and nowhere
+else; k counts the run's curves that have it.  Every later curve with the
+key shares z's N, psums and coeffs tuples.  The run keeps what else it
+derives from P(t) alone in the same entries: the sweep appends its first
+record, and validate's suites read the [z, k] pairs as their groups.
+Nothing outlives its run: a call outside one starts a registry of its
+own.  What reads F stays per curve: every curve's own recounts N_m, m > g,
+are compared with the prediction, and the F column, the 2-torsion flag and
+the character route read each curve.
 """
 
 from __future__ import annotations
@@ -258,35 +268,35 @@ def zeta_degrees(q: int, g: int, check_budget: int) -> list[int]:
     return [m for m in range(1, 2 * g + 1) if m <= g or q**m <= check_budget]
 
 
-def zeta_data_block(curves, check_budget: int = 10**4):
+def zeta_data_block(curves, check_budget: int = 10**4, registry: dict | None = None):
     """zeta_data of each curve of a block (one field, one degree), in order.
 
-    Every N_m of zeta_degrees is counted for the whole block at once.  P(t)
-    is built and validated once per distinct (N_1..N_g) of the block, at its
-    first curve, against that curve's recounts; every other curve's recounts
-    are compared with those in one array comparison.  A failure is raised
-    when its curve's turn comes.
+    Every N_m of zeta_degrees is counted for the whole block at once.  The
+    run's first curve with a given N_1..N_g builds P(t), validates it once
+    its own recounts pass, and enters the run's registry (see the module
+    docstring; a block without one starts its own); every later curve with
+    it shares that P(t).  Each curve's own recounts are compared with its
+    prediction, and a failure is raised when its curve's turn comes.
     """
     curves = list(curves)
     if not curves:
         return
+    registry = {} if registry is None else registry
     g = curves[0].genus
     degrees = zeta_degrees(curves[0].field.order, g, check_budget)
     counts = point_counts(curves, degrees)
-    N = np.array([counts[m] for m in degrees], dtype=np.int64).T  # column j is N_{degrees[j]}
-    _, first, key = np.unique(N[:, :g], axis=0, return_index=True, return_inverse=True)
-    key = key.reshape(-1)
-    off = (N[:, g:] != N[first[key], g:]).any(axis=1).tolist()
-    seen: dict[int, tuple] = {}  # key -> (N, psums, coeffs)
-    for i, k in enumerate(key.tolist()):
-        data = seen.get(k)
-        if data is None:
-            z = _validated(curves[i], dict(zip(degrees, N[i].tolist())))
-            seen[k] = (z.N, z.psums, z.coeffs)
-        else:
-            z = CurveZeta(curves[i], *data)
-            if off[i]:
-                _check_recounts(z, dict(zip(degrees, N[i].tolist())))
+    for curve, N in zip(curves, zip(*(counts[m] for m in degrees))):
+        entry = registry.get(N[:g])
+        z = (_from_counts(curve, N[:g]) if entry is None
+             else CurveZeta(curve, entry[0].N, entry[0].psums, entry[0].coeffs))
+        for m, n in zip(degrees[g:], N[g:]):
+            if n != z.N[m - 1]:
+                raise InternalConsistencyError(
+                    f"predicted-count-mismatch: N_{m} predicted {z.N[m-1]}, counted {n}")
+        if entry is None:
+            _validated(z)
+            entry = registry[N[:g]] = [z, 0]
+        entry[1] += 1
         yield z
 
 
@@ -295,29 +305,24 @@ def zeta_data(curve: HyperellipticCurve, check_budget: int = 10**4) -> CurveZeta
     return next(zeta_data_block([curve], check_budget))
 
 
-def _validated(curve: HyperellipticCurve, N: dict[int, int]) -> CurveZeta:
-    """P(t) from N_1..N_g, checked against the recounts N_m, m > g, in N."""
+def _from_counts(curve: HyperellipticCurve, low: tuple[int, ...]) -> CurveZeta:
+    """The zeta data that N_1..N_g = low determine; no check is made."""
     g = curve.genus
     q = curve.field.order
-    psums_low = [q**m + 1 - N[m] for m in range(1, g + 1)]
+    psums_low = [q**m + 1 - n for m, n in enumerate(low, 1)]
     c = _newton_coeffs(psums_low, g)
     c += [q ** (g - i) * c[i] for i in range(g - 1, -1, -1)]
     z = CurveZeta.from_coeffs(curve, c)
     if list(z.psums[:g]) != psums_low:  # pragma: no cover
         raise InternalConsistencyError("newton-roundtrip: power sums drift")
-    _check_recounts(z, N)
-    check_riemann_hypothesis(c, q)
-    if jacobian_count(z, 1) <= 0 or jacobian_count(z, 2) <= 0:
-        raise InternalConsistencyError("jacobian-positivity: P(1) or P(1)P(-1) <= 0")
     return z
 
 
-def _check_recounts(z: CurveZeta, N: dict[int, int]) -> None:
-    """Raise unless every recount N_m, m > g, in N is the N_m that z predicts."""
-    for m in range(z.genus + 1, 2 * z.genus + 1):
-        if m in N and N[m] != z.N[m - 1]:
-            raise InternalConsistencyError(
-                f"predicted-count-mismatch: N_{m} predicted {z.N[m-1]}, counted {N[m]}")
+def _validated(z: CurveZeta) -> None:
+    """Raise unless P(t) passes the RH test and Jacobian positivity."""
+    check_riemann_hypothesis(z.coeffs, z.q)
+    if jacobian_count(z, 1) <= 0 or jacobian_count(z, 2) <= 0:
+        raise InternalConsistencyError("jacobian-positivity: P(1) or P(1)P(-1) <= 0")
 
 
 def zeta_value(z: CurveZeta, k: int) -> Fraction:

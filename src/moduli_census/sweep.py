@@ -7,12 +7,11 @@ function of the curve alone, chunks are dealt and reassembled in a fixed
 order, and the final aggregation is a single ordered pass, so output is
 byte-identical for any worker count.
 
-Within a chunk, the fields that read only P(t) (the N columns, the
-Jacobian, R^(k), delta_Z, the residuals and xz_pass) are computed once per
-distinct L-polynomial and copied to the other curves that have it: P(t)
-determines the power sums, and so the character sums R^(k) is built from,
-and every count a residual reads.  The F column and the full_2_torsion
-flag, which read F, are computed per curve.
+The run's L-polynomial registry (see curvezeta) holds the first record of
+each distinct L-polynomial of the run, or of a pool worker's chunks: every
+later curve that has it copies the fields that read only P(t) (the N
+columns, the Jacobian, R^(k), delta_Z, the residuals and xz_pass), and
+computes the F column and the full_2_torsion flag, which read F, itself.
 """
 
 from __future__ import annotations
@@ -114,13 +113,16 @@ def _count_plan(cfg: SweepConfig) -> tuple[int | None, list[int]]:
     return None, list(range(1, cfg.cutoff + 1))
 
 
-def _chunk_worker(args) -> list:
+def _chunk_worker(args, registry: dict | None = None) -> list:
     """The records of one chunk; each N_m is counted for the whole chunk at once.
 
-    The first record of each distinct L-polynomial (or, for bare counts,
-    each distinct p_1..p_Z) of the chunk lends its shared fields to the rest.
+    The first record of each L-polynomial of the run enters its entry of
+    the run's registry, and every later record of it copies that record's
+    shared fields.  Bare counts key the registry by p_1..p_Z instead, with
+    no zeta data.  A call without a registry starts its own.
     """
     cfg, start, stop = args
+    registry = {} if registry is None else registry
     spec = FamilySpec(make_field(cfg.q), cfg.gamma, cfg.mode, cfg.count, cfg.seed)
     curves = list(family_curves(spec, start, stop))
     ms = range(1, cfg.cutoff + 1)
@@ -129,15 +131,25 @@ def _chunk_worker(args) -> list:
         N = point_counts(curves, degrees)
         rows = ((c, [cfg.q**m + 1 - N[m][i] for m in ms], None) for i, c in enumerate(curves))
     else:
-        rows = ((z.curve, [z.power_sum(m) for m in ms], z if cfg.with_zeta else None)
-                for z in zeta_data_block(curves, budget))
-    first: dict[tuple[int, ...], FamilyRecord] = {}
+        rows = ((z.curve, [z.power_sum(m) for m in ms], z)
+                for z in zeta_data_block(curves, budget, registry))
     records = []
     for curve, psums, z in rows:
-        key = z.coeffs if z is not None else tuple(psums)
-        records.append(compute_record(curve, cfg, psums, z, first.get(key)))
-        first.setdefault(key, records[-1])
+        entry = registry.setdefault(tuple(psums) if z is None else z.N[:curve.genus], [z, 0])
+        like = entry[2] if len(entry) > 2 else None
+        records.append(compute_record(curve, cfg, psums, z if cfg.with_zeta else None, like))
+        if like is None:
+            entry.append(records[-1])
     return records
+
+
+# a pool worker's registry: empty in every process a run forks, and kept
+# across the chunks that worker runs; the parent never touches it
+_worker_registry: dict = {}
+
+
+def _pool_chunk(args) -> list:
+    return _chunk_worker(args, _worker_registry)
 
 
 def resolve_workers(requested: int | None) -> int:
@@ -177,7 +189,8 @@ def run_sweep(cfg: SweepConfig) -> list[FamilyRecord]:
     chunks = [(cfg, lo, min(lo + CHUNK, total)) for lo in range(0, total, CHUNK)]
     workers = pool_size(resolve_workers(cfg.workers), len(chunks))
     if workers == 1:
-        parts = [_chunk_worker(c) for c in chunks]
+        registry: dict = {}
+        parts = [_chunk_worker(c, registry) for c in chunks]
     else:
         # every table the chunks use, built once for the workers to inherit
         count_tables(make_field(cfg.q), _count_plan(cfg)[1])
@@ -185,7 +198,7 @@ def run_sweep(cfg: SweepConfig) -> list[FamilyRecord]:
 
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(workers) as pool:
-            parts = pool.map(_chunk_worker, chunks, chunksize=1)
+            parts = pool.map(_pool_chunk, chunks, chunksize=1)
     return [rec for part in parts for rec in part]
 
 

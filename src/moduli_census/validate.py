@@ -11,16 +11,17 @@ Within one family, P(t) determines everything the higgs, unstable,
 crossval, epsilon, xz and estimate suites check: each of their checks
 reads only q, g and the coefficients of P(t), and q and g are fixed for
 the family.  These suites therefore run their checks once per distinct
-P(t), on the first curve that has it (_by_lpoly), and weight each outcome
-by the number of curves that share it, so every curve count, violation
-count and extreme is the one a pass over every curve gives; a failing
-check's detail names the first curve of each failing P(t).  What reads F
-stays per curve: crossval's full 2-torsion flag, and the zeta and lambda
-suites, whose character route and trace identity are the independent
-check of P(t) itself.  A run of every suite holds the family's zeta data
-once (_Family): its P(t) are grouped once for all six suites, and the
-lambda suite reads the symbols (F/P), deg P <= 2, that the zeta suite's
-character route made for each block.
+P(t), on the first curve that has it, and weight each outcome by the number
+of curves that share it: the [z, k] entries of the run's L-polynomial
+registry (see curvezeta), read once the family is counted.  Every curve
+count, violation count and extreme is the one a pass over every curve
+gives; a failing check's detail names the first curve of each failing
+P(t).  What reads F stays per curve: crossval's full 2-torsion flag, and
+the zeta and lambda suites, whose character route and trace identity are
+the independent check of P(t) itself.  A run of every suite holds the
+family's zeta data once (_Family), and the lambda suite reads the symbols
+(F/P), deg P <= 2, that the zeta suite's character route made for each
+block.
 """
 
 from __future__ import annotations
@@ -71,73 +72,43 @@ class CheckResult:
     detail: str = ""
 
 
-def _curves(q: int, gamma: int, check_budget: int = 10**6):
-    """The family's zeta data, counted in blocks of at most CHUNK curves."""
-    curves = family_curves(FamilySpec(make_field(q), gamma))
-    while block := list(itertools.islice(curves, CHUNK)):
-        yield from zeta_data_block(block, check_budget)
+class _Family:
+    """The zeta data of H_{gamma,q} at one check budget, and the run's
+    registry (curvezeta) that counting it fills.  blocks yields (symbols,
+    block) for each block of at most CHUNK CurveZeta, in family order;
+    symbols is the block's dict of (F/P) by deg P.  A held family (a run of
+    every suite) is counted once, into a list, so the lambda suite reads the
+    symbols the zeta suite leaves there; otherwise it is counted as its one
+    suite reads it."""
+
+    def __init__(self, q: int, gamma: int, check_budget: int, held: bool):
+        self.registry: dict = {}
+        curves = family_curves(FamilySpec(make_field(q), gamma))
+        self.blocks = (({}, list(zeta_data_block(block, check_budget, self.registry)))
+                       for block in iter(lambda: list(itertools.islice(curves, CHUNK)), []))
+        if held:
+            self.blocks = list(self.blocks)
 
 
-class _Family(list):
-    """Every CurveZeta of one family, in family order, held for all the
-    suites of a `validate --suite all` run.  Its P(t) are grouped once, for
-    every suite that reads only P(t), and the zeta suite leaves in `symbols`
-    each block's (F/P), deg P <= 2, for the lambda suite."""
-
-    def __init__(self, zs):
-        super().__init__(zs)
-        self.groups = _by_lpoly(iter(self))  # iter: group the curves, not the grouped _Family
-        # per block of CHUNK curves, {deg P: (F/P) for each curve and prime P}
-        self.symbols = [{} for _ in range(0, len(self), CHUNK)]
-
-
-def _by_lpoly(zs, each=None) -> list[list]:
-    """[z, k] for the first CurveZeta z of each distinct P(t) of zs, in
-    first-seen order, with the number k of curves of zs that have it.
-    each(z), when given, is called on every curve of zs.  A _Family comes
-    grouped."""
-    if isinstance(zs, _Family):
+def _by_lpoly(zs: _Family, each=None):
+    """[z, k] for the first CurveZeta z of each distinct P(t) of the family
+    zs, in first-seen order, with the number k of its curves that have it:
+    the run's registry, read once zs is counted.  each(z), when given, is
+    called on every curve of zs."""
+    for _, block in zs.blocks:  # counts a family that is not held
         if each:
-            for z in zs:
+            for z in block:
                 each(z)
-        return zs.groups
-    groups: dict[tuple[int, ...], list] = {}
-    for z in zs:
-        if each:
-            each(z)
-        group = groups.get(z.coeffs)
-        if group is None:
-            groups[z.coeffs] = [z, 1]
-        else:
-            group[1] += 1
-    return list(groups.values())
-
-
-def _blocks(zs):
-    """(kept, block) for each block of at most CHUNK CurveZeta of zs, in
-    order: kept is the dict of the block's (F/P) by deg P that a _Family
-    keeps from suite to suite, or a new one."""
-    held = zs.symbols if isinstance(zs, _Family) else None
-    zs = iter(zs)
-    for i in itertools.count():
-        block = list(itertools.islice(zs, CHUNK))
-        if not block:
-            return
-        yield ({} if held is None else held[i]), block
+    return zs.registry.values()
 
 
 def suite_zeta(q: int, gamma: int, zs):
     """Construction invariants plus the character-route agreement."""
     n = 0
-    fe_ok = True
     route_error = None
     try:
-        for kept, block in _blocks(zs):
+        for kept, block in zs.blocks:
             n += len(block)
-            g = block[0].genus
-            for c in {z.coeffs for z in block}:  # P(t) is shared: once per distinct P(t)
-                if any(c[2 * g - i] != q ** (g - i) * c[i] for i in range(g + 1)):
-                    fe_ok = False
             if route_error is None:
                 symbols: dict = {}
                 try:
@@ -148,6 +119,9 @@ def suite_zeta(q: int, gamma: int, zs):
     except InternalConsistencyError as exc:
         yield CheckResult("zeta.construction", False, str(exc))
         return
+    g = (gamma - 1) // 2
+    fe_ok = all(z.coeffs[2 * g - i] == q ** (g - i) * z.coeffs[i]  # once per distinct P(t)
+                for z, _ in zs.registry.values() for i in range(g + 1))
     yield CheckResult("zeta.construction", True,
                       f"{n} curves: integer Newton, RH roots, positivity,"
                       " predicted counts verified")
@@ -160,7 +134,7 @@ def suite_lambda(q: int, gamma: int, zs):
     """Exact trace identity for m in {1, 2} on the whole family."""
     n = 0
     bad = 0
-    for symbols, block in _blocks(zs):
+    for symbols, block in zs.blocks:
         n += len(block)
         for m in (1, 2):
             bad += sum(not rep.holds for rep in _lambda_identity(block, m, symbols))
@@ -364,9 +338,9 @@ def run_suite(name: str, q: int, gamma: int) -> list[CheckResult]:
         check_symbol_budget(q, range(1, gamma))
     if name == "all":
         try:
-            zs = _Family(_curves(q, gamma))
+            zs = _Family(q, gamma, 10**6, held=True)
         except InternalConsistencyError as exc:
             return [CheckResult("zeta.construction", False, str(exc))]
         return [res for suite in SUITES.values() for res in suite(q, gamma, zs)]
     budget = 10**6 if name == "zeta" else 10**4
-    return list(SUITES[name](q, gamma, _curves(q, gamma, budget)))
+    return list(SUITES[name](q, gamma, _Family(q, gamma, budget, held=False)))

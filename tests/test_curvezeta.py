@@ -167,7 +167,8 @@ def test_block_recount_mismatch_is_caught(monkeypatch):
 
 def test_block_validates_each_l_polynomial_once(monkeypatch):
     # P(t) is a function of N_1..N_g: Newton, RH and positivity run once per
-    # distinct N_1..N_g of a block, and its curves share the validated tuples
+    # distinct N_1..N_g of a run, and its curves share the validated tuples
+    from moduli_census import validate
     checked = []
     real = curvezeta.check_riemann_hypothesis
 
@@ -176,17 +177,34 @@ def test_block_validates_each_l_polynomial_once(monkeypatch):
         return real(coeffs, q)
 
     monkeypatch.setattr(curvezeta, "check_riemann_hypothesis", counting)
-    curves = [HyperellipticCurve(F) for F in family(FamilySpec(make_field(5), 5), 0, CHUNK)]
-    zs = list(zeta_data_block(curves, check_budget=10**6))
+    curves = [HyperellipticCurve(F) for F in family(FamilySpec(make_field(5), 5))]
+    registry = {}
+    zs = list(zeta_data_block(curves[:CHUNK], check_budget=10**6, registry=registry))
     first = {}
     for z in zs:
         shared = first.setdefault(z.N[:2], z)
         assert z.N is shared.N and z.psums is shared.psums and z.coeffs is shared.coeffs
     assert checked == [z.coeffs for z in first.values()]
     assert len(checked) < len(zs)
+    # a later block of the run validates only the N_1..N_g the registry lacks
+    known = len(first)
+    checked.clear()
+    later = list(zeta_data_block(curves[CHUNK:], check_budget=10**6, registry=registry))
+    for z in later:
+        shared = first.setdefault(z.N[:2], z)
+        assert z.N is shared.N and z.psums is shared.psums and z.coeffs is shared.coeffs
+    assert checked == [z.coeffs for z in list(first.values())[known:]]
+    assert 0 < len(checked) < len(later)
+    assert list(registry) == list(first) and len(registry) == 81
+    assert sum(k for _, k in registry.values()) == len(curves) == 2500
+    # without a registry, a block validates afresh
     checked.clear()
     list(zeta_data_block(curves[:1], check_budget=10**6))
-    assert len(checked) == 1  # a new block validates afresh
+    assert len(checked) == 1
+    # validate --suite all on H_{5,5}: once per distinct P(t) of the family
+    checked.clear()
+    validate.run_suite("all", 5, 5)
+    assert len(checked) == 81
 
 
 def test_block_recount_mismatch_after_a_passing_twin(monkeypatch):

@@ -117,6 +117,75 @@ def test_sweep_builds_tables_before_fork(monkeypatch):
     assert sorted(countfast._tables) == [(3, 1), (3, 2), (3, 3), (3, 4)]
 
 
+def test_multi_chunk_sweep_matches_curve_by_curve_records(monkeypatch):
+    # H_{7,3} is three chunks, so the run's registry lends records across
+    # chunks on one worker, and across a worker's chunks on two; every record
+    # must be the one its curve gives alone
+    from moduli_census.curvezeta import family_curves, zeta_data
+    from moduli_census.ffield import make_field
+    from moduli_census.polyring import FamilySpec
+    from moduli_census.sweep import CHUNK, compute_record
+    assert 3**7 > 2 * CHUNK
+    cfg = SweepConfig(q=3, gamma=7)
+    built = []
+    for curve in family_curves(FamilySpec(make_field(3), 7)):
+        z = zeta_data(curve, cfg.check_budget)
+        psums = [z.power_sum(m) for m in range(1, cfg.cutoff + 1)]
+        built.append(compute_record(curve, cfg, psums, z))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for workers in (1, 2):
+        swept = run_sweep(SweepConfig(q=3, gamma=7, workers=workers))
+        assert swept == built
+        assert records_to_csv(swept, cfg) == records_to_csv(built, cfg)
+
+
+def test_registry_does_not_outlive_its_run(monkeypatch):
+    # each run owns its registry: a full-record run and then an R-only run of
+    # the same family, or two validate runs around a changed count, must each
+    # give their own answer
+    from dataclasses import replace
+    from moduli_census import moduli, validate
+    from moduli_census.sweep import _chunk_worker
+
+    def full_then_bare(run, cfg):
+        full = run(cfg)
+        bare = run(replace(cfg, compute_zeta=False, compute_moduli=False))
+        assert len(full) == len(bare) > 0
+        assert all(rec.N and rec.residuals and rec.flags for rec in full)
+        assert all(rec.N == () and not rec.residuals and not rec.flags for rec in bare)
+
+    for Z in (3, 5):  # Z <= g counts bare, Z > g through zeta data (g = 3, then g = 2)
+        full_then_bare(lambda cfg: _chunk_worker((cfg, 0, 30)),
+                       SweepConfig(q=3, gamma=7, z_override=Z))
+        full_then_bare(run_sweep, SweepConfig(q=3, gamma=5, z_override=Z - 2))
+    passed = validate.run_suite("all", 3, 5)
+    assert all(res.ok for res in passed) and validate.run_suite("all", 3, 5) == passed
+    real = moduli._count_vector
+
+    def doubled(*args):
+        nums, den = real(*args)
+        return tuple(2 * a for a in nums), den
+
+    monkeypatch.setattr(moduli, "_count_vector", doubled)
+    assert not all(res.ok for res in validate.run_suite("all", 3, 5))
+
+
+def test_traced_names_exist(tmp_path):
+    # perfbench/tracing.py wraps each (module, name) it lists with getattr:
+    # a name that is gone breaks `perfbench/run.py --trace 1`
+    import importlib
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    specs = tracing._specs(tracing.Tracer(tmp_path))
+    missing = [(mod, name) for mod, name, _ in specs
+               if not callable(getattr(importlib.import_module(f"moduli_census.{mod}"), name, None))]
+    assert specs and missing == []
+
+
 @pytest.mark.parametrize("Z, built", [(2, [1, 2]), (3, [1, 2, 3]), (5, [1, 2, 3])])
 def test_r_only_sweep_builds_its_tables_before_fork(monkeypatch, Z, built):
     # R-only records count N_1..N_Z for Z <= g = 3, and N_1..N_g past it
@@ -321,9 +390,9 @@ def test_validate_all_builds_zeta_data_once(monkeypatch):
         calls.append(check_budget)
         return real(curve, check_budget=check_budget)
 
-    def counting_block(curves, check_budget=10**4):
+    def counting_block(curves, check_budget=10**4, registry=None):
         calls.extend(check_budget for _ in curves)
-        return real_block(curves, check_budget)
+        return real_block(curves, check_budget, registry)
 
     monkeypatch.setattr(validate, "zeta_data", counting)
     monkeypatch.setattr(validate, "zeta_data_block", counting_block)
