@@ -175,6 +175,8 @@ def run_sweep(cfg: SweepConfig) -> list[FamilyRecord]:
         raise DomainError("truncation Z must be >= 1")
     if cfg.max_n < 1:
         raise DomainError("the highest moment max_n must be >= 1")
+    if cfg.r_max < 1:
+        raise DomainError("the number of R^(k) columns r_max must be >= 1")
     if cfg.compute_moduli:
         for variant in cfg.variants:
             if variant not in RESIDUAL_VARIANTS:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from moduli_census import countfast, curvezeta
 from moduli_census.errors import BudgetError, DomainError, InternalConsistencyError
-from moduli_census.ffield import extend_field, make_field
+from moduli_census.ffield import _prime_divisors, extend_field, make_field
 from moduli_census.polyring import (FamilySpec, MonicPoly, _code_iv, _irreducible_ivs, family, parse_poly,
                                     von_mangoldt)
 from moduli_census.curvezeta import (
@@ -118,16 +118,18 @@ BLOCK_CASES = [
 def test_block_counts_match_generic_enumeration(monkeypatch, K, gamma, edge, rs, sub_block):
     monkeypatch.setattr(countfast, "SUB_BLOCK", sub_block)
     polys = [parse_poly(K, text) for text in edge]
-    polys += family(FamilySpec(K, gamma, "sample", 9 - len(polys), 5))
+    polys += family(FamilySpec(K, gamma, "sample", 13 - len(polys), 5))
     if K is F9:  # a coefficient outside F_3
         t = F9.raw_of_index(3)
         polys.append(MonicPoly(F9, (F9.one_raw, t, F9.zero_raw, F9.zero_raw, F9.zero_raw,
                                     F9.one_raw)))
     curves = [HyperellipticCurve(F) for F in polys]
     if sub_block == 64 and K.order == 3:
-        # several sub-blocks per block, the last one short
-        rows_per_step = 64 // ((gamma + 1) * len(countfast.table(K, 1).reps))
-        assert 1 < rows_per_step < len(curves) and len(curves) % rows_per_step
+        # several row slices per block, the last one short, each walked one
+        # orbit at a time
+        rows_per_slice = 64 // (gamma + 1)
+        assert 1 < rows_per_slice < len(curves) and len(curves) % rows_per_slice
+        assert 64 // (rows_per_slice * (gamma + 1)) == 1 < len(countfast.table(K, rs[-1]).reps)
     want = {r: [brute_point_count(F, r) for F in polys] for r in rs}
     assert point_counts(curves, rs) == want
     assert point_counts(curves[:1], rs) == {r: want[r][:1] for r in rs}
@@ -135,6 +137,112 @@ def test_block_counts_match_generic_enumeration(monkeypatch, K, gamma, edge, rs,
     if K.base is None:  # the one-row sum over F_p
         affine = [n - K.order**rs[0] - C.points_at_infinity for n, C in zip(want[rs[0]], curves)]
         assert [countfast.affine_chi_sum(K.p, rs[0], F.indices()) for F in polys] == affine
+
+
+def d_term_chi_sums(t, rows) -> list[int]:
+    # reference: the kernel's former formula, one D-term gather per row: the
+    # base-p digits of each term c_i x^i = g^(log c_i + i k) at each orbit
+    # representative k, summed and reduced mod p, then chi of that element
+    rows = np.asarray(rows, dtype=np.int64)
+    p, Q = t.p, t.Q
+    n = 1
+    while p**n < Q:
+        n += 1
+    pvec = p ** np.arange(n)
+    power = np.zeros(Q - 1, dtype=np.int64)  # element index of g^k
+    power[t.log[1:]] = np.arange(1, Q)
+    digits = np.vstack([power[:, None] // pvec % p, np.zeros((1, n), dtype=np.int64)])
+    steps = np.arange(rows.shape[1])[:, None] * t.reps % (Q - 1)
+    out = []
+    for row in rows:
+        e = (t.log[row][:, None] + steps) % (Q - 1)
+        e[row == 0] = Q - 1  # the zero row of digits
+        y = digits[e].sum(axis=0) % p @ pvec
+        out.append(int(t.chi[y].astype(np.int64) @ t.sizes) + int(t.chi[row[0]]))
+    return out
+
+
+# (field, degree, extension degrees, block size): a census-shaped block
+# exercises the split on distinct codes, the small ones the plain fold
+KERNEL_CASES = [
+    (F3, 9, range(1, 9), 1024),
+    (make_field(5), 5, range(1, 5), 1024),
+    (F9, 5, range(1, 4), 300),
+    (make_field(131), 3, (1, 2), 40),
+    (make_field(257), 3, (1, 2), 40),
+]
+
+
+@pytest.mark.parametrize("K, gamma, rs, size", KERNEL_CASES,
+                         ids=[f"q{c[0].order}-d{c[1]}" for c in KERNEL_CASES])
+def test_chi_sums_match_d_term_reference(monkeypatch, K, gamma, rs, size):
+    rows = np.array([c.row for c in curvezeta.family_curves(FamilySpec(K, gamma, "sample", size, 2))])
+    for r in rs:
+        t = countfast.table(K, r)
+        want = d_term_chi_sums(t, rows)
+        assert t.chi_sums(rows).tolist() == want, r
+        assert t.chi_sums(rows[:1]).tolist() == want[:1], r
+        assert t.chi_sums(rows[1:3]).tolist() == want[1:3], r
+    # smaller transients: several row slices, each split on its distinct codes,
+    # and several orbit slices, the last one short
+    monkeypatch.setattr(countfast, "SUB_BLOCK", 2**12)
+    t = countfast.table(K, rs[-1])
+    if size == 1024 and K.order == 3:
+        rows_per_slice = 2**12 // (gamma + 1)
+        assert 1 < rows_per_slice < size and size % rows_per_slice
+        assert K.order ** (gamma // 2) < rows_per_slice  # the top of each slice splits
+        assert len(t.reps) % (2**12 // rows_per_slice)
+    assert t.chi_sums(rows).tolist() == d_term_chi_sums(t, rows)
+
+
+@pytest.mark.parametrize("K, rs", [(F3, range(1, 7)), (make_field(5), range(1, 4)), (F9, (1, 2)),
+                                   (make_field(131), (1,)), (make_field(257), (1,))],
+                         ids=["q3", "q5", "q9", "q131", "q257"])
+def test_small_blocks_match_generic_enumeration(K, rs):
+    gamma = 9 if K.order == 3 else 5 if K.order < 100 else 3
+    polys = list(family(FamilySpec(K, gamma, "sample", 2, 3)))
+    for r in rs:
+        want = [brute_point_count(F, r) for F in polys]
+        assert point_counts([HyperellipticCurve(polys[0])], [r]) == {r: want[:1]}
+        assert point_counts([HyperellipticCurve(F) for F in polys], [r]) == {r: want}
+
+
+def test_chi_sums_transients_stay_small():
+    import tracemalloc
+    t = countfast.table(F3, 8)
+    rows = np.array([c.row for c in curvezeta.family_curves(FamilySpec(F3, 9, "sample", 1024, 1))])
+    t.chi_sums(rows[:1])  # the step rows of degree 9, kept on the table
+    tracemalloc.start()
+    try:
+        t.chi_sums(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def tuple_primitive_index(E) -> int:
+    # reference: the first element index g whose powers g^((Q - 1) / l), in
+    # tuple arithmetic, all differ from 1
+    exps = [(E.order - 1) // ell for ell in _prime_divisors(E.order - 1)]
+    for i in range(2, E.order):
+        g = E.raw_of_index(i)
+        if all(E.pow_raw(g, e) != E.one_raw for e in exps):
+            return i
+    raise AssertionError(f"no primitive element in {E!r}")
+
+
+@pytest.mark.parametrize("K, top", [(F3, 8), (make_field(5), 4), (make_field(7), 3), (F9, 3)],
+                         ids=["q3", "q5", "q7", "q9"])
+def test_primitive_element_matches_tuple_search(K, top):
+    for r in range(1, top + 1):
+        E = extend_field(K, r)
+        n = 1
+        while E.p**n < E.order:
+            n += 1
+        times_g = countfast._primitive_element(E, n)
+        # row 0 holds the digits of 1 * g
+        assert times_g[0] @ E.p ** np.arange(n) == tuple_primitive_index(E), r
 
 
 def test_block_zeta_data_matches_per_curve():

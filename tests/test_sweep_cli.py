@@ -107,14 +107,25 @@ def test_pool_size_bounded_by_chunks_and_cores(monkeypatch):
 
 
 def test_sweep_builds_tables_before_fork(monkeypatch):
+    # every table, look-up tables included, is built by LogTable in the parent;
+    # a worker that built one would raise, and the pool hands that back
     from moduli_census import countfast
     monkeypatch.setattr(countfast, "_tables", {})
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    parent, real = os.getpid(), countfast.LogTable.__init__
+
+    def parent_only(self, K, r):
+        if os.getpid() != parent:
+            raise RuntimeError(f"a worker built the table of degree {r}")
+        real(self, K, r)
+
+    monkeypatch.setattr(countfast.LogTable, "__init__", parent_only)
     # H_{7,3} is three chunks; genus 3 counts r = 1..3, and the budget admits
     # the recount at r = 4 (81) but not r = 5 (243)
     cfg = SweepConfig(q=3, gamma=7, workers=2, compute_moduli=False, check_budget=100)
     assert len(run_sweep(cfg)) == 3**7 - 3**6
     assert sorted(countfast._tables) == [(3, 1), (3, 2), (3, 3), (3, 4)]
+    assert all(t._reduce is not None and t._to_chi for t in countfast._tables.values())
 
 
 def test_multi_chunk_sweep_matches_curve_by_curve_records(monkeypatch):
@@ -220,6 +231,8 @@ def test_sweep_over_point_budget_builds_no_table_above_it(monkeypatch, capsys, w
     ["--z", "-1"],
     ["--max-n", "0"],
     ["--max-n", "-2"],
+    ["--r-max", "0"],
+    ["--r-max", "-1"],
 ])
 def test_cli_sweep_bad_config_exit_code(capsys, flags):
     # rejected before any count, instead of a NaN column or a silent default
