@@ -190,7 +190,7 @@ def test_chi_sums_match_d_term_reference(monkeypatch, K, gamma, rs, size):
     if size == 1024 and K.order == 3:
         rows_per_slice = 2**12 // (gamma + 1)
         assert 1 < rows_per_slice < size and size % rows_per_slice
-        assert K.order ** (gamma // 2) < rows_per_slice  # the top of each slice splits
+        assert K.order ** ((gamma + 1) // 2) < rows_per_slice  # the top of each slice splits
         assert len(t.reps) % (2**12 // rows_per_slice)
     assert t.chi_sums(rows).tolist() == d_term_chi_sums(t, rows)
 
