@@ -11,13 +11,12 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .errors import (
     BudgetError,
     DomainError,
-    FieldMismatchError,
     InternalConsistencyError,
     InvalidCharacteristicError,
     PolyParseError,
     UnsupportedRankError,
 )
-from .ffield import FieldElement, FieldHandle, extend_field, make_field, quadratic_character
+from .ffield import FieldHandle, extend_field, make_field
 from .polyring import (
     FamilySpec,
     MonicPoly,

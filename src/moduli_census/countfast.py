@@ -67,14 +67,12 @@ def _primitive_element(E: FieldHandle, n: int) -> np.ndarray:
     pvec = p ** np.arange(n)
     one = (pvec == 1).astype(np.int64)  # the digits of 1
     exps = [(Q - 1) // ell for ell in _prime_divisors(Q - 1)]
-    raws = [E.raw_of_index(p**j) for j in range(n)]
     basis = [np.eye(n, dtype=np.int64)]  # basis[t]: the matrix of "multiply by element index p^t"
     for lo in range(2, Q, CANDIDATES):
         cand = np.arange(lo, min(Q, lo + CANDIDATES))
         while len(basis) < n and p ** len(basis) <= cand[-1]:
-            b = raws[len(basis)]
-            basis.append(np.array([E.index_of_raw(E.mul_raw(a, b)) for a in raws])[:, None]
-                         // pvec % p)
+            b = p ** len(basis)
+            basis.append(np.array([E.mul(a, b) for a in pvec.tolist()])[:, None] // pvec % p)
         mats = (cand[:, None] // pvec[:len(basis)] % p @ np.reshape(basis, (len(basis), -1))
                 % p).reshape(-1, n, n)
         powers = np.broadcast_to(one, (len(exps), len(cand), n)).copy()

@@ -69,19 +69,18 @@ SYMBOL_BUDGET = 2**26
 class HyperellipticCurve:
     """y^2 = F(x) with F monic square-free of degree gamma >= 3 over odd F_q."""
 
-    __slots__ = ("field", "F", "gamma", "genus", "delta", "row")
+    __slots__ = ("field", "F", "gamma", "genus", "delta")
 
     def __init__(self, F: MonicPoly):
         if F.degree < 3:
             raise DomainError("curve polynomial must have degree >= 3")
         if not is_squarefree(F):
             raise DomainError("curve polynomial must be square-free")
-        self._set(F, tuple(F.indices()))
+        self._set(F)
 
-    def _set(self, F: MonicPoly, row: tuple[int, ...]) -> None:
+    def _set(self, F: MonicPoly) -> None:
         self.field = F.field
         self.F = F
-        self.row = row  # F's K-indices, degree 0 first
         self.gamma = F.degree
         self.genus = (F.degree - 1) // 2
         self.delta = 1 if F.degree % 2 == 0 else 0
@@ -91,19 +90,17 @@ class HyperellipticCurve:
         return 2 if self.delta else 1
 
     def __repr__(self):
-        return f"HyperellipticCurve(q={self.field.order}, F={self.F.indices()})"
+        return f"HyperellipticCurve(q={self.field.order}, F={list(self.F.coeffs)})"
 
 
 def family_curves(spec: FamilySpec, start: int = 0, stop: int | None = None):
     """The curves y^2 = F of the family's members F with code (or draw) in
     [start, stop), in family order.  The family's stream is square-free by
-    construction, so no member is checked again, and each curve keeps the
-    row of K-indices the stream made it from."""
+    construction, so no member is checked again."""
     K = spec.field
     for row in _members(spec, start, stop):
-        row = tuple(row)  # over a prime field, F.coeffs is this tuple
         curve = HyperellipticCurve.__new__(HyperellipticCurve)
-        curve._set(MonicPoly.from_indices(K, row), row)
+        curve._set(MonicPoly(K, row))
         yield curve
 
 
@@ -123,7 +120,7 @@ def _block_rows(curves: list[HyperellipticCurve]):
     K, gamma = curves[0].field, curves[0].gamma
     if any(c.field is not K or c.gamma != gamma for c in curves):
         raise DomainError("a block of curves needs one field and one degree")
-    return K, np.array([c.row for c in curves], dtype=np.int64)
+    return K, np.array([c.F.coeffs for c in curves], dtype=np.int64)
 
 
 def point_counts(curves: list[HyperellipticCurve], rs) -> dict[int, list[int]]:

@@ -28,7 +28,8 @@ def fmt_float(x: float) -> str:
 
 
 def json_dumps(obj) -> str:
-    """Stable JSON: sorted keys, fractions as strings, floats at 17 digits."""
+    """Stable JSON: sorted keys, fractions as strings, floats at 17 digits,
+    and null for a float that is not finite (JSON has no nan or inf)."""
     import re
 
     tokens: list[str] = []
@@ -37,6 +38,8 @@ def json_dumps(obj) -> str:
         if isinstance(o, bool) or o is None or isinstance(o, (int, str)):
             return o
         if isinstance(o, float):
+            if not math.isfinite(o):
+                return None
             tokens.append(fmt_float(o))
             return f"\x00{len(tokens) - 1}\x00"
         if isinstance(o, Fraction):

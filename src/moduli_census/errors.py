@@ -5,10 +5,6 @@ class InvalidCharacteristicError(ValueError):
     """Field construction rejected: characteristic must be an odd prime."""
 
 
-class FieldMismatchError(ValueError):
-    """Operands belong to different fields."""
-
-
 class BudgetError(RuntimeError):
     """A size budget (field order, enumeration count) would be exceeded."""
 

@@ -518,23 +518,11 @@ def _full_2_torsion(z: CurveZeta) -> bool:
     2-torsion class of the Jacobian is already rational.  Computed once per
     CurveZeta; never when deg(F) > q, since F_q then has too few elements.
 
-    The roots are counted by a Horner pass of F's K-indices over every
-    element index of F_q, through the field's dense add and mul tables."""
+    The roots are counted by evaluating F at every element index of F_q."""
     flag = z._cache.get("full_2_torsion")
     if flag is None:
-        K, gamma = z.curve.field, z.curve.gamma
-        n = K.order
-        flag = False
-        if gamma <= n:
-            add, mul = K.tables()[:2]
-            coeffs = z.curve.row[::-1]
-            roots = 0
-            for x in range(n):
-                acc = 0
-                for c in coeffs:
-                    acc = add[mul[acc * n + x] * n + c]
-                roots += acc == 0
-            flag = roots == gamma
+        F, n = z.curve.F, z.curve.field.order
+        flag = z.curve.gamma <= n and sum(F(x) == 0 for x in range(n)) == z.curve.gamma
         z._cache["full_2_torsion"] = flag
     return flag
 

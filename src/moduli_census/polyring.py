@@ -1,10 +1,13 @@
 """The polynomial ring F_q[x]: arithmetic, predicates, symbols, families.
 
 MonicPoly is the public carrier (monic by construction, coefficients from
-degree 0 upward).  Internally most routines work on "index vectors": plain
-Python lists of element indices with trailing zeros stripped, driven by a
-field's dense add/mul tables.  For a prime field the index of a residue is
-the residue itself, so the hot paths are pure small-int arithmetic.
+degree 0 upward, each an element index of its field).  Internally most
+routines work on "index vectors": plain Python lists of element indices
+with trailing zeros stripped, driven by a field's dense add/mul tables.
+For a prime field the index of a residue is the residue itself, so the hot
+paths are pure small-int arithmetic.  The product of two index vectors mod
+a third (_iv_mulmod) is also how an extension field multiplies its
+elements (ffield.FieldHandle.mul).
 
 The Jacobi symbol comes in two independent implementations that the test
 suite plays against each other: a Euclidean reduction using the monic
@@ -40,22 +43,19 @@ from .ffield import FieldHandle
 
 
 class MonicPoly:
-    """A monic polynomial over a FieldHandle; immutable."""
+    """A monic polynomial over a FieldHandle; immutable.
+
+    coeffs holds the element indices of the coefficients, degree 0 first.
+    """
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: FieldHandle, coeffs):
         coeffs = tuple(coeffs)
-        if not coeffs or coeffs[-1] != field.one_raw:
+        if not coeffs or coeffs[-1] != 1:
             raise DomainError("leading coefficient must be 1")
         self.field = field
         self.coeffs = coeffs
-
-    @classmethod
-    def from_indices(cls, field: FieldHandle, indices) -> "MonicPoly":
-        if field.base is None:  # a prime field's raws are their indices
-            return cls(field, indices)
-        return cls(field, tuple(field.raw_of_index(i) for i in indices))
 
     @property
     def degree(self) -> int:
@@ -65,33 +65,21 @@ class MonicPoly:
     def norm(self) -> int:
         return self.field.order ** self.degree
 
-    def indices(self) -> list[int]:
-        idx = self.field.index_of_raw
-        return [idx(c) for c in self.coeffs]
-
     def code(self) -> int:
         """Coefficient vector read as a base-q integer (leading 1 dropped)."""
         q = self.field.order
         c = 0
-        for i in reversed(self.indices()[:-1]):
+        for i in reversed(self.coeffs[:-1]):
             c = c * q + i
         return c
 
     def __mul__(self, other: "MonicPoly") -> "MonicPoly":
         if other.field is not self.field:
             raise DomainError("polynomials over different fields")
-        K = self.field
-        z = K.zero_raw
-        prod = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == z:
-                continue
-            for j, b in enumerate(other.coeffs):
-                prod[i + j] = K.add_raw(prod[i + j], K.mul_raw(a, b))
-        return MonicPoly(K, prod)
+        return MonicPoly(self.field, _iv_mul(self.coeffs, other.coeffs, self.field))
 
     def __pow__(self, e: int) -> "MonicPoly":
-        result = MonicPoly(self.field, (self.field.one_raw,))
+        result = MonicPoly(self.field, (1,))
         base = self
         while e:
             if e & 1:
@@ -100,12 +88,13 @@ class MonicPoly:
             e >>= 1
         return result
 
-    def __call__(self, a):
-        """Evaluate at a raw element of the same field (Horner)."""
-        K = self.field
-        acc = K.zero_raw
+    def __call__(self, a: int) -> int:
+        """Evaluate at an element index of the same field (Horner)."""
+        add, mul = self.field.tables()[:2]
+        n = self.field.order
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = K.add_raw(K.mul_raw(acc, a), c)
+            acc = add[mul[acc * n + a] * n + c]
         return acc
 
     def __eq__(self, other):
@@ -119,7 +108,7 @@ class MonicPoly:
         return hash((id(self.field), self.coeffs))
 
     def __repr__(self):
-        return f"MonicPoly({self.field!r}, {self.indices()})"
+        return f"MonicPoly({self.field!r}, {list(self.coeffs)})"
 
 
 # -- text format: comma-separated coefficients, degree 0 first, leading 1 --
@@ -142,17 +131,17 @@ def parse_poly(field: FieldHandle, text: str) -> MonicPoly:
     if indices[-1] != 1:
         raise PolyParseError(f"coefficient {len(indices) - 1} (leading) must be 1",
                              len(indices) - 1)
-    return MonicPoly.from_indices(field, indices)
+    return MonicPoly(field, indices)
 
 
 def format_poly(f: MonicPoly, sep: str = ",") -> str:
-    return sep.join(str(i) for i in f.indices())
+    return sep.join(map(str, f.coeffs))
 
 
 # -- index-vector helpers (trailing zeros stripped; [] is the zero poly) --
 
 def _iv(f: MonicPoly) -> list[int]:
-    return f.indices()
+    return list(f.coeffs)
 
 
 def _iv_trim(u: list[int]) -> list[int]:
@@ -215,8 +204,9 @@ def _iv_deriv(u: list[int], K: FieldHandle) -> list[int]:
     return _iv_trim(out)
 
 
-def _iv_mulmod(a: list[int], b: list[int], m: list[int], K: FieldHandle) -> list[int]:
-    add, mul, _inv, _chi, neg = K.tables()
+def _iv_mul(a, b, K: FieldHandle) -> list[int]:
+    """The product of two index vectors (any sequences of indices)."""
+    add, mul = K.tables()[:2]
     n = K.order
     prod = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ai in enumerate(a):
@@ -226,7 +216,12 @@ def _iv_mulmod(a: list[int], b: list[int], m: list[int], K: FieldHandle) -> list
         for j, bj in enumerate(b):
             if bj:
                 prod[i + j] = add[prod[i + j] * n + mul[row + bj]]
-    return _iv_mod(prod, m, add, mul, neg, n)
+    return prod
+
+
+def _iv_mulmod(a: list[int], b: list[int], m: list[int], K: FieldHandle) -> list[int]:
+    add, mul, _inv, _chi, neg = K.tables()
+    return _iv_mod(_iv_mul(a, b, K), m, add, mul, neg, K.order)
 
 
 def _iv_powmod(a: list[int], e: int, m: list[int], K: FieldHandle) -> list[int]:
@@ -288,11 +283,15 @@ def _pth_root(u: list[int], K: FieldHandle) -> list[int] | None:
     p = K.p
     if (len(u) - 1) % p:
         return None
+    mul = K.tables()[1]
+    n = K.order
     out = []
-    e = K.order // p  # Frobenius inverse exponent: a -> a^(q/p)
     for i, c in enumerate(u):
         if i % p == 0:
-            out.append(K.index_of_raw(K.pow_raw(K.raw_of_index(c), e)) if c else 0)
+            root = 1  # the inverse of Frobenius: c -> c^(q/p)
+            for _ in range(n // p):
+                root = mul[root * n + c]
+            out.append(root)
         elif c != 0:
             return None
     return out
@@ -341,7 +340,7 @@ def von_mangoldt(f: MonicPoly) -> int:
     s = _iv_divexact(u, g, K)
     if s is None or len(s) < 2:
         return 0
-    sp = MonicPoly.from_indices(K, s)
+    sp = MonicPoly(K, s)
     if not is_irreducible(sp):
         return 0
     k, rem = divmod(f.degree, sp.degree)
@@ -406,11 +405,11 @@ def factor_squarefree(F: MonicPoly) -> list[MonicPoly]:
                 break
             quot = _iv_divexact(u, list(piv), K)
             if quot is not None:
-                out.append(MonicPoly.from_indices(K, piv))
+                out.append(MonicPoly(K, piv))
                 u = quot
         e += 1
     if len(u) - 1 >= 1:
-        out.append(MonicPoly.from_indices(K, u))
+        out.append(MonicPoly(K, u))
     return out
 
 
@@ -563,7 +562,7 @@ def _irreducible_ivs(K: FieldHandle, e: int) -> tuple[tuple[int, ...], ...]:
 
 def irreducible_polys(K: FieldHandle, e: int) -> list[MonicPoly]:
     """All monic irreducibles of degree e over K, in code order."""
-    return [MonicPoly.from_indices(K, iv) for iv in _irreducible_ivs(K, e)]
+    return [MonicPoly(K, iv) for iv in _irreducible_ivs(K, e)]
 
 
 # -- the family of monic square-free polynomials ----------------------------
@@ -596,7 +595,7 @@ def family_size(q: int, gamma: int) -> int:
 
 
 def poly_from_code(K: FieldHandle, code: int, gamma: int) -> MonicPoly:
-    return MonicPoly.from_indices(K, _code_iv(code, K.order, gamma))
+    return MonicPoly(K, _code_iv(code, K.order, gamma))
 
 
 def _iv_squarefree(u: list[int], K: FieldHandle) -> bool:
@@ -613,8 +612,7 @@ def _square_moduli(K: FieldHandle, gamma: int) -> tuple[tuple[tuple[int, ...], .
     degrees = range(1, gamma // 2 + 1)
     if sum(prime_count(K.order, d) for d in degrees) > SIEVE_MODULI:
         return None
-    return tuple(tuple(tuple((MonicPoly.from_indices(K, P) ** 2).indices())
-                       for P in _irreducible_ivs(K, d)) for d in degrees)
+    return tuple(tuple(tuple(_iv_mul(P, P, K)) for P in _irreducible_ivs(K, d)) for d in degrees)
 
 
 def _squarefree_rows(K: FieldHandle, codes, gamma: int, squares) -> tuple[np.ndarray, np.ndarray]:
@@ -649,7 +647,7 @@ def _draw_iv(spec: FamilySpec, i: int, skip: int = 0) -> list[int]:
 
 def sample_member(spec: FamilySpec, i: int) -> MonicPoly:
     """Draw i of the sample stream; a pure function of (seed, i)."""
-    return MonicPoly.from_indices(spec.field, _draw_iv(spec, i))
+    return MonicPoly(spec.field, _draw_iv(spec, i))
 
 
 def _members(spec: FamilySpec, start: int = 0, stop: int | None = None):
@@ -689,4 +687,4 @@ def _members(spec: FamilySpec, start: int = 0, stop: int | None = None):
 def family(spec: FamilySpec, start: int = 0, stop: int | None = None):
     """Deterministic stream of the members with code (or draw) in [start, stop)."""
     K = spec.field
-    return (MonicPoly.from_indices(K, iv) for iv in _members(spec, start, stop))
+    return (MonicPoly(K, iv) for iv in _members(spec, start, stop))

@@ -389,6 +389,8 @@ def characteristic_function(q: int, k: int, t: float, D: int) -> complex:
     """
     if D < 1:
         raise DomainError("need D >= 1")
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t}")
     if abs(t) > 50:
         raise DomainError("|t| <= 50")
     if t == 0.0:

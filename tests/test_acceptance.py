@@ -110,7 +110,7 @@ def test_criterion_02_lambda_identity(zeta_families):
                 reps = lambda_character_identity(block, m)
                 assert len(reps) == len(block)
                 for z, rep in zip(block, reps):
-                    assert rep.holds, (q, gamma, z.curve.F.indices(), m)
+                    assert rep.holds, (q, gamma, z.curve.F.coeffs, m)
             checked += len(block)
     _report(f"C2 PASS exact trace identity on {checked} curves, m in {{1,2}}, "
             "zero tolerance")
@@ -179,7 +179,7 @@ def test_criterion_05_crossval_report(zeta_families):
         m21 = count_stable_fixed_det(z, 2, 1)
         ms = count_ms20(z)
         rows.append({
-            "F": z.curve.F.indices(),
+            "F": list(z.curve.F.coeffs),
             "m21": m21.value,
             "oracle": genus2_oracle(z),
             "oracle_residual": m21.cross_checks["genus2_oracle"]["residual"],

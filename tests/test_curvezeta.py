@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moduli_census import countfast, curvezeta
+from moduli_census import countfast, curvezeta, polyring
 from moduli_census.errors import BudgetError, DomainError, InternalConsistencyError
-from moduli_census.ffield import _prime_divisors, extend_field, make_field
+from moduli_census.ffield import extend_field, make_field
 from moduli_census.polyring import (FamilySpec, MonicPoly, _code_iv, _irreducible_ivs, family, parse_poly,
                                     von_mangoldt)
 from moduli_census.curvezeta import (
@@ -40,18 +40,31 @@ def z55():
     return zeta_data(HyperellipticCurve(X5X), check_budget=10**6)
 
 
+@functools.lru_cache(maxsize=None)
+def nonzero_squares(E) -> frozenset[int]:
+    return frozenset(E.mul(x, x) for x in range(1, E.order))
+
+
 def brute_point_count(F: MonicPoly, r: int) -> int:
-    # oracle: walk F_{q^r} with generic field arithmetic and count solutions
-    K = F.field
-    E = extend_field(K, r)
-    coeffs = [c if r == 1 else E.embed_raw(c) for c in F.coeffs]
+    # oracle: walk F_{q^r}, evaluate F by Horner in E's index multiplication
+    # (digit-wise addition, no log table of E) and count solutions.  F's
+    # coefficients keep their indices in E.
+    E = extend_field(F.field, r)
+    p, squares = E.p, nonzero_squares(E)
+
+    def add(a: int, b: int) -> int:
+        out, unit = 0, 1
+        while a or b:
+            out += (a + b) % p * unit
+            a, b, unit = a // p, b // p, unit * p
+        return out
+
     total = 2 if F.degree % 2 == 0 else 1
-    for i in range(E.order):
-        x = E.raw_of_index(i)
-        acc = E.zero_raw
-        for c in reversed(coeffs):
-            acc = E.add_raw(E.mul_raw(acc, x), c)
-        total += 1 + E.chi_raw(acc)
+    for x in range(E.order):
+        acc = 0
+        for c in reversed(F.coeffs):
+            acc = add(E.mul(acc, x), c)
+        total += 1 if acc == 0 else 2 if acc in squares else 0
     return total
 
 
@@ -88,8 +101,7 @@ def test_point_count_matches_generic_enumeration():
     assert point_count(HyperellipticCurve(F), 1) == brute_point_count(F, 1), (257, 1)
     # over F_9 = F_3[t]/(t^2 + 1), with the coefficient t outside F_3
     F9 = extend_field(F3, 2)
-    t = F9.raw_of_index(3)
-    F = MonicPoly(F9, (F9.one_raw, t, F9.zero_raw, F9.zero_raw, F9.zero_raw, F9.one_raw))
+    F = MonicPoly(F9, (1, 3, 0, 0, 0, 1))  # index 3 is t
     C = HyperellipticCurve(F)
     for r in (1, 2):
         assert point_count(C, r) == brute_point_count(F, r), ("F_9", r)
@@ -120,9 +132,7 @@ def test_block_counts_match_generic_enumeration(monkeypatch, K, gamma, edge, rs,
     polys = [parse_poly(K, text) for text in edge]
     polys += family(FamilySpec(K, gamma, "sample", 13 - len(polys), 5))
     if K is F9:  # a coefficient outside F_3
-        t = F9.raw_of_index(3)
-        polys.append(MonicPoly(F9, (F9.one_raw, t, F9.zero_raw, F9.zero_raw, F9.zero_raw,
-                                    F9.one_raw)))
+        polys.append(MonicPoly(F9, (1, 3, 0, 0, 0, 1)))
     curves = [HyperellipticCurve(F) for F in polys]
     if sub_block == 64 and K.order == 3:
         # several row slices per block, the last one short, each walked one
@@ -136,7 +146,7 @@ def test_block_counts_match_generic_enumeration(monkeypatch, K, gamma, edge, rs,
     assert [point_count(C, rs[-1]) for C in curves] == want[rs[-1]]
     if K.base is None:  # the one-row sum over F_p
         affine = [n - K.order**rs[0] - C.points_at_infinity for n, C in zip(want[rs[0]], curves)]
-        assert [countfast.affine_chi_sum(K.p, rs[0], F.indices()) for F in polys] == affine
+        assert [countfast.affine_chi_sum(K.p, rs[0], list(F.coeffs)) for F in polys] == affine
 
 
 def d_term_chi_sums(t, rows) -> list[int]:
@@ -176,7 +186,7 @@ KERNEL_CASES = [
 @pytest.mark.parametrize("K, gamma, rs, size", KERNEL_CASES,
                          ids=[f"q{c[0].order}-d{c[1]}" for c in KERNEL_CASES])
 def test_chi_sums_match_d_term_reference(monkeypatch, K, gamma, rs, size):
-    rows = np.array([c.row for c in curvezeta.family_curves(FamilySpec(K, gamma, "sample", size, 2))])
+    rows = np.array([c.F.coeffs for c in curvezeta.family_curves(FamilySpec(K, gamma, "sample", size, 2))])
     for r in rs:
         t = countfast.table(K, r)
         want = d_term_chi_sums(t, rows)
@@ -210,7 +220,7 @@ def test_small_blocks_match_generic_enumeration(K, rs):
 def test_chi_sums_transients_stay_small():
     import tracemalloc
     t = countfast.table(F3, 8)
-    rows = np.array([c.row for c in curvezeta.family_curves(FamilySpec(F3, 9, "sample", 1024, 1))])
+    rows = np.array([c.F.coeffs for c in curvezeta.family_curves(FamilySpec(F3, 9, "sample", 1024, 1))])
     t.chi_sums(rows[:1])  # the step rows of degree 9, kept on the table
     tracemalloc.start()
     try:
@@ -221,28 +231,27 @@ def test_chi_sums_transients_stay_small():
     assert peak < 2 * 2**20
 
 
-def tuple_primitive_index(E) -> int:
-    # reference: the first element index g whose powers g^((Q - 1) / l), in
-    # tuple arithmetic, all differ from 1
-    exps = [(E.order - 1) // ell for ell in _prime_divisors(E.order - 1)]
-    for i in range(2, E.order):
-        g = E.raw_of_index(i)
-        if all(E.pow_raw(g, e) != E.one_raw for e in exps):
-            return i
-    raise AssertionError(f"no primitive element in {E!r}")
+# the smallest-index generator of E* for E = extend_field(K, r), r = 1, 2, ...
+PRIMITIVE_INDICES = [
+    (F3, [2, 4, 3, 3, 3, 3, 5, 38]),
+    (make_field(5), [2, 6, 9, 6]),
+    (make_field(7), [3, 9, 22]),
+    (F9, [4, 10, 10]),  # F_9, F_81 and F_729 over F_9
+]
 
 
-@pytest.mark.parametrize("K, top", [(F3, 8), (make_field(5), 4), (make_field(7), 3), (F9, 3)],
-                         ids=["q3", "q5", "q7", "q9"])
-def test_primitive_element_matches_tuple_search(K, top):
-    for r in range(1, top + 1):
+@pytest.mark.parametrize("K, want", PRIMITIVE_INDICES, ids=["q3", "q5", "q7", "q9"])
+def test_primitive_element_is_pinned(K, want):
+    for r, g in enumerate(want, 1):
         E = extend_field(K, r)
         n = 1
         while E.p**n < E.order:
             n += 1
         times_g = countfast._primitive_element(E, n)
         # row 0 holds the digits of 1 * g
-        assert times_g[0] @ E.p ** np.arange(n) == tuple_primitive_index(E), r
+        assert times_g[0] @ E.p ** np.arange(n) == g, r
+        # the table's logs are taken to base g
+        assert countfast.table(K, r).log[g] == 1
 
 
 def test_block_zeta_data_matches_per_curve():
@@ -356,7 +365,7 @@ def test_family_curves_are_checked_once(monkeypatch):
     for spec in (FamilySpec(F3, 6), FamilySpec(F9, 5, "sample", 30, 2)):
         curves = list(curvezeta.family_curves(spec, 3, 20))
         assert [C.F for C in curves] == list(family(spec, 3, 20))
-        assert [list(C.row) for C in curves] == [C.F.indices() for C in curves]
+        assert [list(C.F.coeffs) for C in curves] == list(polyring._members(spec, 3, 20))
         assert all((C.gamma, C.genus, C.delta) == (spec.gamma, (spec.gamma - 1) // 2, 1 - spec.gamma % 2)
                    for C in curves)
     with pytest.raises(AssertionError, match="tested again"):
@@ -409,7 +418,7 @@ def test_exact_rh_test_edge_cases():
     check_riemann_hypothesis(z.coeffs, 3)
     # the same curve over F_9: a = -6, a root at the boundary y = 4q = 36
     F9 = extend_field(F3, 2)
-    F = MonicPoly(F9, tuple(F9.embed_raw(c) for c in parse_poly(F3, "0,2,0,1").coeffs))
+    F = MonicPoly(F9, parse_poly(F3, "0,2,0,1").coeffs)  # F_3 keeps its indices in F_9
     z9 = zeta_data(HyperellipticCurve(F))
     assert z9.coeffs == (1, 6, 9)
     check_riemann_hypothesis(z9.coeffs, 9)
@@ -470,7 +479,7 @@ def test_jacobian_counts(z55):
 def test_jacobian_q2_via_base_change(z55):
     # recompute the L-polynomial over F_9 and evaluate at 1
     F9 = extend_field(F3, 2)
-    F_ext = MonicPoly(F9, tuple(F9.embed_raw(c) for c in X5X.coeffs))
+    F_ext = MonicPoly(F9, X5X.coeffs)
     z9 = zeta_data(HyperellipticCurve(F_ext), check_budget=10**6)
     assert jacobian_count(z9, 1) == jacobian_count(z55, 2) == 144
 
@@ -579,7 +588,7 @@ def reference_l_poly(z) -> list[int]:
     from moduli_census.polyring import _irreducible_ivs, _iv_jacobi
     curve = z.curve
     K, g, M = curve.field, curve.genus, curve.gamma - 1
-    F_iv = curve.F.indices()
+    F_iv = list(curve.F.coeffs)
     b = [1] + [0] * M
     for e in range(1, M + 1):
         for piv in _irreducible_ivs(K, e):
@@ -597,7 +606,7 @@ def prime_powers(K, m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(indices, Lambda(f)) for every monic prime power f of degree m over K,
     found by running von_mangoldt on all q^m monic polynomials."""
     ivs = (_code_iv(code, K.order, m) for code in range(K.order**m))
-    lams = ((tuple(iv), von_mangoldt(MonicPoly.from_indices(K, iv))) for iv in ivs)
+    lams = ((tuple(iv), von_mangoldt(MonicPoly(K, iv))) for iv in ivs)
     return tuple((iv, lam) for iv, lam in lams if lam)
 
 
@@ -605,7 +614,7 @@ def reference_lambda_rhs(z, m: int) -> int:
     """sum over the prime powers f of degree m of Lambda(f) (F/f), plus delta:
     one reciprocity symbol per curve and prime power, no prime table."""
     from moduli_census.polyring import _iv_jacobi
-    K, F_iv = z.curve.field, z.curve.F.indices()
+    K, F_iv = z.curve.field, list(z.curve.F.coeffs)
     return sum(lam * _iv_jacobi(F_iv, list(f), K) for f, lam in prime_powers(K, m)) + z.curve.delta
 
 
@@ -664,7 +673,7 @@ def test_l_poly_block_over_tower_field():
     K9 = extend_field(F3, 2)
     spec = FamilySpec(K9, 5, mode="sample", count=12, seed=5)
     zs = list(zeta_data_block([HyperellipticCurve(F) for F in family(spec)]))
-    assert any(i >= 3 for z in zs for i in z.curve.F.indices())  # outside F_3
+    assert any(i >= 3 for z in zs for i in z.curve.F.coeffs)  # outside F_3
     assert l_poly_via_characters(zs) == [reference_l_poly(z) for z in zs]
     assert l_poly_via_characters(zs[:1]) == [reference_l_poly(zs[0])]
 
@@ -685,7 +694,7 @@ def test_lambda_identity_over_tower_field():
     K9 = extend_field(F3, 2)
     spec = FamilySpec(K9, 5, mode="sample", count=40, seed=7)
     zs = list(zeta_data_block([HyperellipticCurve(F) for F in family(spec)]))
-    assert any(i >= 3 for z in zs for i in z.curve.F.indices())  # outside F_3
+    assert any(i >= 3 for z in zs for i in z.curve.F.coeffs)  # outside F_3
     for m in (1, 2, 3):
         reps = lambda_character_identity(zs, m)
         assert [rep.rhs for rep in reps] == [reference_lambda_rhs(z, m) for z in zs]
@@ -772,8 +781,8 @@ def test_jacobi_block_matches_reciprocity_per_entry(K, fresh_symbols):
                 rows.append(list(rng.integers(0, n, d)) + [c] + [0] * (5 - d))
         for f in (mods[0], mods[-1]):
             for c in leads[1:]:
-                x_a = MonicPoly.from_indices(K, [int(rng.integers(n)), 1])
-                fx = (MonicPoly.from_indices(K, f) * x_a).indices()
+                x_a = MonicPoly(K, [int(rng.integers(n)), 1])
+                fx = (MonicPoly(K, f) * x_a).coeffs
                 rows.append(([mul[c * n + a] for a in fx] + [0] * 6)[:6])
         rows += rng.integers(0, n, (12, 6)).tolist()
         rows = np.array(rows, dtype=np.int64)
@@ -809,7 +818,7 @@ def test_prime_sieve_matches_rabin_on_every_code(K, top):
     n = K.order
     for e in range(1, top + 1):
         codes = [_code_iv(code, n, e) for code in range(n**e)]
-        rabin = [tuple(iv) for iv in codes if is_irreducible(MonicPoly.from_indices(K, iv))]
+        rabin = [tuple(iv) for iv in codes if is_irreducible(MonicPoly(K, iv))]
         assert list(_irreducible_ivs.__wrapped__(K, e)) == rabin
 
 

@@ -3,15 +3,24 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from moduli_census.errors import FieldMismatchError, InvalidCharacteristicError
-from moduli_census.ffield import FieldElement, extend_field, make_field, quadratic_character
+from moduli_census.errors import DomainError, InvalidCharacteristicError
+from moduli_census.ffield import extend_field, make_field
+from moduli_census.polyring import MonicPoly, jacobi_symbol, parse_poly
+
+
+def power(K, a: int, e: int) -> int:
+    # a^e by repeated index multiplication
+    acc = 1
+    for _ in range(e):
+        acc = K.mul(acc, a)
+    return acc
 
 
 def test_prime_field_elements():
     F3 = make_field(3, 1)
     assert F3.order == 3
-    assert [e.index for e in F3.elements()] == [0, 1, 2]
     assert F3.modulus == ()
+    assert [[F3.mul(a, b) for b in range(3)] for a in range(3)] == [[0, 0, 0], [0, 1, 2], [0, 2, 1]]
 
 
 def test_extension_order_and_determinism():
@@ -19,7 +28,19 @@ def test_extension_order_and_determinism():
     F9b = make_field(3, 2)
     assert F9a.order == 9
     assert F9a is F9b
-    assert F9a.modulus == make_field(3, 2).modulus
+    assert F9a.modulus == (1, 0, 1)  # t^2 + 1, base indices degree 0 first
+
+
+def test_make_field_is_the_interned_extension():
+    F3 = make_field(3)
+    F9 = make_field(3, 2)
+    assert F9 is extend_field(F3, 2)
+    assert make_field(5, 3) is extend_field(make_field(5), 3)
+    # polynomials over either spelling are over one field
+    f = parse_poly(F9, "1,0,1")
+    g = MonicPoly(extend_field(F3, 2), (3, 1))
+    assert (f * g).field is F9
+    assert f * g == g * f == MonicPoly(F9, (3, 1, 3, 1))
 
 
 def test_invalid_characteristic():
@@ -34,45 +55,70 @@ def test_invalid_characteristic():
 def test_squares_in_f9():
     # exhaustive oracle: squares of the 8 nonzero elements
     F9 = make_field(3, 2)
-    squares = {(a * a).index for a in F9.elements() if not a.is_zero()}
-    assert len(squares) == 4
+    assert len({F9.mul(a, a) for a in range(1, 9)}) == 4
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (23, 1)])
+def test_tables_are_a_field(p, m):
+    # the dense tables (from the discrete logs) against the index
+    # multiplication, and the field axioms on them
+    K = make_field(p, m)
+    n = K.order
+    add, mul, inv, _chi, neg = K.tables()
+    for a in range(n):
+        assert add[a * n] == a and mul[a * n + 1] == a and mul[a * n] == 0
+        assert add[a * n + neg[a]] == 0
+        assert a == 0 or mul[a * n + inv[a]] == 1
+    for a, b in itertools.product(range(n), repeat=2):
+        assert add[a * n + b] == add[b * n + a]
+        assert mul[a * n + b] == mul[b * n + a] == K.mul(a, b)
+    for a, b, c in itertools.product(range(n), repeat=3) if n <= 9 else ():
+        assert add[add[a * n + b] * n + c] == add[a * n + add[b * n + c]]
+        assert mul[mul[a * n + b] * n + c] == mul[a * n + mul[b * n + c]]
+        assert mul[a * n + add[b * n + c]] == add[mul[a * n + b] * n + mul[a * n + c]]
 
 
 def test_quadratic_character_examples():
-    F3 = make_field(3)
-    assert quadratic_character(F3, F3.element(0)) == 0
-    assert quadratic_character(F3, F3.element(2)) == -1  # squares mod 3: {0, 1}
+    chi3 = make_field(3).tables()[3]
+    assert chi3[0] == 0
+    assert chi3[2] == -1  # squares mod 3: {0, 1}
     F9 = make_field(3, 2)
-    assert quadratic_character(F9, F9.element(-1)) == 1  # 9 = 1 mod 4
+    minus_one = F9.tables()[4][1]
+    assert F9.tables()[3][minus_one] == 1  # 9 = 1 mod 4
 
 
 def test_character_counts_and_multiplicativity():
     for p, m in [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (23, 1)]:
         K = make_field(p, m)
-        chi = {a.index: quadratic_character(K, a) for a in K.elements()}
-        assert sum(1 for v in chi.values() if v == 1) == (K.order - 1) // 2
-        assert sum(1 for v in chi.values() if v == -1) == (K.order - 1) // 2
-        for a, b in itertools.product(K.elements(), repeat=2):
-            assert chi[(a * b).index] == chi[a.index] * chi[b.index]
+        n = K.order
+        chi = K.tables()[3]
+        assert chi.count(1) == chi.count(-1) == (n - 1) // 2
+        squares = {K.mul(a, a) for a in range(1, n)}
+        assert all((chi[a] == 1) == (a in squares) for a in range(1, n))
+        for a, b in itertools.product(range(n), repeat=2):
+            assert chi[K.mul(a, b)] == chi[a] * chi[b]
 
 
 def test_embedding_is_ring_homomorphism():
+    # an element of the base keeps its index in a tower step, and the step's
+    # arithmetic restricted to those indices is the base's tables
     for p, m in [(3, 1), (3, 2), (5, 1)]:
         base = make_field(p, m)
-        if base.order > 9:
-            continue
+        n = base.order
+        add, mul, _inv, chi, neg = base.tables()
         for r in (2, 3):
-            if base.order**r > 9**3:
+            if n**r > 9**3:
                 continue
             ext = extend_field(base, r)
-            images = set()
-            for a in base.elements():
-                images.add(ext.embed(a).index)
-            assert len(images) == base.order  # injective
-            for a, b in itertools.product(base.elements(), repeat=2):
-                assert ext.embed(a + b) == ext.embed(a) + ext.embed(b)
-                assert ext.embed(a * b) == ext.embed(a) * ext.embed(b)
-            assert ext.embed(base.element(1)) == ext.element(1)
+            assert ext.base is base and ext.order == n**r
+            N = ext.order
+            ext_add, _mul, _inv, ext_chi, ext_neg = ext.tables()
+            for a, b in itertools.product(range(n), repeat=2):
+                assert ext.mul(a, b) == mul[a * n + b]
+                assert ext_add[a * N + b] == add[a * n + b]
+            assert ext_neg[:n] == neg
+            # chi_E(a) = chi_K(a)^r for a in the base
+            assert all(ext_chi[a] == chi[a] ** r for a in range(1, n))
 
 
 def test_extend_identity_and_constants():
@@ -80,51 +126,59 @@ def test_extend_identity_and_constants():
     assert extend_field(F3, 1) is F3
     E = extend_field(F3, 2)
     assert E.order == 9
-    assert E.embed(F3.element(2)) == E.element(2)
+    # the constant 2 of F_3 is the element index 2 of E: 2 * 2 = 1
+    assert E.mul(2, 2) == 1 and E.tables()[0][2 * 9 + 2] == 1
 
 
 def test_minus_one_square_in_f9():
     E = extend_field(make_field(3), 2)
-    squares = {(a * a).index for a in E.elements()}
-    assert E.element(-1).index in squares
+    assert E.tables()[4][1] in {E.mul(a, a) for a in range(9)}
 
 
 def test_field_mismatch():
     F3 = make_field(3)
     F5 = make_field(5)
-    with pytest.raises(FieldMismatchError):
-        quadratic_character(F3, F5.element(1))
-    with pytest.raises(FieldMismatchError):
-        F3.element(1) + F5.element(1)
+    with pytest.raises(DomainError):
+        parse_poly(F3, "1,1") * parse_poly(F5, "1,1")
+    with pytest.raises(DomainError):
+        jacobi_symbol(parse_poly(F3, "1,1"), parse_poly(F5, "0,1"))
 
 
 def test_inverse_and_fermat():
     for p, m in [(3, 2), (7, 1), (3, 3)]:
         K = make_field(p, m)
-        for a in K.elements():
-            if a.is_zero():
-                continue
-            assert (a * (K.element(1) / a)).index == 1
-            assert (a ** (K.order - 1)).index == 1
+        inv = K.tables()[2]
+        for a in range(1, K.order):
+            assert K.mul(a, inv[a]) == 1
+            assert power(K, a, K.order - 1) == 1
 
 
 def test_tower_arithmetic():
     F9 = make_field(3, 2)
     F81 = extend_field(F9, 2)
     assert F81.order == 81
-    one = F81.element(1)
     for idx in (5, 17, 42):
-        a = FieldElement(F81, F81.raw_of_index(idx))
-        assert (a**80) == one or a.is_zero()
-    # embedding commutes with arithmetic along the tower step
-    for a in F9.elements():
-        assert F81.embed(a * a) == F81.embed(a) * F81.embed(a)
+        assert power(F81, idx, 80) == 1
+    assert len({F81.mul(a, a) for a in range(1, 81)}) == 40
+    # the embedding of F_9 commutes with squaring along the tower step
+    for a in range(9):
+        assert F81.mul(a, a) == F9.mul(a, a)
 
 
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
 def test_f9_associativity_distributivity(i, j, k):
     F9 = make_field(3, 2)
-    a, b, c = (FieldElement(F9, F9.raw_of_index(x)) for x in (i, j, k))
-    assert (a + b) + c == a + (b + c)
-    assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
+    add = F9.tables()[0]
+    mul = F9.mul
+    assert add[add[i * 9 + j] * 9 + k] == add[i * 9 + add[j * 9 + k]]
+    assert mul(mul(i, j), k) == mul(i, mul(j, k))
+    assert mul(i, add[j * 9 + k]) == add[mul(i, j) * 9 + mul(i, k)]
+
+
+@given(st.integers(0, 80), st.integers(0, 80), st.integers(0, 80))
+def test_f81_over_f9_associativity_distributivity(i, j, k):
+    F81 = extend_field(make_field(3, 2), 2)
+    add = F81.tables()[0]
+    mul = F81.mul
+    assert mul(mul(i, j), k) == mul(i, mul(j, k))
+    assert mul(i, add[j * 81 + k]) == add[mul(i, j) * 81 + mul(i, k)]

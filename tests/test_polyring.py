@@ -28,7 +28,7 @@ F5 = make_field(5)
 
 
 def mp(field, *indices):
-    return MonicPoly.from_indices(field, indices)
+    return MonicPoly(field, indices)
 
 
 # -- squarefree / irreducible ------------------------------------------------
@@ -235,7 +235,7 @@ def test_squarefree_sieve_matches_gcd_on_every_code(K, gamma):
     assert rows.tolist() == ivs
     assert keep.tolist() == [_iv_squarefree(iv, K) for iv in ivs]
     # the enumerate stream is the sieved code blocks, in code order
-    assert [f.indices() for f in family(FamilySpec(K, gamma))] == [
+    assert [list(f.coeffs) for f in family(FamilySpec(K, gamma))] == [
         iv for iv, ok in zip(ivs, keep.tolist()) if ok]
 
 
@@ -298,7 +298,7 @@ def test_parse_errors_carry_index():
 
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=9))
 def test_poly_text_roundtrip_hypothesis(indices):
-    f = MonicPoly.from_indices(F3, indices + [1])
+    f = MonicPoly(F3, indices + [1])
     assert parse_poly(F3, format_poly(f)) == f
 
 

@@ -34,6 +34,26 @@ def test_fmt_float_17_digits():
     assert float(fmt_float(math.pi)) == math.pi
 
 
+def test_json_dumps_writes_null_for_non_finite_floats():
+    out = json_dumps({"a": float("nan"), "b": [float("inf"), -float("inf"), 0.5]})
+    assert json.loads(out) == {"a": None, "b": [None, None, 0.5]}
+
+
+def test_sweep_report_of_a_constant_column_is_json(tmp_path):
+    # one draw: the skewness, kurtosis and KS statistic of each column are
+    # undefined, and the report must still be JSON (no bare nan)
+    report = tmp_path / "r.json"
+    code = main(["sweep", "--q", "3", "--gamma", "5", "--mode", "sample", "--count", "1",
+                 "--out", str(tmp_path / "r.csv"), "--report-out", str(report)])
+    assert code == 0
+
+    def no_constant(name):
+        raise AssertionError(f"report holds {name}, which is not JSON")
+
+    data = json.loads(report.read_text(), parse_constant=no_constant)
+    assert data["gaussian"]["1"]["skewness"] is None
+
+
 def test_json_dumps_deterministic():
     payload = {"b": Fraction(1, 3), "a": [0.25, {"x": 1}]}
     assert json_dumps(payload) == json_dumps(payload)
@@ -660,9 +680,9 @@ def test_validate_crossval_counts_full_2_torsion_per_curve(monkeypatch):
     # P(t) must be counted curve by curve
     from moduli_census import validate
     coeffs, k, _ = busiest_l_polynomial(5, 5)
-    monkeypatch.setattr(validate, "_full_2_torsion", lambda z: z.curve.F.indices()[0] == 0)
-    want = sum(z.curve.F.indices()[0] == 0 for z in per_curve_zeta(5, 5))
-    assert 0 < sum(z.curve.F.indices()[0] == 0 for z in per_curve_zeta(5, 5)
+    monkeypatch.setattr(validate, "_full_2_torsion", lambda z: z.curve.F.coeffs[0] == 0)
+    want = sum(z.curve.F.coeffs[0] == 0 for z in per_curve_zeta(5, 5))
+    assert 0 < sum(z.curve.F.coeffs[0] == 0 for z in per_curve_zeta(5, 5)
                    if z.coeffs == coeffs) < k
     code, out = run_cli("validate", "--suite", "crossval", "--q", "5", "--gamma", "5")
     assert code == 0
@@ -723,10 +743,12 @@ def test_cli_moments():
     ["--q", "2"],
     ["--q", "4"],
     ["--q", "3", "--t", "abc"],
+    ["--q", "3", "--t", "nan"],
+    ["--q", "3", "--t", "0.5,inf"],
 ])
 def test_cli_moments_bad_input_exit_code(capsys, flags):
-    # a q that make_field refuses, and a --t that is not numbers, are usage
-    # errors, as for every other subcommand
+    # a q that make_field refuses, and a --t that is not finite numbers, are
+    # usage errors, as for every other subcommand
     code = main(["moments", *flags])
     assert code == 2
     captured = capsys.readouterr()
