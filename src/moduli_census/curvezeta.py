@@ -13,10 +13,11 @@ functional equation c_{2g-i} = q^(g-i) c_i, and then validated:
 
 An independent construction of the same polynomial from prime Jacobi
 symbols, l_poly_via_characters, must agree with it exactly.  It reduces a
-block of F modulo every prime P of one degree at once (polyring._reduce_block)
-and reads each residue c u, u monic, as chi(c)^deg P (u / P) from a table per
-field and degree filled from the squares mod P: no discrete log, point count
-or reciprocity step.  lambda_character_identity reads the same tables.
+block of F modulo every prime P of one degree at once (polyring._residues)
+and reads (F/P) at the residue's number in a table per field and degree that
+holds (u / P) for every residue u, filled from the squares mod P: no discrete
+log, point count or reciprocity step.  lambda_character_identity reads the
+same tables.
 
 N_r counts points of the smooth projective model: one point above
 x = infinity for odd deg F, two for even deg F (monic leading 1 is a
@@ -56,7 +57,7 @@ import numpy as np
 from . import countfast
 from .errors import BudgetError, DomainError, InternalConsistencyError
 from .polyring import (FamilySpec, MonicPoly, _dense_tables, _irreducible_ivs, _members,
-                       _reduce_block, format_poly, is_squarefree, prime_count)
+                       _residues, format_poly, is_squarefree, prime_count)
 
 POINT_BUDGET = 10**6
 # entries of one degree's symbol table (one int8 per prime and residue); a
@@ -208,8 +209,12 @@ def _negprem(a: list[int], b: list[int]) -> list[int]:
     return [-x // content for x in a]
 
 
-def _value(p: list[int], x: int) -> int:
-    return sum(c * x**i for i, c in enumerate(p))
+def _value(p, x: int) -> int:
+    """p_0 + p_1 x + ... + p_n x^n for integer coefficients p_0..p_n (Horner)."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
 def _sign_changes(values) -> int:
@@ -344,11 +349,7 @@ def zeta_scale(q: int, g: int, k: int) -> Fraction:
 def zeta_numerator(z: CurveZeta, k: int) -> int:
     """Z_k = q^(2gk) P(q^-k) = sum c_i q^(k(2g-i)), the integer that
     zeta_value(z, k) is built on."""
-    x = z.q**k
-    acc = 0
-    for c in z.coeffs:
-        acc = acc * x + c
-    return acc
+    return _value(z.coeffs[::-1], z.q**k)
 
 
 def jacobian_count(z: CurveZeta, r: int) -> int:
@@ -423,43 +424,42 @@ def check_symbol_budget(q: int, degrees) -> None:
                               f" budget {SYMBOL_BUDGET}")
 
 
+def _entries(n: int, acc: np.ndarray) -> np.ndarray:
+    """The symbol-table index j n^e + (base-n number of u) of each residue
+    u = acc[..., j, :], given as the K-indices of a polynomial mod the j-th
+    prime of degree e over K, n = K.order."""
+    e = acc.shape[-1]
+    return acc @ n ** np.arange(e) + np.arange(acc.shape[-2]) * n**e
+
+
 @functools.lru_cache(maxsize=None)
 def _symbol_table(K, e: int) -> np.ndarray:
     """int8 (u/P) at (index of P) q^e + (number of u), for each prime P of
-    degree e and each monic u or u = 0 (other entries stay 0, never read).
-    (u/P) = 1 iff u != 0 is a square mod P, and the squares are c^2 v^2 for
-    monic v of degree < e: the monic u = (v^2 mod P) / c', c' its leading
-    digit, takes chi(c')^e, and every monic u that no v reaches takes -1."""
+    degree e and each residue u of degree < e.  (u/P) = 1 iff u != 0 is a
+    square mod P, and the squares are s (v^2 mod P) for the square constants
+    s of F_q^* and the monic v of degree < e; every other u != 0 takes -1."""
     n = K.order
     add, mul, _inv, chi, _neg = _dense_tables(K)
-    table = np.zeros(prime_count(n, e) * n**e, dtype=np.int8)
+    mods = _irreducible_ivs(K, e)
+    table = np.full(len(mods) * n**e, -1, dtype=np.int8)
+    table[::n**e] = 0
     monic = np.concatenate([np.arange(n**d, 2 * n**d) for d in range(e)])
-    table.reshape(-1, n**e)[:, monic] = -1
     v = monic[:, None] // n ** np.arange(e) % n
     squares = np.zeros((len(v), 2 * e - 1), dtype=np.int64)
     for i, j in np.ndindex(e, e):
         squares[:, i + j] = add[squares[:, i + j] * n + mul[v[:, i] * n + v[:, j]]]
-    for c, at in _reduce_block(K, squares, _irreducible_ivs(K, e)):
-        table[at] = chi[c] if e & 1 else 1
+    s = np.flatnonzero(chi == 1)[:, None, None, None]
+    for acc in _residues(K, squares, mods):
+        table[_entries(n, mul[s * n + acc])] = 1
     return table
 
 
 def _jacobi_block(K, rows: np.ndarray, e: int) -> np.ndarray:
     """(F/P) for each row F of K-indices and each prime P of degree e, in the
-    order of _irreducible_ivs: (c u / P) = chi(c)^e (u / P) for F mod P = c u."""
-    chi, symbols = _dense_tables(K)[3].astype(np.int8), _symbol_table(K, e)
-    return np.concatenate([symbols[at] * (chi[c] if e & 1 else 1)
-                           for c, at in _reduce_block(K, rows, _irreducible_ivs(K, e))])
-
-
-def _block_symbols(zs, degrees, symbols: dict) -> None:
-    """Add to symbols _jacobi_block of the block zs of CurveZeta for each
-    degree of degrees that it does not hold yet."""
-    missing = [e for e in degrees if e not in symbols]
-    if missing:
-        K, rows = _block_rows([z.curve for z in zs])
-        for e in missing:
-            symbols[e] = _jacobi_block(K, rows, e)
+    order of _irreducible_ivs: the table's symbol at F mod P."""
+    symbols = _symbol_table(K, e)
+    return np.concatenate([symbols[_entries(K.order, acc)]
+                           for acc in _residues(K, rows, _irreducible_ivs(K, e))])
 
 
 def lambda_character_identity(zs, m: int) -> list[IdentityReport]:
@@ -472,14 +472,9 @@ def lambda_character_identity(zs, m: int) -> list[IdentityReport]:
     Euler product of l_poly_via_characters.  The left side comes from the
     point-count route.
     """
-    return _lambda_identity(list(zs), m, {})
-
-
-def _lambda_identity(zs: list, m: int, symbols: dict) -> list[IdentityReport]:
-    """lambda_character_identity of the block zs, which takes the symbols
-    (F/P) of each degree e | m from symbols[e] and adds those it makes."""
     if m < 1:
         raise DomainError("need m >= 1")
+    zs = list(zs)
     if not zs:
         return []
     q = zs[0].curve.field.order
@@ -487,10 +482,10 @@ def _lambda_identity(zs: list, m: int, symbols: dict) -> list[IdentityReport]:
         raise BudgetError(f"enumerating q^m = {q**m} monic polynomials exceeds budget")
     degrees = [e for e in range(1, m + 1) if m % e == 0]  # f = P^(m/e), deg P = e
     check_symbol_budget(q, degrees)
-    _block_symbols(zs, degrees, symbols)
+    K, rows = _block_rows([z.curve for z in zs])
     totals = zs[0].curve.delta
     for e in degrees:
-        totals = totals + e * (symbols[e] ** (m // e)).sum(axis=1, dtype=np.int64)
+        totals = totals + e * (_jacobi_block(K, rows, e) ** (m // e)).sum(axis=1, dtype=np.int64)
     return [IdentityReport(lhs=-z.power_sum(m), rhs=total)
             for z, total in zip(zs, totals.tolist())]
 
@@ -542,23 +537,18 @@ def l_poly_via_characters(zs) -> list[list[int]]:
     block's series by 1 / (1 - (F/P) t^e).  Every result must match its z,
     from the point counts, exactly.
     """
-    return _l_poly(list(zs), {})
-
-
-def _l_poly(zs: list, symbols: dict) -> list[list[int]]:
-    """l_poly_via_characters of the block zs, which takes the symbols (F/P)
-    of each degree e from symbols[e] and adds those it makes."""
+    zs = list(zs)
     if not zs:
         return []
     curve = zs[0].curve
     g = curve.genus
     M = curve.gamma - 1  # 2g for odd gamma, 2g+1 for even gamma
     check_symbol_budget(curve.field.order, range(1, M + 1))
-    _block_symbols(zs, range(1, M + 1), symbols)
+    K, rows = _block_rows([z.curve for z in zs])
     b = np.zeros((len(zs), M + 1), dtype=np.int64)
     b[:, 0] = 1
     for e in range(1, M + 1):
-        for s in symbols[e].T:
+        for s in _jacobi_block(K, rows, e).T:
             for m in range(e, M + 1):
                 b[:, m] += s * b[:, m - e]
     if curve.delta:

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .curvezeta import CurveZeta, jacobian_count, zeta_numerator, zeta_scale, zeta_value
+from .curvezeta import CurveZeta, _value, jacobian_count, zeta_numerator, zeta_scale, zeta_value
 from .errors import DomainError, UnsupportedRankError
 
 SUPPORTED_PARTITIONS = ((1, 1), (2, 1), (1, 2), (1, 1, 1))
@@ -368,20 +368,12 @@ def _count_vector(q: int, g: int, target: str, r: int, d: int) -> tuple[tuple[in
     return _common_den(*(form.get(m, 0) for m in MONOMIALS))
 
 
-def _horner(coeffs, x: int) -> int:
-    """sum c_i x^(n-i) for coeffs c_0..c_n."""
-    acc = 0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
 def _monomial_values(z: CurveZeta) -> tuple[int, ...]:
     """The curve's MONOMIALS, computed once per CurveZeta."""
     vals = z._cache.get("monomials")
     if vals is None:
         q, c = z.q, z.coeffs
-        f = {"nj": sum(c), "P(-1)": sum(c[0::2]) - sum(c[1::2]), "P(q)": _horner(c[::-1], q),
+        f = {"nj": sum(c), "P(-1)": sum(c[0::2]) - sum(c[1::2]), "P(q)": _value(c, q),
              "P'(1)": sum(i * ci for i, ci in enumerate(c)),
              "Z2": zeta_numerator(z, 2), "Z3": zeta_numerator(z, 3)}
         vals = tuple(math.prod(f[x] for x in m) for m in MONOMIALS)

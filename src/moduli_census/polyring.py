@@ -24,8 +24,9 @@ significant.  Sampling is rejection from all monic polynomials of the
 requested degree, with draw i a pure function of (seed, i).  Membership is
 sieved on blocks of codes: F of degree gamma is square-free iff no P^2 with
 2 deg P <= gamma divides it, and each block is reduced mod every such P^2
-at once (_reduce_block's reduction).  A family with too many P^2 for that to
-pay tests gcd(F, F') = 1 code by code instead.
+at once (_residues, the reduction the character route reads its symbols
+with).  A family with too many P^2 for that to pay tests gcd(F, F') = 1
+code by code instead.
 """
 
 from __future__ import annotations
@@ -482,20 +483,6 @@ def _residues(K: FieldHandle, rows: np.ndarray, mods: tuple):
         for i in range(e, rows.shape[1]):
             acc = add[acc * n + mul[F[:, i, None, None] * n + powers[:, i]]]
         yield acc
-
-
-def _reduce_block(K: FieldHandle, rows: np.ndarray, mods: tuple):
-    """_residues as (c, at) for each sub-block of rows in turn: c[b, j] is the leading
-    digit of F_b mod f_j, and at[b, j] is j q^e plus the base-q number of the monic
-    (F_b mod f_j) / c, both 0 for the zero residue."""
-    _add, mul, inv, _chi, _neg = _dense_tables(K)
-    n, e = K.order, len(mods[0]) - 1
-    weights = n ** np.arange(e)
-    offsets = np.arange(len(mods)) * n**e  # the index of (f, 0) for each f
-    for acc in _residues(K, rows, mods):
-        top = e - 1 - np.argmax(acc[..., ::-1] != 0, axis=-1)
-        c = np.take_along_axis(acc, top[..., None], axis=-1)
-        yield c[..., 0], mul[inv[c] * n + acc] @ weights + offsets
 
 
 def _indivisible(K: FieldHandle, rows: np.ndarray, mods: tuple) -> np.ndarray:

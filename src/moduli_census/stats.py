@@ -283,6 +283,16 @@ def _set_partitions(items: tuple):
         yield part + [(first,)]
 
 
+def _check_float_range(q: int, D: int, name: str, count: int) -> None:
+    """Refuse a truncation degree D whose count (q^D or pi_q(D), the largest
+    integer the sum multiplies a float by) has no binary64 value."""
+    try:
+        float(count)
+    except OverflowError:
+        raise DomainError(f"D = {D} is too large for q = {q}: {name} exceeds"
+                          " the binary64 range") from None
+
+
 def theoretical_moment(q: int, k: int, n: int, D: int) -> tuple[float, float]:
     """Limiting n-th moment H^(k)(n), primes truncated at degree D.
 
@@ -297,6 +307,7 @@ def theoretical_moment(q: int, k: int, n: int, D: int) -> tuple[float, float]:
         raise DomainError("moment order limited to 1 <= n <= 6")
     if D < 1 or k < 0:
         raise DomainError("need D >= 1 and k >= 0")
+    _check_float_range(q, D, "pi_q(D)", prime_count(q, D))
     kk = k + 1
     pis = [0] + [prime_count(q, e) for e in range(1, D + 1)]
     u = [0.0] + [-math.log1p(-q ** (-kk * e)) for e in range(1, D + 1)]
@@ -362,6 +373,7 @@ def limit_covariance(q: int, i: int, j: int, D: int) -> tuple[float, float]:
         raise DomainError("equal indices are served by the moments")
     if min(i, j) < 1 or D < 1:
         raise DomainError("need i, j >= 1 and D >= 1")
+    _check_float_range(q, D, "q^D", q**D)
     total = 0.0
     for e in range(1, D + 1):
         pe = prime_count(q, e)
@@ -395,6 +407,7 @@ def characteristic_function(q: int, k: int, t: float, D: int) -> complex:
         raise DomainError("|t| <= 50")
     if t == 0.0:
         return complex(1.0, 0.0)
+    _check_float_range(q, D, "pi_q(D)", prime_count(q, D))
     kk = k + 1
     weights = []
     counts = []

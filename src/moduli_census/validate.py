@@ -18,10 +18,9 @@ count, violation count and extreme is the one a pass over every curve
 gives; a failing check's detail names the first curve of each failing
 P(t).  What reads F stays per curve: crossval's full 2-torsion flag, and
 the zeta and lambda suites, whose character route and trace identity are
-the independent check of P(t) itself.  A run of every suite holds the
-family's zeta data once (_Family), and the lambda suite reads the symbols
-(F/P), deg P <= 2, that the zeta suite's character route made for each
-block.
+the independent check of P(t) itself, one call of l_poly_via_characters
+and of lambda_character_identity per block and m.  A run of every suite
+holds the family's zeta data once (_Family).
 """
 
 from __future__ import annotations
@@ -34,13 +33,13 @@ from fractions import Fraction
 
 from .curvezeta import (
     HyperellipticCurve,
-    _l_poly,
-    _lambda_identity,
     check_symbol_budget,
     epsilon_bounds,
     epsilon_terms,
     family_curves,
     jacobian_count,
+    l_poly_via_characters,
+    lambda_character_identity,
     xz_bound_check,
     zeta_data,
     zeta_data_block,
@@ -74,17 +73,15 @@ class CheckResult:
 
 class _Family:
     """The zeta data of H_{gamma,q} at one check budget, and the run's
-    registry (curvezeta) that counting it fills.  blocks yields (symbols,
-    block) for each block of at most CHUNK CurveZeta, in family order;
-    symbols is the block's dict of (F/P) by deg P.  A held family (a run of
-    every suite) is counted once, into a list, so the lambda suite reads the
-    symbols the zeta suite leaves there; otherwise it is counted as its one
+    registry (curvezeta) that counting it fills.  blocks yields each block of
+    at most CHUNK CurveZeta, in family order.  A held family (a run of every
+    suite) is counted once, into a list; otherwise it is counted as its one
     suite reads it."""
 
     def __init__(self, q: int, gamma: int, check_budget: int, held: bool):
         self.registry: dict = {}
         curves = family_curves(FamilySpec(make_field(q), gamma))
-        self.blocks = (({}, list(zeta_data_block(block, check_budget, self.registry)))
+        self.blocks = (list(zeta_data_block(block, check_budget, self.registry))
                        for block in iter(lambda: list(itertools.islice(curves, CHUNK)), []))
         if held:
             self.blocks = list(self.blocks)
@@ -95,7 +92,7 @@ def _by_lpoly(zs: _Family, each=None):
     zs, in first-seen order, with the number k of its curves that have it:
     the run's registry, read once zs is counted.  each(z), when given, is
     called on every curve of zs."""
-    for _, block in zs.blocks:  # counts a family that is not held
+    for block in zs.blocks:  # counts a family that is not held
         if each:
             for z in block:
                 each(z)
@@ -107,15 +104,13 @@ def suite_zeta(q: int, gamma: int, zs):
     n = 0
     route_error = None
     try:
-        for kept, block in zs.blocks:
+        for block in zs.blocks:
             n += len(block)
             if route_error is None:
-                symbols: dict = {}
                 try:
-                    _l_poly(block, symbols)  # raises unless the routes agree
+                    l_poly_via_characters(block)  # raises unless the routes agree
                 except InternalConsistencyError as exc:
                     route_error = str(exc)
-                kept.update((e, symbols[e]) for e in (1, 2))  # the lambda suite's degrees
     except InternalConsistencyError as exc:
         yield CheckResult("zeta.construction", False, str(exc))
         return
@@ -134,10 +129,10 @@ def suite_lambda(q: int, gamma: int, zs):
     """Exact trace identity for m in {1, 2} on the whole family."""
     n = 0
     bad = 0
-    for symbols, block in zs.blocks:
+    for block in zs.blocks:
         n += len(block)
         for m in (1, 2):
-            bad += sum(not rep.holds for rep in _lambda_identity(block, m, symbols))
+            bad += sum(not rep.holds for rep in lambda_character_identity(block, m))
     yield CheckResult("lambda.identity", bad == 0,
                       f"{n} curves, m in {{1,2}}, {bad} violations")
 

@@ -641,32 +641,17 @@ def test_l_poly_blocks_match_per_curve_euler_product(families, key, size):
     assert got == [list(z.coeffs) for z in zs]
 
 
-@pytest.fixture
-def fresh_symbols(monkeypatch):
-    """Empty symbol tables for the test; the shared ones are left as they were."""
-    monkeypatch.setattr(curvezeta, "_symbol_table",
-                        functools.lru_cache(maxsize=None)(curvezeta._symbol_table.__wrapped__))
-
-
-def monic_codes(n: int, e: int) -> list[int]:
-    """The numbers of the monic residues of degree < e over F_n, leading digit 1."""
-    return [code for d in range(e) for code in range(n**d, 2 * n**d)]
-
-
 def test_l_poly_block_over_prime_of_many_residues(families, fresh_symbols):
     # H_{6,5} has 624 primes of degree 5 with 3125 residues each.  40 draws
     # meet few of them, but the table is filled whole: a symbol +-1 at each of
-    # the 781 monic residues and 0 at the zero residue, 624 x 782 entries, and
-    # nothing at the non-monic residues
+    # the 3124 nonzero residues and 0 at the zero residue
     zs = families[(5, 6)]
     assert len(zs) == 40
     assert l_poly_via_characters(zs) == [reference_l_poly(z) for z in zs]
     K = make_field(5)
     table = curvezeta._symbol_table(K, 5).reshape(624, 5**5)
-    monic = monic_codes(5, 5)
-    assert len(monic) + 1 == 782
-    assert np.all(np.abs(table[:, monic]) == 1) and np.all(table[:, 0] == 0)
-    assert np.count_nonzero(table) == 624 * 781
+    assert np.all(np.abs(table[:, 1:]) == 1) and np.all(table[:, 0] == 0)
+    assert np.count_nonzero(table) == 624 * 3124
 
 
 def test_l_poly_block_over_tower_field():
@@ -732,11 +717,11 @@ def test_character_route_needs_no_point_count(families, monkeypatch, fresh_symbo
 
 
 def test_validate_zeta_and_lambda_symbol_count(monkeypatch, fresh_symbols):
-    # one symbol per monic or zero residue of each prime P of degree e <= 4
-    # over F_5, (5^e - 1)/4 + 1 of them: 5*2 + 10*7 + 40*32 + 150*157 = 24910,
-    # in one table per degree.  The lambda suite (m = 1, 2) reads the tables
-    # of degree 1 and 2 that the zeta suite has built, and neither suite makes
-    # a reciprocity step
+    # one symbol per residue of each prime P of degree e <= 4 over F_5, 5^e
+    # of them: 5*5 + 10*25 + 40*125 + 150*625 = 99025, in one table per
+    # degree.  The lambda suite (m = 1, 2) reads the tables of degree 1 and 2
+    # that the zeta suite has built, and neither suite makes a reciprocity
+    # step
     from moduli_census import polyring
     from moduli_census.validate import run_suite
 
@@ -751,10 +736,34 @@ def test_validate_zeta_and_lambda_symbol_count(monkeypatch, fresh_symbols):
     filled = 0
     for e in range(1, 5):
         table = curvezeta._symbol_table(K, e).reshape(-1, 5**e)
-        monic = monic_codes(5, e)
-        assert np.all(np.abs(table[:, monic]) == 1) and np.all(table[:, 0] == 0)
-        filled += table[:, [0] + monic].size
-    assert filled == 24_910
+        assert np.all(np.abs(table[:, 1:]) == 1) and np.all(table[:, 0] == 0)
+        filled += table.size
+    assert filled == 99_025
+
+
+def test_validate_runs_the_public_character_route_per_block(monkeypatch):
+    # counting wrappers on the names validate looks up, as the tracer puts
+    # them there: the zeta suite calls l_poly_via_characters once per block
+    # and the lambda suite lambda_character_identity once per block and m,
+    # on the 2500 curves of H_{5,5} in blocks of at most CHUNK
+    from moduli_census import validate
+    calls: dict = {"l_poly": [], "lambda": []}
+
+    def counting(name, fn):
+        def wrapper(zs, *args):
+            calls[name].append((len(zs), *args))
+            return fn(zs, *args)
+        return wrapper
+
+    monkeypatch.setattr(validate, "l_poly_via_characters",
+                        counting("l_poly", validate.l_poly_via_characters))
+    monkeypatch.setattr(validate, "lambda_character_identity",
+                        counting("lambda", validate.lambda_character_identity))
+    results = validate.run_suite("all", 5, 5)
+    assert all(res.ok for res in results)
+    sizes = [CHUNK, CHUNK, 2500 - 2 * CHUNK]
+    assert calls["l_poly"] == [(b,) for b in sizes]
+    assert calls["lambda"] == [(b, m) for b in sizes for m in (1, 2)]
 
 
 
@@ -789,9 +798,9 @@ def test_jacobi_block_matches_reciprocity_per_entry(K, fresh_symbols):
         want = [[_iv_jacobi(_iv_trim(row), list(f), K) for f in mods] for row in rows.tolist()]
         assert any(0 in w for w in want) and any(-1 in w for w in want)
         assert _jacobi_block(K, rows, e).tolist() == want
-        # only the monic residues hold a nonzero symbol
-        filled = np.flatnonzero(curvezeta._symbol_table(K, e)) % n**e
-        assert {tuple(_iv_trim(_code_iv(code, n, e)[:-1])[-1:]) for code in filled.tolist()} == {(1,)}
+        # every nonzero residue holds a symbol +-1, the zero residue 0
+        table = curvezeta._symbol_table(K, e).reshape(-1, n**e)
+        assert np.all(np.abs(table[:, 1:]) == 1) and np.all(table[:, 0] == 0)
 
 
 _TABLE_DEGREES = [(F3, 5), (make_field(5), 3), (make_field(7), 3), (extend_field(F3, 2), 3)]
@@ -801,13 +810,13 @@ _TABLE_DEGREES = [(F3, 5), (make_field(5), 3), (make_field(7), 3), (extend_field
 def test_symbol_tables_match_reciprocity_on_every_entry(K, top, fresh_symbols):
     # the bulk table of each degree holds (u/P) from the squares mod P; the
     # reciprocity _iv_jacobi must give the same symbol at every prime P and
-    # every monic or zero residue u
+    # every residue u
     from moduli_census.polyring import _iv_jacobi, _iv_trim
     n = K.order
     for e in range(1, top + 1):
         table = curvezeta._symbol_table(K, e).reshape(-1, n**e)
         for j, P in enumerate(_irreducible_ivs(K, e)):
-            for code in [0] + monic_codes(n, e):
+            for code in range(n**e):
                 u = _iv_trim(_code_iv(code, n, e)[:-1])
                 assert table[j, code] == _iv_jacobi(u, list(P), K), (n, e, P, u)
 

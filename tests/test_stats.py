@@ -388,6 +388,14 @@ def test_phi_bounded():
         assert abs(characteristic_function(3, 1, t, 6)) <= 1.0 + 1e-9
 
 
+def test_phi_refuses_a_degree_past_the_float_range():
+    # pi_3(651) < 2^1024 < pi_3(652); phi(0) = 1 reads no prime count
+    with pytest.raises(DomainError, match="D = 660 is too large for q = 3: pi_q"):
+        characteristic_function(3, 0, 0.5, 660)
+    assert characteristic_function(3, 0, 0.0, 660) == 1.0
+    assert abs(characteristic_function(3, 0, 0.5, 651)) <= 1.0 + 1e-9
+
+
 # -- family-mean estimates ---------------------------------------------------------------------
 
 def _family_mean_symbol(gamma, h):

@@ -457,11 +457,9 @@ def test_cli_validate_over_enumeration_budget(monkeypatch, capsys):
         "budget error: validate enumerates the family: q^gamma = 14348907 must be <= 2000000"]
 
 
-def test_cli_validate_over_symbol_budget(monkeypatch, capsys):
+def test_cli_validate_over_symbol_budget(monkeypatch, capsys, fresh_symbols):
     from moduli_census import curvezeta
     monkeypatch.setattr(curvezeta, "SYMBOL_BUDGET", 1457)
-    monkeypatch.setattr(curvezeta, "_symbol_table",
-                        functools.lru_cache(maxsize=None)(curvezeta._symbol_table.__wrapped__))
     code = main(["validate", "--suite", "zeta", "--q", "3", "--gamma", "5"])
     assert code == 3
     captured = capsys.readouterr()
@@ -511,24 +509,20 @@ def test_cli_validate_xz_needs_genus_two(capsys):
 
 
 @pytest.fixture
-def flipped_symbol(monkeypatch):
-    """Fresh symbol tables whose filled symbol (1/x) over F_3 has the wrong sign.
+def flipped_symbol(fresh_symbols):
+    """Fresh symbol tables whose symbols (1/x) and (2/x) over F_3 have the wrong sign.
 
-    Every residue c = c * 1 mod x takes chi(c) (1/x), so (F/x) is wrong for
-    every F with F(0) != 0: 122 of the 162 curves of H_{5,3}.
+    F mod x is F(0), so (F/x) is wrong for every F with F(0) != 0: 122 of the
+    162 curves of H_{5,3}.  The table is flipped in the fresh cache, which
+    hands the same array to every later call.
     """
     from moduli_census import curvezeta
-    real = curvezeta._symbol_table.__wrapped__
-
-    def flipped(K, e):
-        table = real(K, e)
-        if K.order == 3 and e == 1:
-            at = curvezeta._irreducible_ivs(K, 1).index((0, 1)) * 3 + 1  # (x, the residue 1)
-            assert table[at] == 1
-            table[at] = -1
-        return table
-
-    monkeypatch.setattr(curvezeta, "_symbol_table", functools.lru_cache(maxsize=None)(flipped))
+    from moduli_census.ffield import make_field
+    K = make_field(3)
+    table = curvezeta._symbol_table(K, 1).reshape(-1, 3)
+    j = curvezeta._irreducible_ivs(K, 1).index((0, 1))  # the prime x
+    assert table[j].tolist() == [0, 1, -1]
+    table[j, 1:] = [-1, 1]
 
 
 def test_cli_validate_reports_a_character_route_mismatch(flipped_symbol):
@@ -754,6 +748,34 @@ def test_cli_moments_bad_input_exit_code(capsys, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags, count", [
+    (["--q", "3", "--D", "655"], "pi_q(D)"),  # theoretical_moment: pi_3(652) > 2^1024
+    (["--q", "5", "--D", "450"], "pi_q(D)"),
+    (["--q", "3", "--D", "650", "--k-max", "2"], "q^D"),  # limit_covariance: 3^647 > 2^1024
+])
+def test_cli_moments_refuses_a_degree_past_the_float_range(capsys, flags, count):
+    # a prime count or q^D with no binary64 value is a usage error, found
+    # before any sum is made, not an OverflowError traceback
+    code = main(["moments", *flags])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: D = {flags[3]} is too large for q = {flags[1]}: {count} exceeds the binary64 range"]
+
+
+@pytest.mark.parametrize("D, k_max, pairs", [
+    ("646", "3", {"1,2", "1,3", "2,3"}),  # 3^646 < 2^1024 < 3^647, for the covariance
+    ("651", "1", set()),  # pi_3(651) < 2^1024 < pi_3(652), with no covariance to make
+])
+def test_cli_moments_at_the_largest_degree_in_the_float_range(D, k_max, pairs):
+    code, out = run_cli("moments", "--q", "3", "--D", D, "--k-max", k_max, "--n-max", "1",
+                        "--t", "0.5")
+    assert code == 0
+    data = json.loads(out)
+    assert data["D"] == int(D) and set(data["covariance"]) == pairs
 
 
 def test_cli_curve_info_refuses_a_square(capsys):
