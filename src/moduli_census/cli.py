@@ -7,7 +7,7 @@ samples), validate (named invariant suites).
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 budget
 exceeded.  Output is deterministic for a fixed configuration, including
-across worker counts (set --workers or MODULI_CENSUS_WORKERS).
+across worker counts (set --workers).
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def cmd_curve_info(args) -> int:
 def cmd_moduli(args) -> int:
     z = zeta_data(_curve(args), check_budget=args.check_budget)
     if args.target == "estimate":
-        est, env = log_count_estimate(z, args.rank, C=args.env_c, sigma=args.env_sigma)
+        est, env = log_count_estimate(z, args.rank)
         payload = {"target": "estimate", "rank": args.rank,
                    "estimate": est, "envelope": env}
         if args.rank <= 3:
@@ -133,7 +133,7 @@ def cmd_sweep(args) -> int:
         q=args.q, gamma=args.gamma, mode=args.mode, count=args.count,
         seed=args.seed, z_override=args.z, r_max=args.r_max,
         variants=variants or ("m_rd", "ms20", "higgs"),
-        rank=args.rank, degree=args.degree, convention=args.convention,
+        rank=args.rank, degree=args.degree,
         workers=args.workers, check_budget=args.check_budget,
         compute_moduli=not args.no_moduli, max_n=args.max_n,
     )
@@ -149,6 +149,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_moments(args) -> int:
     make_field(args.q)  # rejects a q that is not an odd prime, as every --q does
+    if args.k_max < 0:
+        raise DomainError(f"--k-max must be >= 0, got {args.k_max}")
+    if args.n_max < 1:
+        raise DomainError(f"--n-max must be >= 1, got {args.n_max}")
     try:
         ts = [float(s) for s in args.t.split(",")]
     except ValueError:
@@ -217,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--degree", type=int, default=1)
-    p.add_argument("--env-c", type=float, default=10.0)
-    p.add_argument("--env-sigma", type=float, default=0.5)
     p.set_defaults(func=cmd_moduli)
 
     p = sub.add_parser("sweep", help="family sweep: CSV rows plus report JSON")
@@ -234,8 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
                         " (default m_rd,ms20,higgs)")
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--degree", type=int, default=1)
-    p.add_argument("--convention", choices=("F_over_f", "f_over_F"),
-                   default="F_over_f")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--check-budget", type=int, default=10**4)
     p.add_argument("--no-moduli", action="store_true",

@@ -599,12 +599,11 @@ def count_higgs(z: CurveZeta) -> ModuliReport:
     return report
 
 
-def log_count_estimate(z: CurveZeta, r: int, C: float = 10.0,
-                       sigma: float = 0.5) -> tuple[float, float]:
+def log_count_estimate(z: CurveZeta, r: int) -> tuple[float, float]:
     """Logarithmic size estimate for the stable count and its envelope.
 
     estimate = (r^2-1)(g-1) log q + sum_{k=2}^r log zeta(k);
-    envelope = C (A + q^(-sigma g) e^A),  A = 2 (1/sqrt(q) + loglog(g)/q^2).
+    envelope = 10 (A + q^(-g/2) e^A),  A = 2 (1/sqrt(q) + loglog(g)/q^2).
     """
     if r < 2:
         raise DomainError("need rank >= 2")
@@ -617,7 +616,7 @@ def log_count_estimate(z: CurveZeta, r: int, C: float = 10.0,
         zk = zeta_value(z, k)
         est += math.log(zk.numerator) - math.log(zk.denominator)
     a = 2.0 * (1.0 / math.sqrt(q) + math.log(math.log(g)) / q**2)
-    envelope = C * (a + q ** (-sigma * g) * math.exp(a))
+    envelope = 10.0 * (a + q ** (-0.5 * g) * math.exp(a))
     return est, envelope
 
 

@@ -508,6 +508,7 @@ def _moebius(n: int) -> int:
     return mu
 
 
+@functools.lru_cache(maxsize=None)
 def prime_count(q: int, n: int) -> int:
     """Number of monic irreducibles of degree n over F_q (Gauss/Moebius)."""
     if n < 1:

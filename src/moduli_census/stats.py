@@ -6,12 +6,12 @@ the moduli formulas.  In the limit: the moments H^(k)(n) as sums over
 tuples of distinct monic irreducibles, the limiting covariance, and the
 characteristic functions, all aggregated by prime degree through pi_q.
 
-Symbol convention.  The Dirichlet character attached to y^2 = F(x) takes
+Symbol orientation.  The Dirichlet character attached to y^2 = F(x) takes
 the value (F/f) at f, and only that orientation satisfies the exact trace
 identity sum_{deg f = m} Lambda(f) (F/f) = -p_m - delta against the point
-counts when q = 3 (mod 4) (the two orientations differ by the reciprocity
-sign (-1)^(deg f * deg F)).  The default is therefore "F_over_f"; the
-mirrored "f_over_F" variant stays available for sensitivity analysis.
+counts.  The mirrored symbol (f/F) differs by the reciprocity sign
+(-1)^((q-1)/2 * deg f * deg F), so its sums are (-1)^m times these when
+(q-1)/2 * gamma is odd.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import DomainError
 from .moduli import COUNT_TARGETS, count_value, family_constant
 from .polyring import MonicPoly, _irreducible_ivs, _iv, _iv_jacobi, is_squarefree, prime_count
 
-CONVENTIONS = ("F_over_f", "f_over_F")
 RESIDUAL_VARIANTS = COUNT_TARGETS  # one residual per moduli count
 
 
@@ -34,16 +33,14 @@ def default_cutoff(gamma: int) -> int:
     return gamma // 3
 
 
-def character_sum(F: MonicPoly, m: int, convention: str = "F_over_f") -> int:
-    """sum over monic f of degree m of Lambda(f) * symbol(f).
+def character_sum(F: MonicPoly, m: int) -> int:
+    """sum over monic f of degree m of Lambda(f) * (F/f).
 
     Only prime powers f = P^j contribute, so the sum runs over the cached
-    irreducibles of each degree e | m with weight e * symbol(P)^(m/e).
+    irreducibles of each degree e | m with weight e * (F/P)^(m/e).
     """
     if m < 1:
         raise DomainError("need m >= 1")
-    if convention not in CONVENTIONS:
-        raise DomainError(f"unknown symbol convention {convention!r}")
     if not is_squarefree(F):
         raise DomainError("F must be square-free")
     K = F.field
@@ -55,43 +52,32 @@ def character_sum(F: MonicPoly, m: int, convention: str = "F_over_f") -> int:
         j = m // e
         sub = 0
         for piv in _irreducible_ivs(K, e):
-            if convention == "F_over_f":
-                s = _iv_jacobi(F_iv, list(piv), K)
-            else:
-                s = _iv_jacobi(list(piv), F_iv, K)
+            s = _iv_jacobi(F_iv, list(piv), K)
             sub += s if j % 2 else abs(s)
         total += e * sub
     return total
 
 
-def trace_charsums(psums: list[int], q: int, gamma: int,
-                   convention: str = "F_over_f") -> list[int]:
-    """character_sum(F, m, convention) for m = 1..len(psums), from p_1, p_2, ...
+def trace_charsums(psums: list[int], gamma: int) -> list[int]:
+    """character_sum(F, m) for m = 1..len(psums), from p_1, p_2, ...
 
-    The trace identity gives sum_{deg f = m} Lambda(f) (F/f) = -p_m - delta;
-    the mirrored symbol differs by the reciprocity sign (-1)^((q-1)/2 m gamma).
+    The trace identity gives sum_{deg f = m} Lambda(f) (F/f) = -p_m - delta.
     """
-    if convention not in CONVENTIONS:
-        raise DomainError(f"unknown symbol convention {convention!r}")
     delta = 1 - gamma % 2
-    sign = -1 if convention == "f_over_F" and (q - 1) // 2 * gamma % 2 else 1
-    return [sign**m * (-p - delta) for m, p in enumerate(psums, 1)]
+    return [-p - delta for p in psums]
 
 
-def _weighted(charsums: list[int], q: int, k: int) -> float:
-    return math.fsum(s / (m * q ** ((k + 1) * m)) for m, s in enumerate(charsums, 1))
+def r_variable(charsums: list[int], q: int, k: int) -> float:
+    """R^(k) = sum_{m<=Z} q^(-(k+1)m) m^-1 * charsums[m-1], with Z = len(charsums).
 
-
-def r_variable(F: MonicPoly, k: int, Z: int, convention: str = "F_over_f",
-               charsums: list[int] | None = None) -> float:
-    """R^(k) = sum_{m<=Z} q^(-(k+1)m) m^-1 * character_sum(F, m)."""
+    charsums[m-1] is character_sum(F, m): trace_charsums of the curve's
+    power sums, or the Jacobi route's character_sum itself.
+    """
     if k < 0:
         raise DomainError("need k >= 0")
-    if Z < 1:
+    if not charsums:
         raise DomainError("need Z >= 1")
-    if charsums is None:
-        charsums = [character_sum(F, m, convention) for m in range(1, Z + 1)]
-    return _weighted(charsums[:Z], F.field.order, k)
+    return math.fsum(s / (m * q ** ((k + 1) * m)) for m, s in enumerate(charsums, 1))
 
 
 def _log_frac(x: Fraction) -> float:
@@ -101,7 +87,6 @@ def _log_frac(x: Fraction) -> float:
 
 
 def decomposition_residual(z: CurveZeta, variant: str, Z: int | None = None,
-                           convention: str = "F_over_f",
                            rank: int = 2, degree: int = 1,
                            charsums: list[int] | None = None) -> float:
     """Centered log-count residual for one decomposition variant.
@@ -111,40 +96,36 @@ def decomposition_residual(z: CurveZeta, variant: str, Z: int | None = None,
     ntilde: log N(Ntilde(4,0)) - (4g-4) log q + delta log(1-1/q^2) - R^(0) over F_{q^2}
     higgs:  log N(Higgs_2)     - (8g-6) log q - C_q^Higgs - R^(0) - R^(1)
 
-    R^(k) comes from the power sums of z through the trace identity, or
-    from `charsums`, trace_charsums of p_1..p_Z, when the caller has them.
+    R^(k) weighs the first Z character sums: from the power sums of z
+    through the trace identity, or from `charsums`, trace_charsums of
+    p_1..p_Z, when the caller has them.
     The count is count_value(z, variant, rank, degree).
     """
     if variant not in RESIDUAL_VARIANTS:
         raise DomainError(f"unknown residual variant {variant!r}")
-    curve = z.curve
     q = z.q
     g = z.genus
-    gamma = curve.gamma
+    gamma = z.curve.gamma
     if Z is None:
         Z = default_cutoff(gamma)
     if charsums is None:
-        charsums = trace_charsums([z.power_sum(m) for m in range(1, Z + 1)],
-                                  q, gamma, convention)
+        charsums = trace_charsums([z.power_sum(m) for m in range(1, Z + 1)], gamma)
+    charsums = charsums[:Z]
     value = count_value(z, variant, rank, degree)
     lq = math.log(q)
     if variant == "m_rd":
-        rsum = math.fsum(r_variable(curve.F, k, Z, convention, charsums)
-                         for k in range(1, rank))
+        rsum = math.fsum(r_variable(charsums, q, k) for k in range(1, rank))
         return (_log_frac(value) - (rank * rank - 1) * (g - 1) * lq
                 - family_constant(q, gamma, "base", rank) - rsum)
     if variant == "ms20":
         return (_log_frac(value) - 3 * (g - 1) * lq
-                - family_constant(q, gamma, "thm15")
-                - r_variable(curve.F, 1, Z, convention, charsums))
+                - family_constant(q, gamma, "thm15") - r_variable(charsums, q, 1))
     if variant == "ntilde":
         # the points over F_{q^2m} give the character sums over F_{q^2}
-        ext = trace_charsums([z.power_sum(2 * m) for m in range(1, Z + 1)],
-                             q * q, gamma, convention)
-        r0_ext = _weighted(ext, q * q, 0)
+        ext = trace_charsums([z.power_sum(2 * m) for m in range(1, Z + 1)], gamma)
         return (_log_frac(value) - (4 * g - 4) * lq
-                + family_constant(q, gamma, "thm16") - r0_ext)
-    rsum = math.fsum(r_variable(curve.F, k, Z, convention, charsums) for k in (0, 1))
+                + family_constant(q, gamma, "thm16") - r_variable(ext, q * q, 0))
+    rsum = math.fsum(r_variable(charsums, q, k) for k in (0, 1))
     return (_log_frac(value) - (8 * g - 6) * lq
             - family_constant(q, gamma, "higgs") - rsum)
 

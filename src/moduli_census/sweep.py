@@ -33,7 +33,6 @@ from .stats import (RESIDUAL_VARIANTS, FamilyRecord, SweepReport, decomposition_
 
 ENUM_BUDGET = 2 * 10**6
 CHUNK = 1024
-WORKERS_ENV = "MODULI_CENSUS_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,6 @@ class SweepConfig:
     variants: tuple[str, ...] = ("m_rd", "ms20", "higgs")
     rank: int = 2
     degree: int = 1
-    convention: str = "F_over_f"
     workers: int = 1
     check_budget: int = 10**4
     compute_moduli: bool = True
@@ -83,8 +81,8 @@ def compute_record(curve: HyperellipticCurve, cfg: SweepConfig, psums: list[int]
                       residuals=dict(like.residuals), flags=dict(like.flags))
     else:
         q, Z = cfg.q, cfg.cutoff
-        charsums = trace_charsums(psums, q, cfg.gamma, cfg.convention)
-        R = {k: r_variable(curve.F, k, Z, charsums=charsums) for k in range(cfg.r_max)}
+        charsums = trace_charsums(psums, cfg.gamma)
+        R = {k: r_variable(charsums, q, k) for k in range(cfg.r_max)}
         delta_z = math.fsum(R[k] for k in range(1, cfg.r_max))
         N, jac = (z.N, jacobian_count(z, 1)) if z is not None else ((), 0)
         rec = FamilyRecord(q=q, gamma=cfg.gamma, F_text=F_text, genus=curve.genus,
@@ -93,7 +91,7 @@ def compute_record(curve: HyperellipticCurve, cfg: SweepConfig, psums: list[int]
             for variant in cfg.variants:
                 try:
                     rec.residuals[variant] = decomposition_residual(
-                        z, variant, Z, cfg.convention, cfg.rank, cfg.degree, charsums)
+                        z, variant, Z, cfg.rank, cfg.degree, charsums)
                 except DomainError:  # a genus the variant does not cover
                     rec.residuals[variant] = math.nan
             rec.flags["xz_pass"] = xz_bound_check(z, ks=())["xz"].holds
@@ -152,16 +150,6 @@ def _pool_chunk(args) -> list:
     return _chunk_worker(args, _worker_registry)
 
 
-def resolve_workers(requested: int | None) -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise DomainError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-    return max(1, requested or 1)
-
-
 def pool_size(workers: int, n_chunks: int) -> int:
     """Worker processes to start: no more than there are chunks or cores."""
     return max(1, min(workers, n_chunks, os.cpu_count() or 1))
@@ -189,7 +177,7 @@ def run_sweep(cfg: SweepConfig) -> list[FamilyRecord]:
         raise BudgetError(f"enumerate mode needs q^gamma = {total} <= {ENUM_BUDGET};"
                           " use sample mode")
     chunks = [(cfg, lo, min(lo + CHUNK, total)) for lo in range(0, total, CHUNK)]
-    workers = pool_size(resolve_workers(cfg.workers), len(chunks))
+    workers = pool_size(cfg.workers, len(chunks))
     if workers == 1:
         registry: dict = {}
         parts = [_chunk_worker(c, registry) for c in chunks]
@@ -238,7 +226,7 @@ def build_report(records: list[FamilyRecord], cfg: SweepConfig) -> SweepReport:
     report.family = {
         "q": cfg.q, "gamma": cfg.gamma, "mode": cfg.mode,
         "count": len(records), "seed": cfg.seed, "Z": cfg.cutoff,
-        "convention": cfg.convention,
+        "convention": "F_over_f",
     }
     D = 2 * cfg.gamma
     theo_m: dict = {}

@@ -346,7 +346,7 @@ def test_criterion_09_gaussian_skew_monotone(gaussian_samples):
 
 def test_criterion_10_estimate_envelope(zeta_families):
     """The estimate reproduces log((q-1) * Siegel mass) exactly, and the
-    exact stable-count log sits inside the configured envelope for
+    exact stable-count log sits inside the fixed envelope for
     r in {2,3} on all of H_{5,3} and H_{5,5}."""
     zetas, _ = zeta_families
     n = 0
@@ -355,7 +355,7 @@ def test_criterion_10_estimate_envelope(zeta_families):
         for z in zetas[key]:
             tab = BetaTable(z)
             for r in (2, 3):
-                est, env = log_count_estimate(z, r, C=10.0, sigma=0.5)
+                est, env = log_count_estimate(z, r)
                 mass_log = math.log(float((q - 1) * siegel_mass(z, r)))
                 assert abs(mass_log - est) <= 1e-9
                 value = count_stable_fixed_det(z, r, 1, tab).value

@@ -63,26 +63,36 @@ def test_character_sum_equals_trace_identity():
 
 
 def test_character_sum_convention_differs():
-    # q = 3 mod 4 and odd deg f * deg F: the mirrored symbol flips sign
+    # q = 3 mod 4 and odd deg f * deg F: the mirrored symbol (f/F) would
+    # flip the sign, so -p_1 = 2 pins the (F/f) orientation
     f = parse_poly(F3, "1,0,1,0,0,1")  # x^5 + x^2 + 1, p_1 = -2
     z = zeta_data(HyperellipticCurve(f))
     assert z.psums[0] == -2
     assert character_sum(f, 1) == 2
-    assert character_sum(f, 1, "f_over_F") == -2
 
 
 def test_character_sum_rejects():
     with pytest.raises(DomainError):
         character_sum(X5X, 0)
-    with pytest.raises(DomainError):
-        character_sum(X5X, 1, "upside_down")
 
 
 # -- R variables ----------------------------------------------------------------
 
+def _jacobi_r(F, k, Z):
+    """R^(k) of F from the prime Jacobi symbols, the reference for the trace route."""
+    return r_variable([character_sum(F, m) for m in range(1, Z + 1)], F.field.order, k)
+
+
 def test_r_variable_examples():
-    assert r_variable(X5X, 1, 1) == 0.0
-    assert r_variable(X5X, 1, 2) == pytest.approx(2 / 81, abs=1e-18)
+    assert _jacobi_r(X5X, 1, 1) == 0.0
+    assert _jacobi_r(X5X, 1, 2) == pytest.approx(2 / 81, abs=1e-18)
+
+
+def test_r_variable_rejects():
+    with pytest.raises(DomainError):
+        r_variable([], 3, 0)
+    with pytest.raises(DomainError):
+        r_variable([1], 3, -1)
 
 
 def test_r_variable_telescopes():
@@ -94,7 +104,7 @@ def test_r_variable_telescopes():
                 break
         for k in (0, 1, 2):
             for Z in (1, 2, 3):
-                diff = r_variable(f, k, Z + 1) - r_variable(f, k, Z)
+                diff = _jacobi_r(f, k, Z + 1) - _jacobi_r(f, k, Z)
                 term = character_sum(f, Z + 1) / ((Z + 1) * 3 ** ((k + 1) * (Z + 1)))
                 assert diff == pytest.approx(term, abs=1e-15)
 
@@ -103,7 +113,7 @@ def test_r_variable_coarse_envelope():
     for f in itertools.islice(family(FamilySpec(F3, 9)), 40):
         for k in (0, 1):
             Z = default_cutoff(9)
-            assert abs(r_variable(f, k, Z)) <= (1 + 1 / 3) * (1 + math.log(Z))
+            assert abs(_jacobi_r(f, k, Z)) <= (1 + 1 / 3) * (1 + math.log(Z))
 
 
 # -- decomposition residuals -------------------------------------------------------
@@ -145,35 +155,31 @@ def test_ntilde_residual_runs():
 
 
 @pytest.mark.parametrize("gamma", [5, 6])
-@pytest.mark.parametrize("convention", ["F_over_f", "f_over_F"])
-def test_record_r_route_matches_jacobi_route(gamma, convention):
+def test_record_r_route_matches_jacobi_route(gamma):
     # a sweep reads R^(k) off the power sums; the prime Jacobi symbols
     # must give the same floats, bit for bit, on the whole family, also for
     # Z = 5 past 2g = 4, where the power sums come from the Newton recurrence
     for Z in (None, 5):
-        cfg = SweepConfig(q=3, gamma=gamma, z_override=Z, variants=(),
-                          convention=convention)
+        cfg = SweepConfig(q=3, gamma=gamma, z_override=Z, variants=())
         Z = cfg.cutoff
         n = 0
         for F, rec in zip(family(FamilySpec(F3, gamma)), run_sweep(cfg), strict=True):
             assert rec.F_text == format_poly(F)
-            R = {k: r_variable(F, k, Z, convention) for k in range(cfg.r_max)}
+            R = {k: _jacobi_r(F, k, Z) for k in range(cfg.r_max)}
             assert rec.R == R, (F, Z)
             assert rec.delta_Z == math.fsum(R[k] for k in range(1, cfg.r_max))
             n += 1
         assert n == {5: 162, 6: 486}[gamma]
 
 
-@pytest.mark.parametrize("convention", ["F_over_f", "f_over_F"])
-def test_record_ntilde_matches_jacobi_route(convention):
+def test_record_ntilde_matches_jacobi_route():
     # the ntilde residual takes R^(0) over F_9 from p_2, p_4, ...; the Jacobi
     # symbols of F over F_9 must give the same float.  It needs genus >= 3:
     # all of H_{7,3} at Z = 2, and some curves at Z = 4, which reaches p_8 > 2g
     E = extend_field(F3, 2)
     checked = 0
     for Z, count in ((None, None), (4, 12)):
-        cfg = SweepConfig(q=3, gamma=7, z_override=Z, variants=("ntilde",),
-                          convention=convention)
+        cfg = SweepConfig(q=3, gamma=7, z_override=Z, variants=("ntilde",))
         Z = cfg.cutoff
         recs = run_sweep(cfg)
         for F, rec in itertools.islice(zip(family(FamilySpec(F3, 7)), recs), count):
@@ -182,7 +188,7 @@ def test_record_ntilde_matches_jacobi_route(convention):
             F_ext = MonicPoly(E, F.coeffs)
             want = (math.log(value.numerator) - math.log(value.denominator)
                     - 8 * math.log(3) + family_constant(3, 7, "thm16")
-                    - r_variable(F_ext, 0, Z, convention))
+                    - _jacobi_r(F_ext, 0, Z))
             assert rec.F_text == format_poly(F)
             assert rec.residuals["ntilde"] == want, (F, Z)
             checked += 1
@@ -203,13 +209,9 @@ def test_record_without_zeta_counts_points(Z):
 
 
 def test_trace_charsums_sign():
-    # q = 3: the mirrored symbol flips the odd-degree sums of odd-degree F
-    assert trace_charsums([1, 2, 3], 3, 5) == [-1, -2, -3]
-    assert trace_charsums([1, 2, 3], 3, 5, "f_over_F") == [1, -2, 3]
-    assert trace_charsums([1, 2], 3, 6, "f_over_F") == [-2, -3]
-    assert trace_charsums([1, 2], 5, 5, "f_over_F") == [-1, -2]
-    with pytest.raises(DomainError):
-        trace_charsums([1], 3, 5, "upside_down")
+    # (F/f) sums are -p_m - delta, with delta = 1 for even-degree F
+    assert trace_charsums([1, 2, 3], 5) == [-1, -2, -3]
+    assert trace_charsums([1, 2], 6) == [-2, -3]
 
 
 # -- empirical aggregation ----------------------------------------------------------

@@ -107,14 +107,6 @@ def test_sweep_budget_error():
         run_sweep(SweepConfig(q=7, gamma=9))
 
 
-def test_env_var_workers(monkeypatch):
-    from moduli_census.sweep import resolve_workers
-    monkeypatch.setenv("MODULI_CENSUS_WORKERS", "3")
-    assert resolve_workers(1) == 3
-    monkeypatch.delenv("MODULI_CENSUS_WORKERS")
-    assert resolve_workers(2) == 2
-
-
 def test_pool_size_bounded_by_chunks_and_cores(monkeypatch):
     from moduli_census.sweep import pool_size
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -214,6 +206,19 @@ def test_traced_names_exist(tmp_path):
     missing = [(mod, name) for mod, name, _ in specs
                if not callable(getattr(importlib.import_module(f"moduli_census.{mod}"), name, None))]
     assert specs and missing == []
+
+
+def test_tracer_installs(tmp_path):
+    # `perfbench/run.py --trace 1` runs the CLI in a fresh interpreter under
+    # tracing.install, which wraps every traced name: it must succeed there
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), os.path.join(root, "perfbench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pathlib, tracing; tracing.install(pathlib.Path(sys.argv[1]))", str(tmp_path)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("Z, built", [(2, [1, 2]), (3, [1, 2, 3]), (5, [1, 2, 3])])
@@ -359,14 +364,6 @@ def test_cli_usage_error_exit_code():
 def test_cli_budget_error_exit_code(capsys):
     code = main(["sweep", "--q", "7", "--gamma", "9"])
     assert code == 3
-
-
-def test_cli_workers_env_not_integer_exit_code(monkeypatch, capsys):
-    monkeypatch.setenv("MODULI_CENSUS_WORKERS", "abc")
-    code = main(["sweep", "--q", "3", "--gamma", "3"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: MODULI_CENSUS_WORKERS") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag", ["--out", "--report-out"])
@@ -739,10 +736,13 @@ def test_cli_moments():
     ["--q", "3", "--t", "abc"],
     ["--q", "3", "--t", "nan"],
     ["--q", "3", "--t", "0.5,inf"],
+    ["--q", "3", "--k-max", "-1"],
+    ["--q", "3", "--n-max", "0"],
 ])
 def test_cli_moments_bad_input_exit_code(capsys, flags):
-    # a q that make_field refuses, and a --t that is not finite numbers, are
-    # usage errors, as for every other subcommand
+    # a q that make_field refuses, a --t that is not finite numbers, and a
+    # --k-max or --n-max that leaves no moment to compute are usage errors,
+    # as for every other subcommand
     code = main(["moments", *flags])
     assert code == 2
     captured = capsys.readouterr()
