@@ -49,7 +49,6 @@ from .curvezeta import (
     zeta_value,
 )
 from .moduli import (
-    BetaTable,
     ModuliReport,
     beta,
     count_higgs,

@@ -16,23 +16,24 @@ residual; nothing is silently reconciled.  The 4^g terms assume every
 2-torsion class of the Jacobian is rational over F_q; the report flags
 whether that hypothesis actually holds for the curve.
 
-Each count's value comes from count_value: an integer polynomial in the
-curve's own integers (MONOMIALS) over a denominator that depends only on
-(q, g, target, r, d mod r), both cached per key.  The count_* reports
-build their components and cross-checks around that value from the value
-route: siegel_mass, BetaTable, unstable_mass and the component
-assemblies.  That route also runs on integer numerators over cached
-denominators, keyed by (q, g, r) for the Siegel mass and by
-(q, g, partition, d) for each Harder-Narasimhan stratum, and builds one
-Fraction per returned value.  It stays apart from count_value: its
-constants are its own, and BetaTable runs the Harder-Narasimhan recursion
-on the curve's values instead of reading count_value's forms, so every
-cross-check still compares two different computations.
+Every exact quantity here is a form: a polynomial in the curve's own
+integers (MONOMIALS) whose coefficients depend only on (q, g) and a key.
+One evaluator serves them all: _vector caches a form as integer
+numerators over one denominator per (builder, q, g, key), and _evaluate
+turns it into one Fraction per curve.  Two formulas feed it.  The counts
+(count_value) use Zagier's closed sum over the compositions of r; the
+cross-check route (siegel_mass, beta, unstable_mass, the closed form and
+the component assemblies) runs the Harder-Narasimhan recursion on forms.
+So count_stable_fixed_det's beta_table check compares two different
+formulas.  The checks that read the curve's integers without the
+evaluator are genus2_oracle, the higgs report's a2_jacobian_identity and
+validate's estimate.siegel_main_term (through zeta_value).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -40,8 +41,9 @@ from fractions import Fraction
 from .curvezeta import CurveZeta, _value, jacobian_count, zeta_numerator, zeta_scale, zeta_value
 from .errors import DomainError, UnsupportedRankError
 
-SUPPORTED_PARTITIONS = ((1, 1), (2, 1), (1, 2), (1, 1, 1))
-EXACT_RANKS = (2, 3)  # the ranks r >= 2 whose HN strata, beta and stable counts are exact
+_STRATA = {2: ((1, 1),), 3: ((2, 1), (1, 2), (1, 1, 1))}  # the HN strata of rank r
+EXACT_RANKS = tuple(_STRATA)  # the ranks r >= 2 whose HN strata, beta and stable counts are exact
+SUPPORTED_PARTITIONS = tuple(p for strata in _STRATA.values() for p in strata)
 
 
 @dataclass
@@ -84,49 +86,12 @@ def _check(expected: Fraction, got: Fraction) -> dict:
 def siegel_mass(z: CurveZeta, r: int) -> Fraction:
     """Total mass of rank-r fixed-determinant bundles:
     q^((r^2-1)(g-1)) zeta(2)...zeta(r) / (q-1)."""
-    return Fraction(*_siegel_pair(z, r))
+    if not 2 <= r <= 4:
+        raise DomainError("rank must be between 2 and 4")
+    return _evaluate(z, _siegel_form, r)
 
 
-class BetaTable:
-    """Memo of semistable masses beta(r, d) for one curve; r <= 3.
-
-    beta depends only on d mod r (twisting by a line bundle of degree 1),
-    so the memo is keyed that way.  It runs the Harder-Narasimhan recursion
-    on the curve's own integers: each entry is the integer numerator of
-    beta(r, d) over a denominator cached per (q, g, r, d mod r), and the
-    rank-3 strata read the rank-2 numerators.  It never reads count_value's
-    forms, so count_stable_fixed_det's beta_table check still compares two
-    computations.
-    """
-
-    def __init__(self, z: CurveZeta):
-        self.z = z
-        self.q, self.g, self.nj = z.q, z.genus, jacobian_count(z, 1)
-        self._memo: dict[tuple[int, int], int] = {}
-        self.siegel: dict[int, tuple[int, int]] = {}  # r -> siegel_mass(z, r) as (N, D)
-
-    def beta(self, r: int, d: int) -> Fraction:
-        if r == 1:
-            return Fraction(1, self.q - 1)
-        if r not in EXACT_RANKS:
-            raise UnsupportedRankError("beta implemented for ranks 1..3")
-        d %= r
-        return Fraction(self.numerator(r, d), _beta_const(self.q, self.g, r, d)[1])
-
-    def numerator(self, r: int, d: int) -> int:
-        """beta(r, d) times _beta_const's denominator, for r in EXACT_RANKS and 0 <= d < r."""
-        val = self._memo.get((r, d))
-        if val is None:
-            self.siegel[r] = _siegel_pair(self.z, r)
-            nums = [self.siegel[r][0]] + [_stratum_pair(self, p, d)[0] for p in _STRATA[r]]
-            mults, _ = _beta_const(self.q, self.g, r, d)
-            val = sum(m * n for m, n in zip(mults, nums))
-            self._memo[(r, d)] = val
-        return val
-
-
-def unstable_mass(z: CurveZeta, partition: tuple[int, ...], d: int,
-                  table: BetaTable | None = None) -> Fraction:
+def unstable_mass(z: CurveZeta, partition: tuple[int, ...], d: int) -> Fraction:
     """Mass of the Harder-Narasimhan stratum with the given rank partition.
 
     The lattice sum over strictly decreasing slopes is grouped into
@@ -137,127 +102,18 @@ def unstable_mass(z: CurveZeta, partition: tuple[int, ...], d: int,
     if partition not in SUPPORTED_PARTITIONS:
         raise UnsupportedRankError(f"partition {partition} not supported"
                                    " (total rank must be <= 3)")
-    if table is None:
-        table = BetaTable(z)
-    return Fraction(*_stratum_pair(table, partition, d))
+    return _evaluate(z, _stratum_form, partition, d)
 
 
-def beta(z: CurveZeta, r: int, d: int, table: BetaTable | None = None) -> Fraction:
-    """Semistable mass beta(r, d) = Siegel mass minus the unstable strata."""
-    if table is None:
-        table = BetaTable(z)
-    return table.beta(r, d)
+def beta(z: CurveZeta, r: int, d: int) -> Fraction:
+    """Semistable mass beta(r, d) = Siegel mass minus the unstable strata.
 
-
-# -- the value route: integer numerators over cached denominators --------------
-#
-# Each curve-independent factor of siegel_mass, beta and unstable_mass is a
-# constant cached per (q, g, r) or (q, g, partition, d): integers a_i over
-# one denominator D.  A curve multiplies them by its own integers (P(1),
-# Z_k = q^(2gk) P(q^-k) and the numerators of its beta(2, e)) and builds one
-# Fraction per returned value.  count_value's forms (_beta_form) share only
-# the geometric tails with these constants: one wrong constant shared by
-# both would reach both sides of the beta_table check and pass it.
-
-_STRATA = {2: ((1, 1),), 3: ((1, 1, 1), (2, 1), (1, 2))}  # the HN strata of rank r
-
-
-def _common_den(*coefs) -> tuple[tuple[int, ...], int]:
-    """(a_i, D) with coefs[i] = a_i / D, D the lcm of their denominators."""
-    den = math.lcm(*(Fraction(c).denominator for c in coefs))
-    return tuple(int(c * den) for c in coefs), den
-
-
-def _siegel_pair(z: CurveZeta, r: int) -> tuple[int, int]:
-    """siegel_mass as (a Z_2 ... Z_r, D)."""
-    if not 2 <= r <= 4:
-        raise DomainError("rank must be between 2 and 4")
-    g = z.genus
-    if g < 2:
-        raise DomainError("needs genus >= 2")
-    (num,), den = _siegel_const(z.q, g, r)
-    for k in range(2, r + 1):
-        num *= zeta_numerator(z, k)
-    return num, den
-
-
-@functools.lru_cache(maxsize=256)
-def _siegel_const(q: int, g: int, r: int) -> tuple[tuple[int], int]:
-    """q^((r^2-1)(g-1)) / (q-1) times zeta(k) / Z_k for k = 2..r."""
-    c = Fraction(q) ** ((r * r - 1) * (g - 1)) / (q - 1)
-    for k in range(2, r + 1):
-        c *= zeta_scale(q, g, k)
-    return _common_den(c)
-
-
-def _stratum_pair(table: BetaTable, partition: tuple[int, ...], d: int) -> tuple[int, int]:
-    """unstable_mass of the table's curve as (numerator, D), D cached with _stratum_const."""
-    nj = table.nj
-    w, den = _stratum_const(table.q, table.g, partition, d)
-    if len(partition) == 3:
-        return nj * nj * w[0], den
-    if partition == (1, 1):
-        return nj * w[0], den
-    return nj * (w[0] * table.numerator(2, 0) + w[1] * table.numerator(2, 1)), den
-
-
-@functools.lru_cache(maxsize=1024)
-def _stratum_const(q: int, g: int, partition: tuple[int, ...], d: int) -> tuple[tuple[int, ...], int]:
-    """(w, W): the stratum's mass is nj^2 w_0 / W for (1,1,1), nj w_0 / W for
-    (1,1), and nj (w_0 B_0 + w_1 B_1) / W for (2,1) and (1,2), B_e being the
-    curve's BetaTable numerator of beta(2, e).
-
-    For two steps, w_e / W sums Q^(n1 n2 (g-1) + d n1) times the tail of
-    each residue class whose rank-2 factor has degree e mod 2, with the
-    rank-1 factors 1/(q-1) and the rank-2 denominators folded in.
-    """
-    if len(partition) == 3:
-        return _common_den(Fraction(q) ** (3 * (g - 1)) / (q - 1) ** 3 * _three_step_total(q, d % 3))
-    n1, n2 = partition
-    scale = Fraction(q) ** (n1 * n2 * (g - 1) + d * n1)
-    w = [Fraction(0), Fraction(0)]
-    for first, tail in _two_step_tails(q, n1, n2, d):
-        c, e = scale * tail, 0
-        for n, deg in ((n1, first), (n2, d - first)):
-            if n == 1:
-                c /= q - 1
-            else:
-                e = deg % 2
-                c /= _beta_const(q, g, 2, e)[1]
-        w[e] += c
-    return _common_den(*w)
-
-
-@functools.lru_cache(maxsize=256)
-def _beta_const(q: int, g: int, r: int, d: int) -> tuple[tuple[int, ...], int]:
-    """(m, D) for 0 <= d < r: D beta(r, d) = m_0 S - m_1 U_1 - m_2 U_2 - ...,
-    S and U_i the numerators of the Siegel pair and of the _STRATA[r] pairs."""
-    dens = [_siegel_const(q, g, r)[1]] + [_stratum_const(q, g, p, d)[1] for p in _STRATA[r]]
-    den = math.lcm(*dens)
-    return tuple(den // dd if i == 0 else -(den // dd) for i, dd in enumerate(dens)), den
-
-
-@functools.lru_cache(maxsize=256)
-def _two_step_tails(q: int, n1: int, n2: int, d: int) -> tuple[tuple[int, Fraction], ...]:
-    """(first, Q^(-r first) / (1 - Q^(-r L))) for each residue class of d1 mod L.
-
-    d1 runs over d1 > d n1 / r; class rho starts at `first`, and its
-    geometric tail does not depend on the curve.
-    """
-    r = n1 + n2
-    d1_min = (d * n1) // r + 1
-    L = n1 if n1 == n2 else n1 * n2  # lcm of the two ranks
-    Q = Fraction(q)
-    firsts = (d1_min + ((rho - d1_min) % L) for rho in range(L))
-    return tuple((first, Q ** (-r * first) / (1 - Q ** (-r * L))) for first in firsts)
-
-
-@functools.lru_cache(maxsize=256)
-def _three_step_total(q: int, d: int) -> Fraction:
-    """(1,1,1): gaps a = d1-d2 >= 1, b = d2-d3 >= 1 with a-b = d (mod 3)."""
-    x = Fraction(1, q**2)
-    geom = [x**3 / (1 - x**3), x / (1 - x**3), x**2 / (1 - x**3)]
-    return sum((geom[(s + d) % 3] * geom[s] for s in range(3)), Fraction(0))
+    It depends only on d mod r (twisting by a line bundle of degree 1)."""
+    if r == 1:
+        return Fraction(1, z.q - 1)
+    if r not in EXACT_RANKS:
+        raise UnsupportedRankError("beta implemented for ranks 1..3")
+    return _evaluate(z, _hn_form, r, d % r)
 
 
 def genus2_oracle(z: CurveZeta) -> int:
@@ -278,18 +134,22 @@ def check_stable_domain(r: int, d: int) -> None:
         raise UnsupportedRankError("exact counts implemented for r in {2, 3}")
 
 
-# -- the integer form: each count as N / D -----------------------------------
+# -- forms: every exact quantity as N / D -------------------------------------
 #
 # A form is a polynomial in the curve's integers nj = P(1), P(-1), P(q),
 # P'(1) and Z_k = q^(2gk) P(q^-k): a tuple of (monomial, coefficient) pairs,
-# a monomial being the sorted tuple of its factors' names.
+# a monomial being the sorted tuple of its factors' names.  A builder
+# build(q, g, *key) makes one form in plain Fractions; its coefficients
+# depend only on (q, g, key).  _vector caches it as integers N_j over one
+# denominator D, and _evaluate turns it into one Fraction per curve.
 
 def _mono(*factors: str) -> tuple[str, ...]:
     return tuple(sorted(factors))
 
 
-MONOMIALS = (_mono("Z2"), _mono("Z2", "Z3"), _mono("nj", "Z2"), _mono("nj", "nj"), _mono("nj"),
-             _mono("nj", "P(-1)"), _mono("nj", "P(q)"), _mono("nj", "P'(1)"), _mono())
+MONOMIALS = (_mono("Z2"), _mono("Z2", "Z3"), _mono("Z2", "Z3", "Z4"), _mono("nj", "Z2"),
+             _mono("nj", "nj"), _mono("nj"), _mono("nj", "P(-1)"), _mono("nj", "P(q)"),
+             _mono("nj", "P'(1)"), _mono())
 COUNT_TARGETS = ("m_rd", "ms20", "ntilde", "higgs")
 
 
@@ -311,26 +171,124 @@ def _mul_forms(a, b) -> tuple:
     return tuple(out.items())
 
 
-@functools.lru_cache(maxsize=256)
-def _beta_form(q: int, g: int, r: int, d: int) -> tuple:
-    """beta(r, d) for 0 <= d < r as a form: BetaTable.beta, with the forms
-    of the smaller ranks in place of their values."""
+def _common_den(*coefs) -> tuple[tuple[int, ...], int]:
+    """(a_i, D) with coefs[i] = a_i / D, D the lcm of their denominators."""
+    den = math.lcm(*(Fraction(c).denominator for c in coefs))
+    return tuple(int(c * den) for c in coefs), den
+
+
+@functools.lru_cache(maxsize=1024)
+def _vector(build, q: int, g: int, *key) -> tuple[tuple[int, ...], int]:
+    """(N_j, D): build(q, g, *key) is sum_j N_j m_j / D over the MONOMIALS m_j."""
+    form = dict(_sum_forms((1, build(q, g, *key))))
+    assert set(form) <= set(MONOMIALS), set(form) - set(MONOMIALS)
+    return _common_den(*(form.get(m, 0) for m in MONOMIALS))
+
+
+def _monomial_values(z: CurveZeta) -> tuple[int, ...]:
+    """The curve's MONOMIALS, computed once per CurveZeta."""
+    vals = z._cache.get("monomials")
+    if vals is None:
+        q, c = z.q, z.coeffs
+        f = {"nj": sum(c), "P(-1)": sum(c[0::2]) - sum(c[1::2]), "P(q)": _value(c, q),
+             "P'(1)": sum(i * ci for i, ci in enumerate(c)),
+             "Z2": zeta_numerator(z, 2), "Z3": zeta_numerator(z, 3), "Z4": zeta_numerator(z, 4)}
+        vals = tuple(math.prod(f[x] for x in m) for m in MONOMIALS)
+        z._cache["monomials"] = vals
+    return vals
+
+
+def _evaluate(z: CurveZeta, build, *key) -> Fraction:
+    """The form build(q, g, *key) at the curve z, as one Fraction(N . m, D)."""
+    nums, den = _vector(build, z.q, z.genus, *key)
+    return Fraction(sum(a * m for a, m in zip(nums, _monomial_values(z)) if a), den)
+
+
+def _siegel_form(q: int, g: int, r: int) -> tuple:
+    """The rank-r Siegel mass v_r: q^((r^2-1)(g-1)) / (q-1) times
+    zeta(k) = zeta_scale Z_k for k = 2..r, so v_1 = 1/(q-1)."""
+    if g < 2:
+        raise DomainError("needs genus >= 2")
+    c = Fraction(q) ** ((r * r - 1) * (g - 1)) / (q - 1)
+    for k in range(2, r + 1):
+        c *= zeta_scale(q, g, k)
+    return ((_mono(*(f"Z{k}" for k in range(2, r + 1))), c),)
+
+
+# -- the cross-check route: the Harder-Narasimhan recursion --------------------
+
+def _hn_form(q: int, g: int, r: int, d: int) -> tuple:
+    """beta(r, d) for 0 <= d < r: the Siegel mass minus each stratum of _STRATA[r]."""
     if r == 1:
         return ((_mono(), Fraction(1, q - 1)),)
-    mass = Fraction(q ** ((r * r - 1) * (g - 1)), q - 1)
-    for k in range(2, r + 1):
-        mass *= zeta_scale(q, g, k)
-    terms = [(mass, ((_mono(*(f"Z{k}" for k in range(2, r + 1))), 1),))]
-    Q = Fraction(q)
+    return _sum_forms((1, _siegel_form(q, g, r)),
+                      *((-1, _stratum_form(q, g, p, d)) for p in _STRATA[r]))
+
+
+def _stratum_form(q: int, g: int, partition: tuple[int, ...], d: int) -> tuple:
+    """unstable_mass.  For two steps, the sum over the residue classes of the
+    first degree d1 of nj Q^(n1 n2 (g-1) + d n1) times the class's tail times
+    beta(n1, d1) beta(n2, d - d1); for (1,1,1), nj^2 times the gap sum."""
+    if len(partition) == 3:
+        return ((_mono("nj", "nj"),
+                 Fraction(q) ** (3 * (g - 1)) / (q - 1) ** 3 * _three_step_total(q, d % 3)),)
+    n1, n2 = partition
+    scale = Fraction(q) ** (n1 * n2 * (g - 1) + d * n1)
     nj = ((_mono("nj"), 1),)
-    for n1, n2 in ((1, 1),) if r == 2 else ((2, 1), (1, 2)):
-        scale = -Q ** (n1 * n2 * (g - 1) + d * n1)
-        for first, tail in _two_step_tails(q, n1, n2, d):
-            b1b2 = _mul_forms(_beta_form(q, g, n1, first % n1), _beta_form(q, g, n2, (d - first) % n2))
-            terms.append((scale * tail, _mul_forms(nj, b1b2)))
-    if r == 3:
-        terms.append((-Q ** (3 * (g - 1)) / (q - 1) ** 3 * _three_step_total(q, d),
-                      ((_mono("nj", "nj"), 1),)))
+    return _sum_forms(*((scale * tail, _mul_forms(nj, _mul_forms(
+        _hn_form(q, g, n1, first % n1), _hn_form(q, g, n2, (d - first) % n2))))
+        for first, tail in _two_step_tails(q, n1, n2, d)))
+
+
+def _two_step_tails(q: int, n1: int, n2: int, d: int) -> tuple[tuple[int, Fraction], ...]:
+    """(first, Q^(-r first) / (1 - Q^(-r L))) for each residue class of d1 mod L.
+
+    d1 runs over d1 > d n1 / r; class rho starts at `first`, and its
+    geometric tail does not depend on the curve.
+    """
+    r = n1 + n2
+    d1_min = (d * n1) // r + 1
+    L = n1 if n1 == n2 else n1 * n2  # lcm of the two ranks
+    Q = Fraction(q)
+    firsts = (d1_min + ((rho - d1_min) % L) for rho in range(L))
+    return tuple((first, Q ** (-r * first) / (1 - Q ** (-r * L))) for first in firsts)
+
+
+def _three_step_total(q: int, d: int) -> Fraction:
+    """(1,1,1): gaps a = d1-d2 >= 1, b = d2-d3 >= 1 with a-b = d (mod 3)."""
+    x = Fraction(1, q**2)
+    geom = [x**3 / (1 - x**3), x / (1 - x**3), x**2 / (1 - x**3)]
+    return sum((geom[(s + d) % 3] * geom[s] for s in range(3)), Fraction(0))
+
+
+# -- the count route: Zagier's closed sum ------------------------------------
+
+def _compositions(r: int) -> list[tuple[int, ...]]:
+    """Every (n_1, ..., n_k) of positive integers with sum r."""
+    if r == 0:
+        return [()]
+    return [(n, *rest) for n in range(1, r + 1) for rest in _compositions(r - n)]
+
+
+def _beta_form(q: int, g: int, r: int, d: int) -> tuple:
+    """beta(r, d) by Zagier's inversion of the Harder-Narasimhan recursion:
+    the sum over the compositions n_1 + ... + n_k = r of
+    P(1)^(k-1) prod v_(n_i) q^((g-1) sum_{i<j} n_i n_j + E) / prod_{i<k} (1 - q^(n_i + n_(i+1))),
+    v_n the rank-n Siegel mass and E = sum_{i<k} (n_i + n_(i+1)) <(n_1 + ... + n_i) d / r>.
+    E is an integer, though a single term of it need not be."""
+    terms = []
+    for comp in _compositions(r):
+        steps = list(zip(comp, comp[1:]))
+        e = sum((a + b) * (s * d % r) for (a, b), s in zip(steps, itertools.accumulate(comp))) // r
+        coef = Fraction(q) ** ((g - 1) * sum(a * b for a, b in itertools.combinations(comp, 2)) + e)
+        factors = ["nj"] * len(steps)
+        for n in comp:
+            ((mono, v),) = _siegel_form(q, g, n)
+            coef *= v
+            factors += mono
+        for a, b in steps:
+            coef /= 1 - q ** (a + b)
+        terms.append((coef, ((_mono(*factors), 1),)))
     return _sum_forms(*terms)
 
 
@@ -360,35 +318,15 @@ def _count_form(q: int, g: int, target: str, r: int, d: int) -> tuple:
         (_mono("nj", "P'(1)"), Fraction(1, 2 * (q - 1))))))
 
 
-@functools.lru_cache(maxsize=256)
-def _count_vector(q: int, g: int, target: str, r: int, d: int) -> tuple[tuple[int, ...], int]:
-    """(N_j, D): the count is sum_j N_j m_j / D over the curve's MONOMIALS m_j."""
-    form = dict(_count_form(q, g, target, r, d))
-    assert set(form) <= set(MONOMIALS), set(form) - set(MONOMIALS)
-    return _common_den(*(form.get(m, 0) for m in MONOMIALS))
-
-
-def _monomial_values(z: CurveZeta) -> tuple[int, ...]:
-    """The curve's MONOMIALS, computed once per CurveZeta."""
-    vals = z._cache.get("monomials")
-    if vals is None:
-        q, c = z.q, z.coeffs
-        f = {"nj": sum(c), "P(-1)": sum(c[0::2]) - sum(c[1::2]), "P(q)": _value(c, q),
-             "P'(1)": sum(i * ci for i, ci in enumerate(c)),
-             "Z2": zeta_numerator(z, 2), "Z3": zeta_numerator(z, 3)}
-        vals = tuple(math.prod(f[x] for x in m) for m in MONOMIALS)
-        z._cache["monomials"] = vals
-    return vals
-
-
 def count_value(z: CurveZeta, target: str, r: int = 2, d: int = 1) -> Fraction:
     """The value of one count of COUNT_TARGETS, as one Fraction(N, D).
 
-    m_rd is (q-1) beta(r, d) for r in {2, 3} and gcd(r, d) = 1; ms20,
-    ntilde and higgs are the values of count_ms20, count_ntilde and
-    count_higgs, whatever r and d.  N is an integer polynomial in the
-    curve's integers (MONOMIALS) with coefficients cached per
-    (q, g, target, r, d mod r), like D.  It raises as the count_* reports do.
+    m_rd is (q-1) beta(r, d) for r in {2, 3} and gcd(r, d) = 1, from
+    Zagier's sum; ms20, ntilde and higgs are the values of count_ms20,
+    count_ntilde and count_higgs, whatever r and d.  N is an integer
+    polynomial in the curve's integers (MONOMIALS) with coefficients cached
+    per (q, g, target, r, d mod r), like D.  It raises as the count_*
+    reports do.
     """
     if target == "m_rd":
         check_stable_domain(r, d)
@@ -402,45 +340,36 @@ def count_value(z: CurveZeta, target: str, r: int = 2, d: int = 1) -> Fraction:
         raise DomainError("requires genus >= 3")
     if g < 2:
         raise DomainError("needs genus >= 2")
-    nums, den = _count_vector(z.q, g, target, r, d)
-    return Fraction(sum(a * m for a, m in zip(nums, _monomial_values(z)) if a), den)
+    return _evaluate(z, _count_form, target, r, d)
 
 
-def count_stable_fixed_det(z: CurveZeta, r: int, d: int,
-                           table: BetaTable | None = None) -> ModuliReport:
+def count_stable_fixed_det(z: CurveZeta, r: int, d: int) -> ModuliReport:
     """N_q of the moduli of stable fixed-determinant bundles, gcd(r,d)=1:
     (q-1) beta(r, d).
 
-    The value comes from count_value; the beta_table check compares it with
-    (q-1) beta(r, d) from BetaTable, and for r = 2 the closed form (and, in
-    genus 2, the quadric-intersection oracle) are checked against it too.
+    The value comes from count_value (Zagier's sum); the beta_table check
+    compares it with (q-1) beta(r, d) from the Harder-Narasimhan recursion,
+    and for r = 2 the closed form (and, in genus 2, the quadric-intersection
+    oracle) are checked against it too.
     """
     value = count_value(z, "m_rd", r, d)
-    if table is None:
-        table = BetaTable(z)
-    q = z.q
-    b = table.beta(r, d)
+    b = beta(z, r, d)
     report = ModuliReport(target="m_rd", value=value)
     report.components["beta"] = b
-    report.components["siegel_mass"] = Fraction(*table.siegel[r])  # filled by table.beta
+    report.components["siegel_mass"] = siegel_mass(z, r)
     if r == 2:
-        g = z.genus
-        (c_z2, c_nj), den = _closed_form_const(q, g, d % 2)
-        alt = Fraction(c_z2 * zeta_numerator(z, 2) - c_nj * jacobian_count(z, 1), den)
-        report.cross_checks["closed_form"] = _check(alt, value)
-        if g == 2:
+        report.cross_checks["closed_form"] = _check(_evaluate(z, _closed_form, d % 2), value)
+        if z.genus == 2:
             report.cross_checks["genus2_oracle"] = _check(
                 Fraction(genus2_oracle(z)), value)
-    report.cross_checks["beta_table"] = _check((q - 1) * b, value)
+    report.cross_checks["beta_table"] = _check((z.q - 1) * b, value)
     return report
 
 
-@functools.lru_cache(maxsize=256)
-def _closed_form_const(q: int, g: int, parity: int) -> tuple[tuple[int, int], int]:
-    """((a, b), D): q^(3g-3) zeta(2) - q^(g-1+parity) P(1) / ((q-1)^2 (q+1))
-    is (a Z_2 - b P(1)) / D."""
-    return _common_den(q ** (3 * g - 3) * zeta_scale(q, g, 2),
-                       Fraction(q ** (g - 1 + parity), (q - 1) ** 2 * (q + 1)))
+def _closed_form(q: int, g: int, parity: int) -> tuple:
+    """m_rd for r = 2: q^(3g-3) zeta(2) - q^(g-1+parity) P(1) / ((q-1)^2 (q+1))."""
+    return ((_mono("Z2"), q ** (3 * g - 3) * zeta_scale(q, g, 2)),
+            (_mono("nj"), -Fraction(q ** (g - 1 + parity), (q - 1) ** 2 * (q + 1))))
 
 
 def _proj_count(q: int, m: int) -> Fraction:
@@ -464,10 +393,7 @@ def count_ms20(z: CurveZeta) -> ModuliReport:
     nj = jacobian_count(z, 1)
     nj2 = jacobian_count(z, 2)
     two2g = 2 ** (2 * z.genus)
-    xs = (zeta_numerator(z, 2), nj, nj2, 1)
-    beta_prime, beta1, beta2, assembly = (
-        Fraction(sum(a * x for a, x in zip(nums, xs)), den)
-        for nums, den in _ms20_consts(z.q, z.genus))
+    beta_prime, beta1, beta2, assembly = (_evaluate(z, _ms20_form, part) for part in range(4))
     a_size = Fraction(nj - two2g, 2)
     b_size = Fraction(nj2 - nj, 2)
     report = ModuliReport(target="ms20", value=closed)
@@ -483,10 +409,9 @@ def count_ms20(z: CurveZeta) -> ModuliReport:
     return report
 
 
-@functools.lru_cache(maxsize=64)
-def _ms20_consts(q: int, g: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """count_ms20's beta'(2,0), beta_1, beta_2 and component assembly, each as
-    (a, D) with the value a . (Z_2, P(1), N_{q^2}(J), 1) / D.
+def _ms20_form(q: int, g: int, part: int) -> tuple:
+    """count_ms20's beta'(2,0), beta_1, beta_2 or component assembly, for
+    part = 0, 1, 2 or 3.
 
     beta_1 = A/(q-1)^2 + 2 A N(P^(g-2))/(q-1) + B/(q^2-1) with
     A = (P(1) - 4^g)/2 and B = (N_{q^2}(J) - P(1))/2; beta_2 = 4^g/|GL_2(F_q)|
@@ -496,13 +421,14 @@ def _ms20_consts(q: int, g: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     two2g = 2 ** (2 * g)
     k_a = (Fraction(1, (q - 1) ** 2) + 2 * _proj_count(q, g - 2) / (q - 1)) / 2
     k_b = Fraction(1, 2 * (q**2 - 1))
-    beta_prime = (0, Fraction(q ** (g - 1), (q - 1) ** 3 * (q + 1)), 0, 0)
-    beta1 = (0, k_a - k_b, k_b, -two2g * k_a)
-    beta2 = (0, 0, 0, Fraction(two2g, (q**2 - 1) * (q**2 - q))
-             + two2g * _proj_count(q, g - 1) / (q * (q - 1)))
-    main = (q ** (3 * g - 3) * zeta_scale(q, g, 2), 0, 0, 0)
-    assembly = tuple(m - (q - 1) * (a + b + c) for m, a, b, c in zip(main, beta_prime, beta1, beta2))
-    return tuple(_common_den(*form) for form in (beta_prime, beta1, beta2, assembly))
+    parts = (((_mono("nj"), Fraction(q ** (g - 1), (q - 1) ** 3 * (q + 1))),),
+             ((_mono("nj"), k_a - k_b), (_mono("nj", "P(-1)"), k_b), (_mono(), -two2g * k_a)),
+             ((_mono(), Fraction(two2g, (q**2 - 1) * (q**2 - q))
+               + two2g * _proj_count(q, g - 1) / (q * (q - 1))),))
+    if part < 3:
+        return parts[part]
+    return _sum_forms((q ** (3 * g - 3) * zeta_scale(q, g, 2), ((_mono("Z2"), 1),)),
+                      *((1 - q, form) for form in parts))
 
 
 def _full_2_torsion(z: CurveZeta) -> bool:

@@ -21,11 +21,16 @@ the zeta and lambda suites, whose character route and trace identity are
 the independent check of P(t) itself, one call of l_poly_via_characters
 and of lambda_character_identity per block and m.  A run of every suite
 holds the family's zeta data once (_Family).
+
+The moduli suites read their exact values through moduli's one form
+evaluator (moduli._evaluate), also for their own closed forms and
+envelopes (_envelope_form).  The checks that read the curve's integers
+without it are crossval's genus2_oracle, estimate.siegel_main_term
+(through zeta_value) and the higgs report's a2_jacobian_identity.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,25 +42,23 @@ from .curvezeta import (
     epsilon_bounds,
     epsilon_terms,
     family_curves,
-    jacobian_count,
     l_poly_via_characters,
     lambda_character_identity,
     xz_bound_check,
     zeta_data,
     zeta_data_block,
-    zeta_numerator,
     zeta_scale,
 )
 from .errors import BudgetError, InternalConsistencyError
 from .ffield import make_field
 from .moduli import (
-    BetaTable,
+    _evaluate,
     _full_2_torsion,
+    _mono,
     count_higgs,
     count_ms20,
     count_stable_fixed_det,
     count_value,
-    genus2_oracle,
     log_count_estimate,
     siegel_mass,
     unstable_mass,
@@ -169,20 +172,16 @@ def suite_unstable(q: int, gamma: int, zs):
     duality_ok = True
     for z, k in _by_lpoly(zs):
         n += k
-        nj = jacobian_count(z, 1)
-        c_bp, c_3, (a_41, b_41, den_41) = _unstable_envelopes(q, z.genus)
-        tab = BetaTable(z)
-        if unstable_mass(z, (1, 1), 0, tab) != c_bp * nj:
+        beta_prime, uns3, uns21 = (_evaluate(z, _envelope_form, which) for which in range(3))
+        if unstable_mass(z, (1, 1), 0) != beta_prime:
             closed_ok = False
-        uns3 = c_3 * (nj * nj)
-        uns41 = Fraction(nj * (a_41 * zeta_numerator(z, 2) - b_41 * nj), den_41)
         for d in (0, 1, 2):
-            c111 = unstable_mass(z, (1, 1, 1), d, tab)
-            c21 = unstable_mass(z, (2, 1), d, tab)
-            c12 = unstable_mass(z, (1, 2), d, tab)
-            if not (c111 <= uns3 and c21 <= uns41 and c12 <= uns41):
+            c111 = unstable_mass(z, (1, 1, 1), d)
+            c21 = unstable_mass(z, (2, 1), d)
+            c12 = unstable_mass(z, (1, 2), d)
+            if not (c111 <= uns3 and c21 <= uns21 and c12 <= uns21):
                 envelope_ok = False
-            if c21 != unstable_mass(z, (1, 2), -d, tab):
+            if c21 != unstable_mass(z, (1, 2), -d):
                 duality_ok = False
     yield CheckResult("unstable.beta_prime_closed_form", closed_ok, f"{n} curves")
     yield CheckResult("unstable.rank3_envelopes", envelope_ok,
@@ -191,28 +190,27 @@ def suite_unstable(q: int, gamma: int, zs):
                       "C(2,1; d) = C(1,2; -d) family-wide")
 
 
-@functools.lru_cache(maxsize=64)
-def _unstable_envelopes(q: int, g: int) -> tuple[Fraction, Fraction, tuple[int, int, int]]:
-    """suite_unstable's curve-independent factors, for P(1) = nj and
-    zeta(2) = Z_2 zeta_scale(q, g, 2): beta'(2,0) = c_bp nj, the (1,1,1)
-    envelope c_3 nj^2, and the (2,1) envelope
-    c_41 nj (2 q^(3(g-1)) zeta(2) / (q-1) - (q^(g-1) + q^g) nj / ((q-1)^3 (q+1)))
-    = nj (a Z_2 - b nj) / D, returned as (c_bp, c_3, (a, b, D))."""
+def _envelope_form(q: int, g: int, which: int) -> tuple:
+    """suite_unstable's closed forms, for which = 0, 1 or 2: beta'(2,0) = c_bp nj,
+    the (1,1,1) envelope c_3 nj^2, and the (2,1) envelope
+    c_41 nj (2 q^(3(g-1)) zeta(2) / (q-1) - (q^(g-1) + q^g) nj / ((q-1)^3 (q+1))),
+    with zeta(2) = zeta_scale Z_2."""
     c_bp = Fraction(q ** (g - 1), (q - 1) ** 3 * (q + 1))
-    c_3 = Fraction(q**5 * q ** (3 * (g - 1)), (q - 1) ** 3 * (q**2 - 1) * (q**3 - 1))
     c_41 = Fraction(q**6 * q ** (2 * (g - 1)), (q - 1) * (q**6 - 1))
-    a = c_41 * 2 * q ** (3 * (g - 1)) * zeta_scale(q, g, 2) / (q - 1)
-    b = c_41 * (q + 1) * c_bp
-    den = math.lcm(a.denominator, b.denominator)
-    return c_bp, c_3, (int(a * den), int(b * den), den)
+    return (((_mono("nj"), c_bp),),
+            ((_mono("nj", "nj"), Fraction(q**5 * q ** (3 * (g - 1)),
+                                          (q - 1) ** 3 * (q**2 - 1) * (q**3 - 1))),),
+            ((_mono("nj", "Z2"), c_41 * 2 * q ** (3 * (g - 1)) * zeta_scale(q, g, 2) / (q - 1)),
+             (_mono("nj", "nj"), -c_41 * (q + 1) * c_bp)))[which]
 
 
 def suite_crossval(q: int, gamma: int, zs):
     """Genus-2 cross-validation report; summarizes, never patches.
 
-    It fails where an exact identity breaks: the stable (2,1) count against
-    (q-1) beta(2, 1) from BetaTable, or the ms20 closed form against its
-    component assembly plus 4^g/(q+1).
+    It fails where an exact identity breaks: the stable (2,1) count from
+    Zagier's sum against (q-1) beta(2, 1) from the Harder-Narasimhan
+    recursion, or the ms20 closed form against its component assembly plus
+    4^g/(q+1).
     """
     if (gamma - 1) // 2 != 2:
         yield CheckResult("crossval.applicable", True,

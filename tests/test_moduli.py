@@ -12,7 +12,6 @@ from moduli_census.curvezeta import (HyperellipticCurve, jacobian_count, zeta_da
 from moduli_census.moduli import (
     COUNT_TARGETS,
     SUPPORTED_PARTITIONS,
-    BetaTable,
     beta,
     count_higgs,
     count_ms20,
@@ -108,14 +107,13 @@ def test_unstable_triple_oracle(z55):
 def test_unstable_21_oracle(z55):
     def brute(d, partition, terms=120):
         q, g, nj = 3, 2, 12
-        tab = BetaTable(z55)
         n1, n2 = partition
         total = Fraction(0)
         start = (d * n1) // 3 + 1
         for d1 in range(start, start + terms):
             chi = d1 * n2 - (d - d1) * n1 + n1 * n2 * (1 - g)
-            b1 = tab.beta(n1, d1) if n1 > 1 else Fraction(1, q - 1)
-            b2 = tab.beta(n2, d - d1) if n2 > 1 else Fraction(1, q - 1)
+            b1 = beta(z55, n1, d1)
+            b2 = beta(z55, n2, d - d1)
             total += nj * Fraction(q) ** (-chi) * b1 * b2
         return total
 
@@ -149,19 +147,17 @@ def test_unstable_unsupported():
 # -- beta --------------------------------------------------------------------------
 
 def test_beta_values(z55):
-    tab = BetaTable(z55)
-    assert beta(z55, 2, 1, tab) == Fraction(187, 8) - Fraction(27, 8) == 20
-    assert beta(z55, 2, 0, tab) == Fraction(187, 8) - Fraction(9, 8) == Fraction(89, 4)
+    assert beta(z55, 2, 1) == Fraction(187, 8) - Fraction(27, 8) == 20
+    assert beta(z55, 2, 0) == Fraction(187, 8) - Fraction(9, 8) == Fraction(89, 4)
     assert beta(z55, 1, 7) == Fraction(1, 2)
 
 
 def test_beta_periodicity(z55):
-    tab = BetaTable(z55)
     for r in (2, 3):
         for d in (0, 1, 2):
-            assert beta(z55, r, d, tab) == beta(z55, r, d + r, tab)
-            assert beta(z55, r, d, tab) == beta(z55, r, d - 3 * r, tab)
-    assert beta(z55, 2, 0, tab) > 0 and beta(z55, 3, 1, tab) > 0
+            assert beta(z55, r, d) == beta(z55, r, d + r)
+            assert beta(z55, r, d) == beta(z55, r, d - 3 * r)
+    assert beta(z55, 2, 0) > 0 and beta(z55, 3, 1) > 0
 
 
 # -- stable counts ------------------------------------------------------------------
@@ -180,30 +176,30 @@ def test_count_stable_beta_table_check(z55, z73):
         for r, d in ((2, 1), (2, -1), (3, 1), (3, 2), (3, -4)):
             rep = count_stable_fixed_det(z, r, d)
             chk = rep.cross_checks["beta_table"]
-            assert chk["expected"] == (q - 1) * BetaTable(z).beta(r, d) == rep.value
+            assert chk["expected"] == (q - 1) * beta(z, r, d) == rep.value
             assert chk["got"] == rep.value and chk["residual"] == 0
     assert set(count_stable_fixed_det(z55, 3, 1).cross_checks) == {"beta_table"}
 
 
 def test_count_stable_siegel_mass_built_once(z55, z73, monkeypatch):
-    # the Siegel mass comes from the BetaTable the count builds, and the
-    # components are the ones siegel_mass and beta give
+    # the count evaluates the Siegel mass's form once, and the components
+    # are the ones siegel_mass and beta give
     from moduli_census import moduli
-    want = {(z, r, d): (siegel_mass(z, r), BetaTable(z).beta(r, d))
+    want = {(z, r, d): (siegel_mass(z, r), beta(z, r, d))
             for z in (z55, z73) for r, d in ((2, 1), (3, 1), (3, 2))}
     calls = []
-    real = moduli._siegel_pair
+    real = moduli._evaluate
 
-    def counting(z, r):
-        calls.append(r)
-        return real(z, r)
+    def counting(z, build, *key):
+        calls.append((build, key))
+        return real(z, build, *key)
 
-    monkeypatch.setattr(moduli, "_siegel_pair", counting)
+    monkeypatch.setattr(moduli, "_evaluate", counting)
     for (z, r, d), (mass, b) in want.items():
         calls.clear()
         rep = count_stable_fixed_det(z, r, d)
         assert rep.components == {"beta": b, "siegel_mass": mass}
-        assert calls.count(r) == 1
+        assert calls.count((moduli._siegel_form, (r,))) == 1
 
 
 def test_count_stable_d_periodic(z55):
@@ -462,26 +458,55 @@ def test_integer_forms_match_fraction_expressions():
         assert higgs.value == _ref_higgs(z)
 
 
+def test_no_form_leaves_monomials(fresh_forms):
+    # every key the public functions hand to the form evaluator: a monomial
+    # outside MONOMIALS would stop _vector with an AssertionError, a
+    # traceback where the CLI must exit with a documented code
+    from moduli_census import moduli, validate
+    for q, g in itertools.product((3, 5, 7), range(2, 7)):
+        keys = [(moduli._siegel_form, r) for r in (2, 3, 4)]
+        keys += [(moduli._hn_form, r, d) for r in (2, 3) for d in range(r)]
+        keys += [(moduli._stratum_form, p, d) for p in SUPPORTED_PARTITIONS for d in range(-4, 5)]
+        keys += [(moduli._count_form, t, r, d) for t in COUNT_TARGETS
+                 for r, d in ((2, 1), (3, 1), (3, 2))]
+        keys += [(moduli._closed_form, parity) for parity in (0, 1)]
+        keys += [(moduli._ms20_form, part) for part in range(4)]
+        keys += [(validate._envelope_form, which) for which in range(3)]
+        for build, *key in keys:
+            nums, den = moduli._vector(build, q, g, *key)
+            assert len(nums) == len(moduli.MONOMIALS) and den > 0
+
+
+def test_zagier_sum_is_the_hn_recursion(fresh_forms):
+    # the count route's beta (Zagier's closed sum) and the cross-check
+    # route's beta (the Harder-Narasimhan recursion) are the same form for
+    # every d, coprime to r or not
+    from moduli_census import moduli
+    for q, g in itertools.product((3, 5, 7), range(2, 6)):
+        for r in (2, 3):
+            for d in range(r):
+                assert (moduli._vector(moduli._beta_form, q, g, r, d)
+                        == moduli._vector(moduli._hn_form, q, g, r, d)), (q, g, r, d)
+
+
 @pytest.mark.parametrize("q,gamma,step", [(5, 5, 25), (3, 7, 15)], ids=["H55", "H73"])
 def test_value_route_matches_fraction_references(q, gamma, step):
     # siegel_mass, beta and unstable_mass on integer numerators over cached
     # denominators, against the plain Fraction expressions: every partition and
     # d in -4..4, on every step-th curve of a genus-2 family over F_5 and of a
-    # genus-3 family over F_3, through one shared BetaTable and a fresh one
+    # genus-3 family over F_3
     zs = _family_zetas(q, gamma)[::step]
     assert len(zs) == {5: 100, 3: 98}[q]
     for z in zs:
-        tab = BetaTable(z)
         for r in (2, 3, 4):
             assert siegel_mass(z, r) == _ref_siegel(z, r), (z.curve.F.coeffs, r)
         ref_beta = {(r, e): _ref_beta(z, r, e) for r in (1, 2, 3) for e in range(r)}
         for d in range(-4, 5):
             for r in (1, 2, 3):
-                assert beta(z, r, d, tab) == ref_beta[r, d % r], (z.curve.F.coeffs, r, d)
+                assert beta(z, r, d) == ref_beta[r, d % r], (z.curve.F.coeffs, r, d)
             for part in SUPPORTED_PARTITIONS:
                 ref = _ref_unstable(z, part, d)
-                assert unstable_mass(z, part, d, tab) == ref, (z.curve.F.coeffs, part, d)
-                assert unstable_mass(z, part, d) == ref
+                assert unstable_mass(z, part, d) == ref, (z.curve.F.coeffs, part, d)
 
 
 def _ref_ms20(z):

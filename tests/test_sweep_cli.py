@@ -161,7 +161,7 @@ def test_multi_chunk_sweep_matches_curve_by_curve_records(monkeypatch):
         assert records_to_csv(swept, cfg) == records_to_csv(built, cfg)
 
 
-def test_registry_does_not_outlive_its_run(monkeypatch):
+def test_registry_does_not_outlive_its_run(monkeypatch, fresh_forms):
     # each run owns its registry: a full-record run and then an R-only run of
     # the same family, or two validate runs around a changed count, must each
     # give their own answer
@@ -182,14 +182,22 @@ def test_registry_does_not_outlive_its_run(monkeypatch):
         full_then_bare(run_sweep, SweepConfig(q=3, gamma=5, z_override=Z - 2))
     passed = validate.run_suite("all", 3, 5)
     assert all(res.ok for res in passed) and validate.run_suite("all", 3, 5) == passed
-    real = moduli._count_vector
-
-    def doubled(*args):
-        nums, den = real(*args)
-        return tuple(2 * a for a in nums), den
-
-    monkeypatch.setattr(moduli, "_count_vector", doubled)
+    monkeypatch.setattr(moduli, "_count_form", _count_form_plus_one_unit(moduli._count_form))
     assert not all(res.ok for res in validate.run_suite("all", 3, 5))
+
+
+def _count_form_plus_one_unit(real, target=None):
+    """real with 1/D added to the constant term of each count form (of
+    target only, when given), D the denominator of its cached vector."""
+    from moduli_census import moduli
+
+    def mutated(q, g, tgt, r, d):
+        form = real(q, g, tgt, r, d)
+        if target not in (None, tgt):
+            return form
+        den = moduli._vector(real, q, g, tgt, r, d)[1]
+        return moduli._sum_forms((1, form), (1, ((moduli._mono(), Fraction(1, den)),)))
+    return mutated
 
 
 def test_traced_names_exist(tmp_path):
@@ -554,17 +562,11 @@ def test_cli_validate_golden_bytes(q, gamma, sha):
 
 
 @pytest.mark.parametrize("target", ["m_rd", "ms20"])
-def test_cli_validate_crossval_catches_a_mutated_count(monkeypatch, target):
+def test_cli_validate_crossval_catches_a_mutated_count(monkeypatch, fresh_forms, target):
     # one more unit in the constant coefficient of the cached integer form
-    # moves the count by 1/D; the Fraction route of crossval must notice
+    # moves the count by 1/D; the cross-check route of crossval must notice
     from moduli_census import moduli
-    real = moduli._count_vector
-
-    def mutated(q, g, tgt, r, d):
-        nums, den = real(q, g, tgt, r, d)
-        return (nums[:-1] + (nums[-1] + 1,), den) if tgt == target else (nums, den)
-
-    monkeypatch.setattr(moduli, "_count_vector", mutated)
+    monkeypatch.setattr(moduli, "_count_form", _count_form_plus_one_unit(moduli._count_form, target))
     code, out = run_cli("validate", "--suite", "crossval", "--q", "3", "--gamma", "5")
     assert code == 1
     lines = out.splitlines()
@@ -580,18 +582,21 @@ def test_cli_validate_crossval_catches_a_mutated_count(monkeypatch, target):
             assert moduli.count_stable_fixed_det(z, r, d).cross_checks["beta_table"]["residual"] != 0
 
 
-def test_cli_validate_catches_a_mutated_stratum_constant(monkeypatch):
-    # one more unit in the value route's cached (1, 1) constant moves every
-    # (1, 1) stratum and beta(2, d) by P(1)/W; count_value's forms do not read
-    # that constant, so the closed form and the beta_table check must notice
+def test_cli_validate_catches_a_mutated_stratum_constant(monkeypatch, fresh_forms):
+    # one more unit in the cached (1, 1) stratum vector moves every (1, 1)
+    # stratum and beta(2, d) by P(1)/W; count_value's forms do not read that
+    # stratum, so the closed form and the beta_table check must notice
     from moduli_census import moduli
-    real = moduli._stratum_const
+    real = moduli._stratum_form
 
     def mutated(q, g, partition, d):
-        w, den = real(q, g, partition, d)
-        return ((w[0] + 1,) + w[1:], den) if partition == (1, 1) else (w, den)
+        form = real(q, g, partition, d)
+        if partition != (1, 1):
+            return form
+        den = moduli._vector(real, q, g, partition, d)[1]
+        return moduli._sum_forms((1, form), (1, ((moduli._mono("nj"), Fraction(1, den)),)))
 
-    monkeypatch.setattr(moduli, "_stratum_const", mutated)
+    monkeypatch.setattr(moduli, "_stratum_form", mutated)
     code, out = run_cli("validate", "--suite", "unstable", "--q", "3", "--gamma", "5")
     assert code == 1
     assert out.splitlines()[0] == "FAIL unstable.beta_prime_closed_form - 162 curves"
@@ -601,6 +606,42 @@ def test_cli_validate_catches_a_mutated_stratum_constant(monkeypatch):
     assert lines[0].startswith("FAIL crossval.report - 162 curves;")
     assert lines[0].endswith("; 162 curves break the beta_table or ms20 assembly identity")
     assert lines[1] == "FAILED: 0/1 checks passed"
+
+
+@pytest.mark.parametrize("mutation", ["two_step", "three_step"])
+def test_beta_table_catches_a_mutated_hn_tail(monkeypatch, fresh_forms, mutation):
+    # the count forms (Zagier's sum) read no Harder-Narasimhan tail, so a
+    # wrong tail reaches only the cross-check route: beta_table must notice
+    # it, while the count and the r = 2 closed form stay as they were
+    from moduli_census import moduli
+    from moduli_census.curvezeta import HyperellipticCurve, zeta_data
+    from moduli_census.ffield import make_field
+    from moduli_census.polyring import parse_poly
+    z = zeta_data(HyperellipticCurve(parse_poly(make_field(5), "0,1,0,0,0,0,0,1")))
+    keys = ((2, 1), (3, 1), (3, 2)) if mutation == "two_step" else ((3, 1), (3, 2))
+    values = {key: moduli.count_value(z, "m_rd", *key) for key in keys}
+    if mutation == "two_step":
+        real = moduli._two_step_tails
+
+        def doubled(q, n1, n2, d):
+            (first, tail), *rest = real(q, n1, n2, d)
+            return ((first, 2 * tail), *rest)
+
+        monkeypatch.setattr(moduli, "_two_step_tails", doubled)
+    else:
+        real = moduli._three_step_total
+        monkeypatch.setattr(moduli, "_three_step_total", lambda q, d: 2 * real(q, d))
+    for (r, d), value in values.items():
+        rep = moduli.count_stable_fixed_det(z, r, d)
+        assert rep.value == value
+        assert rep.cross_checks["beta_table"]["residual"] != 0
+        if r == 2:
+            assert rep.cross_checks["closed_form"]["residual"] == 0
+    if mutation == "two_step":
+        code, out = run_cli("validate", "--suite", "crossval", "--q", "3", "--gamma", "5")
+        assert code == 1
+        assert out.splitlines()[0].endswith(
+            "; 162 curves break the beta_table or ms20 assembly identity")
 
 
 @functools.lru_cache(maxsize=None)
