@@ -5,7 +5,8 @@ moduli count report), sweep (family CSV plus aggregate report JSON),
 moments (theoretical moments / covariance / characteristic-function
 samples), validate (named invariant suites).
 
-Exit codes: 0 success, 1 validation failure, 2 usage error, 3 budget
+Exit codes: 0 success, 1 validation failure (a failed check, or an
+internal consistency check that stops a command), 2 usage error, 3 budget
 exceeded.  Output is deterministic for a fixed configuration, including
 across worker counts (set --workers).
 """
@@ -21,14 +22,16 @@ import sys
 
 from .curvezeta import HyperellipticCurve, curve_zeta_json_dict, zeta_data
 from .emit import json_dumps
-from .errors import BudgetError, DomainError, InvalidCharacteristicError, PolyParseError
+from .errors import (BudgetError, DomainError, InternalConsistencyError,
+                     InvalidCharacteristicError, PolyParseError)
 from .ffield import make_field
 from .moduli import (
+    EXACT_RANKS,
     count_higgs,
     count_ms20,
     count_ntilde,
     count_stable_fixed_det,
-    count_value,
+    exact_log_gap,
     log_count_estimate,
 )
 from .polyring import parse_poly
@@ -36,6 +39,7 @@ from .stats import characteristic_function, limit_covariance, theoretical_moment
 from .sweep import SweepConfig, build_report, records_to_csv, run_sweep
 from .validate import SUITES, run_suite
 
+VALIDATION_FAILURE = 1
 USAGE_ERROR = 2
 BUDGET_ERROR = 3
 
@@ -106,11 +110,8 @@ def cmd_moduli(args) -> int:
         est, env = log_count_estimate(z, args.rank)
         payload = {"target": "estimate", "rank": args.rank,
                    "estimate": est, "envelope": env}
-        if args.rank <= 3:
-            import math
-            exact = count_value(z, "m_rd", args.rank, args.degree)
-            gap = abs(math.log(exact.numerator) - math.log(exact.denominator)
-                      - (args.rank**2 - 1) * (z.genus - 1) * math.log(z.q))
+        if args.rank in EXACT_RANKS:
+            gap = exact_log_gap(z, args.rank, args.degree)
             payload["exact_log_gap"] = gap
             payload["within_envelope"] = gap <= env
         _write((json_dumps(payload), args.out))
@@ -193,7 +194,7 @@ def cmd_validate(args) -> int:
         print(line)
     failed = sum(1 for r in results if not r.ok)
     print(f"{'OK' if failed == 0 else 'FAILED'}: {len(results) - failed}/{len(results)} checks passed")
-    return 0 if failed == 0 else 1
+    return 0 if failed == 0 else VALIDATION_FAILURE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,6 +282,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return BUDGET_ERROR
+    except InternalConsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return VALIDATION_FAILURE
 
 
 if __name__ == "__main__":

@@ -339,6 +339,14 @@ def zeta_value(z: CurveZeta, k: int) -> Fraction:
     return cached
 
 
+def log_frac(x: Fraction) -> float:
+    """log x of an exact rational, read as log(numerator) - log(denominator),
+    so past the binary64 range too; NaN when x <= 0."""
+    if x <= 0:
+        return math.nan
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
 @functools.lru_cache(maxsize=256)
 def zeta_scale(q: int, g: int, k: int) -> Fraction:
     """zeta_value(z, k) / zeta_numerator(z, k) for every genus-g curve over F_q:
@@ -376,9 +384,7 @@ def epsilon_terms(z: CurveZeta, k: int, Z: int) -> tuple[Fraction, float]:
     q = z.q
     weights, den = _eps1_weights(q, k, Z)
     eps1 = Fraction(-sum(w * z.power_sum(m) for m, w in enumerate(weights, 1)), den)
-    zk = zeta_value(z, k)
-    log_lhs = (math.log(zk.numerator) - math.log(zk.denominator)
-               - (2 * k - 1) * math.log(q)
+    log_lhs = (log_frac(zeta_value(z, k)) - (2 * k - 1) * math.log(q)
                + math.log((q**k - 1) * (q ** (k - 1) - 1)))
     eps2 = log_lhs - float(eps1)
     return eps1, eps2
@@ -518,8 +524,7 @@ def xz_bound_check(z: CurveZeta, ks: tuple[int, ...] = (2, 3)):
     for k in ks:
         if g < 2:
             raise DomainError("needs genus >= 2")
-        zk = zeta_value(z, k)
-        lz = abs(math.log(zk.numerator) - math.log(zk.denominator))
+        lz = abs(log_frac(zeta_value(z, k)))
         scale = 2.0 * (1.0 / math.sqrt(q) + math.log(math.log(g)) / q**k)
         report[f"zeta_envelope_k{k}"] = BoundReport(f"zeta_envelope_k{k}", lz, 8.0 * scale)
         report[f"zeta_cprime_required_k{k}"] = lz / scale

@@ -20,14 +20,21 @@ Every exact quantity here is a form: a polynomial in the curve's own
 integers (MONOMIALS) whose coefficients depend only on (q, g) and a key.
 One evaluator serves them all: _vector caches a form as integer
 numerators over one denominator per (builder, q, g, key), and _evaluate
-turns it into one Fraction per curve.  Two formulas feed it.  The counts
-(count_value) use Zagier's closed sum over the compositions of r; the
-cross-check route (siegel_mass, beta, unstable_mass, the closed form and
-the component assemblies) runs the Harder-Narasimhan recursion on forms.
-So count_stable_fixed_det's beta_table check compares two different
-formulas.  The checks that read the curve's integers without the
-evaluator are genus2_oracle, the higgs report's a2_jacobian_identity and
-validate's estimate.siegel_main_term (through zeta_value).
+turns it into one Fraction per curve.  No form is built outside this
+module.  Two formulas feed it.  The counts (count_value) use Zagier's
+closed sum over the compositions of r for m_rd, and for ms20, ntilde and
+higgs the sum of one builder per term: _higgs_form's A_1..A_3, _y_form's
+N(Y) over the A/B strata of _ab_form, and _ntilde_rs' N(R) and N(S).  The
+reports evaluate those same builders for their components, so every
+check of a component tests a term of the value.  The cross-check route
+(siegel_mass, beta, unstable_mass, the r = 2 closed form, the ms20
+component assembly and rank3_envelopes) runs the Harder-Narasimhan
+recursion on forms, so count_stable_fixed_det's beta_table check compares
+two different formulas.  The checks that read the curve's integers
+without the evaluator are genus2_oracle, the higgs report's
+a2_jacobian_identity and the ntilde report's y_expansion (the Jacobian
+counts), and validate's estimate.siegel_main_term (log_count_estimate's
+zeta values, through zeta_value).
 """
 
 from __future__ import annotations
@@ -38,7 +45,8 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .curvezeta import CurveZeta, _value, jacobian_count, zeta_numerator, zeta_scale, zeta_value
+from .curvezeta import (CurveZeta, _value, jacobian_count, log_frac, zeta_numerator, zeta_scale,
+                        zeta_value)
 from .errors import DomainError, UnsupportedRankError
 
 _STRATA = {2: ((1, 1),), 3: ((2, 1), (1, 2), (1, 1, 1))}  # the HN strata of rank r
@@ -295,6 +303,8 @@ def _beta_form(q: int, g: int, r: int, d: int) -> tuple:
 def _count_form(q: int, g: int, target: str, r: int, d: int) -> tuple:
     if target == "m_rd":
         return _sum_forms((q - 1, _beta_form(q, g, r, d)))
+    if target == "higgs":  # q^(4g-3) (A_1 + A_2 + A_3)
+        return _sum_forms(*((q ** (4 * g - 3), _higgs_form(q, g, part)) for part in range(3)))
     two2g = 2 ** (2 * g)
     ms20 = ((_mono("Z2"), q ** (3 * g - 3) * zeta_scale(q, g, 2)),
             (_mono("nj"), -Fraction(q ** (g + 1) - q**2 + q, (q - 1) ** 2 * (q + 1))),
@@ -302,20 +312,8 @@ def _count_form(q: int, g: int, target: str, r: int, d: int) -> tuple:
             (_mono(), Fraction(two2g, 2 * (q + 1))))
     if target == "ms20":
         return ms20
-    if target == "ntilde":
-        # Y = A p_g2^2 + B p2_g2 with A = (nj - 4^g)/2 and B = (nj P(-1) - nj)/2
-        p_g2 = _proj_count(q, g - 2)
-        p2_g2 = Fraction(q ** (2 * (g - 1)) - 1, q**2 - 1)
-        y = ((_mono("nj"), (p_g2**2 - p2_g2) / 2), (_mono("nj", "P(-1)"), p2_g2 / 2),
-             (_mono(), -two2g * p_g2**2 / 2))
-        rs = two2g * (q ** (g - 2) * grassmannian_count(q, 2, g) + grassmannian_count(q, 3, g))
-        return _sum_forms((1, ms20), (1, y), (rs, ((_mono(), 1),)))
-    # higgs: q^(4g-3) (A_1 + A_2 + A_3)
-    return _sum_forms((q ** (4 * g - 3), (
-        (_mono("nj", "P(q)"), Fraction(1, (q - 1) * (q**2 - 1))),
-        (_mono("nj", "P(-1)"), -Fraction(1, 4 * (q + 1))),
-        (_mono("nj", "nj"), Fraction(q - 3 - 4 * g * (q - 1), 4 * (q - 1) ** 2)),
-        (_mono("nj", "P'(1)"), Fraction(1, 2 * (q - 1))))))
+    # ntilde: N(M^s(2,0)) + N(Y) + 4^g (N(R) + N(S))
+    return _sum_forms((1, ms20), (1, _y_form(q, g)), (two2g * sum(_ntilde_rs(q, g)), ((_mono(), 1),)))
 
 
 def count_value(z: CurveZeta, target: str, r: int = 2, d: int = 1) -> Fraction:
@@ -390,12 +388,8 @@ def count_ms20(z: CurveZeta) -> ModuliReport:
     both reported).
     """
     closed = count_value(z, "ms20")
-    nj = jacobian_count(z, 1)
-    nj2 = jacobian_count(z, 2)
-    two2g = 2 ** (2 * z.genus)
     beta_prime, beta1, beta2, assembly = (_evaluate(z, _ms20_form, part) for part in range(4))
-    a_size = Fraction(nj - two2g, 2)
-    b_size = Fraction(nj2 - nj, 2)
+    a_size, b_size = _ab_sizes(z)
     report = ModuliReport(target="ms20", value=closed)
     report.hypotheses["full_2_torsion"] = _full_2_torsion(z)
     report.cross_checks["component_assembly"] = _check(closed, assembly)
@@ -413,22 +407,34 @@ def _ms20_form(q: int, g: int, part: int) -> tuple:
     """count_ms20's beta'(2,0), beta_1, beta_2 or component assembly, for
     part = 0, 1, 2 or 3.
 
-    beta_1 = A/(q-1)^2 + 2 A N(P^(g-2))/(q-1) + B/(q^2-1) with
-    A = (P(1) - 4^g)/2 and B = (N_{q^2}(J) - P(1))/2; beta_2 = 4^g/|GL_2(F_q)|
-    + 4^g N(P^(g-1))/(q(q-1)); the assembly is
-    q^(3g-3) zeta(2) - (q-1)(beta'(2,0) + beta_1 + beta_2).
+    beta_1 = A/(q-1)^2 + 2 A N(P^(g-2))/(q-1) + B/(q^2-1), A and B the strata
+    of _ab_form; beta_2 = 4^g/|GL_2(F_q)| + 4^g N(P^(g-1))/(q(q-1)); the
+    assembly is q^(3g-3) zeta(2) - (q-1)(beta'(2,0) + beta_1 + beta_2).
     """
     two2g = 2 ** (2 * g)
-    k_a = (Fraction(1, (q - 1) ** 2) + 2 * _proj_count(q, g - 2) / (q - 1)) / 2
-    k_b = Fraction(1, 2 * (q**2 - 1))
     parts = (((_mono("nj"), Fraction(q ** (g - 1), (q - 1) ** 3 * (q + 1))),),
-             ((_mono("nj"), k_a - k_b), (_mono("nj", "P(-1)"), k_b), (_mono(), -two2g * k_a)),
+             _sum_forms((Fraction(1, (q - 1) ** 2) + 2 * _proj_count(q, g - 2) / (q - 1),
+                         _ab_form(q, g, 0)),
+                        (Fraction(1, q**2 - 1), _ab_form(q, g, 1))),
              ((_mono(), Fraction(two2g, (q**2 - 1) * (q**2 - q))
                + two2g * _proj_count(q, g - 1) / (q * (q - 1))),))
     if part < 3:
         return parts[part]
     return _sum_forms((q ** (3 * g - 3) * zeta_scale(q, g, 2), ((_mono("Z2"), 1),)),
                       *((1 - q, form) for form in parts))
+
+
+def _ab_form(q: int, g: int, which: int) -> tuple:
+    """The size of the stratum A = (P(1) - 4^g)/2 or B = (N_{q^2}(J) - P(1))/2
+    of the strictly semistable locus, for which = 0 or 1; N_{q^2}(J) = P(1) P(-1)."""
+    if which == 0:
+        return ((_mono("nj"), Fraction(1, 2)), (_mono(), Fraction(-(2 ** (2 * g)), 2)))
+    return ((_mono("nj", "P(-1)"), Fraction(1, 2)), (_mono("nj"), Fraction(-1, 2)))
+
+
+def _ab_sizes(z: CurveZeta) -> tuple[Fraction, Fraction]:
+    """(A_size, B_size) of count_ms20 and count_ntilde."""
+    return _evaluate(z, _ab_form, 0), _evaluate(z, _ab_form, 1)
 
 
 def _full_2_torsion(z: CurveZeta) -> bool:
@@ -462,27 +468,22 @@ def count_ntilde(z: CurveZeta) -> ModuliReport:
     """The desingularized rank-4 trivial-determinant space, genus >= 3.
 
     value = N(M^s) + N(Y) + 4^g N(R) + 4^g N(S) with N(Y) evaluated
-    directly from the A/B strata, from count_value; the components are
-    recomputed here, and the alternative expanded form of N(Y) is recorded
-    as a cross-check, not reconciled.
+    directly from the A/B strata, from count_value.  The components M^s, Y,
+    R and S are the values of the same builders count_value sums
+    (count_ms20, _y_form, _ntilde_rs).  The alternative expanded form of
+    N(Y), which reads the Jacobian counts without the evaluator, is
+    recorded as a cross-check, not reconciled.
     """
     value = count_value(z, "ntilde")
     g = z.genus
     q = z.q
     ms = count_ms20(z)
-    nj = jacobian_count(z, 1)
-    nj2 = jacobian_count(z, 2)
-    two2g = 2 ** (2 * g)
-    a_size = Fraction(nj - two2g, 2)
-    b_size = Fraction(nj2 - nj, 2)
-    p_g2 = _proj_count(q, g - 2)
-    p2_g2 = Fraction(q ** (2 * (g - 1)) - 1, q**2 - 1)  # over F_{q^2}
-    y_direct = a_size * p_g2 * p_g2 + b_size * p2_g2
-    y_expanded = (Fraction(q ** (2 * g - 3) - q, 2 * (q - 1) * (q + 1)) * nj
-                  + Fraction(q ** (2 * g - 2) - 1, 2 * (q - 1) * (q + 1)) * nj2
-                  - Fraction(q ** (2 * g - 3) - 1, 2 * (q - 1)) * two2g)
-    r_count = Fraction(q ** (g - 2) * grassmannian_count(q, 2, g))
-    s_count = Fraction(grassmannian_count(q, 3, g))
+    y_direct = _evaluate(z, _y_form)
+    y_expanded = (Fraction(q ** (2 * g - 3) - q, 2 * (q - 1) * (q + 1)) * jacobian_count(z, 1)
+                  + Fraction(q ** (2 * g - 2) - 1, 2 * (q - 1) * (q + 1)) * jacobian_count(z, 2)
+                  - Fraction(q ** (2 * g - 3) - 1, 2 * (q - 1)) * 2 ** (2 * g))
+    r_count, s_count = _ntilde_rs(q, g)
+    a_size, b_size = _ab_sizes(z)
     report = ModuliReport(target="ntilde", value=value)
     report.hypotheses["full_2_torsion"] = ms.hypotheses["full_2_torsion"]
     report.cross_checks["y_expansion"] = _check(y_direct, y_expanded)
@@ -498,31 +499,66 @@ def count_ntilde(z: CurveZeta) -> ModuliReport:
     return report
 
 
+def _y_form(q: int, g: int) -> tuple:
+    """N(Y) = A N(P^(g-2))^2 + B N_{q^2}(P^(g-2)), A and B the strata of _ab_form."""
+    return _sum_forms((_proj_count(q, g - 2) ** 2, _ab_form(q, g, 0)),
+                      (_proj_count(q * q, g - 2), _ab_form(q, g, 1)))
+
+
+def _ntilde_rs(q: int, g: int) -> tuple[Fraction, Fraction]:
+    """(N(R), N(S)) = (q^(g-2) [g 2]_q, [g 3]_q): curve-independent, so plain numbers."""
+    return Fraction(q ** (g - 2) * grassmannian_count(q, 2, g)), Fraction(grassmannian_count(q, 3, g))
+
+
 def count_higgs(z: CurveZeta) -> ModuliReport:
     """Rank-2 odd-degree stable Higgs count q^(4g-3) A_{g,2}.
 
     A_{g,2} = A_1 + A_2 + A_3 in terms of P(1), P(q), P(-1) and the
     logarithmic derivative of P at 1; the value is degree-independent.  It
-    comes from count_value; the components A_i are recomputed here.
+    comes from count_value, and the components A_i are the values of the
+    forms it sums (_higgs_form).  a2_jacobian_identity checks A_2 against
+    -N_{q^2}(J)/(4(q+1)), the Jacobian count read without the evaluator.
     """
     value = count_value(z, "higgs")
-    g = z.genus
-    q = z.q
-    c = z.coeffs
-    p1 = sum(c)
-    pq = sum(ci * q**i for i, ci in enumerate(c))
-    pm1 = sum((-1) ** i * ci for i, ci in enumerate(c))
-    dp1 = sum(i * ci for i, ci in enumerate(c))
-    a1 = Fraction(p1 * pq, (q - 1) * (q**2 - 1))
-    a2 = -Fraction(p1 * pm1, 4 * (q + 1))
-    # p1^2 / (2(q-1)) (1/2 - 1/(q-1) - sum_l 1/(1 - alpha_l)), the sum being 2g - dp1/p1
-    a3 = Fraction(p1 * (p1 * (q - 3 - 4 * g * (q - 1)) + 2 * (q - 1) * dp1), 4 * (q - 1) ** 2)
-    a_g2 = a1 + a2 + a3
+    a1, a2, a3 = (_evaluate(z, _higgs_form, part) for part in range(3))
     report = ModuliReport(target="higgs", value=value)
     report.cross_checks["a2_jacobian_identity"] = _check(
-        -Fraction(jacobian_count(z, 2), 4 * (q + 1)), a2)
-    report.components.update({"A_1": a1, "A_2": a2, "A_3": a3, "A_g2": a_g2})
+        -Fraction(jacobian_count(z, 2), 4 * (z.q + 1)), a2)
+    report.components.update({"A_1": a1, "A_2": a2, "A_3": a3, "A_g2": a1 + a2 + a3})
     return report
+
+
+def _higgs_form(q: int, g: int, part: int) -> tuple:
+    """A_1, A_2 or A_3 of count_higgs, for part = 0, 1 or 2:
+    A_1 = P(1) P(q) / ((q-1)(q^2-1)), A_2 = -P(1) P(-1) / (4(q+1)) and
+    A_3 = P(1)^2 / (2(q-1)) (1/2 - 1/(q-1) - sum_l 1/(1 - alpha_l)), the sum
+    over the reciprocal roots being 2g - P'(1)/P(1)."""
+    return (((_mono("nj", "P(q)"), Fraction(1, (q - 1) * (q**2 - 1))),),
+            ((_mono("nj", "P(-1)"), -Fraction(1, 4 * (q + 1))),),
+            ((_mono("nj", "nj"), Fraction(q - 3 - 4 * g * (q - 1), 4 * (q - 1) ** 2)),
+             (_mono("nj", "P'(1)"), Fraction(1, 2 * (q - 1)))))[part]
+
+
+def rank3_envelopes(z: CurveZeta) -> tuple[Fraction, Fraction, Fraction]:
+    """(beta'(2,0), the (1,1,1) envelope, the (2,1) envelope): the closed form
+    of the (1,1) stratum at d = 0 and the published bounds of the rank-3
+    strata, which validate's unstable suite holds unstable_mass to."""
+    return tuple(_evaluate(z, _envelope_form, which) for which in range(3))
+
+
+def _envelope_form(q: int, g: int, which: int) -> tuple:
+    """rank3_envelopes, for which = 0, 1 or 2: beta'(2,0) = c_bp nj (count_ms20's),
+    the (1,1,1) envelope c_3 nj^2, and the (2,1) envelope
+    c_41 nj (2 v_2 - (q+1) c_bp nj), v_2 the rank-2 Siegel mass."""
+    beta_prime = _ms20_form(q, g, 0)
+    if which == 0:
+        return beta_prime
+    if which == 1:
+        return ((_mono("nj", "nj"), Fraction(q**5 * q ** (3 * (g - 1)),
+                                             (q - 1) ** 3 * (q**2 - 1) * (q**3 - 1))),)
+    ((_, c_bp),), ((_, v_2),) = beta_prime, _siegel_form(q, g, 2)
+    c_41 = Fraction(q**6 * q ** (2 * (g - 1)), (q - 1) * (q**6 - 1))
+    return ((_mono("nj", "Z2"), 2 * c_41 * v_2), (_mono("nj", "nj"), -c_41 * (q + 1) * c_bp))
 
 
 def log_count_estimate(z: CurveZeta, r: int) -> tuple[float, float]:
@@ -539,11 +575,16 @@ def log_count_estimate(z: CurveZeta, r: int) -> tuple[float, float]:
     q = z.q
     est = (r * r - 1) * (g - 1) * math.log(q)
     for k in range(2, r + 1):
-        zk = zeta_value(z, k)
-        est += math.log(zk.numerator) - math.log(zk.denominator)
+        est += log_frac(zeta_value(z, k))
     a = 2.0 * (1.0 / math.sqrt(q) + math.log(math.log(g)) / q**2)
     envelope = 10.0 * (a + q ** (-0.5 * g) * math.exp(a))
     return est, envelope
+
+
+def exact_log_gap(z: CurveZeta, r: int, d: int) -> float:
+    """|log N(M(r,d)) - (r^2-1)(g-1) log q|, the exact stable count's distance
+    from the main term of log_count_estimate, which its envelope bounds."""
+    return abs(log_frac(count_value(z, "m_rd", r, d)) - (r * r - 1) * (z.genus - 1) * math.log(z.q))
 
 
 @functools.lru_cache(maxsize=256)

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
-from .curvezeta import CurveZeta
+from .curvezeta import CurveZeta, log_frac
 from .errors import DomainError
 from .moduli import COUNT_TARGETS, count_value, family_constant
 from .polyring import MonicPoly, _irreducible_ivs, _iv, _iv_jacobi, is_squarefree, prime_count
@@ -80,12 +79,6 @@ def r_variable(charsums: list[int], q: int, k: int) -> float:
     return math.fsum(s / (m * q ** ((k + 1) * m)) for m, s in enumerate(charsums, 1))
 
 
-def _log_frac(x: Fraction) -> float:
-    if x <= 0:
-        return math.nan
-    return math.log(x.numerator) - math.log(x.denominator)
-
-
 def decomposition_residual(z: CurveZeta, variant: str, Z: int | None = None,
                            rank: int = 2, degree: int = 1,
                            charsums: list[int] | None = None) -> float:
@@ -115,18 +108,18 @@ def decomposition_residual(z: CurveZeta, variant: str, Z: int | None = None,
     lq = math.log(q)
     if variant == "m_rd":
         rsum = math.fsum(r_variable(charsums, q, k) for k in range(1, rank))
-        return (_log_frac(value) - (rank * rank - 1) * (g - 1) * lq
+        return (log_frac(value) - (rank * rank - 1) * (g - 1) * lq
                 - family_constant(q, gamma, "base", rank) - rsum)
     if variant == "ms20":
-        return (_log_frac(value) - 3 * (g - 1) * lq
+        return (log_frac(value) - 3 * (g - 1) * lq
                 - family_constant(q, gamma, "thm15") - r_variable(charsums, q, 1))
     if variant == "ntilde":
         # the points over F_{q^2m} give the character sums over F_{q^2}
         ext = trace_charsums([z.power_sum(2 * m) for m in range(1, Z + 1)], gamma)
-        return (_log_frac(value) - (4 * g - 4) * lq
+        return (log_frac(value) - (4 * g - 4) * lq
                 + family_constant(q, gamma, "thm16") - r_variable(ext, q * q, 0))
     rsum = math.fsum(r_variable(charsums, q, k) for k in (0, 1))
-    return (_log_frac(value) - (8 * g - 6) * lq
+    return (log_frac(value) - (8 * g - 6) * lq
             - family_constant(q, gamma, "higgs") - rsum)
 
 

@@ -22,11 +22,13 @@ the independent check of P(t) itself, one call of l_poly_via_characters
 and of lambda_character_identity per block and m.  A run of every suite
 holds the family's zeta data once (_Family).
 
-The moduli suites read their exact values through moduli's one form
-evaluator (moduli._evaluate), also for their own closed forms and
-envelopes (_envelope_form).  The checks that read the curve's integers
-without it are crossval's genus2_oracle, estimate.siegel_main_term
-(through zeta_value) and the higgs report's a2_jacobian_identity.
+The moduli suites build no form of their own: every exact value they
+check comes from a moduli call (the count reports, unstable_mass,
+rank3_envelopes, exact_log_gap), and so from moduli's one form evaluator.
+The checks that read the curve's integers without it are crossval's
+genus2_oracle, estimate.siegel_main_term (log_count_estimate's zeta
+values, through zeta_value) and the higgs report's a2_jacobian_identity
+(the Jacobian count over F_{q^2}).
 """
 
 from __future__ import annotations
@@ -44,22 +46,21 @@ from .curvezeta import (
     family_curves,
     l_poly_via_characters,
     lambda_character_identity,
+    log_frac,
     xz_bound_check,
     zeta_data,
     zeta_data_block,
-    zeta_scale,
 )
 from .errors import BudgetError, InternalConsistencyError
 from .ffield import make_field
 from .moduli import (
-    _evaluate,
     _full_2_torsion,
-    _mono,
     count_higgs,
     count_ms20,
     count_stable_fixed_det,
-    count_value,
+    exact_log_gap,
     log_count_estimate,
+    rank3_envelopes,
     siegel_mass,
     unstable_mass,
 )
@@ -172,7 +173,7 @@ def suite_unstable(q: int, gamma: int, zs):
     duality_ok = True
     for z, k in _by_lpoly(zs):
         n += k
-        beta_prime, uns3, uns21 = (_evaluate(z, _envelope_form, which) for which in range(3))
+        beta_prime, uns3, uns21 = rank3_envelopes(z)
         if unstable_mass(z, (1, 1), 0) != beta_prime:
             closed_ok = False
         for d in (0, 1, 2):
@@ -188,20 +189,6 @@ def suite_unstable(q: int, gamma: int, zs):
                       f"{n} curves, d in {{0,1,2}}")
     yield CheckResult("unstable.transpose_duality", duality_ok,
                       "C(2,1; d) = C(1,2; -d) family-wide")
-
-
-def _envelope_form(q: int, g: int, which: int) -> tuple:
-    """suite_unstable's closed forms, for which = 0, 1 or 2: beta'(2,0) = c_bp nj,
-    the (1,1,1) envelope c_3 nj^2, and the (2,1) envelope
-    c_41 nj (2 q^(3(g-1)) zeta(2) / (q-1) - (q^(g-1) + q^g) nj / ((q-1)^3 (q+1))),
-    with zeta(2) = zeta_scale Z_2."""
-    c_bp = Fraction(q ** (g - 1), (q - 1) ** 3 * (q + 1))
-    c_41 = Fraction(q**6 * q ** (2 * (g - 1)), (q - 1) * (q**6 - 1))
-    return (((_mono("nj"), c_bp),),
-            ((_mono("nj", "nj"), Fraction(q**5 * q ** (3 * (g - 1)),
-                                          (q - 1) ** 3 * (q**2 - 1) * (q**3 - 1))),),
-            ((_mono("nj", "Z2"), c_41 * 2 * q ** (3 * (g - 1)) * zeta_scale(q, g, 2) / (q - 1)),
-             (_mono("nj", "nj"), -c_41 * (q + 1) * c_bp)))[which]
 
 
 def suite_crossval(q: int, gamma: int, zs):
@@ -288,11 +275,9 @@ def suite_estimate(q: int, gamma: int, zs):
         n += k
         for r in (2, 3):
             est, env = log_count_estimate(z, r)
-            mass_log = math.log(float((q - 1) * siegel_mass(z, r)))
-            if abs(mass_log - est) > 1e-9:
+            if abs(log_frac((q - 1) * siegel_mass(z, r)) - est) > 1e-9:
                 main_ok = False
-            value = count_value(z, "m_rd", r, 1)
-            gap = abs(math.log(float(value)) - (r * r - 1) * (z.genus - 1) * math.log(q))
+            gap = exact_log_gap(z, r, 1)
             worst = max(worst, gap - env)
             if gap > env:
                 envelope_ok = False

@@ -347,6 +347,7 @@ def test_higgs_x5x(z55):
     assert rep.components["A_3"] == -24
     assert rep.components["A_g2"] == 528
     assert rep.value == 243 * 528 == 128304
+    assert rep.value == 3 ** (4 * z55.genus - 3) * rep.components["A_g2"]
     assert rep.is_integer
     assert rep.cross_checks["a2_jacobian_identity"]["residual"] == 0
 
@@ -462,7 +463,7 @@ def test_no_form_leaves_monomials(fresh_forms):
     # every key the public functions hand to the form evaluator: a monomial
     # outside MONOMIALS would stop _vector with an AssertionError, a
     # traceback where the CLI must exit with a documented code
-    from moduli_census import moduli, validate
+    from moduli_census import moduli
     for q, g in itertools.product((3, 5, 7), range(2, 7)):
         keys = [(moduli._siegel_form, r) for r in (2, 3, 4)]
         keys += [(moduli._hn_form, r, d) for r in (2, 3) for d in range(r)]
@@ -471,7 +472,9 @@ def test_no_form_leaves_monomials(fresh_forms):
                  for r, d in ((2, 1), (3, 1), (3, 2))]
         keys += [(moduli._closed_form, parity) for parity in (0, 1)]
         keys += [(moduli._ms20_form, part) for part in range(4)]
-        keys += [(validate._envelope_form, which) for which in range(3)]
+        keys += [(moduli._higgs_form, part) for part in range(3)]
+        keys += [(moduli._ab_form, which) for which in range(2)] + [(moduli._y_form,)]
+        keys += [(moduli._envelope_form, which) for which in range(3)]
         for build, *key in keys:
             nums, den = moduli._vector(build, q, g, *key)
             assert len(nums) == len(moduli.MONOMIALS) and den > 0

@@ -317,6 +317,43 @@ def test_cli_moduli_estimate():
     assert data["within_envelope"] is True
 
 
+# sha256 of the JSON of `moduli --target T` on y^2 = x^7 + x + 1 over F_5
+# (r = 2, d = 1 for m_rd and estimate)
+@pytest.mark.parametrize("target,sha", [
+    ("m_rd", "11e7cdd361aa2439bf2ec976b933dd9b3ad24b8624efbfd08d0b1c2faa9e582c"),
+    ("ms20", "60b1c81217a1e8a96cbe7e273d0119d2f6ad2208963e74a0df3506b44df0715e"),
+    ("ntilde", "c7d7f17f206c86b9aef5105b7c2407ba3af7a045aea1cd7fdb01d71487ee7bec"),
+    ("higgs", "9ea736bd96a96e3421192c2525d8734ea452b888d7933d5a119c70be69b47090"),
+    ("estimate", "b55c68d4a9391819fb421112aa8f4d093573d7b89f6bea743b417af95279eded"),
+])
+def test_cli_moduli_golden_bytes(target, sha):
+    code, out = run_cli("moduli", "--q", "5", "--f", "1,1,0,0,0,0,0,1", "--target", target)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("args", [
+    ("curve-info", "--q", "3", "--f", "0,1,0,0,0,1"),
+    ("moduli", "--q", "3", "--f", "0,1,0,0,0,1", "--target", "higgs"),
+    ("sweep", "--q", "3", "--gamma", "5"),
+    ("validate", "--suite", "higgs", "--q", "3", "--gamma", "5"),
+], ids=lambda args: args[0])
+def test_cli_internal_error_exit_code(monkeypatch, capsys, args):
+    # a failed internal check ends the command with exit 1 and one error
+    # line, never a traceback
+    from moduli_census import curvezeta
+    from moduli_census.errors import InternalConsistencyError
+
+    def failing(coeffs, q):
+        raise InternalConsistencyError("rh-check: injected")
+
+    monkeypatch.setattr(curvezeta, "check_riemann_hypothesis", failing)
+    assert main(list(args)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: rh-check: injected"]
+
+
 def test_cli_sweep_row_count(tmp_path):
     out_csv = tmp_path / "sweep.csv"
     code, out = run_cli("sweep", "--q", "3", "--gamma", "5",
@@ -642,6 +679,27 @@ def test_beta_table_catches_a_mutated_hn_tail(monkeypatch, fresh_forms, mutation
         assert code == 1
         assert out.splitlines()[0].endswith(
             "; 162 curves break the beta_table or ms20 assembly identity")
+
+
+def test_higgs_checks_catch_a_mutated_count_term(monkeypatch, fresh_forms):
+    # count_higgs' components are the terms count_value sums, so a wrong
+    # A_2 in the count's own form must break the a2 identity, and with it
+    # the higgs suite
+    from moduli_census import moduli
+    from moduli_census.curvezeta import HyperellipticCurve, zeta_data
+    from moduli_census.ffield import make_field
+    from moduli_census.polyring import parse_poly
+    real = moduli._higgs_form
+    monkeypatch.setattr(moduli, "_higgs_form", lambda q, g, part: moduli._sum_forms(
+        (2 if part == 1 else 1, real(q, g, part))))
+    z = zeta_data(HyperellipticCurve(parse_poly(make_field(3), "0,1,0,0,0,1")))
+    rep = moduli.count_higgs(z)
+    assert rep.components["A_2"] == -18
+    assert rep.cross_checks["a2_jacobian_identity"]["residual"] != 0
+    assert rep.value == 3 ** (4 * z.genus - 3) * rep.components["A_g2"]
+    code, out = run_cli("validate", "--suite", "higgs", "--q", "5", "--gamma", "5")
+    assert code == 1
+    assert out.splitlines()[0].startswith("FAIL higgs.integrality - violations: ")
 
 
 @functools.lru_cache(maxsize=None)
