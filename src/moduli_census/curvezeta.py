@@ -40,16 +40,19 @@ key shares z's N, psums and coeffs tuples.  The run keeps what else it
 derives from P(t) alone in the same entries: the sweep appends its first
 record, and validate's suites read the [z, k] pairs as their groups.
 Nothing outlives its run: a call outside one starts a registry of its
-own.  What reads F stays per curve: every curve's own recounts N_m, m > g,
-are compared with the prediction, and the F column, the 2-torsion flag and
-the character route read each curve.
+own.  A CurveZeta holds its curve, N, power sums and P(t), and no cache:
+zeta_value and the moduli layer's values are functions of (q, P(t)), and
+the moduli layer keeps its integers of P(t) in a cache of its own.  What
+reads F stays per curve: every curve's own recounts N_m, m > g, are
+compared with the prediction, and the F column, the 2-torsion flag and the
+character route read each curve.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -148,8 +151,6 @@ class CurveZeta:
     N: tuple[int, ...]          # N_1..N_{2g}
     psums: tuple[int, ...]      # p_1..p_{2g},  p_m = q^m + 1 - N_m
     coeffs: tuple[int, ...]     # c_0..c_{2g} of P(t)
-    # zeta values by k, and the moduli layer's "full_2_torsion" flag and "monomials"
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def from_coeffs(cls, curve: HyperellipticCurve, coeffs) -> "CurveZeta":
@@ -331,12 +332,8 @@ def zeta_value(z: CurveZeta, k: int) -> Fraction:
     """Exact zeta value at integer k >= 2: P(q^-k) / ((1-q^-k)(1-q^(1-k)))."""
     if k <= 1:
         raise DomainError("zeta value has a pole at k <= 1; need k >= 2")
-    cached = z._cache.get(k)
-    if cached is None:
-        scale = zeta_scale(z.q, z.genus, k)
-        cached = Fraction(zeta_numerator(z, k) * scale.numerator, scale.denominator)
-        z._cache[k] = cached
-    return cached
+    scale = zeta_scale(z.q, z.genus, k)
+    return Fraction(zeta_numerator(z.q, z.coeffs, k) * scale.numerator, scale.denominator)
 
 
 def log_frac(x: Fraction) -> float:
@@ -354,10 +351,10 @@ def zeta_scale(q: int, g: int, k: int) -> Fraction:
     return Fraction(q ** (2 * k - 1), q ** (2 * g * k) * (q**k - 1) * (q ** (k - 1) - 1))
 
 
-def zeta_numerator(z: CurveZeta, k: int) -> int:
-    """Z_k = q^(2gk) P(q^-k) = sum c_i q^(k(2g-i)), the integer that
-    zeta_value(z, k) is built on."""
-    return _value(z.coeffs[::-1], z.q**k)
+def zeta_numerator(q: int, coeffs: tuple[int, ...], k: int) -> int:
+    """Z_k = q^(2gk) P(q^-k) = sum c_i q^(k(2g-i)) for P(t) = coeffs, the
+    integer that zeta_value is built on."""
+    return _value(coeffs[::-1], q**k)
 
 
 def jacobian_count(z: CurveZeta, r: int) -> int:

@@ -16,21 +16,24 @@ residual; nothing is silently reconciled.  The 4^g terms assume every
 2-torsion class of the Jacobian is rational over F_q; the report flags
 whether that hypothesis actually holds for the curve.
 
-Every exact quantity here is a form: a polynomial in the curve's own
-integers (MONOMIALS) whose coefficients depend only on (q, g) and a key.
-One evaluator serves them all: _vector caches a form as integer
-numerators over one denominator per (builder, q, g, key), and _evaluate
-turns it into one Fraction per curve.  No form is built outside this
-module.  Two formulas feed it.  The counts (count_value) use Zagier's
-closed sum over the compositions of r for m_rd, and for ms20, ntilde and
-higgs the sum of one builder per term: _higgs_form's A_1..A_3, _y_form's
-N(Y) over the A/B strata of _ab_form, and _ntilde_rs' N(R) and N(S).  The
-reports evaluate those same builders for their components, so every
-check of a component tests a term of the value.  The cross-check route
-(siegel_mass, beta, unstable_mass, the r = 2 closed form, the ms20
-component assembly and rank3_envelopes) runs the Harder-Narasimhan
-recursion on forms, so count_stable_fixed_det's beta_table check compares
-two different formulas.  The checks that read the curve's integers
+Every exact quantity here is a form: a polynomial in integers of P(t)
+alone (P(1), P(-1), P(q), P'(1) and Z_k = q^(2gk) P(q^-k)) whose
+coefficients depend only on (q, g) and a key.  One evaluator serves them
+all: _vector caches a form as the monomials it names, with integer
+numerators over one denominator, per (builder, q, g, key), and _evaluate
+turns it into one Fraction from (q, g, P(t)) alone, with no curve.  The
+integers of each P(t) are computed once and kept in this module's own
+cache, keyed by (q, P(t)); nothing is stored on a CurveZeta.  No form is
+built outside this module.  Two formulas feed it.  The counts
+(count_value) use Zagier's closed sum over the compositions of r for
+m_rd, and for ms20, ntilde and higgs the sum of one builder per term:
+_higgs_form's A_1..A_3, _y_form's N(Y) over the A/B strata of _ab_form,
+and _ntilde_rs' N(R) and N(S).  The reports evaluate those same builders
+for their components, so every check of a component tests a term of the
+value.  The cross-check route (siegel_mass, beta, unstable_mass, the
+r = 2 closed form, the ms20 component assembly and rank3_envelopes) runs
+the Harder-Narasimhan recursion on forms, so count_stable_fixed_det's
+beta_table check compares two different formulas.  The checks that read the curve's integers
 without the evaluator are genus2_oracle, the higgs report's
 a2_jacobian_identity and the ntilde report's y_expansion (the Jacobian
 counts), and validate's estimate.siegel_main_term (log_count_estimate's
@@ -144,20 +147,17 @@ def check_stable_domain(r: int, d: int) -> None:
 
 # -- forms: every exact quantity as N / D -------------------------------------
 #
-# A form is a polynomial in the curve's integers nj = P(1), P(-1), P(q),
-# P'(1) and Z_k = q^(2gk) P(q^-k): a tuple of (monomial, coefficient) pairs,
-# a monomial being the sorted tuple of its factors' names.  A builder
-# build(q, g, *key) makes one form in plain Fractions; its coefficients
-# depend only on (q, g, key).  _vector caches it as integers N_j over one
-# denominator D, and _evaluate turns it into one Fraction per curve.
+# A form is a polynomial in the integers of P(t) that _Integers names: a
+# tuple of (monomial, coefficient) pairs, a monomial being the sorted tuple
+# of its factors' names.  A builder build(q, g, *key) makes one form in
+# plain Fractions; its coefficients depend only on (q, g, key).  _vector
+# caches it as its monomials with integer numerators N_j over one
+# denominator D, and _evaluate turns it into one Fraction per P(t).
 
 def _mono(*factors: str) -> tuple[str, ...]:
     return tuple(sorted(factors))
 
 
-MONOMIALS = (_mono("Z2"), _mono("Z2", "Z3"), _mono("Z2", "Z3", "Z4"), _mono("nj", "Z2"),
-             _mono("nj", "nj"), _mono("nj"), _mono("nj", "P(-1)"), _mono("nj", "P(q)"),
-             _mono("nj", "P'(1)"), _mono())
 COUNT_TARGETS = ("m_rd", "ms20", "ntilde", "higgs")
 
 
@@ -186,30 +186,40 @@ def _common_den(*coefs) -> tuple[tuple[int, ...], int]:
 
 
 @functools.lru_cache(maxsize=1024)
-def _vector(build, q: int, g: int, *key) -> tuple[tuple[int, ...], int]:
-    """(N_j, D): build(q, g, *key) is sum_j N_j m_j / D over the MONOMIALS m_j."""
-    form = dict(_sum_forms((1, build(q, g, *key))))
-    assert set(form) <= set(MONOMIALS), set(form) - set(MONOMIALS)
-    return _common_den(*(form.get(m, 0) for m in MONOMIALS))
+def _vector(build, q: int, g: int, *key) -> tuple[tuple[tuple[str, ...], ...], tuple[int, ...], int]:
+    """(m_j, N_j, D): build(q, g, *key) is sum_j N_j m_j / D over its
+    monomials m_j with a nonzero coefficient, in sorted order."""
+    form = sorted((m, c) for m, c in _sum_forms((1, build(q, g, *key))) if c)
+    return (tuple(m for m, _ in form), *_common_den(*(c for _, c in form)))
 
 
-def _monomial_values(z: CurveZeta) -> tuple[int, ...]:
-    """The curve's MONOMIALS, computed once per CurveZeta."""
-    vals = z._cache.get("monomials")
-    if vals is None:
-        q, c = z.q, z.coeffs
-        f = {"nj": sum(c), "P(-1)": sum(c[0::2]) - sum(c[1::2]), "P(q)": _value(c, q),
-             "P'(1)": sum(i * ci for i, ci in enumerate(c)),
-             "Z2": zeta_numerator(z, 2), "Z3": zeta_numerator(z, 3), "Z4": zeta_numerator(z, 4)}
-        vals = tuple(math.prod(f[x] for x in m) for m in MONOMIALS)
-        z._cache["monomials"] = vals
-    return vals
+class _Integers(dict):
+    """The integers of one P(t) = coeffs over F_q that forms name: nj = P(1),
+    P(-1), P(q), P'(1), and Zk = Z_k (curvezeta.zeta_numerator) for any
+    k >= 2, computed on first use."""
+
+    def __init__(self, q: int, c: tuple[int, ...]):
+        super().__init__({"nj": sum(c), "P(-1)": _value(c, -1), "P(q)": _value(c, q),
+                          "P'(1)": sum(i * ci for i, ci in enumerate(c))})
+        self.q, self.coeffs = q, c
+
+    def __missing__(self, name: str) -> int:
+        value = self[name] = zeta_numerator(self.q, self.coeffs, int(name[1:]))
+        return value
 
 
-def _evaluate(z: CurveZeta, build, *key) -> Fraction:
-    """The form build(q, g, *key) at the curve z, as one Fraction(N . m, D)."""
-    nums, den = _vector(build, z.q, z.genus, *key)
-    return Fraction(sum(a * m for a, m in zip(nums, _monomial_values(z)) if a), den)
+@functools.lru_cache(maxsize=4096)
+def _integers(q: int, coeffs: tuple[int, ...]) -> _Integers:
+    """The _Integers of P(t), one per (q, P(t)) for as long as the cache keeps it."""
+    return _Integers(q, coeffs)
+
+
+def _evaluate(z, build, *key) -> Fraction:
+    """The form build(q, g, *key) at z's P(t), as one Fraction(sum_j N_j m_j, D).
+    It reads z.q, z.genus and z.coeffs alone, so any object with those will do."""
+    monos, nums, den = _vector(build, z.q, z.genus, *key)
+    ints = _integers(z.q, z.coeffs)
+    return Fraction(sum(a * math.prod(ints[f] for f in m) for m, a in zip(monos, nums)), den)
 
 
 def _siegel_form(q: int, g: int, r: int) -> tuple:
@@ -306,10 +316,10 @@ def _count_form(q: int, g: int, target: str, r: int, d: int) -> tuple:
     if target == "higgs":  # q^(4g-3) (A_1 + A_2 + A_3)
         return _sum_forms(*((q ** (4 * g - 3), _higgs_form(q, g, part)) for part in range(3)))
     two2g = 2 ** (2 * g)
-    ms20 = ((_mono("Z2"), q ** (3 * g - 3) * zeta_scale(q, g, 2)),
-            (_mono("nj"), -Fraction(q ** (g + 1) - q**2 + q, (q - 1) ** 2 * (q + 1))),
-            (_mono("nj", "P(-1)"), -Fraction(1, 2 * (q + 1))),
-            (_mono(), Fraction(two2g, 2 * (q + 1))))
+    ms20 = _sum_forms((q - 1, _siegel_form(q, g, 2)),
+                      (1, ((_mono("nj"), -Fraction(q ** (g + 1) - q**2 + q, (q - 1) ** 2 * (q + 1))),
+                           (_mono("nj", "P(-1)"), -Fraction(1, 2 * (q + 1))),
+                           (_mono(), Fraction(two2g, 2 * (q + 1))))))
     if target == "ms20":
         return ms20
     # ntilde: N(M^s(2,0)) + N(Y) + 4^g (N(R) + N(S))
@@ -322,9 +332,9 @@ def count_value(z: CurveZeta, target: str, r: int = 2, d: int = 1) -> Fraction:
     m_rd is (q-1) beta(r, d) for r in {2, 3} and gcd(r, d) = 1, from
     Zagier's sum; ms20, ntilde and higgs are the values of count_ms20,
     count_ntilde and count_higgs, whatever r and d.  N is an integer
-    polynomial in the curve's integers (MONOMIALS) with coefficients cached
-    per (q, g, target, r, d mod r), like D.  It raises as the count_*
-    reports do.
+    polynomial in the integers of P(t) that its form names, with
+    coefficients cached per (q, g, target, r, d mod r), like D.  It raises
+    as the count_* reports do.
     """
     if target == "m_rd":
         check_stable_domain(r, d)
@@ -365,9 +375,10 @@ def count_stable_fixed_det(z: CurveZeta, r: int, d: int) -> ModuliReport:
 
 
 def _closed_form(q: int, g: int, parity: int) -> tuple:
-    """m_rd for r = 2: q^(3g-3) zeta(2) - q^(g-1+parity) P(1) / ((q-1)^2 (q+1))."""
-    return ((_mono("Z2"), q ** (3 * g - 3) * zeta_scale(q, g, 2)),
-            (_mono("nj"), -Fraction(q ** (g - 1 + parity), (q - 1) ** 2 * (q + 1))))
+    """m_rd for r = 2: q^(3g-3) zeta(2) - q^(g-1+parity) P(1) / ((q-1)^2 (q+1)),
+    the first term being (q-1) v_2."""
+    return _sum_forms((q - 1, _siegel_form(q, g, 2)),
+                      (1, ((_mono("nj"), -Fraction(q ** (g - 1 + parity), (q - 1) ** 2 * (q + 1))),)))
 
 
 def _proj_count(q: int, m: int) -> Fraction:
@@ -420,8 +431,7 @@ def _ms20_form(q: int, g: int, part: int) -> tuple:
                + two2g * _proj_count(q, g - 1) / (q * (q - 1))),))
     if part < 3:
         return parts[part]
-    return _sum_forms((q ** (3 * g - 3) * zeta_scale(q, g, 2), ((_mono("Z2"), 1),)),
-                      *((1 - q, form) for form in parts))
+    return _sum_forms((q - 1, _siegel_form(q, g, 2)), *((1 - q, form) for form in parts))
 
 
 def _ab_form(q: int, g: int, which: int) -> tuple:
@@ -439,16 +449,12 @@ def _ab_sizes(z: CurveZeta) -> tuple[Fraction, Fraction]:
 
 def _full_2_torsion(z: CurveZeta) -> bool:
     """True when F splits into deg(F) distinct roots over F_q, i.e. every
-    2-torsion class of the Jacobian is already rational.  Computed once per
-    CurveZeta; never when deg(F) > q, since F_q then has too few elements.
+    2-torsion class of the Jacobian is already rational; never when
+    deg(F) > q, since F_q then has too few elements.
 
     The roots are counted by evaluating F at every element index of F_q."""
-    flag = z._cache.get("full_2_torsion")
-    if flag is None:
-        F, n = z.curve.F, z.curve.field.order
-        flag = z.curve.gamma <= n and sum(F(x) == 0 for x in range(n)) == z.curve.gamma
-        z._cache["full_2_torsion"] = flag
-    return flag
+    F, n = z.curve.F, z.curve.field.order
+    return z.curve.gamma <= n and sum(F(x) == 0 for x in range(n)) == z.curve.gamma
 
 
 def grassmannian_count(q: int, k: int, n: int) -> int:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .curvezeta import CurveZeta, log_frac
 from .errors import DomainError
-from .moduli import COUNT_TARGETS, count_value, family_constant
+from .moduli import COUNT_TARGETS, _compositions, count_value, family_constant
 from .polyring import MonicPoly, _irreducible_ivs, _iv, _iv_jacobi, is_squarefree, prime_count
 
 RESIDUAL_VARIANTS = COUNT_TARGETS  # one residual per moduli count
@@ -235,16 +235,6 @@ def empirical_stats(records: list[FamilyRecord], max_n: int = 4) -> SweepReport:
 
 # -- limiting moments, covariance, characteristic functions -----------------
 
-def _compositions(n: int, s: int):
-    """Ordered tuples of s positive integers summing to n."""
-    if s == 1:
-        yield (n,)
-        return
-    for first in range(1, n - s + 2):
-        for rest in _compositions(n - first, s - 1):
-            yield (first,) + rest
-
-
 def _set_partitions(items: tuple):
     """All partitions of `items` into nonempty blocks."""
     if not items:
@@ -322,7 +312,7 @@ def theoretical_moment(q: int, k: int, n: int, D: int) -> tuple[float, float]:
     tail_total = 0.0
     for s in range(1, n + 1):
         coeff = fact[n] / (2**s * fact[s])
-        for comp in _compositions(n, s):
+        for comp in (c for c in _compositions(n) if len(c) == s):
             for part in _set_partitions(tuple(range(s))):
                 weight = math.prod((-1) ** (len(B) - 1) * fact[len(B) - 1]
                                    for B in part)

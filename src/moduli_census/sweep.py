@@ -134,6 +134,8 @@ def _chunk_worker(args, registry: dict | None = None) -> list:
     records = []
     for curve, psums, z in rows:
         entry = registry.setdefault(tuple(psums) if z is None else z.N[:curve.genus], [z, 0])
+        if z is None:  # zeta_data_block counts the curves of the other entries
+            entry[1] += 1
         like = entry[2] if len(entry) > 2 else None
         records.append(compute_record(curve, cfg, psums, z if cfg.with_zeta else None, like))
         if like is None:

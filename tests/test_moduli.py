@@ -459,12 +459,28 @@ def test_integer_forms_match_fraction_expressions():
         assert higgs.value == _ref_higgs(z)
 
 
+def _ref_integers(q, coeffs):
+    # the integers of P(t) that forms name, in plain Fractions
+    def at(x):
+        return sum(Fraction(x) ** i * c for i, c in enumerate(coeffs))
+    g = (len(coeffs) - 1) // 2
+    ints = {"nj": at(1), "P(-1)": at(-1), "P(q)": at(q),
+            "P'(1)": sum(i * c for i, c in enumerate(coeffs))}
+    ints.update({f"Z{k}": q ** (2 * g * k) * at(Fraction(1, q**k)) for k in range(2, 5)})
+    return ints
+
+
 def test_no_form_leaves_monomials(fresh_forms):
-    # every key the public functions hand to the form evaluator: a monomial
-    # outside MONOMIALS would stop _vector with an AssertionError, a
-    # traceback where the CLI must exit with a documented code
+    # every key the public functions hand to the form evaluator: its cached
+    # vector, evaluated at a stand-in P(t) with no curve, is the form's own
+    # sum over its terms in plain Fractions
+    from types import SimpleNamespace
     from moduli_census import moduli
     for q, g in itertools.product((3, 5, 7), range(2, 7)):
+        low = [1] + [(-1) ** i * (i + 2) for i in range(1, g + 1)]  # c_0..c_g, not a curve's
+        coeffs = tuple(low + [q ** (g - i) * low[i] for i in range(g - 1, -1, -1)])
+        stand_in = SimpleNamespace(q=q, genus=g, coeffs=coeffs)
+        ints = _ref_integers(q, coeffs)
         keys = [(moduli._siegel_form, r) for r in (2, 3, 4)]
         keys += [(moduli._hn_form, r, d) for r in (2, 3) for d in range(r)]
         keys += [(moduli._stratum_form, p, d) for p in SUPPORTED_PARTITIONS for d in range(-4, 5)]
@@ -476,8 +492,10 @@ def test_no_form_leaves_monomials(fresh_forms):
         keys += [(moduli._ab_form, which) for which in range(2)] + [(moduli._y_form,)]
         keys += [(moduli._envelope_form, which) for which in range(3)]
         for build, *key in keys:
-            nums, den = moduli._vector(build, q, g, *key)
-            assert len(nums) == len(moduli.MONOMIALS) and den > 0
+            want = sum((coef * math.prod(ints[f] for f in mono)
+                        for mono, coef in build(q, g, *key)), Fraction(0))
+            assert moduli._evaluate(stand_in, build, *key) == want, (q, g, build, key)
+            assert moduli._vector(build, q, g, *key)[2] > 0
 
 
 def test_zagier_sum_is_the_hn_recursion(fresh_forms):
@@ -606,5 +624,5 @@ def test_full_2_torsion_flag_matches_root_count():
             z = zeta_data(HyperellipticCurve(f))
             flags.append(_full_2_torsion(z))
             assert flags[-1] is _ref_full_2_torsion(z), f
-            assert _full_2_torsion(z) is flags[-1]  # the cached flag
+            assert _full_2_torsion(z) is flags[-1]  # the same flag on a second call
     assert any(flags) and not all(flags)

@@ -161,6 +161,22 @@ def test_multi_chunk_sweep_matches_curve_by_curve_records(monkeypatch):
         assert records_to_csv(swept, cfg) == records_to_csv(built, cfg)
 
 
+@pytest.mark.parametrize("flags", [
+    dict(z_override=2, compute_zeta=False, compute_moduli=False),
+    dict(z_override=5, compute_zeta=False, compute_moduli=False),
+    dict(),
+], ids=["bare-counts", "r-only-past-g", "full"])
+def test_registry_counts_every_record(flags):
+    # the k of each registry entry [z, k] counts the run's curves that have
+    # its key, on each of the three count plans of _count_plan
+    from moduli_census.sweep import _chunk_worker
+    registry = {}
+    records = _chunk_worker((SweepConfig(q=3, gamma=7, **flags), 0, 400), registry)
+    assert len(records) == 267
+    assert sum(entry[1] for entry in registry.values()) == len(records)
+    assert all(entry[1] > 0 for entry in registry.values())
+
+
 def test_registry_does_not_outlive_its_run(monkeypatch, fresh_forms):
     # each run owns its registry: a full-record run and then an R-only run of
     # the same family, or two validate runs around a changed count, must each
@@ -195,9 +211,35 @@ def _count_form_plus_one_unit(real, target=None):
         form = real(q, g, tgt, r, d)
         if target not in (None, tgt):
             return form
-        den = moduli._vector(real, q, g, tgt, r, d)[1]
+        den = moduli._vector(real, q, g, tgt, r, d)[2]
         return moduli._sum_forms((1, form), (1, ((moduli._mono(), Fraction(1, den)),)))
     return mutated
+
+
+def test_m_rd_with_no_curve_is_newsteads_poincare_polynomial(monkeypatch, fresh_forms):
+    # at q = t^2 and P(x) = (1 + t x)^(2g), every Frobenius eigenvalue is -t,
+    # and by the Weil conjectures and purity the stable rank-2, degree-1 count
+    # becomes the Poincare polynomial of the moduli space (Newstead, 1967;
+    # Harder and Narasimhan, 1975); a stand-in with q, genus and coeffs alone
+    # serves the forms
+    from types import SimpleNamespace
+    from moduli_census import moduli
+
+    def stand_in(t, g):
+        return SimpleNamespace(q=t * t, genus=g,
+                               coeffs=tuple(math.comb(2 * g, i) * t**i for i in range(2 * g + 1)))
+
+    def newstead(t, g):
+        return Fraction((1 + t**3) ** (2 * g) - t ** (2 * g) * (1 + t) ** (2 * g),
+                        (1 - t**2) * (1 - t**4))
+
+    points = [(t, g) for g in (2, 3, 4) for t in (2, 3, 5, 7)]
+    assert newstead(2, 2) == 117
+    for t, g in points:
+        assert moduli.count_value(stand_in(t, g), "m_rd", 2, 1) == newstead(t, g), (t, g)
+    monkeypatch.setattr(moduli, "_count_form", _count_form_plus_one_unit(moduli._count_form))
+    for t, g in points:
+        assert moduli.count_value(stand_in(t, g), "m_rd", 2, 1) != newstead(t, g), (t, g)
 
 
 def test_traced_names_exist(tmp_path):
@@ -394,6 +436,18 @@ def test_cli_sweep_golden_bytes(tmp_path, flags, csv_sha):
     assert code == 0
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_sha
     assert hashlib.sha256(report_path.read_bytes()).hexdigest() == REPORT_SHA
+
+
+# sha256 of the stdout of `moments` with the flags
+@pytest.mark.parametrize("args,sha", [
+    (("--q", "3"), "86b135bf45546c947489b1a156debd5b8fdd1c788c6c5f31aec7dbf309f964bc"),
+    (("--q", "5", "--k-max", "3", "--n-max", "6", "--D", "20"),
+     "930f66f3a56791ca022a52d6561ba6a37b31f2ea58fa9f991e9eadbc9bc96804"),
+], ids=["q3-defaults", "q5-n6-D20"])
+def test_cli_moments_golden_bytes(args, sha):
+    code, out = run_cli("moments", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 def test_cli_parse_error_exit_code(capsys):
@@ -630,7 +684,7 @@ def test_cli_validate_catches_a_mutated_stratum_constant(monkeypatch, fresh_form
         form = real(q, g, partition, d)
         if partition != (1, 1):
             return form
-        den = moduli._vector(real, q, g, partition, d)[1]
+        den = moduli._vector(real, q, g, partition, d)[2]
         return moduli._sum_forms((1, form), (1, ((moduli._mono("nj"), Fraction(1, den)),)))
 
     monkeypatch.setattr(moduli, "_stratum_form", mutated)
