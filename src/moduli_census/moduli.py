@@ -400,7 +400,7 @@ def count_ms20(z: CurveZeta) -> ModuliReport:
     """
     closed = count_value(z, "ms20")
     beta_prime, beta1, beta2, assembly = (_evaluate(z, _ms20_form, part) for part in range(4))
-    a_size, b_size = _ab_sizes(z)
+    a_size, b_size = (_evaluate(z, _ab_form, which) for which in (0, 1))
     report = ModuliReport(target="ms20", value=closed)
     report.hypotheses["full_2_torsion"] = _full_2_torsion(z)
     report.cross_checks["component_assembly"] = _check(closed, assembly)
@@ -442,11 +442,6 @@ def _ab_form(q: int, g: int, which: int) -> tuple:
     return ((_mono("nj", "P(-1)"), Fraction(1, 2)), (_mono("nj"), Fraction(-1, 2)))
 
 
-def _ab_sizes(z: CurveZeta) -> tuple[Fraction, Fraction]:
-    """(A_size, B_size) of count_ms20 and count_ntilde."""
-    return _evaluate(z, _ab_form, 0), _evaluate(z, _ab_form, 1)
-
-
 def _full_2_torsion(z: CurveZeta) -> bool:
     """True when F splits into deg(F) distinct roots over F_q, i.e. every
     2-torsion class of the Jacobian is already rational; never when
@@ -476,7 +471,8 @@ def count_ntilde(z: CurveZeta) -> ModuliReport:
     value = N(M^s) + N(Y) + 4^g N(R) + 4^g N(S) with N(Y) evaluated
     directly from the A/B strata, from count_value.  The components M^s, Y,
     R and S are the values of the same builders count_value sums
-    (count_ms20, _y_form, _ntilde_rs).  The alternative expanded form of
+    (count_ms20, _y_form, _ntilde_rs), and A_size and B_size are the ms20
+    report's own.  The alternative expanded form of
     N(Y), which reads the Jacobian counts without the evaluator, is
     recorded as a cross-check, not reconciled.
     """
@@ -489,7 +485,6 @@ def count_ntilde(z: CurveZeta) -> ModuliReport:
                   + Fraction(q ** (2 * g - 2) - 1, 2 * (q - 1) * (q + 1)) * jacobian_count(z, 2)
                   - Fraction(q ** (2 * g - 3) - 1, 2 * (q - 1)) * 2 ** (2 * g))
     r_count, s_count = _ntilde_rs(q, g)
-    a_size, b_size = _ab_sizes(z)
     report = ModuliReport(target="ntilde", value=value)
     report.hypotheses["full_2_torsion"] = ms.hypotheses["full_2_torsion"]
     report.cross_checks["y_expansion"] = _check(y_direct, y_expanded)
@@ -499,8 +494,8 @@ def count_ntilde(z: CurveZeta) -> ModuliReport:
         "Y": y_direct,
         "R": r_count,
         "S": s_count,
-        "A_size": a_size,
-        "B_size": b_size,
+        "A_size": ms.components["A_size"],
+        "B_size": ms.components["B_size"],
     })
     return report
 

@@ -21,20 +21,21 @@ prime.
 Family enumeration is total-ordered: coefficient vectors of monic
 square-free polynomials read as base-q integers, degree-0 digit least
 significant.  Sampling is rejection from all monic polynomials of the
-requested degree, with draw i a pure function of (seed, i).  Membership is
-sieved on blocks of codes: F of degree gamma is square-free iff no P^2 with
-2 deg P <= gamma divides it, and each block is reduced mod every such P^2
-at once (_residues, the reduction the character route reads its symbols
-with).  A family with too many P^2 for that to pay tests gcd(F, F') = 1
-code by code instead.
+requested degree: draw i is the first square-free code of its own stream
+of codes (_draws), a pure function of (seed, i).  Both modes test
+membership on batches of codes with one test (_squarefree_rows): F of
+degree gamma is square-free iff no P^2 with 2 deg P <= gamma divides it,
+and each batch is reduced mod every such P^2 at once (_residues, the
+reduction the character route reads its symbols with).  A family with too
+many P^2 for that to pay tests gcd(F, F') = 1 code by code instead, on
+Python-int codes, which past SIEVE_MODULI can exceed int64.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -532,12 +533,20 @@ def _code_iv(code: int, q: int, degree: int) -> list[int]:
     return indices
 
 
+def _code_rows(codes, q: int, degree: int) -> np.ndarray:
+    """(len(codes), degree + 1) int64 rows: the indices of the monic polynomial
+    of the given degree numbered by each code; every code must be below 2^63."""
+    codes = np.asarray(codes, dtype=np.int64)
+    rows = np.ones((len(codes), degree + 1), dtype=np.int64)
+    rows[:, :degree] = codes[:, None] // q ** np.arange(degree) % q
+    return rows
+
+
 @functools.lru_cache(maxsize=None)
 def _irreducible_ivs(K: FieldHandle, e: int) -> tuple[tuple[int, ...], ...]:
     """Monic irreducibles of degree e over K in code order, sieved by the primes of degree <= e/2."""
     q = K.order
-    rows = np.column_stack([np.arange(q**e)[:, None] // q ** np.arange(e) % q,
-                            np.ones(q**e, dtype=np.int64)])
+    rows = _code_rows(np.arange(q**e), q, e)
     keep = np.ones(q**e, dtype=bool)
     for d in range(1, e // 2 + 1):
         keep &= _indivisible(K, rows, _irreducible_ivs(K, d))
@@ -603,73 +612,65 @@ def _square_moduli(K: FieldHandle, gamma: int) -> tuple[tuple[tuple[int, ...], .
     return tuple(tuple(tuple(_iv_mul(P, P, K)) for P in _irreducible_ivs(K, d)) for d in degrees)
 
 
-def _squarefree_rows(K: FieldHandle, codes, gamma: int, squares) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, keep) for a batch of codes: the (B, gamma + 1) K-indices of each
-    monic F, and whether F mod P^2 is nonzero for every P^2 of squares."""
-    q = K.order
-    codes = np.asarray(codes, dtype=np.int64)
-    rows = np.ones((len(codes), gamma + 1), dtype=np.int64)
-    rows[:, :gamma] = codes[:, None] // q ** np.arange(gamma) % q
-    keep = np.ones(len(codes), dtype=bool)
+def _squarefree_rows(K: FieldHandle, codes, gamma: int, squares) -> tuple[list, list]:
+    """(rows, keep) for a batch of codes: the K-indices of each monic F of
+    degree gamma, and whether F is square-free.  squares is _square_moduli's:
+    the batch is sieved by its P^2 at once, or, when it is None, each
+    Python-int code is tested by gcd(F, F') on its own."""
+    if squares is None:
+        rows = [_code_iv(code, K.order, gamma) for code in codes]
+        return rows, [_iv_squarefree(row, K) for row in rows]
+    rows = _code_rows(codes, K.order, gamma)
+    keep = np.ones(len(rows), dtype=bool)
     for mods in squares:
         keep &= _indivisible(K, rows, mods)
-    return rows, keep
+    return rows.tolist(), keep.tolist()
 
 
-def _draws(spec: FamilySpec, i: int):
-    """The codes draw i tries in turn; a pure function of (seed, i)."""
+def _draws(spec: FamilySpec, i: int, skip: int = 0):
+    """The codes draw i tries in turn, past its first skip; a pure function of (seed, i)."""
     rng = random.Random(((spec.seed & (2**64 - 1)) << 64) | (i & (2**64 - 1)))
     space = spec.field.order**spec.gamma
+    for _ in range(skip):
+        rng.randrange(space)
     while True:
         yield rng.randrange(space)
 
 
-def _draw_iv(spec: FamilySpec, i: int, skip: int = 0) -> list[int]:
-    """The K-indices of draw i: its first square-free code past the first skip."""
-    K = spec.field
-    for code in itertools.islice(_draws(spec, i), skip, None):
-        iv = _code_iv(code, K.order, spec.gamma)
-        if _iv_squarefree(iv, K):
-            return iv
-
-
 def sample_member(spec: FamilySpec, i: int) -> MonicPoly:
-    """Draw i of the sample stream; a pure function of (seed, i)."""
-    return MonicPoly(spec.field, _draw_iv(spec, i))
+    """Draw i of the sample stream of spec's field, degree and seed, whatever
+    its mode; a pure function of (seed, i)."""
+    return MonicPoly(spec.field, next(_members(replace(spec, mode="sample", count=i + 1), i)))
 
 
 def _members(spec: FamilySpec, start: int = 0, stop: int | None = None):
     """The K-indices of each member with code (or draw) in [start, stop), in order.
 
-    A family with at most SIEVE_MODULI squares P^2 to test is sieved
-    SIEVE_BLOCK codes at a time: enumerate mode sieves code blocks in
-    order, and sample mode sieves the first code of each draw and redraws
-    only the rejects, one code at a time.  A larger family tests each
-    code by gcd(F, F'), as sample_member does.
+    One loop for both modes: SIEVE_BLOCK codes or draws at a time, each
+    batch tested together by _squarefree_rows.  Enumerate mode keeps the
+    codes that pass.  In sample mode every rejected draw takes the next
+    code of its own stream, and the rejects are tested together again
+    until every draw of the block has its member, so draw i is the first
+    square-free code of _draws(spec, i) whatever the block.
     """
     if spec.gamma < 3:
         raise DomainError("family degree must be >= 3")
     K, gamma = spec.field, spec.gamma
     squares = _square_moduli(K, gamma)
-    if spec.mode == "enumerate":
-        stop = K.order**gamma if stop is None else stop
-        if squares is None:
-            ivs = (_code_iv(code, K.order, gamma) for code in range(start, stop))
-            yield from (iv for iv in ivs if _iv_squarefree(iv, K))
-            return
-        for lo in range(start, stop, SIEVE_BLOCK):
-            rows, keep = _squarefree_rows(K, range(lo, min(lo + SIEVE_BLOCK, stop)), gamma, squares)
-            yield from rows[keep].tolist()
-        return
-    stop = spec.count if stop is None else stop
-    if squares is None:
-        yield from (_draw_iv(spec, i) for i in range(start, stop))
-        return
+    sample = spec.mode == "sample"
+    stop = (spec.count if sample else K.order**gamma) if stop is None else stop
     for lo in range(start, stop, SIEVE_BLOCK):
-        ids = range(lo, min(lo + SIEVE_BLOCK, stop))
-        rows, keep = _squarefree_rows(K, [next(_draws(spec, i)) for i in ids], gamma, squares)
-        for i, row, ok in zip(ids, rows.tolist(), keep.tolist()):
-            yield row if ok else _draw_iv(spec, i, skip=1)
+        members = dict.fromkeys(range(lo, min(lo + SIEVE_BLOCK, stop)))
+        todo, tried = list(members), 0
+        while todo:
+            # a pending draw's stream is made anew each round, past the codes it
+            # has tried: holding a block's streams, a Random each, costs MBs
+            codes = [next(_draws(spec, i, tried)) for i in todo] if sample else todo
+            rows, keep = _squarefree_rows(K, codes, gamma, squares)
+            members.update((i, row) for i, row, ok in zip(todo, rows, keep) if ok)
+            todo = [i for i, ok in zip(todo, keep) if not ok] if sample else ()
+            tried += 1
+        yield from filter(None, members.values())
 
 
 def family(spec: FamilySpec, start: int = 0, stop: int | None = None):

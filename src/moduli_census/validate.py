@@ -91,15 +91,12 @@ class _Family:
             self.blocks = list(self.blocks)
 
 
-def _by_lpoly(zs: _Family, each=None):
+def _by_lpoly(zs: _Family):
     """[z, k] for the first CurveZeta z of each distinct P(t) of the family
     zs, in first-seen order, with the number k of its curves that have it:
-    the run's registry, read once zs is counted.  each(z), when given, is
-    called on every curve of zs."""
-    for block in zs.blocks:  # counts a family that is not held
-        if each:
-            for z in block:
-                each(z)
+    the run's registry, read once zs is counted."""
+    for _ in zs.blocks:  # counts a family that is not held
+        pass
     return zs.registry.values()
 
 
@@ -207,14 +204,10 @@ def suite_crossval(q: int, gamma: int, zs):
     zero = 0
     nonint_m = 0
     nonint_ms = 0
-    tors = 0
     broken = 0
-
-    def count_torsion(z):  # the flag reads F, so every curve counts it
-        nonlocal tors
-        tors += _full_2_torsion(z)
-
-    for z, k in _by_lpoly(zs, count_torsion):
+    # the flag reads F, so every curve counts it, which counts a streamed family
+    tors = sum(_full_2_torsion(z) for block in zs.blocks for z in block)
+    for z, k in _by_lpoly(zs):
         n += k
         rep = count_stable_fixed_det(z, 2, 1)
         if rep.cross_checks["genus2_oracle"]["residual"] == 0:

@@ -309,6 +309,26 @@ def test_ntilde_requires_genus3(z55):
         count_ntilde(z55)
 
 
+def test_ntilde_evaluates_each_form_once(monkeypatch):
+    # the A/B strata sizes are the ms20 report's own, not evaluated again
+    from collections import Counter
+    from moduli_census import moduli
+    z = zeta_data(HyperellipticCurve(parse_poly(make_field(5), "1,1,0,0,0,0,0,1")))
+    calls = Counter()
+    real = moduli._evaluate
+
+    def counting(z, build, *key):
+        calls[build.__name__, key] += 1
+        return real(z, build, *key)
+
+    monkeypatch.setattr(moduli, "_evaluate", counting)
+    rep = count_ntilde(z)
+    assert calls[("_ab_form", (0,))] == calls[("_ab_form", (1,))] == 1
+    assert set(calls.values()) == {1}
+    assert (rep.components["A_size"], rep.components["B_size"]) == (
+        real(z, moduli._ab_form, 0), real(z, moduli._ab_form, 1))
+
+
 def test_ntilde_structure(z73):
     q = 3
     g = z73.genus

@@ -232,33 +232,57 @@ def test_squarefree_sieve_matches_gcd_on_every_code(K, gamma):
     assert squares is not None
     rows, keep = _squarefree_rows(K, range(q**gamma), gamma, squares)
     ivs = [_code_iv(code, q, gamma) for code in range(q**gamma)]
-    assert rows.tolist() == ivs
-    assert keep.tolist() == [_iv_squarefree(iv, K) for iv in ivs]
+    assert rows == ivs
+    assert keep == [_iv_squarefree(iv, K) for iv in ivs]
     # the enumerate stream is the sieved code blocks, in code order
     assert [list(f.coeffs) for f in family(FamilySpec(K, gamma))] == [
-        iv for iv, ok in zip(ivs, keep.tolist()) if ok]
+        iv for iv, ok in zip(ivs, keep) if ok]
+
+
+def reference_draw(spec, i):
+    """Draw i by definition: the first code of its stream whose polynomial
+    passes is_squarefree."""
+    from moduli_census.polyring import _draws
+    polys = (poly_from_code(spec.field, code, spec.gamma) for code in _draws(spec, i))
+    return next(f for f in polys if is_squarefree(f))
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_sieved_sample_stream_matches_each_draw(monkeypatch, seed):
-    # each draw's first code is sieved in a batch and only the rejects are
-    # redrawn; the stream must be sample_member's, across batch boundaries
-    # and across a sweep chunk boundary (draws 1000..1049)
+    # the draws of a block are sieved together, the rejects again on their
+    # next codes; each draw is still the first square-free code of its own
+    # stream, across block boundaries and across a sweep chunk boundary
+    # (draws 1000..1049)
     from moduli_census import polyring
     from moduli_census.sweep import CHUNK
     for K, gamma in ((F3, 9), (F5, 5)):
         spec = FamilySpec(K, gamma, "sample", 1100, seed)
-        want = [sample_member(spec, i) for i in range(1000, 1050)]
+        want = [reference_draw(spec, i) for i in range(1000, 1050)]
         assert 1000 < CHUNK < 1050
         assert list(family(spec, 1000, 1050)) == want
+        assert [sample_member(spec, i) for i in range(1000, 1050)] == want
+        assert sample_member(FamilySpec(K, gamma, seed=seed), 1000) == want[0]  # any mode
         monkeypatch.setattr(polyring, "SIEVE_BLOCK", 16)
         assert list(family(spec, 1000, 1050)) == want
         monkeypatch.undo()
 
 
+def test_sieved_sample_runs_no_gcd_test(monkeypatch):
+    # within SIEVE_MODULI every draw, the redraws of the rejects too, is
+    # tested by the sieve alone
+    from moduli_census import polyring
+
+    def no_gcd(*args):
+        raise AssertionError("a draw was tested by gcd(F, F')")
+
+    monkeypatch.setattr(polyring, "_iv_squarefree", no_gcd)
+    members = list(family(FamilySpec(F3, 9, "sample", 2048, 1)))
+    assert len(members) == 2048 and all(f.degree == 9 for f in members)
+
+
 def test_large_family_is_tested_code_by_code(monkeypatch):
     # H_{13,11} has 331364 squares P^2 to sieve by; its members are tested by
-    # gcd(F, F') one code at a time, as sample_member does
+    # gcd(F, F') one code at a time
     from moduli_census import polyring
     from moduli_census.polyring import _square_moduli
     K11 = make_field(11)
@@ -271,7 +295,7 @@ def test_large_family_is_tested_code_by_code(monkeypatch):
 
     monkeypatch.setattr(polyring, "_residues", no_sieve)
     spec = FamilySpec(K11, 13, "sample", 40, 1)
-    assert list(family(spec)) == [sample_member(spec, i) for i in range(40)]
+    assert list(family(spec)) == [reference_draw(spec, i) for i in range(40)]
     first = list(family(FamilySpec(K11, 13), 0, 200))
     assert first and all(is_squarefree(f) for f in first)
 

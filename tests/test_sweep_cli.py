@@ -271,6 +271,22 @@ def test_tracer_installs(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_r_only_sample_past_int64_codes():
+    # 3^41 > 2^63: the codes of H_{41,3} stay Python ints, tested by gcd(F, F')
+    from moduli_census.ffield import make_field
+    from moduli_census.polyring import FamilySpec, _draws, format_poly, is_squarefree, poly_from_code
+    K = make_field(3)
+    assert 3**41 > 2**63
+    recs = run_sweep(SweepConfig(q=3, gamma=41, mode="sample", count=3, compute_moduli=False,
+                                 compute_zeta=False, z_override=3, r_max=2))
+    spec = FamilySpec(K, 41, "sample", 3, 0)
+    want = []
+    for i in range(3):
+        polys = (poly_from_code(K, code, 41) for code in _draws(spec, i))
+        want.append(format_poly(next(f for f in polys if is_squarefree(f))))
+    assert [rec.F_text for rec in recs] == want
+
+
 @pytest.mark.parametrize("Z, built", [(2, [1, 2]), (3, [1, 2, 3]), (5, [1, 2, 3])])
 def test_r_only_sweep_builds_its_tables_before_fork(monkeypatch, Z, built):
     # R-only records count N_1..N_Z for Z <= g = 3, and N_1..N_g past it
