@@ -35,7 +35,7 @@ from .moduli import (
     log_count_estimate,
 )
 from .polyring import parse_poly
-from .stats import characteristic_function, limit_covariance, theoretical_moment
+from .stats import characteristic_function, limit_tables
 from .sweep import SweepConfig, build_report, records_to_csv, run_sweep
 from .validate import SUITES, run_suite
 
@@ -158,20 +158,7 @@ def cmd_moments(args) -> int:
         ts = [float(s) for s in args.t.split(",")]
     except ValueError:
         raise DomainError(f"--t must be comma-separated numbers, got {args.t!r}") from None
-    payload: dict = {"q": args.q, "D": args.D}
-    moments = {}
-    for k in range(args.k_max + 1):
-        moments[str(k)] = {}
-        for n in range(1, args.n_max + 1):
-            value, tail = theoretical_moment(args.q, k, n, args.D)
-            moments[str(k)][str(n)] = {"value": value, "tail_bound": tail}
-    payload["moments"] = moments
-    cov = {}
-    for i in range(1, args.k_max + 1):
-        for j in range(i + 1, args.k_max + 1):
-            value, tail = limit_covariance(args.q, i, j, args.D)
-            cov[f"{i},{j}"] = {"value": value, "tail_bound": tail}
-    payload["covariance"] = cov
+    moments, covariance = limit_tables(args.q, range(args.k_max + 1), args.n_max, args.D)
     samples = {}
     for k in range(args.k_max + 1):
         row = {}
@@ -179,7 +166,8 @@ def cmd_moments(args) -> int:
             phi = characteristic_function(args.q, k, t, args.D)
             row[f"{t:g}"] = {"re": phi.real, "im": phi.imag}
         samples[str(k)] = row
-    payload["phi"] = samples
+    payload = {"q": args.q, "D": args.D, "moments": moments, "covariance": covariance,
+               "phi": samples}
     _write((json_dumps(payload), args.out))
     return 0
 

@@ -510,7 +510,7 @@ def xz_bound_check(z: CurveZeta, ks: tuple[int, ...] = (2, 3)):
     Returns a dict with the N=2 Jacobian bound
         |log N_q(J) - g log q| <= log max(1, log(7g)/log q) + 3
     and, for each k, the envelope |log zeta(k)| <= 2c'(1/sqrt(q) +
-    loglog(g)/q^k) at c' = 8, together with the smallest c' that would do.
+    loglog(g)/q^k) at c' = 8.
     """
     q = z.q
     g = z.genus
@@ -524,7 +524,6 @@ def xz_bound_check(z: CurveZeta, ks: tuple[int, ...] = (2, 3)):
         lz = abs(log_frac(zeta_value(z, k)))
         scale = 2.0 * (1.0 / math.sqrt(q) + math.log(math.log(g)) / q**k)
         report[f"zeta_envelope_k{k}"] = BoundReport(f"zeta_envelope_k{k}", lz, 8.0 * scale)
-        report[f"zeta_cprime_required_k{k}"] = lz / scale
     return report
 
 
@@ -572,8 +571,6 @@ def l_poly_via_characters(zs) -> list[list[int]]:
 
 def curve_zeta_json_dict(z: CurveZeta) -> dict:
     """JSON-ready view: q, gamma, genus, F, N, L_poly, jacobians, zeta(2..4)."""
-    from .emit import frac_str
-
     return {
         "q": z.q,
         "gamma": z.curve.gamma,
@@ -583,5 +580,5 @@ def curve_zeta_json_dict(z: CurveZeta) -> dict:
         "L_poly": list(z.coeffs),
         "jacobian_q": jacobian_count(z, 1),
         "jacobian_q2": jacobian_count(z, 2),
-        "zeta": {str(k): frac_str(zeta_value(z, k)) for k in (2, 3, 4)},
+        "zeta": {k: zeta_value(z, k) for k in (2, 3, 4)},
     }

@@ -28,8 +28,9 @@ def fmt_float(x: float) -> str:
 
 
 def json_dumps(obj) -> str:
-    """Stable JSON: sorted keys, fractions as strings, floats at 17 digits,
-    and null for a float that is not finite (JSON has no nan or inf)."""
+    """Stable JSON, the one place a value becomes JSON text: every key as
+    str(k), sorted, fractions as strings, floats at 17 digits, and null for
+    a float that is not finite (JSON has no nan or inf)."""
     import re
 
     tokens: list[str] = []

@@ -29,19 +29,6 @@ ORDER_BUDGET = 10**7
 TABLE_LIMIT = 4096
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 class FieldHandle:
     """A finite field F_q, q = p^m odd, possibly built as a tower step.
 
@@ -89,6 +76,7 @@ class FieldHandle:
 
 
 def _prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending; [] for n < 2."""
     ds = []
     d = 2
     while d * d <= n:
@@ -96,7 +84,7 @@ def _prime_divisors(n: int) -> list[int]:
             ds.append(d)
             while n % d == 0:
                 n //= d
-        d += 1
+        d += 1 if d == 2 else 2
     if n > 1:
         ds.append(n)
     return ds
@@ -117,7 +105,7 @@ def _least_irreducible(K: FieldHandle, degree: int) -> tuple[int, ...]:
 @functools.lru_cache(maxsize=None)
 def make_field(p: int, m: int = 1) -> FieldHandle:
     """F_{p^m} for an odd prime p: extend_field(make_field(p), m) for m > 1."""
-    if p % 2 == 0 or not _is_prime(p):
+    if p % 2 == 0 or _prime_divisors(p) != [p]:
         raise InvalidCharacteristicError(f"characteristic must be an odd prime, got {p}")
     if m < 1:
         raise ValueError("extension degree must be >= 1")

@@ -45,7 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
 
 from .curvezeta import (CurveZeta, _value, jacobian_count, log_frac, zeta_numerator, zeta_scale,
@@ -72,22 +72,7 @@ class ModuliReport:
         return self.value.denominator == 1
 
     def to_json_dict(self) -> dict:
-        from .emit import frac_str
-
-        def conv(x):
-            return frac_str(x) if isinstance(x, Fraction) else x
-
-        return {
-            "target": self.target,
-            "value": frac_str(self.value),
-            "is_integer": self.is_integer,
-            "hypotheses": dict(self.hypotheses),
-            "cross_checks": {
-                name: {k: conv(v) for k, v in chk.items()}
-                for name, chk in self.cross_checks.items()
-            },
-            "components": {k: conv(v) for k, v in self.components.items()},
-        }
+        return {**asdict(self), "is_integer": self.is_integer}
 
 
 def _check(expected: Fraction, got: Fraction) -> dict:

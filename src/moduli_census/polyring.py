@@ -34,6 +34,7 @@ Python-int codes, which past SIEVE_MODULI can exceed int64.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass, replace
 
@@ -495,18 +496,8 @@ def _indivisible(K: FieldHandle, rows: np.ndarray, mods: tuple) -> np.ndarray:
 # -- counting and listing irreducibles --------------------------------------
 
 def _moebius(n: int) -> int:
-    mu = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            mu = -mu
-        d += 1
-    if n > 1:
-        mu = -mu
-    return mu
+    ps = ffield._prime_divisors(n)
+    return (-1) ** len(ps) if math.prod(ps) == n else 0
 
 
 @functools.lru_cache(maxsize=None)

@@ -17,7 +17,7 @@ counts.  The mirrored symbol (f/F) differs by the reciprocity sign
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 from .curvezeta import CurveZeta, log_frac
 from .errors import DomainError
@@ -160,16 +160,7 @@ class SweepReport:
     theoretical_covariance: dict = dc_field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "count": self.count,
-            "moments": {str(k): {str(n): v for n, v in mv.items()}
-                        for k, mv in self.moments.items()},
-            "covariance": dict(self.covariance),
-            "gaussian": {str(k): dict(v) for k, v in self.gaussian.items()},
-            "theoretical_moments": self.theoretical_moments,
-            "theoretical_covariance": self.theoretical_covariance,
-        }
+        return asdict(self)
 
 
 def _normal_cdf(x: float) -> float:
@@ -355,6 +346,26 @@ def limit_covariance(q: int, i: int, j: int, D: int) -> tuple[float, float]:
     y2 = q ** (-(2 * i + 2 * j + 5))
     tail = 4.0 * y1 ** (D + 1) / (1.0 - y1) + y2 ** (D + 1) / (1.0 - y2)
     return total, tail
+
+
+def limit_tables(q: int, ks, n_max: int, D: int) -> tuple[dict, dict]:
+    """The limit law truncated at D, as two tables keyed by strings: the
+    moments {"k": {"n": entry}} for k in ks and n = 1..n_max, and the
+    covariances {"i,j": entry} for every pair 1 <= i < j in ks, each entry
+    {"value", "tail_bound"}.  The moments are computed first, k before n."""
+    moments: dict = {}
+    for k in ks:
+        moments[str(k)] = {}
+        for n in range(1, n_max + 1):
+            value, tail = theoretical_moment(q, k, n, D)
+            moments[str(k)][str(n)] = {"value": value, "tail_bound": tail}
+    covariance: dict = {}
+    for i in ks:
+        for j in ks:
+            if 1 <= i < j:
+                value, tail = limit_covariance(q, i, j, D)
+                covariance[f"{i},{j}"] = {"value": value, "tail_bound": tail}
+    return moments, covariance
 
 
 def characteristic_function(q: int, k: int, t: float, D: int) -> complex:

@@ -28,8 +28,7 @@ from .ffield import make_field
 from .moduli import _full_2_torsion, check_stable_domain
 from .polyring import FamilySpec, format_poly
 from .stats import (RESIDUAL_VARIANTS, FamilyRecord, SweepReport, decomposition_residual,
-                    default_cutoff, empirical_stats, limit_covariance, r_variable,
-                    theoretical_moment, trace_charsums)
+                    default_cutoff, empirical_stats, limit_tables, r_variable, trace_charsums)
 
 ENUM_BUDGET = 2 * 10**6
 CHUNK = 1024
@@ -231,19 +230,12 @@ def build_report(records: list[FamilyRecord], cfg: SweepConfig) -> SweepReport:
         "convention": "F_over_f",
     }
     D = 2 * cfg.gamma
-    theo_m: dict = {}
-    for k in sorted(records[0].R.keys()):
-        theo_m[str(k)] = {}
-        for n in range(1, min(cfg.max_n, 6) + 1):
-            value, tail = theoretical_moment(cfg.q, k, n, D)
-            theo_m[str(k)][str(n)] = {"value": value, "tail_bound": tail, "D": D}
-    theo_c: dict = {}
-    ks = sorted(records[0].R.keys())
-    for i in ks:
-        for j in ks:
-            if i < j and i >= 1:
-                value, tail = limit_covariance(cfg.q, i, j, D)
-                theo_c[f"{i},{j}"] = {"value": value, "tail_bound": tail, "D": D}
-    report.theoretical_moments = theo_m
-    report.theoretical_covariance = theo_c
+    moments, covariance = limit_tables(cfg.q, range(cfg.r_max), min(cfg.max_n, 6), D)
+    for row in moments.values():
+        for entry in row.values():
+            entry["D"] = D
+    for entry in covariance.values():
+        entry["D"] = D
+    report.theoretical_moments = moments
+    report.theoretical_covariance = covariance
     return report

@@ -50,6 +50,9 @@ def test_invalid_characteristic():
         make_field(9)
     with pytest.raises(InvalidCharacteristicError):
         make_field(15)
+    for p in (0, 1, -3, 25, 49):  # no prime divisor, or a prime power
+        with pytest.raises(InvalidCharacteristicError):
+            make_field(p)
 
 
 def test_squares_in_f9():

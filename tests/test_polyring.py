@@ -167,6 +167,10 @@ def test_prime_count_values():
     assert prime_count(3, 1) == 3
     assert prime_count(3, 2) == 3
     assert prime_count(2, 4) == 3  # formula-only use of even q
+    # every element of F_{q^n} has a minimal polynomial of some degree d | n
+    for q in (3, 5, 7):
+        for n in range(1, 13):
+            assert sum(d * prime_count(q, d) for d in range(1, n + 1) if n % d == 0) == q**n
 
 
 @pytest.mark.parametrize("q,nmax", [(3, 6), (5, 6)])

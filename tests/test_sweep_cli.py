@@ -60,6 +60,31 @@ def test_json_dumps_deterministic():
     out = json.loads(json_dumps(payload))
     assert out["b"] == "1/3"
     assert out["a"][0] == 0.25
+    # what the reports hand over unconverted: int keys at every level,
+    # Fractions inside a tuple and a nested dict, bools beside ints, a NaN
+    payload = {2: {3: (Fraction(1, 2), 1), 1: {"f": Fraction(-5, 3), "n": {4: Fraction(6)}}},
+               "flags": [True, 1, False, 0], "x": math.nan}
+    assert json_dumps(payload) == """{
+  "2": {
+    "1": {
+      "f": "-5/3",
+      "n": {
+        "4": "6"
+      }
+    },
+    "3": [
+      "1/2",
+      1
+    ]
+  },
+  "flags": [
+    true,
+    1,
+    false,
+    0
+  ],
+  "x": null
+}"""
 
 
 # -- sweeps ----------------------------------------------------------------------
@@ -358,6 +383,17 @@ def test_cli_curve_info():
     assert data["zeta"]["2"] == "187/108"
 
 
+# sha256 of the stdout of `curve-info` on each curve
+@pytest.mark.parametrize("q,f,sha", [
+    ("3", "0,1,0,0,0,1", "211729deb23c63690f68e2fc17356cb3dde4accb2c59947af0154fd08a9d1715"),
+    ("5", "1,1,0,0,0,0,0,1", "0d4144a9aa8e2e10a681134ef31a25c0a3543c50514213f8a6ab04f7bb7fb107"),
+])
+def test_cli_curve_info_golden_bytes(q, f, sha):
+    code, out = run_cli("curve-info", "--q", q, "--f", f)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
 def test_cli_moduli_higgs():
     code, out = run_cli("moduli", "--q", "3", "--f", "0,1,0,0,0,1",
                         "--target", "higgs")
@@ -464,6 +500,25 @@ def test_cli_moments_golden_bytes(args, sha):
     code, out = run_cli("moments", *args)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
+def test_sweep_and_moments_print_the_same_limit_law(tmp_path):
+    # sweep --q 3 --gamma 7 has r_max 4, max_n 4 and D = 2 gamma = 14
+    code, out = run_cli("sweep", "--q", "3", "--gamma", "7", "--out", str(tmp_path / "s.csv"))
+    assert code == 0
+    report = json.loads(out)
+    code, out = run_cli("moments", "--q", "3", "--k-max", "3", "--n-max", "4", "--D", "14")
+    assert code == 0
+    limits = json.loads(out)
+
+    def without_d(table):
+        return {key: {k: v for k, v in entry.items() if k != "D"} for key, entry in table.items()}
+
+    moments = {k: without_d(row) for k, row in report["theoretical_moments"].items()}
+    assert moments == limits["moments"]
+    assert without_d(report["theoretical_covariance"]) == limits["covariance"]
+    assert set(limits["moments"]) == {"0", "1", "2", "3"}
+    assert set(limits["covariance"]) == {"1,2", "1,3", "2,3"}
 
 
 def test_cli_parse_error_exit_code(capsys):
@@ -987,11 +1042,13 @@ def test_import_starts_no_blas_thread_pool(preset, want):
 
 def test_console_entry_point():
     # installed script must work end to end in a fresh interpreter
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(root, "src") + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-m", "moduli_census.cli", "moduli", "--q", "3",
          "--f", "0,1,0,0,0,1", "--target", "ms20"],
-        capture_output=True, text=True,
-        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        capture_output=True, text=True, cwd=root, env=env)
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["value"] == "15"
