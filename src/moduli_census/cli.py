@@ -152,8 +152,6 @@ def cmd_moments(args) -> int:
     make_field(args.q)  # rejects a q that is not an odd prime, as every --q does
     if args.k_max < 0:
         raise DomainError(f"--k-max must be >= 0, got {args.k_max}")
-    if args.n_max < 1:
-        raise DomainError(f"--n-max must be >= 1, got {args.n_max}")
     try:
         ts = [float(s) for s in args.t.split(",")]
     except ValueError:

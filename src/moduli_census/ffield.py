@@ -104,13 +104,16 @@ def _least_irreducible(K: FieldHandle, degree: int) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=None)
 def make_field(p: int, m: int = 1) -> FieldHandle:
-    """F_{p^m} for an odd prime p: extend_field(make_field(p), m) for m > 1."""
+    """F_{p^m} for an odd prime p: extend_field(make_field(p), m) for m > 1.
+
+    An odd p with p^m past ORDER_BUDGET is refused as a budget error before
+    the trial division that tells whether p is prime."""
+    if p % 2 and p**m > ORDER_BUDGET:
+        raise BudgetError(f"field order {p}^{m} exceeds budget {ORDER_BUDGET}")
     if p % 2 == 0 or _prime_divisors(p) != [p]:
         raise InvalidCharacteristicError(f"characteristic must be an odd prime, got {p}")
     if m < 1:
         raise ValueError("extension degree must be >= 1")
-    if p**m > ORDER_BUDGET:
-        raise BudgetError(f"field order {p}^{m} exceeds budget {ORDER_BUDGET}")
     if m == 1:
         return FieldHandle(p, None, (), 1)
     return extend_field(make_field(p), m)

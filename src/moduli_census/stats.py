@@ -2,9 +2,13 @@
 
 Per curve: the truncated Lambda-weighted character sums, the random
 variables R^(k) built from them, and the centered log-count residuals of
-the moduli formulas.  In the limit: the moments H^(k)(n) as sums over
-tuples of distinct monic irreducibles, the limiting covariance, and the
-characteristic functions, all aggregated by prime degree through pi_q.
+the moduli formulas.  In the limit, R^(k) becomes S = sum_P X_P, a sum of
+independent local variables, one per monic irreducible P: X_P is
+-log(1 - chi(P) |P|^-(k+1)) with chi(P) = 1 or -1 each with probability
+|P| / (2 (|P| + 1)) and 0 with probability 1 / (|P| + 1).  All primes of
+one degree e share a law, so every sum over primes is a sum over e with
+weight pi_q(e): the cumulants of S (and from them its moments H^(k)(n)),
+the limiting covariance, and log phi(t), phi the characteristic function.
 
 Symbol orientation.  The Dirichlet character attached to y^2 = F(x) takes
 the value (F/f) at f, and only that orientation satisfies the exact trace
@@ -16,12 +20,13 @@ counts.  The mirrored symbol (f/F) differs by the reciprocity sign
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import asdict, dataclass, field as dc_field
 
 from .curvezeta import CurveZeta, log_frac
 from .errors import DomainError
-from .moduli import COUNT_TARGETS, _compositions, count_value, family_constant
+from .moduli import COUNT_TARGETS, count_value, family_constant
 from .polyring import MonicPoly, _irreducible_ivs, _iv, _iv_jacobi, is_squarefree, prime_count
 
 RESIDUAL_VARIANTS = COUNT_TARGETS  # one residual per moduli count
@@ -224,19 +229,7 @@ def empirical_stats(records: list[FamilyRecord], max_n: int = 4) -> SweepReport:
                        covariance=covariance, gaussian=gaussian)
 
 
-# -- limiting moments, covariance, characteristic functions -----------------
-
-def _set_partitions(items: tuple):
-    """All partitions of `items` into nonempty blocks."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [part[i] + (first,)] + part[i + 1:]
-        yield part + [(first,)]
-
+# -- the limit law: a sum over independent primes ----------------------------
 
 def _check_float_range(q: int, D: int, name: str, count: int) -> None:
     """Refuse a truncation degree D whose count (q^D or pi_q(D), the largest
@@ -248,75 +241,94 @@ def _check_float_range(q: int, D: int, name: str, count: int) -> None:
                           " the binary64 range") from None
 
 
-def theoretical_moment(q: int, k: int, n: int, D: int) -> tuple[float, float]:
-    """Limiting n-th moment H^(k)(n), primes truncated at degree D.
+# The last order whose moments hold 1e-12 relative in binary64: the cumulant
+# recursion cancels more with each order (see theoretical_moment).
+MAX_MOMENT_ORDER = 17
 
-    Returns (value, tail_bound).  Distinct-tuple sums are aggregated by
-    prime degree: within a block of indices forced to share one prime the
-    degree sum is weighted by pi_q(e), and distinctness across blocks is
-    unwound by the Moebius weights over set partitions.  The tail bound
-    uses |w_1| <= 2 x^2 and |w_lam| <= 2 (2x)^lam / lam! with
-    x = |P|^-(k+1).
+
+def check_moment_order(n: int) -> None:
+    """Refuse a moment order outside 1..MAX_MOMENT_ORDER."""
+    if not 1 <= n <= MAX_MOMENT_ORDER:
+        raise DomainError(f"the moment order n must be in 1..{MAX_MOMENT_ORDER}, got {n}")
+
+
+def _binomial_sum(row: list, a: list, b: list, top: int) -> float:
+    """sum_{j=1}^{top} C(i-1, j-1) a[j] b[i-j], row[j-1] = C(i-1, j-1) with
+    i = len(row): the step of the recursion m_i = sum_{j=1}^{i} C(i-1, j-1)
+    kappa_j m_{i-j} between moments and cumulants."""
+    i = len(row)
+    return sum(row[j - 1] * a[j] * b[i - j] for j in range(1, top + 1))
+
+
+def _cumulants(mu: list, rows: list, sign: float = -1.0) -> list:
+    """kappa_0 = 0 and kappa_1..kappa_n from the moments mu_0 = 1, mu_1..mu_n;
+    with sign = +1 the same recursion with every term added, which bounds
+    |kappa_i| when mu_i bounds |mu_i|."""
+    kappa = [0.0]
+    for i in range(1, len(mu)):
+        kappa.append(mu[i] + sign * _binomial_sum(rows[i], kappa, mu, i - 1))
+    return kappa
+
+
+def theoretical_moment(q: int, k: int, n: int, D: int) -> tuple[float, float]:
+    """Limiting n-th moment H^(k)(n) = E[S^n], primes truncated at degree D.
+
+    Returns (value, tail_bound).  A prime of degree e has x = q^-(k+1)e,
+    and its X_e is u = -log(1-x) with probability w/2, -v = -log(1+x) with
+    probability w/2 and 0 otherwise, w = 1/(1 + q^-e); so
+    E[X_e^m] = w (u^m + (-v)^m) / 2.  The X_P are independent, so the
+    cumulants add: kappa_n(S) = sum_e pi_q(e) kappa_n(X_e), each
+    kappa_n(X_e) from the moments of X_e.  The moments of S come back through
+    the recursion of _binomial_sum.
+
+    Tail bound.  With x = q^-(k+1)e <= 1/3, u <= x/(1-x) <= 1.5 x and
+    v <= x, so X_e / x has |E[(X_e/x)^m]| <= M_m = (1.5^m + 1)/2 and, by the
+    cumulant recursion with every term added, |kappa_m(X_e)| <= C_m x^m;
+    for m = 1 also |kappa_1| = w (u - v)/2 = -w log(1-x^2)/2 <= x^2.  As
+    pi_q(e) <= q^e, the cumulants of the primes past D sum to at most
+    delta_m = C_m y^(D+1) / (1-y), y = q^(1-(k+1) max(m,2)) (C_1 := 1).
+    Writing the full cumulants as kappa_j + r_j, |r_j| <= delta_j, the
+    moment recursion gives the moment differences exactly as
+    d_i = sum_j C(i-1, j-1) [r_j (m_{i-j} + d_{i-j}) + kappa_j d_{i-j}],
+    so |d_n| is at most the same sum taken in absolute values, which is
+    the returned bound; no term of it cancels.
+
+    Rounding is not in the bound, and it is what limits n.  The cumulants
+    of S grow like n! while its moments grow geometrically, so the moment
+    recursion cancels more with each order.  Against the same sums at 150
+    digits, on q in {3, 5, 7}, k <= 20 and D <= 20, the value is within
+    3e-13 relative for n <= MAX_MOMENT_ORDER = 17, 2e-12 at n = 18, and has
+    no correct digit by n = 40, so orders past 17 are refused.
     """
-    if not 1 <= n <= 6:
-        raise DomainError("moment order limited to 1 <= n <= 6")
+    check_moment_order(n)
     if D < 1 or k < 0:
         raise DomainError("need D >= 1 and k >= 0")
     _check_float_range(q, D, "pi_q(D)", prime_count(q, D))
-    kk = k + 1
-    pis = [0] + [prime_count(q, e) for e in range(1, D + 1)]
-    u = [0.0] + [-math.log1p(-q ** (-kk * e)) for e in range(1, D + 1)]
-    v = [0.0] + [math.log1p(q ** (-kk * e)) for e in range(1, D + 1)]
-    wfac = [0.0] + [1.0 / (1.0 + q ** (-e)) for e in range(1, D + 1)]
-    fact = [math.factorial(i) for i in range(n + 1)]
-
-    def w(lam: int, e: int) -> float:
-        return (u[e] ** lam + (-1) ** lam * v[e] ** lam) * wfac[e] / fact[lam]
-
-    def w_bound_coeff(lam: int) -> tuple[float, int]:
-        # |w_lam(e)| <= coeff * x^expo with x = q^(-(k+1)e)
-        if lam == 1:
-            return 2.0, 2
-        return 2.0 * 2**lam / fact[lam], lam
-
-    def block_sum(lams_in_block: tuple[int, ...]) -> float:
-        return math.fsum(
-            pis[e] * math.prod(w(lam, e) for lam in lams_in_block)
-            for e in range(1, D + 1))
-
-    def block_bounds(lams_in_block: tuple[int, ...]) -> tuple[float, float]:
-        # (bound of the full series, bound of the tail beyond D)
-        coeff = 1.0
-        expo = 0
-        for lam in lams_in_block:
-            c, x = w_bound_coeff(lam)
-            coeff *= c
-            expo += x
-        y = q ** (1 - kk * expo)  # pi_q(e) <= q^e
-        if y >= 1.0:  # pragma: no cover - expo >= 2 keeps y <= 1/q
-            return math.inf, math.inf
-        full = coeff * y / (1.0 - y)
-        tail = coeff * y ** (D + 1) / (1.0 - y)
-        return full, tail
-
-    total = 0.0
-    tail_total = 0.0
-    for s in range(1, n + 1):
-        coeff = fact[n] / (2**s * fact[s])
-        for comp in (c for c in _compositions(n) if len(c) == s):
-            for part in _set_partitions(tuple(range(s))):
-                weight = math.prod((-1) ** (len(B) - 1) * fact[len(B) - 1]
-                                   for B in part)
-                blocks = [tuple(comp[i] for i in B) for B in part]
-                total += coeff * weight * math.prod(block_sum(b) for b in blocks)
-                bounds = [block_bounds(b) for b in blocks]
-                for t_idx in range(len(blocks)):
-                    tail_piece = bounds[t_idx][1]
-                    for o_idx, (full, _) in enumerate(bounds):
-                        if o_idx != t_idx:
-                            tail_piece *= full
-                    tail_total += coeff * abs(weight) * tail_piece
-    return total, tail_total
+    rows = [[float(math.comb(i - 1, j)) for j in range(i)] for i in range(n + 1)]
+    kappa = [0.0] * (n + 1)
+    for e in range(1, D + 1):
+        x = q ** (-(k + 1) * e)
+        u, v, w = -math.log1p(-x), math.log1p(x), 1.0 / (1.0 + q ** (-e))
+        pe = prime_count(q, e)
+        # u^m + (-v)^m; for odd m, (u - v)(u^(m-1) + ... + v^(m-1)) with
+        # u - v = -log(1 - x^2), as u^m - v^m would lose digits when x is small
+        mu = [1.0] + [w * (u**m + v**m if m % 2 == 0 else -math.log1p(-x * x)
+                           * sum(u ** (m - 1 - j) * v**j for j in range(m))) / 2
+                      for m in range(1, n + 1)]
+        for m, c in enumerate(_cumulants(mu, rows)):
+            kappa[m] += pe * c
+    C = _cumulants([1.0] + [(1.5**m + 1) / 2 for m in range(1, n + 1)], rows, 1.0)
+    delta = [0.0]
+    for m in range(1, n + 1):
+        y = q ** (1 - (k + 1) * max(m, 2))
+        delta.append((C[m] if m > 1 else 1.0) * y ** (D + 1) / (1.0 - y))
+    moments, diffs = [1.0], [0.0]
+    for i in range(1, n + 1):
+        moments.append(_binomial_sum(rows[i], kappa, moments, i))
+        upper = [abs(a) + b for a, b in zip(moments, diffs)]
+        diffs.append(_binomial_sum(rows[i], delta, upper, i)
+                     + _binomial_sum(rows[i], [abs(c) for c in kappa], diffs, i))
+    return moments[n], diffs[n]
 
 
 def limit_covariance(q: int, i: int, j: int, D: int) -> tuple[float, float]:
@@ -353,6 +365,7 @@ def limit_tables(q: int, ks, n_max: int, D: int) -> tuple[dict, dict]:
     moments {"k": {"n": entry}} for k in ks and n = 1..n_max, and the
     covariances {"i,j": entry} for every pair 1 <= i < j in ks, each entry
     {"value", "tail_bound"}.  The moments are computed first, k before n."""
+    check_moment_order(n_max)
     moments: dict = {}
     for k in ks:
         moments[str(k)] = {}
@@ -369,8 +382,15 @@ def limit_tables(q: int, ks, n_max: int, D: int) -> tuple[dict, dict]:
 
 
 def characteristic_function(q: int, k: int, t: float, D: int) -> complex:
-    """phi(t) of the limiting variable: distinct-prime expansion.
+    """phi(t) = E[exp(i t S)] of the limiting variable, primes truncated at D.
 
+    The X_P are independent, so phi is the product over e of
+    (1 + z_e)^pi_q(e), z_e = E[exp(i t X_e)] - 1 = w (e^(itu) - 1 + e^(-itv) - 1)/2
+    (u, v, w of theoretical_moment), taken as exp(sum_e pi_q(e) log1p(z_e)).
+    e^(i theta) - 1 is -2 sin^2(theta/2) + i sin(theta), and sin(tu) - sin(tv)
+    is 2 sin(t(u-v)/2) cos(t(u+v)/2) with u - v = -log(1-x^2) and
+    (u+v)/2 = atanh(x), so z_e has no cancellation;
+    log1p(z) = (log1p(2 Re z + |z|^2)/2, atan2(Im z, 1 + Re z)).
     `q` is the order of the coefficient field of the primes (pass q^2 for
     the desingularization variant, whose primes live over F_{q^2}).
     """
@@ -383,29 +403,13 @@ def characteristic_function(q: int, k: int, t: float, D: int) -> complex:
     if t == 0.0:
         return complex(1.0, 0.0)
     _check_float_range(q, D, "pi_q(D)", prime_count(q, D))
-    kk = k + 1
-    weights = []
-    counts = []
+    re, im = [], []
     for e in range(1, D + 1):
-        x = q ** (-kk * e)
-        w = ((1.0 - x) ** complex(0, -t) + (1.0 + x) ** complex(0, -t) - 2.0) \
-            / (1.0 + q ** (-e))
-        weights.append(w)
-        counts.append(prime_count(q, e))
-    # elementary symmetric functions of degree <= 40 of the weight multiset via Newton
-    n_max = 40
-    pw = [complex(0)] * (n_max + 1)
-    for jj in range(1, n_max + 1):
-        pw[jj] = sum(c * w**jj for c, w in zip(counts, weights))
-    es = [complex(1)] + [complex(0)] * n_max
-    phi = complex(1.0, 0.0)
-    for s in range(1, n_max + 1):
-        acc = complex(0)
-        for jj in range(1, s + 1):
-            acc += (-1) ** (jj - 1) * es[s - jj] * pw[jj]
-        es[s] = acc / s
-        term = es[s] / 2**s
-        phi += term
-        if abs(term) < 1e-17:
-            break
-    return phi
+        x = q ** (-(k + 1) * e)
+        u, v, w = -math.log1p(-x), math.log1p(x), 1.0 / (1.0 + q ** (-e))
+        zr = -w * (math.sin(t * u / 2) ** 2 + math.sin(t * v / 2) ** 2)
+        zi = w * math.sin(-t * math.log1p(-x * x) / 2) * math.cos(t * math.atanh(x))
+        pe = prime_count(q, e)
+        re.append(pe * math.log1p(2 * zr + zr * zr + zi * zi) / 2)
+        im.append(pe * math.atan2(zi, 1 + zr))
+    return cmath.exp(complex(math.fsum(re), math.fsum(im)))

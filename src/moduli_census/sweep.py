@@ -27,8 +27,9 @@ from .errors import BudgetError, DomainError
 from .ffield import make_field
 from .moduli import _full_2_torsion, check_stable_domain
 from .polyring import FamilySpec, format_poly
-from .stats import (RESIDUAL_VARIANTS, FamilyRecord, SweepReport, decomposition_residual,
-                    default_cutoff, empirical_stats, limit_tables, r_variable, trace_charsums)
+from .stats import (RESIDUAL_VARIANTS, FamilyRecord, SweepReport, check_moment_order,
+                    decomposition_residual, default_cutoff, empirical_stats, limit_tables,
+                    r_variable, trace_charsums)
 
 ENUM_BUDGET = 2 * 10**6
 CHUNK = 1024
@@ -162,8 +163,7 @@ def run_sweep(cfg: SweepConfig) -> list[FamilyRecord]:
         raise DomainError("family degree must be >= 3")
     if cfg.cutoff < 1:
         raise DomainError("truncation Z must be >= 1")
-    if cfg.max_n < 1:
-        raise DomainError("the highest moment max_n must be >= 1")
+    check_moment_order(cfg.max_n)
     if cfg.r_max < 1:
         raise DomainError("the number of R^(k) columns r_max must be >= 1")
     if cfg.compute_moduli:
@@ -230,7 +230,7 @@ def build_report(records: list[FamilyRecord], cfg: SweepConfig) -> SweepReport:
         "convention": "F_over_f",
     }
     D = 2 * cfg.gamma
-    moments, covariance = limit_tables(cfg.q, range(cfg.r_max), min(cfg.max_n, 6), D)
+    moments, covariance = limit_tables(cfg.q, range(cfg.r_max), cfg.max_n, D)
     for row in moments.values():
         for entry in row.values():
             entry["D"] = D

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from moduli_census.errors import DomainError, InvalidCharacteristicError
+from moduli_census.errors import BudgetError, DomainError, InvalidCharacteristicError
 from moduli_census.ffield import extend_field, make_field
 from moduli_census.polyring import MonicPoly, jacobi_symbol, parse_poly
 
@@ -52,6 +52,13 @@ def test_invalid_characteristic():
         make_field(15)
     for p in (0, 1, -3, 25, 49):  # no prime divisor, or a prime power
         with pytest.raises(InvalidCharacteristicError):
+            make_field(p)
+
+
+def test_an_odd_characteristic_past_the_budget_is_a_budget_error():
+    # refused before the trial division, prime (10^14 + 31) or not (10^8 + 1 = 17 * 5882353)
+    for p in (10**14 + 31, 10**8 + 1):
+        with pytest.raises(BudgetError):
             make_field(p)
 
 

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 
+import mpmath as mp
 import pytest
 
 from moduli_census.errors import DomainError
@@ -21,6 +22,7 @@ from moduli_census.polyring import (
 )
 from moduli_census.curvezeta import HyperellipticCurve, zeta_data
 from moduli_census.stats import (
+    MAX_MOMENT_ORDER,
     FamilyRecord,
     character_sum,
     characteristic_function,
@@ -285,11 +287,57 @@ def test_theoretical_moment_series_specialization():
 
 
 def test_theoretical_moment_tail_is_bound():
-    # adding more primes never escapes value + tail
-    for n in (1, 2, 3):
-        v4, t4 = theoretical_moment(3, 1, n, 4)
-        v12, _ = theoretical_moment(3, 1, n, 12)
-        assert abs(v12 - v4) <= t4
+    # adding the primes of degree D+1..3D never escapes value + tail
+    for q in (3, 5, 7):
+        for k in range(4):
+            for D in (1, 2, 4, 6, 10):
+                for n in range(1, 9):
+                    value, tail = theoretical_moment(q, k, n, D)
+                    longer, _ = theoretical_moment(q, k, n, 3 * D)
+                    assert tail > 0
+                    assert abs(longer - value) <= tail, (q, k, D, n)
+
+
+def test_theoretical_moment_exhaustive_oracle():
+    # the 6 monic irreducibles of degree <= 2 over F_3: every outcome
+    # chi(P) in {1, -1, 0}, with probability |P| / (2 (|P| + 1)) for each
+    # sign and 1 / (|P| + 1) for 0, and S = sum_P -log(1 - chi(P) |P|^-(k+1));
+    # k = 9 is where the float recursion loses the most digits by n = 17
+    with mp.workdps(50):
+        norms = [mp.mpf(3)] * 3 + [mp.mpf(9)] * 3
+        for k in (0, 1, 2, 9):
+            outcomes = []
+            for chis in itertools.product((1, -1, 0), repeat=6):
+                prob = math.prod(1 / (N + 1) if c == 0 else N / (2 * (N + 1))
+                                 for N, c in zip(norms, chis))
+                outcomes.append((prob, mp.fsum(-mp.log(1 - c * N ** -(k + 1))
+                                               for N, c in zip(norms, chis))))
+            for n in range(1, MAX_MOMENT_ORDER + 1):
+                exact = mp.fsum(prob * s**n for prob, s in outcomes)
+                value, _ = theoretical_moment(3, k, n, 2)
+                assert value == pytest.approx(float(exact), rel=1e-12), (k, n)
+
+
+@pytest.mark.parametrize("q, k, D, values", [
+    (3, 1, 14, [0.014188583491591543, 0.028658113553677127, 0.0013445598159647313,
+                0.002034443180356149, 0.000170075097149973, 0.00019658711022940736]),
+    (5, 2, 20, [0.0001333572976923118, 0.0002667359353487628, 1.1097577741173701e-07,
+                1.8784408605809113e-07, 1.3479861640670407e-10, 1.9243379519105908e-10]),
+])
+def test_theoretical_moment_keeps_the_set_partition_values(q, k, D, values):
+    # H^(k)(n), n = 1..6, as the expansion over set partitions gave them
+    for n, want in enumerate(values, 1):
+        assert theoretical_moment(q, k, n, D)[0] == pytest.approx(want, rel=1e-12)
+
+
+def test_theoretical_moment_order_range():
+    # n = 17 is the last order the exhaustive oracle above holds to 1e-12;
+    # the next one is refused, and no order below 1 is taken
+    assert MAX_MOMENT_ORDER == 17
+    theoretical_moment(3, 1, 17, 1)
+    for n in (18, 0):
+        with pytest.raises(DomainError, match=f"must be in 1..17, got {n}"):
+            theoretical_moment(3, 1, n, 1)
 
 
 def test_theoretical_moment_n2_asymptotic_shape():
@@ -388,6 +436,24 @@ def test_phi_cumulant_match():
 def test_phi_bounded():
     for t in (0.5, 2.0, 10.0):
         assert abs(characteristic_function(3, 1, t, 6)) <= 1.0 + 1e-9
+
+
+def test_phi_matches_a_50_digit_product():
+    # the product over e of (1 + z_e)^pi_q(e), z_e = w_e ((1-x)^-it + (1+x)^-it - 2) / 2,
+    # at mpmath precision
+    with mp.workdps(50):
+        for q in (3, 5, 7, 9):
+            for k in range(3):
+                for t in (0.01, 0.3, 1, 5, 20, 50, -7):
+                    it = mp.mpc(0, -t)
+                    product = mp.mpc(1)
+                    for e in range(1, 21):
+                        x = mp.mpf(q) ** (-(k + 1) * e)
+                        z = ((1 - x) ** it + (1 + x) ** it - 2) / (2 * (1 + mp.mpf(q) ** -e))
+                        product *= (1 + z) ** prime_count(q, e)
+                        if e in (1, 6, 14, 20):
+                            phi = characteristic_function(q, k, t, e)
+                            assert abs(phi - complex(product)) <= 1e-12, (q, k, t, e)
 
 
 def test_phi_refuses_a_degree_past_the_float_range():

@@ -346,6 +346,7 @@ def test_sweep_over_point_budget_builds_no_table_above_it(monkeypatch, capsys, w
     ["--z", "-1"],
     ["--max-n", "0"],
     ["--max-n", "-2"],
+    ["--max-n", "18"],  # past MAX_MOMENT_ORDER
     ["--r-max", "0"],
     ["--r-max", "-1"],
 ])
@@ -472,7 +473,7 @@ def test_cli_sweep_worker_bytes(tmp_path):
 # sha256 of the CSV and report JSON of `sweep --q 3 --gamma 7 --mode sample
 # --count 256 --seed 1` with the extra flags; the report does not depend on
 # the moduli columns, so all three share one
-REPORT_SHA = "f699b871c4b59960a6e82fdd98aa614bf967c7db38522d31b72dbbe3a63cf3b6"
+REPORT_SHA = "7ce33ad02e0c90501ccfe99d398f9438c02821d36285192fcf840f010276db63"
 
 
 @pytest.mark.parametrize("flags,csv_sha", [
@@ -492,9 +493,9 @@ def test_cli_sweep_golden_bytes(tmp_path, flags, csv_sha):
 
 # sha256 of the stdout of `moments` with the flags
 @pytest.mark.parametrize("args,sha", [
-    (("--q", "3"), "86b135bf45546c947489b1a156debd5b8fdd1c788c6c5f31aec7dbf309f964bc"),
+    (("--q", "3"), "39a39e2309a9130f381d0f44f726c93bf19e9735e2407c32c1db26630b182cd7"),
     (("--q", "5", "--k-max", "3", "--n-max", "6", "--D", "20"),
-     "930f66f3a56791ca022a52d6561ba6a37b31f2ea58fa9f991e9eadbc9bc96804"),
+     "42f92959b9acd0801727e45994a4896eedf2b076c0bf40861a1535ac872e136d"),
 ], ids=["q3-defaults", "q5-n6-D20"])
 def test_cli_moments_golden_bytes(args, sha):
     code, out = run_cli("moments", *args)
@@ -519,6 +520,22 @@ def test_sweep_and_moments_print_the_same_limit_law(tmp_path):
     assert without_d(report["theoretical_covariance"]) == limits["covariance"]
     assert set(limits["moments"]) == {"0", "1", "2", "3"}
     assert set(limits["covariance"]) == {"1,2", "1,3", "2,3"}
+
+
+def test_theoretical_moments_past_the_sixth(tmp_path):
+    # sweep --max-n 8 and moments --n-max 8 carry H^(k)(n) for every n <= 8
+    code, out = run_cli("sweep", "--q", "3", "--gamma", "5", "--max-n", "8", "--no-moduli",
+                        "--out", str(tmp_path / "s.csv"))
+    assert code == 0
+    report = json.loads(out)
+    code, out = run_cli("moments", "--q", "3", "--k-max", "1", "--n-max", "8", "--D", "10")
+    assert code == 0
+    limits = json.loads(out)
+    for table in (report["theoretical_moments"], limits["moments"]):
+        assert set(table["1"]) == {str(n) for n in range(1, 9)}
+        assert all(entry["value"] > 0 and entry["tail_bound"] > 0
+                   for entry in table["1"].values())
+    assert report["theoretical_moments"]["1"]["8"]["value"] == limits["moments"]["1"]["8"]["value"]
 
 
 def test_cli_parse_error_exit_code(capsys):
@@ -962,6 +979,7 @@ def test_cli_moments():
     ["--q", "3", "--t", "0.5,inf"],
     ["--q", "3", "--k-max", "-1"],
     ["--q", "3", "--n-max", "0"],
+    ["--q", "3", "--n-max", "18"],
 ])
 def test_cli_moments_bad_input_exit_code(capsys, flags):
     # a q that make_field refuses, a --t that is not finite numbers, and a
