@@ -129,11 +129,11 @@ def cmd_moduli(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    variants = tuple(v for v in args.variants.split(",") if v) if args.variants else ()
+    variants = tuple(v for v in args.variants.split(",") if v)
     cfg = SweepConfig(
         q=args.q, gamma=args.gamma, mode=args.mode, count=args.count,
         seed=args.seed, z_override=args.z, r_max=args.r_max,
-        variants=variants or ("m_rd", "ms20", "higgs"),
+        variants=variants or SweepConfig.variants,
         rank=args.rank, degree=args.degree,
         workers=args.workers, check_budget=args.check_budget,
         compute_moduli=not args.no_moduli, max_n=args.max_n,

@@ -33,19 +33,22 @@ functional equation), and so is everything that reads only (q, P(t)).
 Sharing it is per run: a sweep (sweep.run_sweep) or a validate call
 (validate.run_suite) owns one L-polynomial registry for as long as it runs,
 {(N_1..N_g): [z, k]}, and a forked pool worker keeps its copy across its
-chunks.  z is the zeta data of the run's first curve with that key,
-validated there (Newton, the RH test, Jacobian positivity) and nowhere
-else; k counts the run's curves that have it.  Every later curve with the
-key shares z's N, psums and coeffs tuples.  The run keeps what else it
-derives from P(t) alone in the same entries: the sweep appends its first
-record, and validate's suites read the [z, k] pairs as their groups.
-Nothing outlives its run: a call outside one starts a registry of its
-own.  A CurveZeta holds its curve, N, power sums and P(t), and no cache:
-zeta_value and the moduli layer's values are functions of (q, P(t)), and
-the moduli layer keeps its integers of P(t) in a cache of its own.  What
-reads F stays per curve: every curve's own recounts N_m, m > g, are
-compared with the prediction, and the F column, the 2-torsion flag and the
-character route read each curve.
+chunks.  Both fill it through the one walk of the family,
+sweep.count_chunk, which counts each chunk with zeta_data_block (or, for
+bare counts keyed by p_1..p_Z, point_counts).  z is the zeta data of the
+run's first curve with that key, validated there (Newton, the RH test,
+Jacobian positivity) and nowhere else; k counts the run's curves that
+have it.  Every later curve with the key shares z's N,
+psums and coeffs tuples.  The run keeps what else it derives from P(t)
+alone in the same entries: the sweep appends its first record, and
+validate's suites read the [z, k] pairs as their groups.  Nothing outlives
+its run: a call outside one starts a registry of its own.  A CurveZeta
+holds its curve, N, power sums and P(t), and no cache: zeta_value and the
+moduli layer's values are functions of (q, P(t)), and the moduli layer
+keeps its integers of P(t) in a cache of its own.  What reads F stays per
+curve: every curve's own recounts N_m, m > g, are compared with the
+prediction, and the F column, the 2-torsion flag and the character route
+read each curve.
 """
 
 from __future__ import annotations

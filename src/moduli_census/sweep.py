@@ -1,17 +1,20 @@
 """Family sweeps: per-curve records, deterministic parallel execution, CSV.
 
-A sweep walks H_{gamma,q} (exhaustively or by seeded sampling) in chunks,
-counts the points of each chunk as one block, assembles a FamilyRecord per
-curve from its counts, and aggregates a SweepReport.  Each record is a pure
-function of the curve alone, chunks are dealt and reassembled in a fixed
-order, and the final aggregation is a single ordered pass, so output is
-byte-identical for any worker count.
+The family H_{gamma,q} is walked in one way, here, by both the sweep and
+validate: chunk_bounds cuts it into chunks of CHUNK codes (or draws), and
+count_chunk counts each chunk as one block into the run's L-polynomial
+registry (see curvezeta), for every count plan.  A sweep (exhaustive or by
+seeded sampling) assembles a FamilyRecord per curve from those counts and
+aggregates a SweepReport.  Each record is a pure function of the curve
+alone, chunks are dealt and reassembled in a fixed order, and the final
+aggregation is a single ordered pass, so output is byte-identical for any
+worker count.
 
-The run's L-polynomial registry (see curvezeta) holds the first record of
-each distinct L-polynomial of the run, or of a pool worker's chunks: every
-later curve that has it copies the fields that read only P(t) (the N
-columns, the Jacobian, R^(k), delta_Z, the residuals and xz_pass), and
-computes the F column and the full_2_torsion flag, which read F, itself.
+The registry holds the first record of each distinct L-polynomial of the
+run, or of a pool worker's chunks: every later curve that has it copies the
+fields that read only P(t) (the N columns, the Jacobian, R^(k), delta_Z,
+the residuals and xz_pass), and computes the F column and the
+full_2_torsion flag, which read F, itself.
 """
 
 from __future__ import annotations
@@ -111,31 +114,46 @@ def _count_plan(cfg: SweepConfig) -> tuple[int | None, list[int]]:
     return None, list(range(1, cfg.cutoff + 1))
 
 
+def chunk_bounds(cfg: SweepConfig) -> list[tuple[int, int]]:
+    """The [lo, hi) of each chunk of the family, CHUNK codes (or draws) each, in order."""
+    total = cfg.q**cfg.gamma if cfg.mode == "enumerate" else cfg.count
+    return [(lo, min(lo + CHUNK, total)) for lo in range(0, total, CHUNK)]
+
+
+def count_chunk(cfg: SweepConfig, lo: int, hi: int, registry: dict):
+    """(curve, key, z) for each member of the chunk [lo, hi), in order; each
+    N_m of the count plan is counted for the whole chunk at once.
+
+    Every member enters its entry [z, k] of the run's registry under its
+    key: N_1..N_g with its zeta data z (streamed, one curve at a time, as
+    zeta_data_block validates them), or p_1..p_Z with z None for bare
+    counts.
+    """
+    spec = FamilySpec(make_field(cfg.q), cfg.gamma, cfg.mode, cfg.count, cfg.seed)
+    curves = list(family_curves(spec, lo, hi))
+    budget, degrees = _count_plan(cfg)
+    if budget is not None:
+        return ((z.curve, z.N[:z.genus], z) for z in zeta_data_block(curves, budget, registry))
+    N = point_counts(curves, degrees)
+    keys = list(zip(*([cfg.q**m + 1 - n for n in N[m]] for m in degrees)))
+    for key in keys:
+        registry.setdefault(key, [None, 0])[1] += 1
+    return [(c, key, None) for c, key in zip(curves, keys)]
+
+
 def _chunk_worker(args, registry: dict | None = None) -> list:
-    """The records of one chunk; each N_m is counted for the whole chunk at once.
+    """The records of one chunk (count_chunk).
 
     The first record of each L-polynomial of the run enters its entry of
     the run's registry, and every later record of it copies that record's
-    shared fields.  Bare counts key the registry by p_1..p_Z instead, with
-    no zeta data.  A call without a registry starts its own.
+    shared fields.  A call without a registry starts its own.
     """
-    cfg, start, stop = args
+    cfg, lo, hi = args
     registry = {} if registry is None else registry
-    spec = FamilySpec(make_field(cfg.q), cfg.gamma, cfg.mode, cfg.count, cfg.seed)
-    curves = list(family_curves(spec, start, stop))
-    ms = range(1, cfg.cutoff + 1)
-    budget, degrees = _count_plan(cfg)
-    if budget is None:
-        N = point_counts(curves, degrees)
-        rows = ((c, [cfg.q**m + 1 - N[m][i] for m in ms], None) for i, c in enumerate(curves))
-    else:
-        rows = ((z.curve, [z.power_sum(m) for m in ms], z)
-                for z in zeta_data_block(curves, budget, registry))
     records = []
-    for curve, psums, z in rows:
-        entry = registry.setdefault(tuple(psums) if z is None else z.N[:curve.genus], [z, 0])
-        if z is None:  # zeta_data_block counts the curves of the other entries
-            entry[1] += 1
+    for curve, key, z in count_chunk(cfg, lo, hi, registry):
+        psums = key if z is None else [z.power_sum(m) for m in range(1, cfg.cutoff + 1)]
+        entry = registry[key]
         like = entry[2] if len(entry) > 2 else None
         records.append(compute_record(curve, cfg, psums, z if cfg.with_zeta else None, like))
         if like is None:
@@ -167,17 +185,18 @@ def run_sweep(cfg: SweepConfig) -> list[FamilyRecord]:
     if cfg.r_max < 1:
         raise DomainError("the number of R^(k) columns r_max must be >= 1")
     if cfg.compute_moduli:
-        for variant in cfg.variants:
+        for i, variant in enumerate(cfg.variants):
             if variant not in RESIDUAL_VARIANTS:
                 raise DomainError(f"unknown residual variant {variant!r}")
+            if variant in cfg.variants[:i]:
+                raise DomainError(f"residual variant {variant!r} is given twice")
         if "m_rd" in cfg.variants:
             check_stable_domain(cfg.rank, cfg.degree)
     FamilySpec(make_field(cfg.q), cfg.gamma, cfg.mode, cfg.count)  # rejects a bad mode or count
-    total = cfg.q**cfg.gamma if cfg.mode == "enumerate" else cfg.count
-    if cfg.mode == "enumerate" and total > ENUM_BUDGET:
-        raise BudgetError(f"enumerate mode needs q^gamma = {total} <= {ENUM_BUDGET};"
+    if cfg.mode == "enumerate" and cfg.q**cfg.gamma > ENUM_BUDGET:
+        raise BudgetError(f"enumerate mode needs q^gamma = {cfg.q**cfg.gamma} <= {ENUM_BUDGET};"
                           " use sample mode")
-    chunks = [(cfg, lo, min(lo + CHUNK, total)) for lo in range(0, total, CHUNK)]
+    chunks = [(cfg, lo, hi) for lo, hi in chunk_bounds(cfg)]
     workers = pool_size(cfg.workers, len(chunks))
     if workers == 1:
         registry: dict = {}
@@ -231,10 +250,7 @@ def build_report(records: list[FamilyRecord], cfg: SweepConfig) -> SweepReport:
     }
     D = 2 * cfg.gamma
     moments, covariance = limit_tables(cfg.q, range(cfg.r_max), cfg.max_n, D)
-    for row in moments.values():
-        for entry in row.values():
-            entry["D"] = D
-    for entry in covariance.values():
+    for entry in [e for row in moments.values() for e in row.values()] + [*covariance.values()]:
         entry["D"] = D
     report.theoretical_moments = moments
     report.theoretical_covariance = covariance

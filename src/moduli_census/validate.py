@@ -19,8 +19,10 @@ gives; a failing check's detail names the first curve of each failing
 P(t).  What reads F stays per curve: crossval's full 2-torsion flag, and
 the zeta and lambda suites, whose character route and trace identity are
 the independent check of P(t) itself, one call of l_poly_via_characters
-and of lambda_character_identity per block and m.  A run of every suite
-holds the family's zeta data once (_Family).
+and of lambda_character_identity per block and m.  The family is walked as
+a sweep walks it (_Family): its blocks are the sweep's chunks, counted by
+sweep.count_chunk into the run's registry, and a run of every suite holds
+them once.
 
 The moduli suites build no form of their own: every exact value they
 check comes from a moduli call (the count reports, unstable_mass,
@@ -33,7 +35,6 @@ values, through zeta_value) and the higgs report's a2_jacobian_identity
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,13 +44,11 @@ from .curvezeta import (
     check_symbol_budget,
     epsilon_bounds,
     epsilon_terms,
-    family_curves,
     l_poly_via_characters,
     lambda_character_identity,
     log_frac,
     xz_bound_check,
     zeta_data,
-    zeta_data_block,
 )
 from .errors import BudgetError, InternalConsistencyError
 from .ffield import make_field
@@ -64,8 +63,8 @@ from .moduli import (
     siegel_mass,
     unstable_mass,
 )
-from .polyring import FamilySpec, format_poly
-from .sweep import CHUNK, ENUM_BUDGET
+from .polyring import format_poly
+from .sweep import ENUM_BUDGET, SweepConfig, chunk_bounds, count_chunk
 
 
 @dataclass
@@ -77,18 +76,18 @@ class CheckResult:
 
 class _Family:
     """The zeta data of H_{gamma,q} at one check budget, and the run's
-    registry (curvezeta) that counting it fills.  blocks yields each block of
-    at most CHUNK CurveZeta, in family order.  A held family (a run of every
+    registry (curvezeta) that counting it fills.  blocks yields the
+    CurveZeta of each chunk of the sweep's walk (sweep.chunk_bounds,
+    sweep.count_chunk), in family order.  A held family (a run of every
     suite) is counted once, into a list; otherwise it is counted as its one
     suite reads it."""
 
     def __init__(self, q: int, gamma: int, check_budget: int, held: bool):
         self.registry: dict = {}
-        curves = family_curves(FamilySpec(make_field(q), gamma))
-        self.blocks = (list(zeta_data_block(block, check_budget, self.registry))
-                       for block in iter(lambda: list(itertools.islice(curves, CHUNK)), []))
-        if held:
-            self.blocks = list(self.blocks)
+        cfg = SweepConfig(q, gamma, check_budget=check_budget)
+        blocks = ([z for _, _, z in count_chunk(cfg, lo, hi, self.registry)]
+                  for lo, hi in chunk_bounds(cfg))
+        self.blocks = list(blocks) if held else blocks
 
 
 def _by_lpoly(zs: _Family):

@@ -28,7 +28,7 @@ from moduli_census.curvezeta import (
     zeta_data_block,
     zeta_value,
 )
-from moduli_census.sweep import CHUNK
+from moduli_census.sweep import CHUNK, SweepConfig, chunk_bounds
 
 F3 = make_field(3)
 X5X = parse_poly(F3, "0,1,0,0,0,1")    # x^5 + x
@@ -745,7 +745,7 @@ def test_validate_runs_the_public_character_route_per_block(monkeypatch):
     # counting wrappers on the names validate looks up, as the tracer puts
     # them there: the zeta suite calls l_poly_via_characters once per block
     # and the lambda suite lambda_character_identity once per block and m,
-    # on the 2500 curves of H_{5,5} in blocks of at most CHUNK
+    # on the 2500 curves of H_{5,5} in the sweep's chunks of CHUNK codes
     from moduli_census import validate
     calls: dict = {"l_poly": [], "lambda": []}
 
@@ -761,7 +761,9 @@ def test_validate_runs_the_public_character_route_per_block(monkeypatch):
                         counting("lambda", validate.lambda_character_identity))
     results = validate.run_suite("all", 5, 5)
     assert all(res.ok for res in results)
-    sizes = [CHUNK, CHUNK, 2500 - 2 * CHUNK]
+    sizes = [len(list(curvezeta.family_curves(FamilySpec(make_field(5), 5), lo, hi)))
+             for lo, hi in chunk_bounds(SweepConfig(q=5, gamma=5))]
+    assert sizes == [819, 820, 819, 42]
     assert calls["l_poly"] == [(b,) for b in sizes]
     assert calls["lambda"] == [(b, m) for b in sizes for m in (1, 2)]
 

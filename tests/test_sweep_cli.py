@@ -202,6 +202,25 @@ def test_registry_counts_every_record(flags):
     assert all(entry[1] > 0 for entry in registry.values())
 
 
+def test_validate_blocks_are_the_sweep_chunks():
+    # one walk: validate's blocks of H_{7,3} are the sweep's chunks, and
+    # counting them fills a registry with the sweep's keys, order and k
+    from moduli_census import validate
+    from moduli_census.polyring import format_poly
+    from moduli_census.sweep import _chunk_worker, chunk_bounds
+    cfg = SweepConfig(q=3, gamma=7, check_budget=10**4)
+    family = validate._Family(3, 7, 10**4, held=True)
+    bounds = chunk_bounds(cfg)
+    assert [len(block) for block in family.blocks] == [682, 680, 96]
+    registry: dict = {}
+    for block, (lo, hi) in zip(family.blocks, bounds, strict=True):
+        records = _chunk_worker((cfg, lo, hi), registry)
+        assert [format_poly(z.curve.F) for z in block] == [rec.F_text for rec in records]
+    entries = [(key, entry[1]) for key, entry in registry.items()]
+    assert [(key, entry[1]) for key, entry in family.registry.items()] == entries
+    assert sum(k for _, k in entries) == 1458
+
+
 def test_registry_does_not_outlive_its_run(monkeypatch, fresh_forms):
     # each run owns its registry: a full-record run and then an R-only run of
     # the same family, or two validate runs around a changed count, must each
@@ -349,6 +368,7 @@ def test_sweep_over_point_budget_builds_no_table_above_it(monkeypatch, capsys, w
     ["--max-n", "18"],  # past MAX_MOMENT_ORDER
     ["--r-max", "0"],
     ["--r-max", "-1"],
+    ["--variants", "m_rd,m_rd"],  # a repeated variant, not two equal columns
 ])
 def test_cli_sweep_bad_config_exit_code(capsys, flags):
     # rejected before any count, instead of a NaN column or a silent default
@@ -598,9 +618,10 @@ def test_cli_output_to_fifo(tmp_path):
 
 
 def test_validate_all_builds_zeta_data_once(monkeypatch):
-    from moduli_census import validate
+    # validate counts its family through the sweep's walk (sweep.count_chunk)
+    from moduli_census import sweep, validate
     calls = []
-    real, real_block = validate.zeta_data, validate.zeta_data_block
+    real, real_block = validate.zeta_data, sweep.zeta_data_block
 
     def counting(curve, check_budget=10**4):
         calls.append(check_budget)
@@ -611,7 +632,7 @@ def test_validate_all_builds_zeta_data_once(monkeypatch):
         return real_block(curves, check_budget, registry)
 
     monkeypatch.setattr(validate, "zeta_data", counting)
-    monkeypatch.setattr(validate, "zeta_data_block", counting_block)
+    monkeypatch.setattr(sweep, "zeta_data_block", counting_block)
     together = validate.run_suite("all", 3, 5)
     # one pass over the 162 curves at the largest budget, plus the higgs spot value
     assert calls.count(10**6) == 162 and len(calls) == 163
@@ -627,12 +648,12 @@ def test_cli_validate_exit_zero():
 
 def test_cli_validate_over_enumeration_budget(monkeypatch, capsys):
     # 3^15 > ENUM_BUDGET: validate must refuse before it counts anything
-    from moduli_census import validate
+    from moduli_census import sweep
 
     def no_count(*args, **kwargs):
         raise AssertionError("validate counted a curve")
 
-    monkeypatch.setattr(validate, "zeta_data_block", no_count)
+    monkeypatch.setattr(sweep, "zeta_data_block", no_count)
     code = main(["validate", "--suite", "xz", "--q", "3", "--gamma", "15"])
     assert code == 3
     captured = capsys.readouterr()
