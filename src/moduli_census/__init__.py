@@ -21,13 +21,9 @@ from .polyring import (
     FamilySpec,
     MonicPoly,
     family,
-    family_size,
     format_poly,
-    irreducible_polys,
     is_irreducible,
     is_squarefree,
-    jacobi_symbol,
-    jacobi_symbol_via_factorization,
     parse_poly,
     poly_from_code,
     prime_count,
@@ -74,7 +70,6 @@ from .stats import (
     gaussian_diagnostics,
     limit_covariance,
     r_variable,
-    residual_envelope,
     theoretical_moment,
 )
 from .sweep import SweepConfig, build_report, compute_record, records_to_csv, run_sweep

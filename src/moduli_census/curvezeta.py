@@ -16,8 +16,9 @@ symbols, l_poly_via_characters, must agree with it exactly.  It reduces a
 block of F modulo every prime P of one degree at once (polyring._residues)
 and reads (F/P) at the residue's number in a table per field and degree that
 holds (u / P) for every residue u, filled from the squares mod P: no discrete
-log, point count or reciprocity step.  lambda_character_identity reads the
-same tables.
+log, point count or reciprocity step.  The Lambda-weighted character sums
+of lambda_character_identity and stats.character_sum read the same tables
+through one helper, _lambda_sums.
 
 N_r counts points of the smooth projective model: one point above
 x = infinity for odd deg F, two for even deg F (monic leading 1 is a
@@ -468,30 +469,36 @@ def _jacobi_block(K, rows: np.ndarray, e: int) -> np.ndarray:
                            for acc in _residues(K, rows, _irreducible_ivs(K, e))])
 
 
+def _lambda_sums(K, rows: np.ndarray, m: int) -> np.ndarray:
+    """sum_{deg f = m} Lambda(f) (F/f) for each row F of K-indices (one degree).
+
+    Only prime powers f = P^j carry Lambda(f) = deg P, and (F/P^j) = (F/P)^j,
+    so the sum is sum_{e | m} e sum_{deg P = e} (F/P)^(m/e): the symbols of
+    the primes of each degree e | m, from the same tables as the Euler
+    product of l_poly_via_characters.
+    """
+    degrees = [e for e in range(1, m + 1) if m % e == 0]  # f = P^(m/e), deg P = e
+    check_symbol_budget(K.order, degrees)
+    totals = np.zeros(len(rows), dtype=np.int64)
+    for e in degrees:
+        totals += e * (_jacobi_block(K, rows, e) ** (m // e)).sum(axis=1, dtype=np.int64)
+    return totals
+
+
 def lambda_character_identity(zs, m: int) -> list[IdentityReport]:
     """Check -p_m = sum_{deg f = m} Lambda(f) (F/f) + delta exactly, for
     each curve of a block of CurveZeta (one field, one degree).
 
-    Only prime powers f = P^j carry Lambda(f) = deg P, and (F/P^j) = (F/P)^j,
-    so the right side is sum_{e | m} e sum_{deg P = e} (F/P)^(m/e): the
-    symbols of the primes of each degree e | m, from the same tables as the
-    Euler product of l_poly_via_characters.  The left side comes from the
-    point-count route.
+    The right side is _lambda_sums of the block, from the prime symbol
+    tables; the left side comes from the point-count route.
     """
     if m < 1:
         raise DomainError("need m >= 1")
     zs = list(zs)
     if not zs:
         return []
-    q = zs[0].curve.field.order
-    if q**m > POINT_BUDGET:
-        raise BudgetError(f"enumerating q^m = {q**m} monic polynomials exceeds budget")
-    degrees = [e for e in range(1, m + 1) if m % e == 0]  # f = P^(m/e), deg P = e
-    check_symbol_budget(q, degrees)
     K, rows = _block_rows([z.curve for z in zs])
-    totals = zs[0].curve.delta
-    for e in degrees:
-        totals = totals + e * (_jacobi_block(K, rows, e) ** (m // e)).sum(axis=1, dtype=np.int64)
+    totals = _lambda_sums(K, rows, m) + zs[0].curve.delta
     return [IdentityReport(lhs=-z.power_sum(m), rhs=total)
             for z, total in zip(zs, totals.tolist())]
 

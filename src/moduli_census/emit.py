@@ -14,13 +14,6 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_frac(s: str) -> Fraction:
-    if "/" in s:
-        num, den = s.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
-
-
 def fmt_float(x: float) -> str:
     if isinstance(x, float) and (math.isnan(x) or math.isinf(x)):
         return str(x)

@@ -1,4 +1,4 @@
-"""The polynomial ring F_q[x]: arithmetic, predicates, symbols, families.
+"""The polynomial ring F_q[x]: arithmetic, predicates, primes, families.
 
 MonicPoly is the public carrier (monic by construction, coefficients from
 degree 0 upward, each an element index of its field).  Internally most
@@ -9,14 +9,12 @@ paths are pure small-int arithmetic.  The product of two index vectors mod
 a third (_iv_mulmod) is also how an extension field multiplies its
 elements (ffield.FieldHandle.mul).
 
-The Jacobi symbol comes in two independent implementations that the test
-suite plays against each other: a Euclidean reduction using the monic
-reciprocity law
-
-    (f/g) = (g/f) * (-1)^((q-1)/2 * deg f * deg g),   (c/g) = chi(c)^deg g,
-
-and a factor-the-modulus route that reduces to Euler's criterion prime by
-prime.
+No symbol is computed here.  The package reads the Jacobi symbol (F/P) at
+a prime P from curvezeta's symbol tables, filled from the squares mod P;
+this module gives that route the primes of each degree in code order
+(_irreducible_ivs) and the reduction of a block of F mod all of them at
+once (_residues).  A reciprocity reduction and an Euler-criterion route
+stay in the tests as independent references (tests/reference.py).
 
 Family enumeration is total-ordered: coefficient vectors of monic
 square-free polynomials read as base-q integers, degree-0 digit least
@@ -63,18 +61,6 @@ class MonicPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def norm(self) -> int:
-        return self.field.order ** self.degree
-
-    def code(self) -> int:
-        """Coefficient vector read as a base-q integer (leading 1 dropped)."""
-        q = self.field.order
-        c = 0
-        for i in reversed(self.coeffs[:-1]):
-            c = c * q + i
-        return c
 
     def __mul__(self, other: "MonicPoly") -> "MonicPoly":
         if other.field is not self.field:
@@ -352,96 +338,6 @@ def von_mangoldt(f: MonicPoly) -> int:
     return sp.degree if sp**k == f else 0
 
 
-# -- Jacobi symbol -----------------------------------------------------------
-
-def _iv_jacobi(u: list[int], v: list[int], K: FieldHandle) -> int:
-    """(u/v) for a monic index vector v; u need not be reduced or monic."""
-    add, mul, inv, chi, neg = K.tables()
-    n = K.order
-    twist = K.order % 4 == 3
-    result = 1
-    u = list(u)
-    v = list(v)
-    while True:
-        dv = len(v) - 1
-        if dv == 0:
-            return result
-        u = _iv_mod(u, v, add, mul, neg, n)
-        if not u:
-            return 0
-        c = u[-1]
-        if c != 1:
-            # (c*u1/v) = chi(c)^deg(v) * (u1/v)
-            if dv & 1 and chi[c] < 0:
-                result = -result
-            ic = inv[c]
-            u = [mul[ic * n + a] if a else 0 for a in u]
-        du = len(u) - 1
-        if du == 0:
-            return result
-        if twist and (du & 1) and (dv & 1):
-            result = -result
-        u, v = v, u
-
-
-def jacobi_symbol(f: MonicPoly, F: MonicPoly) -> int:
-    """(f/F): product of quadratic-residue symbols over the factors of F.
-
-    0 exactly when gcd(f, F) != 1.  Computed by reciprocity reduction.
-    """
-    if f.field is not F.field:
-        raise DomainError("polynomials over different fields")
-    if F.degree < 1 or not is_squarefree(F):
-        raise DomainError("modulus must be monic square-free of degree >= 1")
-    return _iv_jacobi(_iv(f), _iv(F), f.field)
-
-
-def factor_squarefree(F: MonicPoly) -> list[MonicPoly]:
-    """Factor a monic square-free polynomial by cached trial division."""
-    K = F.field
-    u = _iv(F)
-    out = []
-    e = 1
-    while 2 * e <= len(u) - 1:
-        for piv in _irreducible_ivs(K, e):
-            if len(u) - 1 < 2 * e:
-                break
-            quot = _iv_divexact(u, list(piv), K)
-            if quot is not None:
-                out.append(MonicPoly(K, piv))
-                u = quot
-        e += 1
-    if len(u) - 1 >= 1:
-        out.append(MonicPoly(K, u))
-    return out
-
-
-def jacobi_symbol_via_factorization(f: MonicPoly, F: MonicPoly) -> int:
-    """(f/F) by factoring F and applying Euler's criterion per factor.
-
-    Independent of the reciprocity route; used as its cross-check.
-    """
-    if f.field is not F.field:
-        raise DomainError("polynomials over different fields")
-    if F.degree < 1 or not is_squarefree(F):
-        raise DomainError("modulus must be monic square-free of degree >= 1")
-    K = f.field
-    q = K.order
-    result = 1
-    minus_one = K.tables()[4][1]  # neg[1]
-    for P in factor_squarefree(F):
-        t = _iv_powmod(_iv(f), (q**P.degree - 1) // 2, _iv(P), K)
-        if not t:
-            return 0
-        if t == [1]:
-            continue
-        if t == [minus_one]:
-            result = -result
-        else:  # pragma: no cover
-            raise AssertionError("Euler criterion produced a non-unit")
-    return result
-
-
 RESIDUE_SUB_BLOCK = 2**14  # residue digits (rows x moduli x degree) reduced at once
 # a family is sieved by its squares P^2 when it has at most this many.  Each
 # costs a gather per digit of every row, so the sieve's cost per code grows
@@ -548,11 +444,6 @@ def _irreducible_ivs(K: FieldHandle, e: int) -> tuple[tuple[int, ...], ...]:
     return out
 
 
-def irreducible_polys(K: FieldHandle, e: int) -> list[MonicPoly]:
-    """All monic irreducibles of degree e over K, in code order."""
-    return [MonicPoly(K, iv) for iv in _irreducible_ivs(K, e)]
-
-
 # -- the family of monic square-free polynomials ----------------------------
 
 @dataclass(frozen=True)
@@ -575,11 +466,6 @@ class FamilySpec:
             raise DomainError(f"unknown family mode {self.mode!r}")
         if self.mode == "sample" and (self.count is None or self.count < 1):
             raise DomainError("sample mode needs a positive count")
-
-
-def family_size(q: int, gamma: int) -> int:
-    """|H_{gamma,q}| = q^gamma - q^(gamma-1) for gamma >= 2."""
-    return q**gamma - q ** (gamma - 1)
 
 
 def poly_from_code(K: FieldHandle, code: int, gamma: int) -> MonicPoly:

@@ -13,7 +13,10 @@ the limiting covariance, and log phi(t), phi the characteristic function.
 Symbol orientation.  The Dirichlet character attached to y^2 = F(x) takes
 the value (F/f) at f, and only that orientation satisfies the exact trace
 identity sum_{deg f = m} Lambda(f) (F/f) = -p_m - delta against the point
-counts.  The mirrored symbol (f/F) differs by the reciprocity sign
+counts.  A sweep takes the sums from the point counts by that identity
+(trace_charsums); character_sum takes them from the prime symbol tables
+that validate's character route reads (curvezeta._lambda_sums).  The
+mirrored symbol (f/F) differs by the reciprocity sign
 (-1)^((q-1)/2 * deg f * deg F), so its sums are (-1)^m times these when
 (q-1)/2 * gamma is odd.
 """
@@ -24,10 +27,12 @@ import cmath
 import math
 from dataclasses import asdict, dataclass, field as dc_field
 
-from .curvezeta import CurveZeta, log_frac
+import numpy as np
+
+from .curvezeta import CurveZeta, _lambda_sums, log_frac
 from .errors import DomainError
 from .moduli import COUNT_TARGETS, count_value, family_constant
-from .polyring import MonicPoly, _irreducible_ivs, _iv, _iv_jacobi, is_squarefree, prime_count
+from .polyring import MonicPoly, is_squarefree, prime_count
 
 RESIDUAL_VARIANTS = COUNT_TARGETS  # one residual per moduli count
 
@@ -40,26 +45,15 @@ def default_cutoff(gamma: int) -> int:
 def character_sum(F: MonicPoly, m: int) -> int:
     """sum over monic f of degree m of Lambda(f) * (F/f).
 
-    Only prime powers f = P^j contribute, so the sum runs over the cached
-    irreducibles of each degree e | m with weight e * (F/P)^(m/e).
+    Only prime powers f = P^j contribute, so the sum runs over the primes
+    of each degree e | m with weight e * (F/P)^(m/e), each symbol read from
+    the prime symbol tables (curvezeta._lambda_sums).
     """
     if m < 1:
         raise DomainError("need m >= 1")
     if not is_squarefree(F):
         raise DomainError("F must be square-free")
-    K = F.field
-    F_iv = _iv(F)
-    total = 0
-    for e in range(1, m + 1):
-        if m % e:
-            continue
-        j = m // e
-        sub = 0
-        for piv in _irreducible_ivs(K, e):
-            s = _iv_jacobi(F_iv, list(piv), K)
-            sub += s if j % 2 else abs(s)
-        total += e * sub
-    return total
+    return int(_lambda_sums(F.field, np.array([F.coeffs], dtype=np.int64), m)[0])
 
 
 def trace_charsums(psums: list[int], gamma: int) -> list[int]:
@@ -126,11 +120,6 @@ def decomposition_residual(z: CurveZeta, variant: str, Z: int | None = None,
     rsum = math.fsum(r_variable(charsums, q, k) for k in (0, 1))
     return (log_frac(value) - (8 * g - 6) * lq
             - family_constant(q, gamma, "higgs") - rsum)
-
-
-def residual_envelope(q: int, g: int) -> float:
-    """Decay envelope 10 q^(-g/2) for residual magnitude checks."""
-    return 10.0 * q ** (-0.5 * g)
 
 
 # -- per-curve records and their aggregation --------------------------------

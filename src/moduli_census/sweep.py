@@ -184,14 +184,13 @@ def run_sweep(cfg: SweepConfig) -> list[FamilyRecord]:
     check_moment_order(cfg.max_n)
     if cfg.r_max < 1:
         raise DomainError("the number of R^(k) columns r_max must be >= 1")
-    if cfg.compute_moduli:
-        for i, variant in enumerate(cfg.variants):
-            if variant not in RESIDUAL_VARIANTS:
-                raise DomainError(f"unknown residual variant {variant!r}")
-            if variant in cfg.variants[:i]:
-                raise DomainError(f"residual variant {variant!r} is given twice")
-        if "m_rd" in cfg.variants:
-            check_stable_domain(cfg.rank, cfg.degree)
+    for i, variant in enumerate(cfg.variants):
+        if variant not in RESIDUAL_VARIANTS:
+            raise DomainError(f"unknown residual variant {variant!r}")
+        if variant in cfg.variants[:i]:
+            raise DomainError(f"residual variant {variant!r} is given twice")
+    if "m_rd" in cfg.variants:
+        check_stable_domain(cfg.rank, cfg.degree)
     FamilySpec(make_field(cfg.q), cfg.gamma, cfg.mode, cfg.count)  # rejects a bad mode or count
     if cfg.mode == "enumerate" and cfg.q**cfg.gamma > ENUM_BUDGET:
         raise BudgetError(f"enumerate mode needs q^gamma = {cfg.q**cfg.gamma} <= {ENUM_BUDGET};"

@@ -1,0 +1,162 @@
+"""Independent references the tests compare the package against.
+
+None of these runs in the CLI, a sweep or validate.  The Jacobi symbol
+comes in two routes that the tests play against each other and against the
+package's prime symbol tables: _iv_jacobi, a Euclidean reduction using the
+monic reciprocity law
+
+    (f/g) = (g/f) * (-1)^((q-1)/2 * deg f * deg g),   (c/g) = chi(c)^deg g,
+
+and jacobi_symbol_via_factorization, which factors the modulus and applies
+Euler's criterion prime by prime.
+"""
+
+from __future__ import annotations
+
+import functools
+from fractions import Fraction
+
+from moduli_census.errors import DomainError
+from moduli_census.ffield import FieldHandle
+from moduli_census.polyring import (MonicPoly, _code_iv, _irreducible_ivs, _iv, _iv_divexact,
+                                    _iv_mod, _iv_powmod, is_squarefree, von_mangoldt)
+
+
+def code(f: MonicPoly) -> int:
+    """Coefficient vector read as a base-q integer (leading 1 dropped)."""
+    q = f.field.order
+    c = 0
+    for i in reversed(f.coeffs[:-1]):
+        c = c * q + i
+    return c
+
+
+def norm(f: MonicPoly) -> int:
+    """|f| = q^deg f."""
+    return f.field.order ** f.degree
+
+
+def _iv_jacobi(u: list[int], v: list[int], K: FieldHandle) -> int:
+    """(u/v) for a monic index vector v; u need not be reduced or monic."""
+    add, mul, inv, chi, neg = K.tables()
+    n = K.order
+    twist = K.order % 4 == 3
+    result = 1
+    u = list(u)
+    v = list(v)
+    while True:
+        dv = len(v) - 1
+        if dv == 0:
+            return result
+        u = _iv_mod(u, v, add, mul, neg, n)
+        if not u:
+            return 0
+        c = u[-1]
+        if c != 1:
+            # (c*u1/v) = chi(c)^deg(v) * (u1/v)
+            if dv & 1 and chi[c] < 0:
+                result = -result
+            ic = inv[c]
+            u = [mul[ic * n + a] if a else 0 for a in u]
+        du = len(u) - 1
+        if du == 0:
+            return result
+        if twist and (du & 1) and (dv & 1):
+            result = -result
+        u, v = v, u
+
+
+def jacobi_symbol(f: MonicPoly, F: MonicPoly) -> int:
+    """(f/F): product of quadratic-residue symbols over the factors of F.
+
+    0 exactly when gcd(f, F) != 1.  Computed by reciprocity reduction.
+    """
+    if f.field is not F.field:
+        raise DomainError("polynomials over different fields")
+    if F.degree < 1 or not is_squarefree(F):
+        raise DomainError("modulus must be monic square-free of degree >= 1")
+    return _iv_jacobi(_iv(f), _iv(F), f.field)
+
+
+def factor_squarefree(F: MonicPoly) -> list[MonicPoly]:
+    """Factor a monic square-free polynomial by cached trial division."""
+    K = F.field
+    u = _iv(F)
+    out = []
+    e = 1
+    while 2 * e <= len(u) - 1:
+        for piv in _irreducible_ivs(K, e):
+            if len(u) - 1 < 2 * e:
+                break
+            quot = _iv_divexact(u, list(piv), K)
+            if quot is not None:
+                out.append(MonicPoly(K, piv))
+                u = quot
+        e += 1
+    if len(u) - 1 >= 1:
+        out.append(MonicPoly(K, u))
+    return out
+
+
+def jacobi_symbol_via_factorization(f: MonicPoly, F: MonicPoly) -> int:
+    """(f/F) by factoring F and applying Euler's criterion per factor.
+
+    Independent of the reciprocity route; used as its cross-check.
+    """
+    if f.field is not F.field:
+        raise DomainError("polynomials over different fields")
+    if F.degree < 1 or not is_squarefree(F):
+        raise DomainError("modulus must be monic square-free of degree >= 1")
+    K = f.field
+    q = K.order
+    result = 1
+    minus_one = K.tables()[4][1]  # neg[1]
+    for P in factor_squarefree(F):
+        t = _iv_powmod(_iv(f), (q**P.degree - 1) // 2, _iv(P), K)
+        if not t:
+            return 0
+        if t == [1]:
+            continue
+        if t == [minus_one]:
+            result = -result
+        else:  # pragma: no cover
+            raise AssertionError("Euler criterion produced a non-unit")
+    return result
+
+
+@functools.lru_cache(maxsize=None)
+def prime_powers(K: FieldHandle, m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(indices, Lambda(f)) for every monic prime power f of degree m over K,
+    found by running von_mangoldt on all q^m monic polynomials."""
+    ivs = (_code_iv(code, K.order, m) for code in range(K.order**m))
+    lams = ((tuple(iv), von_mangoldt(MonicPoly(K, iv))) for iv in ivs)
+    return tuple((iv, lam) for iv, lam in lams if lam)
+
+
+def lambda_character_sum(F: MonicPoly, m: int) -> int:
+    """sum over the prime powers f of degree m of Lambda(f) (F/f): one
+    reciprocity symbol per prime power, no prime table."""
+    K, F_iv = F.field, _iv(F)
+    return sum(lam * _iv_jacobi(F_iv, list(f), K) for f, lam in prime_powers(K, m))
+
+
+def irreducible_polys(K: FieldHandle, e: int) -> list[MonicPoly]:
+    """All monic irreducibles of degree e over K, in code order."""
+    return [MonicPoly(K, iv) for iv in _irreducible_ivs(K, e)]
+
+
+def family_size(q: int, gamma: int) -> int:
+    """|H_{gamma,q}| = q^gamma - q^(gamma-1) for gamma >= 2."""
+    return q**gamma - q ** (gamma - 1)
+
+
+def residual_envelope(q: int, g: int) -> float:
+    """Decay envelope 10 q^(-g/2) for residual magnitude checks."""
+    return 10.0 * q ** (-0.5 * g)
+
+
+def parse_frac(s: str) -> Fraction:
+    if "/" in s:
+        num, den = s.split("/", 1)
+        return Fraction(int(num), int(den))
+    return Fraction(int(s))

@@ -1,6 +1,8 @@
 import functools
+import importlib
 import itertools
 import math
+import pkgutil
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +13,7 @@ from hypothesis import strategies as st
 from moduli_census import countfast, curvezeta, polyring
 from moduli_census.errors import BudgetError, DomainError, InternalConsistencyError
 from moduli_census.ffield import extend_field, make_field
-from moduli_census.polyring import (FamilySpec, MonicPoly, _code_iv, _irreducible_ivs, family, parse_poly,
-                                    von_mangoldt)
+from moduli_census.polyring import FamilySpec, MonicPoly, _code_iv, _irreducible_ivs, family, parse_poly
 from moduli_census.curvezeta import (
     HyperellipticCurve,
     check_riemann_hypothesis,
@@ -29,6 +30,7 @@ from moduli_census.curvezeta import (
     zeta_value,
 )
 from moduli_census.sweep import CHUNK, SweepConfig, chunk_bounds
+from reference import _iv_jacobi, lambda_character_sum
 
 F3 = make_field(3)
 X5X = parse_poly(F3, "0,1,0,0,0,1")    # x^5 + x
@@ -545,7 +547,7 @@ def test_l_poly_character_route_brute_force():
         F = parse_poly(F3, text)
         C = HyperellipticCurve(F)
         z = zeta_data(C)
-        from moduli_census.polyring import _iv, _iv_jacobi, poly_from_code
+        from moduli_census.polyring import _iv, poly_from_code
         F_iv = _iv(F)
         coeffs = [1]
         for m in range(1, 5):
@@ -557,7 +559,7 @@ def test_l_poly_character_route_brute_force():
 def test_l_poly_even_gamma_division():
     # raw character sum vanishes at t = 1 for even degree, then matches
     z6 = zeta_data(HyperellipticCurve(X6X), check_budget=10**6)
-    from moduli_census.polyring import _iv, _iv_jacobi, poly_from_code
+    from moduli_census.polyring import _iv, poly_from_code
     F_iv = _iv(X6X)
     raw = [1]
     for m in range(1, 6):
@@ -585,7 +587,6 @@ def test_predicted_counts_cross_checked():
 
 def reference_l_poly(z) -> list[int]:
     """The per-curve Euler product: one reciprocity symbol (F/P) per prime P."""
-    from moduli_census.polyring import _irreducible_ivs, _iv_jacobi
     curve = z.curve
     K, g, M = curve.field, curve.genus, curve.gamma - 1
     F_iv = list(curve.F.coeffs)
@@ -601,21 +602,9 @@ def reference_l_poly(z) -> list[int]:
     return b[: 2 * g + 1]
 
 
-@functools.lru_cache(maxsize=None)
-def prime_powers(K, m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """(indices, Lambda(f)) for every monic prime power f of degree m over K,
-    found by running von_mangoldt on all q^m monic polynomials."""
-    ivs = (_code_iv(code, K.order, m) for code in range(K.order**m))
-    lams = ((tuple(iv), von_mangoldt(MonicPoly(K, iv))) for iv in ivs)
-    return tuple((iv, lam) for iv, lam in lams if lam)
-
-
 def reference_lambda_rhs(z, m: int) -> int:
-    """sum over the prime powers f of degree m of Lambda(f) (F/f), plus delta:
-    one reciprocity symbol per curve and prime power, no prime table."""
-    from moduli_census.polyring import _iv_jacobi
-    K, F_iv = z.curve.field, list(z.curve.F.coeffs)
-    return sum(lam * _iv_jacobi(F_iv, list(f), K) for f, lam in prime_powers(K, m)) + z.curve.delta
+    """lambda_character_sum of the curve's F, plus delta."""
+    return lambda_character_sum(z.curve.F, m) + z.curve.delta
 
 
 def blocks(zs, size):
@@ -686,9 +675,15 @@ def test_lambda_identity_over_tower_field():
         assert all(rep.holds for rep in reps)
 
 
-def test_lambda_identity_budget(z55):
-    with pytest.raises(BudgetError):
-        lambda_character_identity([z55], 13)  # 3^13 > POINT_BUDGET
+def test_lambda_identity_budget():
+    # for each q, the first m with q^m > POINT_BUDGET is refused by the
+    # symbol budget alone: the primes of degree m need pi_q(m) q^m > 2^26
+    # table entries
+    for q, m in ((3, 13), (5, 9), (7, 8), (11, 6)):
+        assert q ** (m - 1) <= curvezeta.POINT_BUDGET < q**m
+        z = zeta_data(HyperellipticCurve(parse_poly(make_field(q), "0,1,0,0,0,1")))
+        with pytest.raises(BudgetError, match=f"moduli of degree {m} over F_{q} has"):
+            lambda_character_identity([z], m)
 
 
 def test_symbol_table_budget(z55, monkeypatch, fresh_symbols):
@@ -716,19 +711,20 @@ def test_character_route_needs_no_point_count(families, monkeypatch, fresh_symbo
         assert all(rep.holds for m in (1, 2) for rep in lambda_character_identity(zs, m))
 
 
-def test_validate_zeta_and_lambda_symbol_count(monkeypatch, fresh_symbols):
+def test_validate_zeta_and_lambda_symbol_count(fresh_symbols):
     # one symbol per residue of each prime P of degree e <= 4 over F_5, 5^e
     # of them: 5*5 + 10*25 + 40*125 + 150*625 = 99025, in one table per
     # degree.  The lambda suite (m = 1, 2) reads the tables of degree 1 and 2
-    # that the zeta suite has built, and neither suite makes a reciprocity
-    # step
-    from moduli_census import polyring
+    # that the zeta suite has built.  No module of the package defines or
+    # imports a reciprocity symbol, so neither suite can make a reciprocity step
+    import moduli_census
     from moduli_census.validate import run_suite
 
-    def forbidden(*args):
-        raise AssertionError("the character route made a reciprocity step")
-
-    monkeypatch.setattr(polyring, "_iv_jacobi", forbidden)
+    modules = [importlib.import_module(f"moduli_census.{info.name}")
+               for info in pkgutil.iter_modules(moduli_census.__path__)]
+    symbols = ("_iv_jacobi", "jacobi_symbol", "jacobi_symbol_via_factorization")
+    assert [(m.__name__, s) for m in [moduli_census, *modules] for s in symbols
+            if hasattr(m, s)] == []
     results = run_suite("zeta", 5, 5) + run_suite("lambda", 5, 5)
     assert all(res.ok for res in results)
     assert curvezeta._symbol_table.cache_info().currsize == 4
@@ -779,7 +775,7 @@ def test_jacobi_block_matches_reciprocity_per_entry(K, fresh_symbols):
     # primes f (so f | F), and random rows; primes of odd and even degree,
     # up to degree 4 over F_3
     from moduli_census.curvezeta import _jacobi_block
-    from moduli_census.polyring import _iv_jacobi, _iv_trim
+    from moduli_census.polyring import _iv_trim
     n = K.order
     _add, mul, _inv, _chi, neg = K.tables()
     rng = np.random.default_rng(n)
@@ -813,7 +809,7 @@ def test_symbol_tables_match_reciprocity_on_every_entry(K, top, fresh_symbols):
     # the bulk table of each degree holds (u/P) from the squares mod P; the
     # reciprocity _iv_jacobi must give the same symbol at every prime P and
     # every residue u
-    from moduli_census.polyring import _iv_jacobi, _iv_trim
+    from moduli_census.polyring import _iv_trim
     n = K.order
     for e in range(1, top + 1):
         table = curvezeta._symbol_table(K, e).reshape(-1, n**e)
@@ -841,7 +837,7 @@ def test_prime_sieve_matches_rabin_on_every_code(K, top):
 @settings(max_examples=300, deadline=None)
 def test_jacobi_symbol_of_a_constant_multiple(case):
     # (c u / f) = chi(c)^deg f (u / f) for c in F_q^* and any monic f
-    from moduli_census.polyring import _iv_jacobi, _iv_trim
+    from moduli_census.polyring import _iv_trim
     K, c, u, f = case
     f = f + [1]
     _add, mul, _inv, chi, _neg = K.tables()

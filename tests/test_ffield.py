@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 from moduli_census.errors import BudgetError, DomainError, InvalidCharacteristicError
 from moduli_census.ffield import extend_field, make_field
-from moduli_census.polyring import MonicPoly, jacobi_symbol, parse_poly
+from moduli_census.polyring import MonicPoly, parse_poly
+from reference import jacobi_symbol
 
 
 def power(K, a: int, e: int) -> int:

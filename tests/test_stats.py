@@ -14,7 +14,6 @@ from moduli_census.polyring import (
     MonicPoly,
     family,
     format_poly,
-    irreducible_polys,
     is_squarefree,
     parse_poly,
     poly_from_code,
@@ -32,11 +31,11 @@ from moduli_census.stats import (
     gaussian_diagnostics,
     limit_covariance,
     r_variable,
-    residual_envelope,
     theoretical_moment,
     trace_charsums,
 )
 from moduli_census.sweep import SweepConfig, _chunk_worker, run_sweep
+from reference import _iv_jacobi, irreducible_polys, lambda_character_sum, residual_envelope
 
 F3 = make_field(3)
 X5X = parse_poly(F3, "0,1,0,0,0,1")
@@ -71,6 +70,21 @@ def test_character_sum_convention_differs():
     z = zeta_data(HyperellipticCurve(f))
     assert z.psums[0] == -2
     assert character_sum(f, 1) == 2
+
+
+def test_character_sum_matches_reciprocity_reference():
+    # the table route against one reciprocity symbol per prime power: all of
+    # H_{5,3} and H_{6,3}, and 40 draws of H_{5,9} over the tower F_9 = F_3[i]
+    K9 = extend_field(F3, 2)
+    cases = [(FamilySpec(F3, 5), 162), (FamilySpec(F3, 6), 486),
+             (FamilySpec(K9, 5, mode="sample", count=40, seed=3), 40)]
+    for spec, size in cases:
+        members = list(family(spec))
+        assert len(members) == size
+        for m in (1, 2, 3):
+            assert [character_sum(F, m) for F in members] == \
+                [lambda_character_sum(F, m) for F in members]
+    assert any(i >= 3 for F in members for i in F.coeffs)  # outside F_3
 
 
 def test_character_sum_rejects():
@@ -467,7 +481,7 @@ def test_phi_refuses_a_degree_past_the_float_range():
 # -- family-mean estimates ---------------------------------------------------------------------
 
 def _family_mean_symbol(gamma, h):
-    from moduli_census.polyring import _iv, _iv_jacobi
+    from moduli_census.polyring import _iv
     K = h.field
     total = 0
     count = 0

@@ -10,9 +10,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from moduli_census.emit import fmt_float, frac_str, json_dumps, parse_frac
+from moduli_census.emit import fmt_float, frac_str, json_dumps
 from moduli_census.cli import main
 from moduli_census.sweep import SweepConfig, build_report, records_to_csv, run_sweep
+from reference import parse_frac
 
 
 # -- emit helpers --------------------------------------------------------------
@@ -369,6 +370,10 @@ def test_sweep_over_point_budget_builds_no_table_above_it(monkeypatch, capsys, w
     ["--r-max", "0"],
     ["--r-max", "-1"],
     ["--variants", "m_rd,m_rd"],  # a repeated variant, not two equal columns
+    # the variants are checked whether or not a run computes the residuals
+    ["--no-moduli", "--variants", "bogus"],
+    ["--no-moduli", "--variants", "m_rd,m_rd"],
+    ["--no-moduli", "--rank", "7"],
 ])
 def test_cli_sweep_bad_config_exit_code(capsys, flags):
     # rejected before any count, instead of a NaN column or a silent default
