@@ -129,6 +129,9 @@ def cmd_moduli(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if (args.out not in (None, "-") and args.report_out not in (None, "-")
+            and os.path.realpath(args.out) == os.path.realpath(args.report_out)):
+        raise DomainError(f"--out and --report-out are the same file: {args.out}")
     variants = tuple(v for v in args.variants.split(",") if v)
     cfg = SweepConfig(
         q=args.q, gamma=args.gamma, mode=args.mode, count=args.count,

@@ -10,9 +10,8 @@ multiply as polynomials mod m over K's dense tables (FieldHandle.mul).
 Handles are interned: make_field and extend_field cache on their
 arguments, make_field(p, m) is extend_field(make_field(p), m), and the
 defining modulus of an extension is found by a deterministic search
-(smallest candidate in coefficient-code order that passes the polynomial
-ring's Rabin irreducibility test), so two runs always build identical
-fields.
+(smallest candidate in coefficient-code order that the polynomial ring's
+is_irreducible accepts), so two runs always build identical fields.
 
 For small orders a handle lazily builds dense index-based add/mul/
 inverse/character tables from its discrete-log table (countfast); the
@@ -92,11 +91,11 @@ def _prime_divisors(n: int) -> list[int]:
 
 def _least_irreducible(K: FieldHandle, degree: int) -> tuple[int, ...]:
     """The first monic irreducible of this degree in coefficient-code order."""
-    from .polyring import _code_iv, _iv_irreducible  # the one Rabin test, on element indices
+    from .polyring import MonicPoly, _code_iv, is_irreducible
 
     for code in range(K.order**degree):
         iv = _code_iv(code, K.order, degree)
-        if _iv_irreducible(iv, K):
+        if is_irreducible(MonicPoly(K, iv)):
             return tuple(iv)
     raise InternalConsistencyError(  # pragma: no cover
         f"no irreducible of degree {degree} over order {K.order}")

@@ -590,8 +590,6 @@ def family_constant(q: int, gamma: int, variant: str = "base", r: int = 2) -> fl
 
     if variant == "base":
         return base(r)
-    if variant == "thm15":
-        return base(2)
     if variant == "thm16":
         return delta * math.log(1 - 1 / q**2)
     if variant == "higgs":

@@ -7,7 +7,10 @@ with trailing zeros stripped, driven by a field's dense add/mul tables.
 For a prime field the index of a residue is the residue itself, so the hot
 paths are pure small-int arithmetic.  The product of two index vectors mod
 a third (_iv_mulmod) is also how an extension field multiplies its
-elements (ffield.FieldHandle.mul).
+elements (ffield.FieldHandle.mul).  Prime factors are found in one way,
+_prime_factor: the primes of degree d dividing f are those of
+gcd(f, x^(q^d) - x), and is_irreducible and von_mangoldt both read the
+least d at which that gcd is not 1.
 
 No symbol is computed here.  The package reads the Jacobi symbol (F/P) at
 a prime P from curvezeta's symbol tables, filled from the squares mod P;
@@ -236,25 +239,10 @@ def is_squarefree(f: MonicPoly) -> bool:
 
 
 def is_irreducible(f: MonicPoly) -> bool:
-    """Rabin test: x^(q^n) = x mod f and gcd(x^(q^(n/l)) - x, f) = 1."""
+    """No prime factor of degree <= deg f / 2 (_prime_factor)."""
     if f.degree < 1:
         raise DomainError("degree must be >= 1")
-    return _iv_irreducible(_iv(f), f.field)
-
-
-def _iv_irreducible(m: list[int], K: FieldHandle) -> bool:
-    n = len(m) - 1
-    if n == 1:
-        return True
-    q = K.order
-    t = _iv_powmod([0, 1], q**n, m, K)
-    if _iv_sub_x(t, K):
-        return False
-    for ell in ffield._prime_divisors(n):
-        diff = _iv_sub_x(_iv_powmod([0, 1], q ** (n // ell), m, K), K)
-        if len(_iv_gcd(m, diff, K)) != 1:
-            return False
-    return True
+    return _prime_factor(_iv(f), f.field, f.degree // 2) is None
 
 
 def _iv_sub_x(t: list[int], K: FieldHandle) -> list[int]:
@@ -267,75 +255,26 @@ def _iv_sub_x(t: list[int], K: FieldHandle) -> list[int]:
     return _iv_trim(t)
 
 
-def _pth_root(u: list[int], K: FieldHandle) -> list[int] | None:
-    """Exact p-th root of a monic index vector, or None."""
-    p = K.p
-    if (len(u) - 1) % p:
-        return None
-    mul = K.tables()[1]
-    n = K.order
-    out = []
-    for i, c in enumerate(u):
-        if i % p == 0:
-            root = 1  # the inverse of Frobenius: c -> c^(q/p)
-            for _ in range(n // p):
-                root = mul[root * n + c]
-            out.append(root)
-        elif c != 0:
-            return None
-    return out
-
-
-def _iv_divexact(u: list[int], v: list[int], K: FieldHandle) -> list[int] | None:
-    """u / v for monic index vectors, or None if the division is not exact."""
-    add, mul, _inv, _chi, neg = K.tables()
-    n = K.order
-    u = list(u)
-    dv = len(v) - 1
-    du = len(u) - 1
-    if du < dv:
-        return None
-    quot = [0] * (du - dv + 1)
-    for pos in range(du - dv, -1, -1):
-        c = u[pos + dv]
-        quot[pos] = c
-        if c:
-            cn = neg[c]
-            for j in range(dv + 1):
-                vj = v[j]
-                if vj:
-                    u[pos + j] = add[u[pos + j] * n + mul[cn * n + vj]]
-    return quot if not _iv_trim(u) else None
+def _prime_factor(u: list[int], K: FieldHandle, dmax: int) -> tuple[int, list[int]] | None:
+    """(d, P) for the least d <= dmax at which u has a prime factor of degree d,
+    P the product of its distinct prime factors of that degree; None if it has
+    none.  The first step of distinct-degree factorization: the primes of
+    degree dividing d are those of gcd(u, x^(q^d) - x)."""
+    t = [0, 1]
+    for d in range(1, dmax + 1):
+        t = _iv_powmod(t, K.order, u, K)
+        P = _iv_gcd(u, _iv_sub_x(t, K), K)
+        if len(P) > 1:
+            return d, P
+    return None
 
 
 def von_mangoldt(f: MonicPoly) -> int:
     """deg P if f = P^k for an irreducible P, else 0."""
     if f.degree < 1:
         raise DomainError("degree must be >= 1")
-    K = f.field
-    u = _iv(f)
-    # peel Frobenius powers (f in F_q[x^p]) until the derivative is nonzero
-    while len(u) > 2:
-        if _iv_deriv(list(u), K):
-            break
-        root = _pth_root(u, K)
-        if root is None:  # pragma: no cover - impossible for zero derivative
-            return 0
-        u = root
-    if len(u) == 2:
-        return 1  # the radical is linear and f is an exact power of it
-    d = _iv_deriv(list(u), K)
-    g = _iv_gcd(list(u), d, K)
-    s = _iv_divexact(u, g, K)
-    if s is None or len(s) < 2:
-        return 0
-    sp = MonicPoly(K, s)
-    if not is_irreducible(sp):
-        return 0
-    k, rem = divmod(f.degree, sp.degree)
-    if rem:
-        return 0
-    return sp.degree if sp**k == f else 0
+    d, P = _prime_factor(_iv(f), f.field, f.degree)
+    return d if len(P) == d + 1 and MonicPoly(f.field, P) ** (f.degree // d) == f else 0
 
 
 RESIDUE_SUB_BLOCK = 2**14  # residue digits (rows x moduli x degree) reduced at once
@@ -466,6 +405,8 @@ class FamilySpec:
             raise DomainError(f"unknown family mode {self.mode!r}")
         if self.mode == "sample" and (self.count is None or self.count < 1):
             raise DomainError("sample mode needs a positive count")
+        if self.mode == "enumerate" and self.count is not None:
+            raise DomainError("enumerate mode takes no count")
 
 
 def poly_from_code(K: FieldHandle, code: int, gamma: int) -> MonicPoly:

@@ -105,13 +105,11 @@ def decomposition_residual(z: CurveZeta, variant: str, Z: int | None = None,
     charsums = charsums[:Z]
     value = count_value(z, variant, rank, degree)
     lq = math.log(q)
-    if variant == "m_rd":
-        rsum = math.fsum(r_variable(charsums, q, k) for k in range(1, rank))
-        return (log_frac(value) - (rank * rank - 1) * (g - 1) * lq
-                - family_constant(q, gamma, "base", rank) - rsum)
-    if variant == "ms20":
-        return (log_frac(value) - 3 * (g - 1) * lq
-                - family_constant(q, gamma, "thm15") - r_variable(charsums, q, 1))
+    if variant in ("m_rd", "ms20"):
+        r = rank if variant == "m_rd" else 2  # ms20 is centred as m_rd at rank 2
+        rsum = math.fsum(r_variable(charsums, q, k) for k in range(1, r))
+        return (log_frac(value) - (r * r - 1) * (g - 1) * lq
+                - family_constant(q, gamma, "base", r) - rsum)
     if variant == "ntilde":
         # the points over F_{q^2m} give the character sums over F_{q^2}
         ext = trace_charsums([z.power_sum(2 * m) for m in range(1, Z + 1)], gamma)

@@ -8,7 +8,9 @@ monic reciprocity law
     (f/g) = (g/f) * (-1)^((q-1)/2 * deg f * deg g),   (c/g) = chi(c)^deg g,
 
 and jacobi_symbol_via_factorization, which factors the modulus and applies
-Euler's criterion prime by prime.
+Euler's criterion prime by prime.  Its trial division is _iv_divexact,
+the exact division that test_polyring's brute-force irreducibility oracle
+also uses.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from fractions import Fraction
 
 from moduli_census.errors import DomainError
 from moduli_census.ffield import FieldHandle
-from moduli_census.polyring import (MonicPoly, _code_iv, _irreducible_ivs, _iv, _iv_divexact,
-                                    _iv_mod, _iv_powmod, is_squarefree, von_mangoldt)
+from moduli_census.polyring import (MonicPoly, _code_iv, _irreducible_ivs, _iv, _iv_mod,
+                                    _iv_powmod, _iv_trim, is_squarefree, von_mangoldt)
 
 
 def code(f: MonicPoly) -> int:
@@ -76,6 +78,28 @@ def jacobi_symbol(f: MonicPoly, F: MonicPoly) -> int:
     if F.degree < 1 or not is_squarefree(F):
         raise DomainError("modulus must be monic square-free of degree >= 1")
     return _iv_jacobi(_iv(f), _iv(F), f.field)
+
+
+def _iv_divexact(u: list[int], v: list[int], K: FieldHandle) -> list[int] | None:
+    """u / v for monic index vectors, or None if the division is not exact."""
+    add, mul, _inv, _chi, neg = K.tables()
+    n = K.order
+    u = list(u)
+    dv = len(v) - 1
+    du = len(u) - 1
+    if du < dv:
+        return None
+    quot = [0] * (du - dv + 1)
+    for pos in range(du - dv, -1, -1):
+        c = u[pos + dv]
+        quot[pos] = c
+        if c:
+            cn = neg[c]
+            for j in range(dv + 1):
+                vj = v[j]
+                if vj:
+                    u[pos + j] = add[u[pos + j] * n + mul[cn * n + vj]]
+    return quot if not _iv_trim(u) else None
 
 
 def factor_squarefree(F: MonicPoly) -> list[MonicPoly]:

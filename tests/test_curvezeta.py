@@ -825,8 +825,8 @@ def test_prime_sieve_matches_rabin_on_every_code(K, top):
     n = K.order
     for e in range(1, top + 1):
         codes = [_code_iv(code, n, e) for code in range(n**e)]
-        rabin = [tuple(iv) for iv in codes if is_irreducible(MonicPoly(K, iv))]
-        assert list(_irreducible_ivs.__wrapped__(K, e)) == rabin
+        ladder = [tuple(iv) for iv in codes if is_irreducible(MonicPoly(K, iv))]
+        assert list(_irreducible_ivs.__wrapped__(K, e)) == ladder
 
 
 @given(st.sampled_from(_FIELDS).flatmap(lambda K: st.tuples(

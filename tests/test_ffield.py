@@ -32,6 +32,56 @@ def test_extension_order_and_determinism():
     assert F9a.modulus == (1, 0, 1)  # t^2 + 1, base indices degree 0 first
 
 
+# the defining modulus of each extension, (p, m, r) -> modulus of F_{p^m}^r; every
+# element index of an extension field rests on its modulus
+EXTENSION_MODULI = {
+    (3, 1, 2): (1, 0, 1),
+    (3, 1, 3): (1, 2, 0, 1),
+    (3, 1, 4): (2, 1, 0, 0, 1),
+    (3, 1, 5): (1, 2, 0, 0, 0, 1),
+    (3, 1, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 1, 7): (2, 0, 1, 0, 0, 0, 0, 1),
+    (3, 1, 8): (2, 0, 1, 0, 0, 0, 0, 0, 1),
+    (3, 1, 9): (1, 0, 1, 2, 0, 0, 0, 0, 0, 1),
+    (3, 1, 10): (1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 1, 11): (2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 1, 12): (2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (5, 1, 2): (2, 0, 1),
+    (5, 1, 3): (1, 1, 0, 1),
+    (5, 1, 4): (2, 0, 0, 0, 1),
+    (5, 1, 5): (1, 4, 0, 0, 0, 1),
+    (5, 1, 6): (2, 1, 0, 0, 0, 0, 1),
+    (5, 1, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (5, 1, 8): (2, 0, 0, 0, 0, 0, 0, 0, 1),
+    (7, 1, 2): (1, 0, 1),
+    (7, 1, 3): (2, 0, 0, 1),
+    (7, 1, 4): (1, 1, 0, 0, 1),
+    (7, 1, 5): (3, 1, 0, 0, 0, 1),
+    (7, 1, 6): (2, 0, 0, 0, 0, 0, 1),
+    (7, 1, 7): (1, 6, 0, 0, 0, 0, 0, 1),
+    (11, 1, 2): (1, 0, 1),
+    (11, 1, 3): (4, 1, 0, 1),
+    (11, 1, 4): (2, 1, 0, 0, 1),
+    (11, 1, 5): (2, 0, 0, 0, 0, 1),
+    (13, 1, 2): (2, 0, 1),
+    (13, 1, 3): (2, 0, 0, 1),
+    (13, 1, 4): (2, 0, 0, 0, 1),
+    (13, 1, 5): (2, 4, 0, 0, 0, 1),
+    (3, 2, 2): (4, 0, 1),
+    (3, 2, 3): (3, 1, 0, 1),
+    (3, 2, 4): (4, 0, 0, 0, 1),
+}
+
+
+def test_extension_moduli_are_pinned():
+    from moduli_census.curvezeta import POINT_BUDGET
+    # every extension of degree >= 2 of these prime fields that a point count can build
+    assert {key for key in EXTENSION_MODULI if key[1] == 1} == {
+        (p, 1, r) for p in (3, 5, 7, 11, 13) for r in range(2, 20) if p**r <= POINT_BUDGET}
+    for (p, m, r), modulus in EXTENSION_MODULI.items():
+        assert extend_field(make_field(p, m), r).modulus == modulus, (p, m, r)
+
+
 def test_make_field_is_the_interned_extension():
     F3 = make_field(3)
     F9 = make_field(3, 2)

@@ -1,10 +1,11 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from moduli_census.errors import DomainError, PolyParseError
-from moduli_census.ffield import make_field
+from moduli_census.ffield import extend_field, make_field
 from moduli_census.polyring import (
     FamilySpec,
     MonicPoly,
@@ -66,7 +67,8 @@ def brute_force_irreducible(f: MonicPoly) -> bool:
         for code in range(q**d):
             g = poly_from_code(K, code, d)
             # long division: f mod g == 0?
-            from moduli_census.polyring import _iv, _iv_divexact
+            from moduli_census.polyring import _iv
+            from reference import _iv_divexact
             if _iv_divexact(_iv(f), _iv(g), K) is not None:
                 return False
     return f.degree >= 1
@@ -93,14 +95,36 @@ def test_von_mangoldt_examples():
     assert von_mangoldt(mp(F3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1)) == 1  # x^9
 
 
-@pytest.mark.parametrize("q,nmax", [(3, 6), (5, 6)])
+@pytest.mark.parametrize("q,nmax", [(3, 6), (5, 6), (9, 4), (25, 3)])
 def test_mangoldt_sum_is_qn(q, nmax):
     # sum over monic f of degree n of Lambda(f) equals q^n (finite primes)
-    K = make_field(q)
+    K = make_field(q) if q in (3, 5) else make_field(math.isqrt(q), 2)
     for n in range(1, nmax + 1):
         total = sum(von_mangoldt(poly_from_code(K, code, n))
                     for code in range(q**n))
         assert total == q**n
+
+
+# the fields and degrees on which every monic f is checked against the prime
+# powers P^k built from the sieve's primes (_irreducible_ivs), F_81 over F_9 a tower
+MANGOLDT_CASES = [(F3, 6), (F5, 4), (make_field(3, 2), 4), (extend_field(make_field(3, 2), 2), 2)]
+
+
+@pytest.mark.parametrize("K, nmax", MANGOLDT_CASES,
+                         ids=[f"q{K.order}-n{nmax}" for K, nmax in MANGOLDT_CASES])
+def test_von_mangoldt_matches_sieved_prime_powers(K, nmax):
+    from moduli_census.polyring import _code_iv, _irreducible_ivs
+    q = K.order
+    want = {}
+    for e in range(1, nmax + 1):
+        for P in _irreducible_ivs(K, e):
+            for k in range(1, nmax // e + 1):
+                want[(MonicPoly(K, P) ** k).coeffs] = e
+    for n in range(1, nmax + 1):
+        for c in range(q**n):
+            f = MonicPoly(K, _code_iv(c, q, n))
+            assert von_mangoldt(f) == want.get(f.coeffs, 0), f
+            assert is_irreducible(f) == (want.get(f.coeffs) == n), f
 
 
 # -- Jacobi symbol -----------------------------------------------------------

@@ -374,6 +374,7 @@ def test_sweep_over_point_budget_builds_no_table_above_it(monkeypatch, capsys, w
     ["--no-moduli", "--variants", "bogus"],
     ["--no-moduli", "--variants", "m_rd,m_rd"],
     ["--no-moduli", "--rank", "7"],
+    ["--count", "5"],  # a draw count without sample mode
 ])
 def test_cli_sweep_bad_config_exit_code(capsys, flags):
     # rejected before any count, instead of a NaN column or a silent default
@@ -604,6 +605,27 @@ def test_cli_output_through_symlink_keeps_file(tmp_path):
     assert link.is_symlink() and real.read_text().startswith("q,gamma,F,genus")
     assert real.stat().st_mode & 0o777 == 0o640
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "report.json", "rows.csv"]
+
+
+@pytest.mark.parametrize("via_link", [False, True])
+def test_cli_sweep_outputs_to_one_file_exit_code(tmp_path, capsys, monkeypatch, via_link):
+    # the report would overwrite the CSV: refused before anything is counted
+    from moduli_census import cli
+    monkeypatch.setattr(cli, "run_sweep", lambda cfg: pytest.fail("the sweep ran"))
+    real = tmp_path / "rows.csv"
+    other = real
+    if via_link:
+        real.write_text("old\n")
+        other = tmp_path / "link.csv"
+        other.symlink_to(real)
+    code = main(["sweep", "--q", "3", "--gamma", "3", "--no-moduli",
+                 "--out", str(real), "--report-out", str(other)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # nothing written: no output, no temporary file, the old file untouched
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["link.csv", "rows.csv"] if via_link else [])
+    assert not via_link or real.read_text() == "old\n"
 
 
 def test_cli_output_to_fifo(tmp_path):
