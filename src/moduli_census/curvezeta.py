@@ -3,7 +3,10 @@
 The numerator P(t) of the zeta function is built from the point counts
 N_1..N_g over F_q .. F_{q^g} through Newton's identities (exact integer
 arithmetic; any non-integer intermediate aborts), extended by the
-functional equation c_{2g-i} = q^(g-i) c_i, and then validated:
+functional equation c_{2g-i} = q^(g-i) c_i, and then validated.  One
+routine, _newton, writes the identities: it solves c_1..c_g from the
+counted p_1..p_g, and, once P(t) is complete, extends the power sums to
+p_{2g} (and, for CurveZeta.power_sum, past it).  The checks:
 
   * reciprocal roots sit on |alpha| = sqrt(q) (an exact Sturm count on
     the real Weil polynomial, in integer arithmetic),
@@ -156,14 +159,6 @@ class CurveZeta:
     psums: tuple[int, ...]      # p_1..p_{2g},  p_m = q^m + 1 - N_m
     coeffs: tuple[int, ...]     # c_0..c_{2g} of P(t)
 
-    @classmethod
-    def from_coeffs(cls, curve: HyperellipticCurve, coeffs) -> "CurveZeta":
-        """The zeta data that P(t) = coeffs determines; no check is made."""
-        q = curve.field.order
-        psums = _psums_from_coeffs(list(coeffs), 2 * curve.genus)
-        N = tuple(q**m + 1 - p for m, p in enumerate(psums, 1))
-        return cls(curve, N, tuple(psums), tuple(coeffs))
-
     @property
     def q(self) -> int:
         return self.curve.field.order
@@ -176,28 +171,26 @@ class CurveZeta:
         """p_m for any m >= 1 (extends past 2g by the Newton recurrence)."""
         if m <= len(self.psums):
             return self.psums[m - 1]
-        return _psums_from_coeffs(list(self.coeffs), m)[m - 1]
+        p = list(self.psums)
+        _newton(list(self.coeffs), p, m)
+        return p[m - 1]
 
 
-def _newton_coeffs(psums: list[int], g: int) -> list[int]:
-    c = [1]
-    for m in range(1, g + 1):
-        acc = sum(c[i] * psums[m - i - 1] for i in range(m))
-        if acc % m:
-            raise InternalConsistencyError(
-                f"newton-noninteger: c_{m} would be {-acc}/{m}")
-        c.append(-acc // m)
-    return c
-
-
-def _psums_from_coeffs(coeffs: list[int], upto: int) -> list[int]:
-    p: list[int] = []
-    for m in range(1, upto + 1):
-        s = m * coeffs[m] if m < len(coeffs) else 0
-        for i in range(1, min(m, len(coeffs))):
-            s += coeffs[i] * p[m - i - 1]
-        p.append(-s)
-    return p
+def _newton(c: list[int], p: list[int], upto: int) -> None:
+    """Newton's identities m c_m + sum_{0<i<m} c_i p_{m-i} + p_m = 0 for P(t) =
+    c_0 + c_1 t + ... and its power sums p = [p_1, p_2, ...], in place, for m
+    from min(len(c), len(p) + 1) to upto.  With s = sum_{0<i<m} c_i p_{m-i},
+    a known p_m solves c_m = -(s + p_m)/m, exactly (a non-integer aborts);
+    otherwise p_m = -s - m c_m is appended, c_m = 0 past the end of c."""
+    for m in range(min(len(c), len(p) + 1), upto + 1):
+        s = sum(c[i] * p[m - i - 1] for i in range(1, min(m, len(c))))
+        if m <= len(p):
+            if (s + p[m - 1]) % m:
+                raise InternalConsistencyError(
+                    f"newton-noninteger: c_{m} would be {-(s + p[m - 1])}/{m}")
+            c.append(-(s + p[m - 1]) // m)
+        else:
+            p.append(-s - m * (c[m] if m < len(c) else 0))
 
 
 def _negprem(a: list[int], b: list[int]) -> list[int]:
@@ -313,16 +306,17 @@ def zeta_data(curve: HyperellipticCurve, check_budget: int = 10**4) -> CurveZeta
 
 
 def _from_counts(curve: HyperellipticCurve, low: tuple[int, ...]) -> CurveZeta:
-    """The zeta data that N_1..N_g = low determine; no check is made."""
-    g = curve.genus
-    q = curve.field.order
-    psums_low = [q**m + 1 - n for m, n in enumerate(low, 1)]
-    c = _newton_coeffs(psums_low, g)
+    """The zeta data that N_1..N_g = low determine; no check is made.
+
+    Newton's identities solve c_1..c_g from p_1..p_g, the functional
+    equation gives c_{g+1}..c_{2g}, and the same recurrence extends the
+    power sums to p_{2g}."""
+    g, q = curve.genus, curve.field.order
+    p, c = [q**m + 1 - n for m, n in enumerate(low, 1)], [1]
+    _newton(c, p, g)
     c += [q ** (g - i) * c[i] for i in range(g - 1, -1, -1)]
-    z = CurveZeta.from_coeffs(curve, c)
-    if list(z.psums[:g]) != psums_low:  # pragma: no cover
-        raise InternalConsistencyError("newton-roundtrip: power sums drift")
-    return z
+    _newton(c, p, 2 * g)
+    return CurveZeta(curve, tuple(q**m + 1 - x for m, x in enumerate(p, 1)), tuple(p), tuple(c))
 
 
 def _validated(z: CurveZeta) -> None:

@@ -284,7 +284,9 @@ RESIDUE_SUB_BLOCK = 2**14  # residue digits (rows x moduli x degree) reduced at 
 # (2-core x86 host: H_{11,5} has 66, H_{13,5} 91 and H_{7,7} 140).  Every
 # family within it has q^gamma <= 97^3, so its codes fit int64.
 SIEVE_MODULI = 100
-SIEVE_BLOCK = 2**12  # codes sieved at once
+# codes (or draws) of the family walked at once: a block of _members, and a
+# chunk of a sweep (sweep.chunk_bounds)
+CHUNK = 1024
 
 
 @functools.lru_cache(maxsize=None)
@@ -407,6 +409,8 @@ class FamilySpec:
             raise DomainError("sample mode needs a positive count")
         if self.mode == "enumerate" and self.count is not None:
             raise DomainError("enumerate mode takes no count")
+        if not 0 <= self.seed < 2**64:
+            raise DomainError("the seed must lie in [0, 2^64)")
 
 
 def poly_from_code(K: FieldHandle, code: int, gamma: int) -> MonicPoly:
@@ -447,7 +451,7 @@ def _squarefree_rows(K: FieldHandle, codes, gamma: int, squares) -> tuple[list, 
 
 def _draws(spec: FamilySpec, i: int, skip: int = 0):
     """The codes draw i tries in turn, past its first skip; a pure function of (seed, i)."""
-    rng = random.Random(((spec.seed & (2**64 - 1)) << 64) | (i & (2**64 - 1)))
+    rng = random.Random((spec.seed << 64) | i)
     space = spec.field.order**spec.gamma
     for _ in range(skip):
         rng.randrange(space)
@@ -464,7 +468,7 @@ def sample_member(spec: FamilySpec, i: int) -> MonicPoly:
 def _members(spec: FamilySpec, start: int = 0, stop: int | None = None):
     """The K-indices of each member with code (or draw) in [start, stop), in order.
 
-    One loop for both modes: SIEVE_BLOCK codes or draws at a time, each
+    One loop for both modes: CHUNK codes or draws at a time, each
     batch tested together by _squarefree_rows.  Enumerate mode keeps the
     codes that pass.  In sample mode every rejected draw takes the next
     code of its own stream, and the rejects are tested together again
@@ -477,8 +481,8 @@ def _members(spec: FamilySpec, start: int = 0, stop: int | None = None):
     squares = _square_moduli(K, gamma)
     sample = spec.mode == "sample"
     stop = (spec.count if sample else K.order**gamma) if stop is None else stop
-    for lo in range(start, stop, SIEVE_BLOCK):
-        members = dict.fromkeys(range(lo, min(lo + SIEVE_BLOCK, stop)))
+    for lo in range(start, stop, CHUNK):
+        members = dict.fromkeys(range(lo, min(lo + CHUNK, stop)))
         todo, tried = list(members), 0
         while todo:
             # a pending draw's stream is made anew each round, past the codes it

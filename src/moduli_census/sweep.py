@@ -29,13 +29,12 @@ from .emit import fmt_float
 from .errors import BudgetError, DomainError
 from .ffield import make_field
 from .moduli import _full_2_torsion, check_stable_domain
-from .polyring import FamilySpec, format_poly
+from .polyring import CHUNK, FamilySpec, format_poly
 from .stats import (RESIDUAL_VARIANTS, FamilyRecord, SweepReport, check_moment_order,
                     decomposition_residual, default_cutoff, empirical_stats, limit_tables,
                     r_variable, trace_charsums)
 
 ENUM_BUDGET = 2 * 10**6
-CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -189,9 +188,11 @@ def run_sweep(cfg: SweepConfig) -> list[FamilyRecord]:
             raise DomainError(f"unknown residual variant {variant!r}")
         if variant in cfg.variants[:i]:
             raise DomainError(f"residual variant {variant!r} is given twice")
-    if "m_rd" in cfg.variants:
-        check_stable_domain(cfg.rank, cfg.degree)
-    FamilySpec(make_field(cfg.q), cfg.gamma, cfg.mode, cfg.count)  # rejects a bad mode or count
+    check_stable_domain(cfg.rank, cfg.degree)
+    if cfg.workers < 1:
+        raise DomainError("the number of workers must be >= 1")
+    # rejects a bad mode, count or seed
+    FamilySpec(make_field(cfg.q), cfg.gamma, cfg.mode, cfg.count, cfg.seed)
     if cfg.mode == "enumerate" and cfg.q**cfg.gamma > ENUM_BUDGET:
         raise BudgetError(f"enumerate mode needs q^gamma = {cfg.q**cfg.gamma} <= {ENUM_BUDGET};"
                           " use sample mode")

@@ -91,12 +91,13 @@ class _Family:
 
 
 def _by_lpoly(zs: _Family):
-    """[z, k] for the first CurveZeta z of each distinct P(t) of the family
-    zs, in first-seen order, with the number k of its curves that have it:
-    the run's registry, read once zs is counted."""
+    """(groups, n): the [z, k] for the first CurveZeta z of each distinct P(t)
+    of the family zs, in first-seen order, with the number k of its curves
+    that have it, and the family's curve count n: the run's registry, read
+    once zs is counted."""
     for _ in zs.blocks:  # counts a family that is not held
         pass
-    return zs.registry.values()
+    return zs.registry.values(), sum(k for _, k in zs.registry.values())
 
 
 def suite_zeta(q: int, gamma: int, zs):
@@ -139,10 +140,9 @@ def suite_lambda(q: int, gamma: int, zs):
 
 def suite_higgs(q: int, gamma: int, zs):
     """Indecomposable-count integrality and positivity family-wide."""
-    n = 0
     bad = []
-    for z, k in _by_lpoly(zs):
-        n += k
+    groups, n = _by_lpoly(zs)
+    for z, k in groups:
         rep = count_higgs(z)
         a = rep.components["A_g2"]
         if a.denominator != 1 or a <= 0:
@@ -163,12 +163,11 @@ def suite_higgs(q: int, gamma: int, zs):
 
 def suite_unstable(q: int, gamma: int, zs):
     """Stratum closed forms, duality, and the published envelopes."""
-    n = 0
     closed_ok = True
     envelope_ok = True
     duality_ok = True
-    for z, k in _by_lpoly(zs):
-        n += k
+    groups, n = _by_lpoly(zs)
+    for z, k in groups:
         beta_prime, uns3, uns21 = rank3_envelopes(z)
         if unstable_mass(z, (1, 1), 0) != beta_prime:
             closed_ok = False
@@ -199,15 +198,14 @@ def suite_crossval(q: int, gamma: int, zs):
         yield CheckResult("crossval.applicable", True,
                           "skipped: needs a genus-2 family")
         return
-    n = 0
     zero = 0
     nonint_m = 0
     nonint_ms = 0
     broken = 0
     # the flag reads F, so every curve counts it, which counts a streamed family
     tors = sum(_full_2_torsion(z) for block in zs.blocks for z in block)
-    for z, k in _by_lpoly(zs):
-        n += k
+    groups, n = _by_lpoly(zs)
+    for z, k in groups:
         rep = count_stable_fixed_det(z, 2, 1)
         if rep.cross_checks["genus2_oracle"]["residual"] == 0:
             zero += k
@@ -229,10 +227,9 @@ def suite_crossval(q: int, gamma: int, zs):
 
 def suite_epsilon(q: int, gamma: int, zs):
     """Truncation-error envelopes for k in {2,3}, Z in {1,2,3}."""
-    n = 0
     bad = 0
-    for z, mult in _by_lpoly(zs):
-        n += mult
+    groups, n = _by_lpoly(zs)
+    for z, mult in groups:
         for k in (2, 3):
             for Z in (1, 2, 3):
                 e1, e2 = epsilon_terms(z, k, Z)
@@ -244,10 +241,9 @@ def suite_epsilon(q: int, gamma: int, zs):
 
 
 def suite_xz(q: int, gamma: int, zs):
-    n = 0
     bad = 0
-    for z, k in _by_lpoly(zs):
-        n += k
+    groups, n = _by_lpoly(zs)
+    for z, k in groups:
         rep = xz_bound_check(z)
         if not rep["xz"].holds:
             bad += k
@@ -259,12 +255,11 @@ def suite_xz(q: int, gamma: int, zs):
 
 def suite_estimate(q: int, gamma: int, zs):
     """Log-count estimate: tautological main term, envelope containment."""
-    n = 0
     main_ok = True
     envelope_ok = True
     worst = -math.inf
-    for z, k in _by_lpoly(zs):
-        n += k
+    groups, n = _by_lpoly(zs)
+    for z, k in groups:
         for r in (2, 3):
             est, env = log_count_estimate(z, r)
             if abs(log_frac((q - 1) * siegel_mass(z, r)) - est) > 1e-9:

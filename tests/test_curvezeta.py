@@ -583,6 +583,27 @@ def test_predicted_counts_cross_checked():
             assert z.N[m - 1] == point_count(z.curve, m)
 
 
+@pytest.mark.parametrize("K, f, top", [
+    (F3, (1, 2, 0, 1), 12),                # x^3 + 2x + 1
+    (F3, (1, 0, 2, 0, 0, 0, 0, 1), 12),    # x^7 + 2x^2 + 1
+    (make_field(5), (1, 1, 0, 0, 0, 0, 0, 1), 8),  # x^7 + x + 1
+    (F9, (2, 0, 1, 1), 6),                 # x^3 + x^2 + 2
+])
+def test_power_sums_past_2g_match_counts(K, f, top):
+    # the Newton recurrence extends p_m past 2g; each one is a count
+    z = zeta_data(HyperellipticCurve(MonicPoly(K, f)))
+    q = K.order
+    assert 2 * z.genus < top and q**top <= curvezeta.POINT_BUDGET
+    for m in range(1, top + 1):
+        assert z.power_sum(m) == q**m + 1 - point_count(z.curve, m)
+
+
+def test_newton_noninteger_coefficient_is_caught():
+    # N_1, N_2 = 4, 11 over F_3 give p_1 = 0, p_2 = -1, so c_2 = 1/2
+    with pytest.raises(InternalConsistencyError, match=r"^newton-noninteger: c_2 would be 1/2$"):
+        curvezeta._from_counts(HyperellipticCurve(X5X), (4, 11))
+
+
 # -- the character route on blocks -------------------------------------------
 
 def reference_l_poly(z) -> list[int]:

@@ -286,7 +286,7 @@ def test_sieved_sample_stream_matches_each_draw(monkeypatch, seed):
     # stream, across block boundaries and across a sweep chunk boundary
     # (draws 1000..1049)
     from moduli_census import polyring
-    from moduli_census.sweep import CHUNK
+    from moduli_census.polyring import CHUNK
     for K, gamma in ((F3, 9), (F5, 5)):
         spec = FamilySpec(K, gamma, "sample", 1100, seed)
         want = [reference_draw(spec, i) for i in range(1000, 1050)]
@@ -294,7 +294,7 @@ def test_sieved_sample_stream_matches_each_draw(monkeypatch, seed):
         assert list(family(spec, 1000, 1050)) == want
         assert [sample_member(spec, i) for i in range(1000, 1050)] == want
         assert sample_member(FamilySpec(K, gamma, seed=seed), 1000) == want[0]  # any mode
-        monkeypatch.setattr(polyring, "SIEVE_BLOCK", 16)
+        monkeypatch.setattr(polyring, "CHUNK", 16)
         assert list(family(spec, 1000, 1050)) == want
         monkeypatch.undo()
 

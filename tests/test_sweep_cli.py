@@ -375,6 +375,14 @@ def test_sweep_over_point_budget_builds_no_table_above_it(monkeypatch, capsys, w
     ["--no-moduli", "--variants", "m_rd,m_rd"],
     ["--no-moduli", "--rank", "7"],
     ["--count", "5"],  # a draw count without sample mode
+    # a seed outside [0, 2^64), not one masked onto another seed's draws
+    ["--mode", "sample", "--count", "5", "--seed", "-1"],
+    ["--mode", "sample", "--count", "5", "--seed", "18446744073709551616"],
+    # neither clamped to one worker nor ignored for the variants asked for
+    ["--workers", "0"],
+    ["--workers", "-3"],
+    ["--variants", "ms20", "--rank", "7"],
+    ["--variants", "higgs", "--degree", "2"],
 ])
 def test_cli_sweep_bad_config_exit_code(capsys, flags):
     # rejected before any count, instead of a NaN column or a silent default
