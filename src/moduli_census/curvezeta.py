@@ -6,7 +6,7 @@ arithmetic; any non-integer intermediate aborts), extended by the
 functional equation c_{2g-i} = q^(g-i) c_i, and then validated.  One
 routine, _newton, writes the identities: it solves c_1..c_g from the
 counted p_1..p_g, and, once P(t) is complete, extends the power sums to
-p_{2g} (and, for CurveZeta.power_sum, past it).  The checks:
+p_{2g} (and, for CurveZeta.power_sums, past it).  The checks:
 
   * reciprocal roots sit on |alpha| = sqrt(q) (an exact Sturm count on
     the real Weil polynomial, in integer arithmetic),
@@ -16,12 +16,13 @@ p_{2g} (and, for CurveZeta.power_sum, past it).  The checks:
 
 An independent construction of the same polynomial from prime Jacobi
 symbols, l_poly_via_characters, must agree with it exactly.  It reduces a
-block of F modulo every prime P of one degree at once (polyring._residues)
-and reads (F/P) at the residue's number in a table per field and degree that
-holds (u / P) for every residue u, filled from the squares mod P: no discrete
-log, point count or reciprocity step.  The Lambda-weighted character sums
-of lambda_character_identity and stats.character_sum read the same tables
-through one helper, _lambda_sums.
+block of F modulo every prime P of one degree at once (polyring._residues,
+one matrix product of base-p digits and an exact floor-mod) and reads (F/P)
+at the residue's number in a table per field and degree that holds (u / P)
+for every residue u, filled from the squares mod P by the same reduction:
+no discrete log, point count or reciprocity step.  The Lambda-weighted
+character sums of lambda_character_identity and stats.character_sum read
+the same tables through one helper, _lambda_sums.
 
 N_r counts points of the smooth projective model: one point above
 x = infinity for odd deg F, two for even deg F (monic leading 1 is a
@@ -52,7 +53,8 @@ moduli layer's values are functions of (q, P(t)), and the moduli layer
 keeps its integers of P(t) in a cache of its own.  What reads F stays per
 curve: every curve's own recounts N_m, m > g, are compared with the
 prediction, and the F column, the 2-torsion flag and the character route
-read each curve.
+read each curve, the flag a block at a time from the residues of F mod the
+primes of degree 1 (moduli._full_2_torsion).
 """
 
 from __future__ import annotations
@@ -167,13 +169,12 @@ class CurveZeta:
     def genus(self) -> int:
         return self.curve.genus
 
-    def power_sum(self, m: int) -> int:
-        """p_m for any m >= 1 (extends past 2g by the Newton recurrence)."""
-        if m <= len(self.psums):
-            return self.psums[m - 1]
-        p = list(self.psums)
-        _newton(list(self.coeffs), p, m)
-        return p[m - 1]
+    def power_sums(self, upto: int) -> list[int]:
+        """p_1..p_upto, extended past 2g by one run of the Newton recurrence."""
+        p = list(self.psums[:upto])
+        if upto > len(p):
+            _newton(list(self.coeffs), p, upto)
+        return p
 
 
 def _newton(c: list[int], p: list[int], upto: int) -> None:
@@ -378,7 +379,7 @@ def epsilon_terms(z: CurveZeta, k: int, Z: int) -> tuple[Fraction, float]:
         raise DomainError("need Z >= 1")
     q = z.q
     weights, den = _eps1_weights(q, k, Z)
-    eps1 = Fraction(-sum(w * z.power_sum(m) for m, w in enumerate(weights, 1)), den)
+    eps1 = Fraction(-sum(w * p for w, p in zip(weights, z.power_sums(Z))), den)
     log_lhs = (log_frac(zeta_value(z, k)) - (2 * k - 1) * math.log(q)
                + math.log((q**k - 1) * (q ** (k - 1) - 1)))
     eps2 = log_lhs - float(eps1)
@@ -493,7 +494,7 @@ def lambda_character_identity(zs, m: int) -> list[IdentityReport]:
         return []
     K, rows = _block_rows([z.curve for z in zs])
     totals = _lambda_sums(K, rows, m) + zs[0].curve.delta
-    return [IdentityReport(lhs=-z.power_sum(m), rhs=total)
+    return [IdentityReport(lhs=-z.power_sums(m)[-1], rhs=total)
             for z, total in zip(zs, totals.tolist())]
 
 

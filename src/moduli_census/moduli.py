@@ -48,9 +48,10 @@ import math
 from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
 
-from .curvezeta import (CurveZeta, _value, jacobian_count, log_frac, zeta_numerator, zeta_scale,
-                        zeta_value)
+from .curvezeta import (CurveZeta, _block_rows, _value, jacobian_count, log_frac, zeta_numerator,
+                        zeta_scale, zeta_value)
 from .errors import DomainError, UnsupportedRankError
+from .polyring import _irreducible_ivs, _residues
 
 _STRATA = {2: ((1, 1),), 3: ((2, 1), (1, 2), (1, 1, 1))}  # the HN strata of rank r
 EXACT_RANKS = tuple(_STRATA)  # the ranks r >= 2 whose HN strata, beta and stable counts are exact
@@ -387,7 +388,7 @@ def count_ms20(z: CurveZeta) -> ModuliReport:
     beta_prime, beta1, beta2, assembly = (_evaluate(z, _ms20_form, part) for part in range(4))
     a_size, b_size = (_evaluate(z, _ab_form, which) for which in (0, 1))
     report = ModuliReport(target="ms20", value=closed)
-    report.hypotheses["full_2_torsion"] = _full_2_torsion(z)
+    report.hypotheses["full_2_torsion"] = _full_2_torsion([z])[0]
     report.cross_checks["component_assembly"] = _check(closed, assembly)
     report.components.update({
         "beta_prime_2_0": beta_prime,
@@ -427,14 +428,19 @@ def _ab_form(q: int, g: int, which: int) -> tuple:
     return ((_mono("nj", "P(-1)"), Fraction(1, 2)), (_mono("nj"), Fraction(-1, 2)))
 
 
-def _full_2_torsion(z: CurveZeta) -> bool:
-    """True when F splits into deg(F) distinct roots over F_q, i.e. every
-    2-torsion class of the Jacobian is already rational; never when
-    deg(F) > q, since F_q then has too few elements.
+def _full_2_torsion(zs) -> list[bool]:
+    """Whether F splits into deg(F) distinct roots over F_q, i.e. every
+    2-torsion class of the Jacobian is already rational, for each CurveZeta
+    of a block (one field, one degree); never when deg(F) > q, since F_q then
+    has too few elements.
 
-    The roots are counted by evaluating F at every element index of F_q."""
-    F, n = z.curve.F, z.curve.field.order
-    return z.curve.gamma <= n and sum(F(x) == 0 for x in range(n)) == z.curve.gamma
+    F is square-free, so it splits when deg(F) of its residues mod the q
+    primes x - a of degree 1 are 0: one call of polyring._residues a block."""
+    if not zs:
+        return []
+    K, rows = _block_rows([z.curve for z in zs])
+    return [split for acc in _residues(K, rows, _irreducible_ivs(K, 1))
+            for split in ((acc == 0).sum(axis=(1, 2)) == rows.shape[1] - 1).tolist()]
 
 
 def grassmannian_count(q: int, k: int, n: int) -> int:

@@ -16,8 +16,14 @@ No symbol is computed here.  The package reads the Jacobi symbol (F/P) at
 a prime P from curvezeta's symbol tables, filled from the squares mod P;
 this module gives that route the primes of each degree in code order
 (_irreducible_ivs) and the reduction of a block of F mod all of them at
-once (_residues).  A reciprocity reduction and an Euler-criterion route
-stay in the tests as independent references (tests/reference.py).
+once (_residues).  F -> F mod f is F_p-linear in the base-p digits of F's
+coefficients, in a prime field and in a tower alike, since an index
+sum_j c_j p^j adds digit by digit: _residues multiplies a block's digits
+by one float64 matrix per field, moduli and width (_residue_map), takes
+each sum mod p by an exact floor, and reads the digits back as indices.
+A reciprocity reduction and an Euler-criterion route stay in the tests as
+independent references (tests/reference.py), beside a gather on the add
+and mul tables for the reduction itself.
 
 Family enumeration is total-ordered: coefficient vectors of monic
 square-free polynomials read as base-q integers, degree-0 digit least
@@ -42,7 +48,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ffield
-from .errors import DomainError, PolyParseError
+from .errors import BudgetError, DomainError, PolyParseError
 from .ffield import FieldHandle
 
 
@@ -79,15 +85,6 @@ class MonicPoly:
             base = base * base
             e >>= 1
         return result
-
-    def __call__(self, a: int) -> int:
-        """Evaluate at an element index of the same field (Horner)."""
-        add, mul = self.field.tables()[:2]
-        n = self.field.order
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = add[mul[acc * n + a] * n + c]
-        return acc
 
     def __eq__(self, other):
         return (
@@ -277,12 +274,15 @@ def von_mangoldt(f: MonicPoly) -> int:
     return d if len(P) == d + 1 and MonicPoly(f.field, P) ** (f.degree // d) == f else 0
 
 
-RESIDUE_SUB_BLOCK = 2**14  # residue digits (rows x moduli x degree) reduced at once
+# base-p residue digits (rows x moduli x degree x digits per element) reduced
+# at once: one float64 matrix product's output, small enough to stay in cache
+RESIDUE_SUB_BLOCK = 2**14
 # a family is sieved by its squares P^2 when it has at most this many.  Each
-# costs a gather per digit of every row, so the sieve's cost per code grows
-# like q^(gamma/2); near 100 it costs what the gcd test of one code does
-# (2-core x86 host: H_{11,5} has 66, H_{13,5} 91 and H_{7,7} 140).  Every
-# family within it has q^gamma <= 97^3, so its codes fit int64.
+# widens every row's product, so the sieve's cost per code grows like
+# q^(gamma/2) and meets the gcd test's near 300 (2-core x86 host, us per
+# code, sieve against gcd: H_{5,11} has 66 at 2.2 against 8.0, H_{7,7} 140
+# at 5.7 against 11.7, H_{5,23} 276 at 8.6 against 9.5).  Every family
+# within it has q^gamma <= 97^3, so its codes fit int64.
 SIEVE_MODULI = 100
 # codes (or draws) of the family walked at once: a block of _members, and a
 # chunk of a sweep (sweep.chunk_bounds)
@@ -296,32 +296,44 @@ def _dense_tables(K: FieldHandle) -> tuple[np.ndarray, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _power_rows(K: FieldHandle, mods: tuple, D: int) -> np.ndarray:
-    """(len(mods), D, e): row i of modulus f holds the K-indices of x^i mod f."""
-    add, mul, _inv, _chi, neg = K.tables()
-    rows = np.zeros((len(mods), D, len(mods[0]) - 1), dtype=np.int64)
-    for j, f in enumerate(mods):
-        for i in range(D):
-            r = _iv_mod([0] * i + [1], list(f), add, mul, neg, K.order)
-            rows[j, i, :len(r)] = r
-    return rows
+def _residue_map(K: FieldHandle, mods: tuple, D: int) -> np.ndarray:
+    """float64 (D k, len(mods) e k) for |K| = p^k and mods all of degree e: row
+    (i, j) holds the base-p digits of p^j (x^i mod f), for each f and each
+    coefficient of the residue.  An index sum_j c_j p^j adds digit by digit
+    mod p, so F mod f is this map of F's digits, mod p."""
+    add, mul, _inv, _chi, neg = _dense_tables(K)
+    p, n, e = K.p, K.order, len(mods[0]) - 1
+    pk = p ** np.arange(round(math.log(n, p)))
+    if D * len(pk) * (p - 1) ** 2 >= 2**50:  # pragma: no cover
+        raise BudgetError(f"a residue digit past 2^50 is not exact in float64 (p = {p}, D = {D})")
+    low = np.array(mods)[:, :e]
+    powers = np.zeros((D, len(mods), e + 1), dtype=np.int64)  # x^i mod f, and a carry
+    powers[0, :, 0] = 1
+    for i in range(1, D):  # x^i = x x^(i-1): shifted up into the carry c, less c (f - x^e)
+        powers[i, :, 1:] = powers[i - 1, :, :e]
+        powers[i, :, :e] = add[powers[i, :, :e] * n + mul[neg[powers[i, :, e:]] * n + low]]
+    digits = mul[pk[:, None, None, None] * n + powers[..., :e]][..., None] // pk % p
+    return digits.transpose(1, 0, 2, 3, 4).reshape(D * len(pk), -1).astype(np.float64)
 
 
 def _residues(K: FieldHandle, rows: np.ndarray, mods: tuple):
     """Reduce each row F of a (B, D) array of K-indices mod each monic f of mods, all of
-    degree e, as sum_i F_i (x^i mod f); yields, for each sub-block of rows in turn, the
-    (b, len(mods), e) K-indices of each F mod each f."""
-    add, mul = _dense_tables(K)[:2]
-    n, e = K.order, len(mods[0]) - 1
-    powers = _power_rows(K, mods, rows.shape[1])
-    step = max(1, RESIDUE_SUB_BLOCK // (len(mods) * e))
+    degree e: F's base-p digits times _residue_map, each sum a taken mod p as
+    a - p floor((a + 1/2) fl(1/p)), exact below 2^50 (the half keeps an exact multiple
+    of p off the integer below), and the digits read back as K-indices.  Yields, for
+    each sub-block of rows in turn, the (b, len(mods), e) K-indices of each F mod each f."""
+    p, e = K.p, len(mods[0]) - 1
+    M = _residue_map(K, mods, rows.shape[1])
+    k = len(M) // rows.shape[1]
+    digits = (rows[..., None] // p ** np.arange(k) % p).reshape(len(rows), -1).astype(np.float64)
+    step = max(1, RESIDUE_SUB_BLOCK // M.shape[1])
     for lo in range(0, len(rows), step):
-        F = rows[lo:lo + step]
-        acc = np.zeros((len(F), len(mods), e), dtype=np.int64)
-        acc[..., :F.shape[1]] = F[:, None, :e]  # x^i mod f = x^i for i < e
-        for i in range(e, rows.shape[1]):
-            acc = add[acc * n + mul[F[:, i, None, None] * n + powers[:, i]]]
-        yield acc
+        a = digits[lo:lo + step] @ M
+        a -= p * np.floor((a + 0.5) * (1 / p))
+        acc = a[:, ::k]
+        for j in range(1, k):
+            acc += p**j * a[:, j::k]
+        yield acc.astype(np.int64).reshape(len(a), len(mods), e)
 
 
 def _indivisible(K: FieldHandle, rows: np.ndarray, mods: tuple) -> np.ndarray:

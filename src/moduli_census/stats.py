@@ -101,7 +101,7 @@ def decomposition_residual(z: CurveZeta, variant: str, Z: int | None = None,
     if Z is None:
         Z = default_cutoff(gamma)
     if charsums is None:
-        charsums = trace_charsums([z.power_sum(m) for m in range(1, Z + 1)], gamma)
+        charsums = trace_charsums(z.power_sums(Z), gamma)
     charsums = charsums[:Z]
     value = count_value(z, variant, rank, degree)
     lq = math.log(q)
@@ -112,7 +112,7 @@ def decomposition_residual(z: CurveZeta, variant: str, Z: int | None = None,
                 - family_constant(q, gamma, "base", r) - rsum)
     if variant == "ntilde":
         # the points over F_{q^2m} give the character sums over F_{q^2}
-        ext = trace_charsums([z.power_sum(2 * m) for m in range(1, Z + 1)], gamma)
+        ext = trace_charsums(z.power_sums(2 * Z)[1::2], gamma)
         return (log_frac(value) - (4 * g - 4) * lq
                 + family_constant(q, gamma, "thm16") - r_variable(ext, q * q, 0))
     rsum = math.fsum(r_variable(charsums, q, k) for k in (0, 1))

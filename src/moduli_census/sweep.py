@@ -11,10 +11,12 @@ aggregation is a single ordered pass, so output is byte-identical for any
 worker count.
 
 The registry holds the first record of each distinct L-polynomial of the
-run, or of a pool worker's chunks: every later curve that has it copies the
-fields that read only P(t) (the N columns, the Jacobian, R^(k), delta_Z,
-the residuals and xz_pass), and computes the F column and the
-full_2_torsion flag, which read F, itself.
+run, or of a pool worker's chunks, built from p_1..p_Z of its P(t) (one
+Newton run, CurveZeta.power_sums): every later curve that has it copies
+the fields that read only P(t) (the N columns, the Jacobian, R^(k),
+delta_Z, the residuals and xz_pass), and keeps the F column and the
+full_2_torsion flag, which read F, as its own; the flags of a chunk are
+read at once (moduli._full_2_torsion).
 """
 
 from __future__ import annotations
@@ -68,14 +70,17 @@ class SweepConfig:
 
 
 def compute_record(curve: HyperellipticCurve, cfg: SweepConfig, psums: list[int],
-                   z: CurveZeta | None = None, like: FamilyRecord | None = None) -> FamilyRecord:
+                   z: CurveZeta | None = None, like: FamilyRecord | None = None,
+                   torsion: bool = False) -> FamilyRecord:
     """The record of one curve from its p_1..p_Z; it makes no count.
 
     z is the curve's zeta data at cfg.check_budget, or None for an R-only
     record (no N columns, no residuals).  R^(k) comes from the power sums.
     like, when given, is the record of a curve with the same p_1..p_Z and
     zeta data: every field but the two that read F, the F column and the
-    full_2_torsion flag, is copied from it, each dict into a new one.
+    full_2_torsion flag, is copied from it, each dict into a new one, and
+    psums is not read.  torsion is the curve's full_2_torsion flag, recorded
+    with the moduli fields.
     """
     F_text = format_poly(curve.F)
     if like is not None:
@@ -98,7 +103,7 @@ def compute_record(curve: HyperellipticCurve, cfg: SweepConfig, psums: list[int]
                     rec.residuals[variant] = math.nan
             rec.flags["xz_pass"] = xz_bound_check(z, ks=())["xz"].holds
     if cfg.compute_moduli:
-        rec.flags["full_2_torsion"] = _full_2_torsion(z)
+        rec.flags["full_2_torsion"] = torsion
     return rec
 
 
@@ -144,17 +149,21 @@ def _chunk_worker(args, registry: dict | None = None) -> list:
     """The records of one chunk (count_chunk).
 
     The first record of each L-polynomial of the run enters its entry of
-    the run's registry, and every later record of it copies that record's
-    shared fields.  A call without a registry starts its own.
+    the run's registry, built from p_1..p_Z of its P(t), and every later
+    record of it copies that record's shared fields.  A call without a
+    registry starts its own.
     """
     cfg, lo, hi = args
     registry = {} if registry is None else registry
+    counted = list(count_chunk(cfg, lo, hi, registry))
+    torsion = (_full_2_torsion([z for _, _, z in counted]) if cfg.compute_moduli
+               else [False] * len(counted))
     records = []
-    for curve, key, z in count_chunk(cfg, lo, hi, registry):
-        psums = key if z is None else [z.power_sum(m) for m in range(1, cfg.cutoff + 1)]
+    for (curve, key, z), flag in zip(counted, torsion):
         entry = registry[key]
         like = entry[2] if len(entry) > 2 else None
-        records.append(compute_record(curve, cfg, psums, z if cfg.with_zeta else None, like))
+        psums = key if z is None or like else z.power_sums(cfg.cutoff)
+        records.append(compute_record(curve, cfg, psums, z if cfg.with_zeta else None, like, flag))
         if like is None:
             entry.append(records[-1])
     return records

@@ -18,8 +18,8 @@ count, violation count and extreme is the one a pass over every curve
 gives; a failing check's detail names the first curve of each failing
 P(t).  What reads F stays per curve: crossval's full 2-torsion flag, and
 the zeta and lambda suites, whose character route and trace identity are
-the independent check of P(t) itself, one call of l_poly_via_characters
-and of lambda_character_identity per block and m.  The family is walked as
+the independent check of P(t) itself, one call of _full_2_torsion, of
+l_poly_via_characters and of lambda_character_identity per block (and m).  The family is walked as
 a sweep walks it (_Family): its blocks are the sweep's chunks, counted by
 sweep.count_chunk into the run's registry, and a run of every suite holds
 them once.
@@ -203,7 +203,7 @@ def suite_crossval(q: int, gamma: int, zs):
     nonint_ms = 0
     broken = 0
     # the flag reads F, so every curve counts it, which counts a streamed family
-    tors = sum(_full_2_torsion(z) for block in zs.blocks for z in block)
+    tors = sum(sum(_full_2_torsion(block)) for block in zs.blocks)
     groups, n = _by_lpoly(zs)
     for z, k in groups:
         rep = count_stable_fixed_det(z, 2, 1)

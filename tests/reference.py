@@ -10,13 +10,18 @@ monic reciprocity law
 and jacobi_symbol_via_factorization, which factors the modulus and applies
 Euler's criterion prime by prime.  Its trial division is _iv_divexact,
 the exact division that test_polyring's brute-force irreducibility oracle
-also uses.
+also uses.  The reduction of a block of F mod many moduli, which the
+package makes as one F_p-linear map of base-p digits, has a reference on
+the field's add and mul tables (residues_by_gather), and the full
+2-torsion flag one by divisibility (full_2_torsion).
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+
+import numpy as np
 
 from moduli_census.errors import DomainError
 from moduli_census.ffield import FieldHandle
@@ -172,6 +177,30 @@ def irreducible_polys(K: FieldHandle, e: int) -> list[MonicPoly]:
 def family_size(q: int, gamma: int) -> int:
     """|H_{gamma,q}| = q^gamma - q^(gamma-1) for gamma >= 2."""
     return q**gamma - q ** (gamma - 1)
+
+
+def residues_by_gather(K: FieldHandle, rows: np.ndarray, mods) -> np.ndarray:
+    """(B, len(mods), e): each row F of a (B, D) array of K-indices mod each monic
+    f of mods, all of degree e, as sum_i F_i (x^i mod f), accumulated one digit
+    i at a time by a gather on K's add and mul tables."""
+    add, mul, _inv, _chi, neg = K.tables()
+    n, e = K.order, len(mods[0]) - 1
+    powers = np.zeros((len(mods), rows.shape[1], e), dtype=np.int64)
+    for j, f in enumerate(mods):
+        for i in range(rows.shape[1]):
+            r = _iv_mod([0] * i + [1], list(f), add, mul, neg, n)
+            powers[j, i, :len(r)] = r
+    add, mul = np.array(add), np.array(mul)
+    acc = np.zeros((len(rows), len(mods), e), dtype=np.int64)
+    for i in range(rows.shape[1]):
+        acc = add[acc * n + mul[rows[:, i, None, None] * n + powers[:, i]]]
+    return acc
+
+
+def full_2_torsion(F: MonicPoly) -> bool:
+    """F square-free splits into distinct linear factors over F_q iff it divides x^q - x."""
+    K = F.field
+    return _iv_powmod([0, 1], K.order, list(F.coeffs), K) == [0, 1]
 
 
 def residual_envelope(q: int, g: int) -> float:

@@ -6,9 +6,9 @@ import pytest
 
 from moduli_census.errors import DomainError, UnsupportedRankError
 from moduli_census.ffield import make_field
-from moduli_census.polyring import FamilySpec, family, parse_poly
-from moduli_census.curvezeta import (HyperellipticCurve, jacobian_count, zeta_data, zeta_data_block,
-                                    zeta_value)
+from moduli_census.polyring import FamilySpec, MonicPoly, family, parse_poly
+from moduli_census.curvezeta import (HyperellipticCurve, family_curves, jacobian_count, zeta_data,
+                                    zeta_data_block, zeta_value)
 from moduli_census.moduli import (
     COUNT_TARGETS,
     SUPPORTED_PARTITIONS,
@@ -25,6 +25,7 @@ from moduli_census.moduli import (
     siegel_mass,
     unstable_mass,
 )
+from reference import full_2_torsion
 
 F3 = make_field(3)
 
@@ -454,14 +455,6 @@ def _ref_beta(z, r, d):
     return _ref_siegel(z, r) - sum(_ref_unstable(z, p, d % r) for p in parts)
 
 
-def _ref_full_2_torsion(z):
-    # F is square-free, so it splits into distinct linear factors over F_q
-    # iff it divides x^q - x
-    from moduli_census.polyring import _iv_powmod
-    K, F = z.curve.field, z.curve.F
-    return _iv_powmod([0, 1], K.order, list(F.coeffs), K) == [0, 1]
-
-
 def test_integer_forms_match_fraction_expressions():
     for f in family(FamilySpec(F3, 5)):
         z = zeta_data(HyperellipticCurve(f))
@@ -473,7 +466,7 @@ def test_integer_forms_match_fraction_expressions():
             assert unstable_mass(z, part, d) == _ref_unstable(z, part, d), (f, part, d)
         ms = count_ms20(z)
         assert ms.value == _ref_ms20(z)
-        assert ms.hypotheses["full_2_torsion"] is _ref_full_2_torsion(z) is False
+        assert ms.hypotheses["full_2_torsion"] is full_2_torsion(z.curve.F) is False
         higgs = count_higgs(z)
         assert higgs.components["A_3"] == _ref_higgs_a3(z)
         assert higgs.value == _ref_higgs(z)
@@ -636,13 +629,20 @@ def test_count_value_domain(z55):
 
 
 def test_full_2_torsion_flag_matches_root_count():
-    # deg F <= q, where F can split over F_q; the other case is covered above
+    # deg F <= q, where F can split over F_q (the other case is covered
+    # above), up to deg F = q, where only x^q - x splits, over prime fields
+    # and F_9; the flags of a block are each curve's own, whether a curve
+    # comes alone or with others
     from moduli_census.moduli import _full_2_torsion
-    flags = []
-    for q, gamma in ((3, 3), (5, 4), (5, 5)):
-        for f in itertools.islice(family(FamilySpec(make_field(q), gamma)), 400):
-            z = zeta_data(HyperellipticCurve(f))
-            flags.append(_full_2_torsion(z))
-            assert flags[-1] is _ref_full_2_torsion(z), f
-            assert _full_2_torsion(z) is flags[-1]  # the same flag on a second call
-    assert any(flags) and not all(flags)
+    for q, k, gamma in ((3, 1, 3), (5, 1, 4), (5, 1, 5), (3, 2, 4), (3, 2, 9)):
+        K = make_field(q, k)
+        curves = list(family_curves(FamilySpec(K, gamma, "sample", 300, 1)))
+        if gamma == K.order:  # x^q - x
+            curves.append(HyperellipticCurve(
+                MonicPoly(K, [0, K.tables()[4][1]] + [0] * (gamma - 2) + [1])))
+        zs = list(zeta_data_block(curves))
+        want = [full_2_torsion(c.F) for c in curves]
+        assert _full_2_torsion(zs) == want, (q, k, gamma)
+        assert [_full_2_torsion([z])[0] for z in zs[-50:]] == want[-50:]
+        assert any(want) and not all(want)
+    assert _full_2_torsion([]) == []

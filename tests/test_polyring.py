@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -269,6 +270,36 @@ def test_squarefree_sieve_matches_gcd_on_every_code(K, gamma):
     # the enumerate stream is the sieved code blocks, in code order
     assert [list(f.coeffs) for f in family(FamilySpec(K, gamma))] == [
         iv for iv, ok in zip(ivs, keep) if ok]
+
+
+# the fields of the residue kernel's test; 103 is the least odd prime whose
+# reciprocal, times an exact multiple of it, floors one short, so the
+# kernel's + 1/2 matters there and not over 3, 5 or 7
+RESIDUE_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (3, 3), (103, 1)]
+
+
+@pytest.mark.parametrize("p, k", RESIDUE_FIELDS, ids=[f"q{p**k}" for p, k in RESIDUE_FIELDS])
+def test_residues_match_the_gather_reference(p, k):
+    # _residues, one float64 product of base-p digits and an exact floor-mod,
+    # against a gather on the add and mul tables: moduli of degree e = 1..4
+    # (1..2 over F_103), rows of each width the callers use (gamma + 1 for
+    # the sieve and the symbols, 2e - 1 for the symbol fill), both random and
+    # of the digit p - 1 alone, whose sums are the largest
+    from moduli_census.polyring import _residues
+    from reference import residues_by_gather
+    K, rng = make_field(p, k), random.Random(p * k)
+    q = K.order
+    assert any(math.floor(c * p * (1 / p)) != c for c in range(1, 1000)) == (p == 103)
+    split = False
+    for e in range(1, 3 if p > 7 else 5):
+        mods = tuple({tuple(rng.randrange(q) for _ in range(e)) + (1,) for _ in range(60)})
+        for D in (e + 1, 2 * e - 1, 2 * e + 1, 10):
+            rows = np.array([[rng.randrange(q) for _ in range(D)] for _ in range(300)]
+                            + [[q - 1] * D] * 3)
+            blocks = list(_residues(K, rows, mods))
+            split |= len(blocks) > 1
+            assert np.concatenate(blocks).tolist() == residues_by_gather(K, rows, mods).tolist()
+    assert split  # some rows came in more than one sub-block
 
 
 def reference_draw(spec, i):

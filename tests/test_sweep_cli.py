@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 from moduli_census.emit import fmt_float, frac_str, json_dumps
 from moduli_census.cli import main
 from moduli_census.sweep import SweepConfig, build_report, records_to_csv, run_sweep
-from reference import parse_frac
+from reference import full_2_torsion, parse_frac
 
 
 # -- emit helpers --------------------------------------------------------------
@@ -178,8 +178,8 @@ def test_multi_chunk_sweep_matches_curve_by_curve_records(monkeypatch):
     built = []
     for curve in family_curves(FamilySpec(make_field(3), 7)):
         z = zeta_data(curve, cfg.check_budget)
-        psums = [z.power_sum(m) for m in range(1, cfg.cutoff + 1)]
-        built.append(compute_record(curve, cfg, psums, z))
+        built.append(compute_record(curve, cfg, z.power_sums(cfg.cutoff), z,
+                                    torsion=full_2_torsion(curve.F)))
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     for workers in (1, 2):
         swept = run_sweep(SweepConfig(q=3, gamma=7, workers=workers))
@@ -201,6 +201,20 @@ def test_registry_counts_every_record(flags):
     assert len(records) == 267
     assert sum(entry[1] for entry in registry.values()) == len(records)
     assert all(entry[1] > 0 for entry in registry.values())
+
+
+@pytest.mark.parametrize("Z", [2, 7, 40])
+def test_power_sums_run_newton_once_per_l_polynomial(monkeypatch, Z):
+    # a run builds p_1..p_Z for the first record of each L-polynomial only,
+    # with one Newton run: whatever Z, _from_counts' two calls per distinct
+    # key and one more
+    from moduli_census import curvezeta
+    newton, calls = curvezeta._newton, []
+    monkeypatch.setattr(curvezeta, "_newton", lambda *args: calls.append(args) or newton(*args))
+    records = run_sweep(SweepConfig(q=3, gamma=7, z_override=Z))
+    keys = {rec.N for rec in records}  # N_1..N_2g, the key N_1..N_g and P(t) determine each other
+    assert len(records) == 1458 and len(keys) == 218
+    assert len(calls) <= 3 * len(keys)
 
 
 def test_validate_blocks_are_the_sweep_chunks():
@@ -968,7 +982,7 @@ def test_validate_crossval_counts_full_2_torsion_per_curve(monkeypatch):
     # P(t) must be counted curve by curve
     from moduli_census import validate
     coeffs, k, _ = busiest_l_polynomial(5, 5)
-    monkeypatch.setattr(validate, "_full_2_torsion", lambda z: z.curve.F.coeffs[0] == 0)
+    monkeypatch.setattr(validate, "_full_2_torsion", lambda zs: [z.curve.F.coeffs[0] == 0 for z in zs])
     want = sum(z.curve.F.coeffs[0] == 0 for z in per_curve_zeta(5, 5))
     assert 0 < sum(z.curve.F.coeffs[0] == 0 for z in per_curve_zeta(5, 5)
                    if z.coeffs == coeffs) < k
@@ -1007,9 +1021,9 @@ def test_sweep_csv_matches_a_per_curve_reference():
     import dataclasses
     from moduli_census.sweep import compute_record
     cfg = SweepConfig(q=5, gamma=5)
-    ms = range(1, cfg.cutoff + 1)
     reference = records_to_csv(
-        [compute_record(z.curve, cfg, [z.power_sum(m) for m in ms], z) for z in per_curve_zeta(5, 5)],
+        [compute_record(z.curve, cfg, z.power_sums(cfg.cutoff), z, torsion=full_2_torsion(z.curve.F))
+         for z in per_curve_zeta(5, 5)],
         cfg)
     assert ",1\n" in reference and ",0\n" in reference
     for workers in (1, 2):
