@@ -3,9 +3,11 @@ statistics for hyperelliptic curves over small odd finite fields."""
 
 import os
 
-# The package makes no BLAS call (every product is of integer arrays, which
-# numpy computes without BLAS), so OpenBLAS need not start a thread per core
-# when numpy is imported.  A value set by the user is kept.
+# The package's one BLAS call is the float64 product of polyring._residues,
+# whose blocks are too small to gain from threads; every other product is of
+# integer arrays, which numpy computes without BLAS.  So OpenBLAS need not
+# start a thread per core when numpy is imported.  A value set by the user is
+# kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import (

@@ -26,6 +26,7 @@ from .errors import (BudgetError, DomainError, InternalConsistencyError,
                      InvalidCharacteristicError, PolyParseError)
 from .ffield import make_field
 from .moduli import (
+    COUNT_TARGETS,
     EXACT_RANKS,
     count_higgs,
     count_ms20,
@@ -207,8 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moduli", help="one moduli-space count report as JSON")
     add_curve_args(p)
-    p.add_argument("--target", choices=("m_rd", "ms20", "ntilde", "higgs", "estimate"),
-                   required=True)
+    p.add_argument("--target", choices=COUNT_TARGETS + ("estimate",), required=True)
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--degree", type=int, default=1)
     p.set_defaults(func=cmd_moduli)
@@ -216,21 +216,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="family sweep: CSV rows plus report JSON")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--gamma", type=int, required=True)
-    p.add_argument("--mode", choices=("enumerate", "sample"), default="enumerate")
-    p.add_argument("--count", type=int, default=None, help="sample-mode draw count")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--z", type=int, default=None, help="truncation override")
-    p.add_argument("--r-max", type=int, default=4)
+    p.add_argument("--mode", choices=("enumerate", "sample"), default=SweepConfig.mode)
+    p.add_argument("--count", type=int, default=SweepConfig.count, help="sample-mode draw count")
+    p.add_argument("--seed", type=int, default=SweepConfig.seed)
+    p.add_argument("--z", type=int, default=SweepConfig.z_override, help="truncation override")
+    p.add_argument("--r-max", type=int, default=SweepConfig.r_max)
     p.add_argument("--variants", type=str, default="",
                    help="comma-separated residual variants"
-                        " (default m_rd,ms20,higgs)")
-    p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--degree", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--check-budget", type=int, default=10**4)
+                        f" (default {','.join(SweepConfig.variants)})")
+    p.add_argument("--rank", type=int, default=SweepConfig.rank)
+    p.add_argument("--degree", type=int, default=SweepConfig.degree)
+    p.add_argument("--workers", type=int, default=SweepConfig.workers)
+    p.add_argument("--check-budget", type=int, default=SweepConfig.check_budget)
     p.add_argument("--no-moduli", action="store_true",
                    help="skip moduli residual columns (fast statistics runs)")
-    p.add_argument("--max-n", type=int, default=4)
+    p.add_argument("--max-n", type=int, default=SweepConfig.max_n)
     p.add_argument("--out", type=str, default=None, help="CSV destination")
     p.add_argument("--report-out", type=str, default=None,
                    help="report JSON destination")

@@ -39,14 +39,21 @@ SUB_BLOCK / D and orbits in slices sized so that no transient array holds
 more than SUB_BLOCK entries (under 1 MB), whatever B is; a block's value
 tables live for one slice.  The step rows i k mod (Q - 1) are kept on the
 table for the largest degree seen.
+
+The same log table gives a field of order at most TABLE_LIMIT its dense
+add/mul/inv/chi/neg tables (dense_tables), built once per field as numpy
+arrays: polyring and curvezeta read them, and FieldHandle.tables() keeps
+them as lists for the scalar loops.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .errors import InternalConsistencyError
-from .ffield import FieldHandle, _prime_divisors, extend_field, make_field
+from .errors import BudgetError, InternalConsistencyError
+from .ffield import TABLE_LIMIT, FieldHandle, _prime_divisors, extend_field, make_field
 
 SUB_BLOCK = 2**15  # entries (rows x columns x orbits) of one transient array
 SPLIT_ROWS = 64  # a set of at most this many rows folds its columns without a split
@@ -96,10 +103,7 @@ class LogTable:
 
     def __init__(self, K: FieldHandle, r: int):
         E = extend_field(K, r)
-        p, Q, q = E.p, E.order, K.order
-        n = 1  # base-p digits of an element index
-        while p**n < Q:
-            n += 1
+        p, Q, q, n = E.p, E.order, K.order, E.digits
         self.p, self.q, self.Q = p, q, Q
         step = _primitive_element(E, n)
         rows = np.zeros((1, n), dtype=np.int64)
@@ -249,14 +253,16 @@ def affine_chi_sum(p: int, r: int, coeffs: list[int]) -> int:
     return int(field_table(p, r, len(coeffs) - 1).chi_sums([coeffs])[0])
 
 
-def dense_tables(K: FieldHandle) -> tuple[list[int], ...]:
-    """FieldHandle.tables() of K, computed from the log table of K."""
+@functools.lru_cache(maxsize=None)
+def dense_tables(K: FieldHandle) -> tuple[np.ndarray, ...]:
+    """The (add, mul, inv, chi, neg) tables of K on element indices, from the
+    log table of K: add and mul flat, indexed by a*order+b; inv[0] is unused.
+    One build per field, refused past TABLE_LIMIT."""
+    if K.order > TABLE_LIMIT:
+        raise BudgetError(f"field of order {K.order} exceeds table limit")
     t = table(K, 1)
     n, p = K.order, K.p
-    m = 1  # base-p digits of an element index
-    while p**m < n:
-        m += 1
-    pvec = p ** np.arange(m)
+    pvec = p ** np.arange(K.digits)
     dig = np.arange(n)[:, None] // pvec % p  # the digits of every element index
     power = np.zeros(n - 1, dtype=np.int64)  # element index of g^k
     power[t.log[1:]] = np.arange(1, n)
@@ -266,4 +272,4 @@ def dense_tables(K: FieldHandle) -> tuple[list[int], ...]:
     inv[0] = 0
     add = (dig[:, None] + dig) % p @ pvec
     neg = -dig % p @ pvec
-    return add.ravel().tolist(), mul.ravel().tolist(), inv.tolist(), t.chi.tolist(), neg.tolist()
+    return add.ravel(), mul.ravel(), inv, t.chi, neg

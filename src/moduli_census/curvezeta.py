@@ -68,8 +68,8 @@ import numpy as np
 
 from . import countfast
 from .errors import BudgetError, DomainError, InternalConsistencyError
-from .polyring import (FamilySpec, MonicPoly, _dense_tables, _irreducible_ivs, _members,
-                       _residues, format_poly, is_squarefree, prime_count)
+from .polyring import (FamilySpec, MonicPoly, _irreducible_ivs, _members, _residues, format_poly,
+                       is_squarefree, prime_count)
 
 POINT_BUDGET = 10**6
 # entries of one degree's symbol table (one int8 per prime and residue); a
@@ -441,7 +441,7 @@ def _symbol_table(K, e: int) -> np.ndarray:
     square mod P, and the squares are s (v^2 mod P) for the square constants
     s of F_q^* and the monic v of degree < e; every other u != 0 takes -1."""
     n = K.order
-    add, mul, _inv, chi, _neg = _dense_tables(K)
+    add, mul, _inv, chi, _neg = countfast.dense_tables(K)
     mods = _irreducible_ivs(K, e)
     table = np.full(len(mods) * n**e, -1, dtype=np.int8)
     table[::n**e] = 0
@@ -538,10 +538,12 @@ def l_poly_via_characters(zs) -> list[list[int]]:
 
     The Euler product over monic irreducibles of the character (F/.)
     gives the full character sum sum_f (F/f) t^deg f; for even deg F it
-    carries the split infinite place as an exact (1 - t) factor which is
-    divided out.  Each P of degree e <= gamma - 1 multiplies the whole
-    block's series by 1 / (1 - (F/P) t^e).  Every result must match its z,
-    from the point counts, exactly.
+    carries the split infinite place as an exact (1 - t) factor, divided
+    out by taking running sums: through degree gamma - 1 they are P(t)
+    followed by the sum at t = 1, which must be 0.  Each P of degree
+    e <= gamma - 1 multiplies the whole block's series by
+    1 / (1 - (F/P) t^e).  Every result must match its z, from the point
+    counts, exactly.
     """
     zs = list(zs)
     if not zs:
@@ -557,21 +559,15 @@ def l_poly_via_characters(zs) -> list[list[int]]:
         for s in _jacobi_block(K, rows, e).T:
             for m in range(e, M + 1):
                 b[:, m] += s * b[:, m - e]
-    if curve.delta:
-        for z, total in zip(zs, b.sum(axis=1).tolist()):
-            if total != 0:
-                raise InternalConsistencyError(
-                    f"character-route: raw sum does not vanish at t = 1 for"
-                    f" F = {format_poly(z.curve.F)}")
-        c = np.cumsum(b[:, : 2 * g + 1], axis=1).tolist()
-    else:
-        c = b[:, : 2 * g + 1].tolist()
+    if curve.delta:  # divide out (1 - t): the running sums, the last one the sum at t = 1
+        b = np.cumsum(b, axis=1)
+    c = b.tolist()
     for z, ci in zip(zs, c):
-        if tuple(ci) != z.coeffs:
+        if tuple(ci) != z.coeffs + (0,) * curve.delta:
             raise InternalConsistencyError(
                 f"character-route mismatch for F = {format_poly(z.curve.F)}:"
-                f" {ci} vs {list(z.coeffs)}")
-    return c
+                f" {ci} vs {list(z.coeffs) + [0] * curve.delta}")
+    return [ci[: 2 * g + 1] for ci in c]
 
 
 def curve_zeta_json_dict(z: CurveZeta) -> dict:

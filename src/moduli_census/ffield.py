@@ -13,9 +13,10 @@ defining modulus of an extension is found by a deterministic search
 (smallest candidate in coefficient-code order that the polynomial ring's
 is_irreducible accepts), so two runs always build identical fields.
 
-For small orders a handle lazily builds dense index-based add/mul/
-inverse/character tables from its discrete-log table (countfast); the
-polynomial-ring module leans on those for its hot loops.
+A field of order at most TABLE_LIMIT has dense index-based add/mul/
+inverse/character/negation tables, built once per field as numpy arrays
+from its discrete-log table (countfast.dense_tables); the handle keeps them
+as lists (tables()) for the scalar loops of the polynomial ring.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class FieldHandle:
     Immutable after construction; safe to share between workers.
     """
 
-    __slots__ = ("p", "base", "modulus", "degree", "order", "_tables")
+    __slots__ = ("p", "base", "modulus", "degree", "order", "digits", "_tables")
 
     def __init__(self, p: int, base: "FieldHandle | None", modulus: tuple[int, ...], degree: int):
         self.p = p
@@ -42,6 +43,7 @@ class FieldHandle:
         self.modulus = modulus          # base indices of the monic modulus; () for prime fields
         self.degree = degree            # extension degree over base (1 for prime)
         self.order = p if base is None else base.order**degree
+        self.digits = 1 if base is None else base.digits * degree  # order = p^digits
         self._tables = None
 
     def mul(self, a: int, b: int) -> int:
@@ -56,16 +58,15 @@ class FieldHandle:
         return sum(c * q**i for i, c in enumerate(prod))
 
     def tables(self):
-        """(add, mul, inv, chi, neg) tables on element indices; small fields only.
+        """(add, mul, inv, chi, neg) tables on element indices as lists, for
+        the scalar routines; small fields only (countfast.dense_tables).
 
         add/mul are flat lists indexed by a*order+b; inv[0] is unused.
         """
         if self._tables is None:
-            if self.order > TABLE_LIMIT:
-                raise BudgetError(f"field of order {self.order} exceeds table limit")
             from .countfast import dense_tables  # built from the field's discrete logs
 
-            self._tables = dense_tables(self)
+            self._tables = tuple(t.tolist() for t in dense_tables(self))
         return self._tables
 
     def __repr__(self):

@@ -106,9 +106,7 @@ def beta(z: CurveZeta, r: int, d: int) -> Fraction:
     """Semistable mass beta(r, d) = Siegel mass minus the unstable strata.
 
     It depends only on d mod r (twisting by a line bundle of degree 1)."""
-    if r == 1:
-        return Fraction(1, z.q - 1)
-    if r not in EXACT_RANKS:
+    if r not in (1, *EXACT_RANKS):
         raise UnsupportedRankError("beta implemented for ranks 1..3")
     return _evaluate(z, _hn_form, r, d % r)
 

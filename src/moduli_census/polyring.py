@@ -48,6 +48,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ffield
+from .countfast import dense_tables
 from .errors import BudgetError, DomainError, PolyParseError
 from .ffield import FieldHandle
 
@@ -279,20 +280,16 @@ def von_mangoldt(f: MonicPoly) -> int:
 RESIDUE_SUB_BLOCK = 2**14
 # a family is sieved by its squares P^2 when it has at most this many.  Each
 # widens every row's product, so the sieve's cost per code grows like
-# q^(gamma/2) and meets the gcd test's near 300 (2-core x86 host, us per
-# code, sieve against gcd: H_{5,11} has 66 at 2.2 against 8.0, H_{7,7} 140
-# at 5.7 against 11.7, H_{5,23} 276 at 8.6 against 9.5).  Every family
-# within it has q^gamma <= 97^3, so its codes fit int64.
-SIEVE_MODULI = 100
+# q^(gamma/2) and meets the gcd test's near 250 (2-core x86 host, us per
+# code on 2048 codes, sieve against gcd: H_{7,7} has 140 at 5.5 against
+# 10.7, H_{13,3} 196 at 12.2 against 22.7, H_{9,5} 205 at 9.0 against 15.3,
+# H_{3,241} 241 at 5.0 against 5.2; H_{3,251} 251 at 5.6 against 5.3 and
+# H_{5,31} 496 at 13.7 against 9.8).  Every family within it has
+# q^gamma <= 243^3 (F_243 at gamma = 3), about 1.4e7, so its codes fit int64.
+SIEVE_MODULI = 250
 # codes (or draws) of the family walked at once: a block of _members, and a
 # chunk of a sweep (sweep.chunk_bounds)
 CHUNK = 1024
-
-
-@functools.lru_cache(maxsize=None)
-def _dense_tables(K: FieldHandle) -> tuple[np.ndarray, ...]:
-    """K.tables() (add, mul, inv, chi, neg) as numpy arrays."""
-    return tuple(np.array(t) for t in K.tables())
 
 
 @functools.lru_cache(maxsize=None)
@@ -301,9 +298,9 @@ def _residue_map(K: FieldHandle, mods: tuple, D: int) -> np.ndarray:
     (i, j) holds the base-p digits of p^j (x^i mod f), for each f and each
     coefficient of the residue.  An index sum_j c_j p^j adds digit by digit
     mod p, so F mod f is this map of F's digits, mod p."""
-    add, mul, _inv, _chi, neg = _dense_tables(K)
+    add, mul, _inv, _chi, neg = dense_tables(K)
     p, n, e = K.p, K.order, len(mods[0]) - 1
-    pk = p ** np.arange(round(math.log(n, p)))
+    pk = p ** np.arange(K.digits)
     if D * len(pk) * (p - 1) ** 2 >= 2**50:  # pragma: no cover
         raise BudgetError(f"a residue digit past 2^50 is not exact in float64 (p = {p}, D = {D})")
     low = np.array(mods)[:, :e]

@@ -257,16 +257,22 @@ def _cumulants(mu: list, rows: list, sign: float = -1.0) -> list:
     return kappa
 
 
+def _local_law(q: int, k: int, e: int) -> tuple[float, float, float, float, int]:
+    """(x, u, v, w, pi_q(e)) for the primes of degree e: x = q^-(k+1)e, and
+    X_e is u = -log(1-x) with probability w/2, -v = -log(1+x) with
+    probability w/2 and 0 otherwise, w = 1/(1 + q^-e)."""
+    x = q ** (-(k + 1) * e)
+    return x, -math.log1p(-x), math.log1p(x), 1.0 / (1.0 + q ** (-e)), prime_count(q, e)
+
+
 def theoretical_moment(q: int, k: int, n: int, D: int) -> tuple[float, float]:
     """Limiting n-th moment H^(k)(n) = E[S^n], primes truncated at degree D.
 
-    Returns (value, tail_bound).  A prime of degree e has x = q^-(k+1)e,
-    and its X_e is u = -log(1-x) with probability w/2, -v = -log(1+x) with
-    probability w/2 and 0 otherwise, w = 1/(1 + q^-e); so
-    E[X_e^m] = w (u^m + (-v)^m) / 2.  The X_P are independent, so the
-    cumulants add: kappa_n(S) = sum_e pi_q(e) kappa_n(X_e), each
-    kappa_n(X_e) from the moments of X_e.  The moments of S come back through
-    the recursion of _binomial_sum.
+    Returns (value, tail_bound).  A prime of degree e has the X_e of
+    _local_law, so E[X_e^m] = w (u^m + (-v)^m) / 2.  The X_P are
+    independent, so the cumulants add: kappa_n(S) = sum_e pi_q(e)
+    kappa_n(X_e), each kappa_n(X_e) from the moments of X_e.  The moments
+    of S come back through the recursion of _binomial_sum.
 
     Tail bound.  With x = q^-(k+1)e <= 1/3, u <= x/(1-x) <= 1.5 x and
     v <= x, so X_e / x has |E[(X_e/x)^m]| <= M_m = (1.5^m + 1)/2 and, by the
@@ -294,9 +300,7 @@ def theoretical_moment(q: int, k: int, n: int, D: int) -> tuple[float, float]:
     rows = [[float(math.comb(i - 1, j)) for j in range(i)] for i in range(n + 1)]
     kappa = [0.0] * (n + 1)
     for e in range(1, D + 1):
-        x = q ** (-(k + 1) * e)
-        u, v, w = -math.log1p(-x), math.log1p(x), 1.0 / (1.0 + q ** (-e))
-        pe = prime_count(q, e)
+        x, u, v, w, pe = _local_law(q, k, e)
         # u^m + (-v)^m; for odd m, (u - v)(u^(m-1) + ... + v^(m-1)) with
         # u - v = -log(1 - x^2), as u^m - v^m would lose digits when x is small
         mu = [1.0] + [w * (u**m + v**m if m % 2 == 0 else -math.log1p(-x * x)
@@ -373,7 +377,7 @@ def characteristic_function(q: int, k: int, t: float, D: int) -> complex:
 
     The X_P are independent, so phi is the product over e of
     (1 + z_e)^pi_q(e), z_e = E[exp(i t X_e)] - 1 = w (e^(itu) - 1 + e^(-itv) - 1)/2
-    (u, v, w of theoretical_moment), taken as exp(sum_e pi_q(e) log1p(z_e)).
+    (x, u, v, w of _local_law), taken as exp(sum_e pi_q(e) log1p(z_e)).
     e^(i theta) - 1 is -2 sin^2(theta/2) + i sin(theta), and sin(tu) - sin(tv)
     is 2 sin(t(u-v)/2) cos(t(u+v)/2) with u - v = -log(1-x^2) and
     (u+v)/2 = atanh(x), so z_e has no cancellation;
@@ -392,11 +396,9 @@ def characteristic_function(q: int, k: int, t: float, D: int) -> complex:
     _check_float_range(q, D, "pi_q(D)", prime_count(q, D))
     re, im = [], []
     for e in range(1, D + 1):
-        x = q ** (-(k + 1) * e)
-        u, v, w = -math.log1p(-x), math.log1p(x), 1.0 / (1.0 + q ** (-e))
+        x, u, v, w, pe = _local_law(q, k, e)
         zr = -w * (math.sin(t * u / 2) ** 2 + math.sin(t * v / 2) ** 2)
         zi = w * math.sin(-t * math.log1p(-x * x) / 2) * math.cos(t * math.atanh(x))
-        pe = prime_count(q, e)
         re.append(pe * math.log1p(2 * zr + zr * zr + zi * zi) / 2)
         im.append(pe * math.atan2(zi, 1 + zr))
     return cmath.exp(complex(math.fsum(re), math.fsum(im)))

@@ -63,11 +63,6 @@ class SweepConfig:
     def cutoff(self) -> int:
         return default_cutoff(self.gamma) if self.z_override is None else self.z_override
 
-    @property
-    def with_zeta(self) -> bool:
-        """Whether records carry zeta data: the N columns and the residuals need it."""
-        return self.compute_zeta or self.compute_moduli
-
 
 def compute_record(curve: HyperellipticCurve, cfg: SweepConfig, psums: list[int],
                    z: CurveZeta | None = None, like: FamilyRecord | None = None,
@@ -112,8 +107,8 @@ def _count_plan(cfg: SweepConfig) -> tuple[int | None, list[int]]:
     budget, or as bare counts when it is None.  An R-only record past Z > g
     takes p_m from the Newton recurrence of N_1..N_g (zeta data at budget 0)."""
     g = (cfg.gamma - 1) // 2
-    if cfg.with_zeta or cfg.cutoff > g:
-        budget = cfg.check_budget if cfg.with_zeta else 0
+    if cfg.compute_zeta or cfg.cutoff > g:
+        budget = cfg.check_budget if cfg.compute_zeta else 0
         return budget, zeta_degrees(cfg.q, g, budget)
     return None, list(range(1, cfg.cutoff + 1))
 
@@ -163,7 +158,8 @@ def _chunk_worker(args, registry: dict | None = None) -> list:
         entry = registry[key]
         like = entry[2] if len(entry) > 2 else None
         psums = key if z is None or like else z.power_sums(cfg.cutoff)
-        records.append(compute_record(curve, cfg, psums, z if cfg.with_zeta else None, like, flag))
+        records.append(compute_record(curve, cfg, psums, z if cfg.compute_zeta else None, like,
+                                      flag))
         if like is None:
             entry.append(records[-1])
     return records
@@ -198,6 +194,8 @@ def run_sweep(cfg: SweepConfig) -> list[FamilyRecord]:
         if variant in cfg.variants[:i]:
             raise DomainError(f"residual variant {variant!r} is given twice")
     check_stable_domain(cfg.rank, cfg.degree)
+    if cfg.compute_moduli and not cfg.compute_zeta:
+        raise DomainError("the moduli columns read zeta data: compute_moduli needs compute_zeta")
     if cfg.workers < 1:
         raise DomainError("the number of workers must be >= 1")
     # rejects a bad mode, count or seed
@@ -227,7 +225,7 @@ def records_to_csv(records: list[FamilyRecord], cfg: SweepConfig) -> str:
     two_g = 2 * ((cfg.gamma - 1) // 2)
     header = (["q", "gamma", "F", "genus"]
               + ([f"N{m}" for m in range(1, two_g + 1)] + ["jacobian"]
-                 if cfg.with_zeta else [])
+                 if cfg.compute_zeta else [])
               + [f"R{k}" for k in range(cfg.r_max)]
               + ["delta_Z"]
               + [f"residual_{v}" for v in (cfg.variants if cfg.compute_moduli else ())]
@@ -236,7 +234,7 @@ def records_to_csv(records: list[FamilyRecord], cfg: SweepConfig) -> str:
     for rec in records:
         row = [str(rec.q), str(rec.gamma), rec.F_text.replace(",", ":"),
                str(rec.genus)]
-        if cfg.with_zeta:
+        if cfg.compute_zeta:
             row += [str(n) for n in rec.N]
             row.append(str(rec.jacobian))
         row += [fmt_float(rec.R[k]) for k in range(cfg.r_max)]
@@ -252,11 +250,7 @@ def records_to_csv(records: list[FamilyRecord], cfg: SweepConfig) -> str:
 def build_report(records: list[FamilyRecord], cfg: SweepConfig) -> SweepReport:
     """Empirical statistics plus their truncated theoretical counterparts."""
     report = empirical_stats(records, max_n=cfg.max_n)
-    report.family = {
-        "q": cfg.q, "gamma": cfg.gamma, "mode": cfg.mode,
-        "count": len(records), "seed": cfg.seed, "Z": cfg.cutoff,
-        "convention": "F_over_f",
-    }
+    report.family.update(mode=cfg.mode, seed=cfg.seed, Z=cfg.cutoff, convention="F_over_f")
     D = 2 * cfg.gamma
     moments, covariance = limit_tables(cfg.q, range(cfg.r_max), cfg.max_n, D)
     for entry in [e for row in moments.values() for e in row.values()] + [*covariance.values()]:

@@ -13,7 +13,10 @@ the exact division that test_polyring's brute-force irreducibility oracle
 also uses.  The reduction of a block of F mod many moduli, which the
 package makes as one F_p-linear map of base-p digits, has a reference on
 the field's add and mul tables (residues_by_gather), and the full
-2-torsion flag one by divisibility (full_2_torsion).
+2-torsion flag one by divisibility (full_2_torsion).  The rank-2 counts
+have two references read from the symmetric powers of the curve alone:
+Thaddeus' flips for m_21 (thaddeus_m21) and the C*-fixed loci for the
+Higgs count (higgs_by_fixed_loci).
 """
 
 from __future__ import annotations
@@ -201,6 +204,47 @@ def full_2_torsion(F: MonicPoly) -> bool:
     """F square-free splits into distinct linear factors over F_q iff it divides x^q - x."""
     K = F.field
     return _iv_powmod([0, 1], K.order, list(F.coeffs), K) == [0, 1]
+
+
+def projective_count(q: int, m: int) -> Fraction:
+    """N(P^m) = (q^(m+1) - 1)/(q - 1); 0 for m < 0."""
+    return Fraction(q ** (m + 1) - 1, q - 1) if m >= 0 else Fraction(0)
+
+
+def symmetric_power_count(q: int, coeffs, m: int) -> Fraction:
+    """N(Sym^m C) = sum_{i <= min(m, 2g)} c_i (q^(m-i+1) - 1)/(q - 1): the
+    coefficient of t^m in Z(C, t) = P(t) / ((1 - t)(1 - q t))."""
+    return sum((c * projective_count(q, m - i) for i, c in enumerate(coeffs[:m + 1])),
+               Fraction(0))
+
+
+def thaddeus_m21(q: int, coeffs, d: int) -> Fraction:
+    """N(M(2, 1)) from Thaddeus' flips (Thaddeus, Invent. Math. 1994), for odd
+    d >= 4g - 3.  The pairs (E, s) of degree d pass through spaces M_1 ..
+    M_{w+1}, w = (d - 1)/2: M_1 = P^(d+g-2), and each flip trades a
+    P^(i-1)-bundle over Sym^i C for a P^(d+g-2-2i)-bundle over it, so
+    N(M_{i+1}) = N(M_i) + N(Sym^i C)(N(P^(d+g-2-2i)) - N(P^(i-1))).  M_{w+1}
+    is a P^(d+1-2g)-bundle over the moduli space."""
+    g = (len(coeffs) - 1) // 2
+    if d % 2 == 0 or d < 4 * g - 3:
+        raise DomainError(f"Thaddeus' flips need an odd d >= 4g - 3, got {d}")
+    n = projective_count(q, d + g - 2)
+    for i in range(1, (d - 1) // 2 + 1):
+        n += symmetric_power_count(q, coeffs, i) * (projective_count(q, d + g - 2 - 2 * i)
+                                                    - projective_count(q, i - 1))
+    return n / projective_count(q, d + 1 - 2 * g)
+
+
+def higgs_by_fixed_loci(q: int, coeffs, m21: Fraction) -> Fraction:
+    """The rank-2 odd-degree Higgs count from the C*-fixed loci:
+    q^(4g-3) P(1) [m_21 + sum_{d1=1}^{g-1} N(Sym^(2g-1-2 d1) C)].  C* scales
+    the field, and each attracting set is an affine bundle of rank half the
+    dimension, 4g - 3.  The fixed loci are M(2, 1), with P(1) m_21 points,
+    and for d1 = 1..g-1 copies of J x Sym^(2g-1-2 d1) C: L1 + L2 with
+    deg L1 = d1 and the field L1 -> L2 K, read by L1 and its divisor."""
+    g = (len(coeffs) - 1) // 2
+    return q ** (4 * g - 3) * sum(coeffs) * (
+        m21 + sum(symmetric_power_count(q, coeffs, 2 * g - 1 - 2 * d1) for d1 in range(1, g)))
 
 
 def residual_envelope(q: int, g: int) -> float:

@@ -674,6 +674,21 @@ def test_l_poly_block_over_tower_field():
     assert l_poly_via_characters(zs[:1]) == [reference_l_poly(zs[0])]
 
 
+def test_l_poly_refuses_a_sum_that_does_not_vanish_at_1(families, fresh_symbols):
+    # for even gamma a prime of the top degree gamma - 1 = 5 moves only the
+    # coefficient of t^5 of the raw series, which the running sums turn into
+    # the sum at t = 1: with the first prime's symbols negated, P(t) is
+    # rebuilt as it was and only that sum, 2 (F/P), stops vanishing
+    zs = families[(3, 6)]
+    table = curvezeta._symbol_table(F3, 5).reshape(-1, 3**5)
+    table[0] *= -1
+    F, c = ",".join(map(str, zs[0].curve.F.coeffs)), list(zs[0].coeffs)
+    with pytest.raises(InternalConsistencyError) as err:
+        l_poly_via_characters(zs)
+    assert str(err.value) in {f"character-route mismatch for F = {F}: {c + [s]} vs {c + [0]}"
+                              for s in (2, -2)}
+
+
 @pytest.mark.parametrize("size", [1, 300, CHUNK])
 def test_lambda_identity_blocks_match_per_curve_sum(families, size):
     zs = families[(5, 5)]

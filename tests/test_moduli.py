@@ -25,7 +25,7 @@ from moduli_census.moduli import (
     siegel_mass,
     unstable_mass,
 )
-from reference import full_2_torsion
+from reference import family_size, full_2_torsion, higgs_by_fixed_loci, thaddeus_m21
 
 F3 = make_field(3)
 
@@ -646,3 +646,25 @@ def test_full_2_torsion_flag_matches_root_count():
         assert [_full_2_torsion([z])[0] for z in zs[-50:]] == want[-50:]
         assert any(want) and not all(want)
     assert _full_2_torsion([]) == []
+
+
+# (gamma, q, count, seed): the whole family when count is None, else a seeded sample
+THADDEUS_FAMILIES = [(5, 3, None, 0), (5, 5, None, 0), (7, 3, None, 0),
+                     (9, 3, 200, 1), (7, 5, 200, 2), (11, 3, 60, 3)]
+
+
+@pytest.mark.parametrize("gamma, q, count, seed", THADDEUS_FAMILIES,
+                         ids=[f"H{g}{q}" for g, q, _, _ in THADDEUS_FAMILIES])
+def test_rank2_counts_match_thaddeus_flips_and_higgs_fixed_loci(gamma, q, count, seed):
+    # two routes that read only the symmetric powers of the curve, against
+    # Zagier's sum: Thaddeus' flips give m_21 at d = 4g - 3, the least degree
+    # they cover, and at d = 4g + 1, a longer chain of flips; the C*-fixed
+    # loci give the Higgs count from the flips' m_21
+    spec = FamilySpec(make_field(q), gamma, *(("sample", count, seed) if count else ()))
+    zs = list(zeta_data_block(family_curves(spec)))
+    assert len(zs) == (count or family_size(q, gamma))
+    for z in zs:
+        g, c = z.genus, z.coeffs
+        flips = [thaddeus_m21(q, c, d) for d in (4 * g - 3, 4 * g + 1)]
+        assert flips == [count_value(z, "m_rd", 2, 1)] * 2, z.curve.F
+        assert higgs_by_fixed_loci(q, c, flips[0]) == count_value(z, "higgs"), z.curve.F

@@ -343,6 +343,22 @@ def test_sieved_sample_runs_no_gcd_test(monkeypatch):
     assert len(members) == 2048 and all(f.degree == 9 for f in members)
 
 
+@pytest.mark.parametrize("K, gamma",
+                         [(make_field(7), 7), (make_field(241), 3), (make_field(3, 5), 3)],
+                         ids=["H77", "H3-241", "H3-243"])
+def test_families_within_the_sieve_bound_are_sieved_exactly(K, gamma):
+    # H_{7,7} has 140 squares P^2, H_{3,241} 241, and H_{3,243} over the tower
+    # F_243 has 243 and the largest q^gamma within the bound (about 1.4e7, in
+    # int64); each is sieved, and keeps what gcd(F, F') keeps on 1000 random
+    # codes and the last code
+    from moduli_census.polyring import SIEVE_MODULI, _square_moduli, _squarefree_rows
+    squares = _square_moduli(K, gamma)
+    assert squares is not None and sum(map(len, squares)) <= SIEVE_MODULI
+    rng = random.Random(gamma)
+    codes = [rng.randrange(K.order**gamma) for _ in range(1000)] + [K.order**gamma - 1]
+    assert _squarefree_rows(K, codes, gamma, squares) == _squarefree_rows(K, codes, gamma, None)
+
+
 def test_large_family_is_tested_code_by_code(monkeypatch):
     # H_{13,11} has 331364 squares P^2 to sieve by; its members are tested by
     # gcd(F, F') one code at a time
@@ -351,6 +367,7 @@ def test_large_family_is_tested_code_by_code(monkeypatch):
     K11 = make_field(11)
     assert _square_moduli(F5, 5) is not None
     assert _square_moduli(K11, 13) is None
+    assert _square_moduli(make_field(251), 3) is None  # 251 squares
     assert sum(prime_count(11, d) for d in range(1, 7)) > polyring.SIEVE_MODULI
 
     def no_sieve(*args):

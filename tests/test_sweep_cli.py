@@ -133,6 +133,20 @@ def test_sweep_budget_error():
         run_sweep(SweepConfig(q=7, gamma=9))
 
 
+def test_sweep_refuses_moduli_without_zeta(monkeypatch):
+    # the moduli columns read zeta data, so a run that skips it and keeps them
+    # is refused before any count, instead of computing the zeta data anyway
+    from moduli_census import sweep
+    from moduli_census.errors import DomainError
+
+    def no_count(*args):
+        raise AssertionError("a chunk was counted")
+
+    monkeypatch.setattr(sweep, "count_chunk", no_count)
+    with pytest.raises(DomainError, match="compute_moduli needs compute_zeta"):
+        run_sweep(SweepConfig(q=3, gamma=7, compute_zeta=False))
+
+
 def test_pool_size_bounded_by_chunks_and_cores(monkeypatch):
     from moduli_census.sweep import pool_size
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -1114,8 +1128,8 @@ def test_validate_tests_no_family_member_for_square_freeness(monkeypatch):
 
 @pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
 def test_import_starts_no_blas_thread_pool(preset, want):
-    # the package makes no BLAS call, so OpenBLAS starts one thread, unless
-    # the user has asked for more
+    # the package's one BLAS product is too small to gain from threads, so
+    # OpenBLAS starts one thread, unless the user has asked for more
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
