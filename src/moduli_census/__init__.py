@@ -59,6 +59,7 @@ from .moduli import (
     grassmannian_count,
     log_count_estimate,
     siegel_mass,
+    thaddeus_count,
     unstable_mass,
 )
 from .stats import (

@@ -30,14 +30,16 @@ m_rd, and for ms20, ntilde and higgs the sum of one builder per term:
 _higgs_form's A_1..A_3, _y_form's N(Y) over the A/B strata of _ab_form,
 and _ntilde_rs' N(R) and N(S).  The reports evaluate those same builders
 for their components, so every check of a component tests a term of the
-value.  The cross-check route (siegel_mass, beta, unstable_mass, the
-r = 2 closed form, the ms20 component assembly and rank3_envelopes) runs
-the Harder-Narasimhan recursion on forms, so count_stable_fixed_det's
-beta_table check compares two different formulas.  The checks that read the curve's integers
-without the evaluator are genus2_oracle, the higgs report's
-a2_jacobian_identity and the ntilde report's y_expansion (the Jacobian
-counts), and validate's estimate.siegel_main_term (log_count_estimate's
-zeta values, through zeta_value).
+value.  The cross-check route (siegel_mass, beta, unstable_mass, the ms20
+component assembly and rank3_envelopes) runs the Harder-Narasimhan
+recursion on forms, so count_stable_fixed_det's beta_table check compares
+two different formulas built on the same Siegel masses.  The checks that
+read the curve's integers without the evaluator are thaddeus_count
+(Thaddeus' flips, at every genus) and the higgs report's fixed_loci (its
+C*-fixed loci), both read from the counts of Sym^m C; genus2_oracle; the
+ntilde report's y_expansion (the Jacobian counts); and validate's
+estimate.siegel_main_term (log_count_estimate's zeta values, through
+zeta_value).
 """
 
 from __future__ import annotations
@@ -118,6 +120,29 @@ def genus2_oracle(z: CurveZeta) -> int:
         raise DomainError("oracle only applies to genus 2")
     q = z.q
     return q**3 + q**2 + q + 1 - q * z.psums[0]
+
+
+def _sym_count(q: int, c, m: int) -> int:
+    """N(Sym^m C) = sum_{i <= min(m, 2g)} c_i (q^(m-i+1) - 1)/(q - 1), the
+    coefficient of t^m in Z(C, t) = P(t) / ((1 - t)(1 - q t)) for c the
+    coefficients of P(t)."""
+    return sum(ci * _proj_count(q, m - i) for i, ci in enumerate(c[:m + 1]))
+
+
+def thaddeus_count(z: CurveZeta) -> Fraction:
+    """Independent count of the stable (2, odd) space from Thaddeus' flips
+    of stable pairs (Invent. Math. 1994), read from the counts of Sym^i C.
+
+    At d = 4g - 3 the pairs pass through M_1 .. M_(w+1), w = (d - 1)/2:
+    M_1 = P^(d+g-2), and wall i trades a P^(i-1)-bundle over Sym^i C for a
+    P^(d+g-2-2i)-bundle over it; M_(w+1) is a P^(d+1-2g)-bundle over the
+    moduli space."""
+    q, c, g = z.q, z.coeffs, z.genus
+    d = 4 * g - 3
+    n = _proj_count(q, d + g - 2) + sum(
+        _sym_count(q, c, i) * (_proj_count(q, d + g - 2 - 2 * i) - _proj_count(q, i - 1))
+        for i in range(1, (d - 1) // 2 + 1))
+    return Fraction(n, _proj_count(q, d + 1 - 2 * g))
 
 
 def check_stable_domain(r: int, d: int) -> None:
@@ -341,8 +366,8 @@ def count_stable_fixed_det(z: CurveZeta, r: int, d: int) -> ModuliReport:
 
     The value comes from count_value (Zagier's sum); the beta_table check
     compares it with (q-1) beta(r, d) from the Harder-Narasimhan recursion,
-    and for r = 2 the closed form (and, in genus 2, the quadric-intersection
-    oracle) are checked against it too.
+    and for r = 2 thaddeus_count (and, in genus 2, the quadric-intersection
+    oracle), which read no form, are checked against it too.
     """
     value = count_value(z, "m_rd", r, d)
     b = beta(z, r, d)
@@ -350,7 +375,7 @@ def count_stable_fixed_det(z: CurveZeta, r: int, d: int) -> ModuliReport:
     report.components["beta"] = b
     report.components["siegel_mass"] = siegel_mass(z, r)
     if r == 2:
-        report.cross_checks["closed_form"] = _check(_evaluate(z, _closed_form, d % 2), value)
+        report.cross_checks["thaddeus"] = _check(thaddeus_count(z), value)
         if z.genus == 2:
             report.cross_checks["genus2_oracle"] = _check(
                 Fraction(genus2_oracle(z)), value)
@@ -358,18 +383,9 @@ def count_stable_fixed_det(z: CurveZeta, r: int, d: int) -> ModuliReport:
     return report
 
 
-def _closed_form(q: int, g: int, parity: int) -> tuple:
-    """m_rd for r = 2: q^(3g-3) zeta(2) - q^(g-1+parity) P(1) / ((q-1)^2 (q+1)),
-    the first term being (q-1) v_2."""
-    return _sum_forms((q - 1, _siegel_form(q, g, 2)),
-                      (1, ((_mono("nj"), -Fraction(q ** (g - 1 + parity), (q - 1) ** 2 * (q + 1))),)))
-
-
-def _proj_count(q: int, m: int) -> Fraction:
-    """N_q(P^m) = (q^(m+1) - 1)/(q - 1); 0 for empty projective space."""
-    if m < 0:
-        return Fraction(0)
-    return Fraction(q ** (m + 1) - 1, q - 1)
+def _proj_count(q: int, m: int) -> int:
+    """N_q(P^m) = (q^(m+1) - 1)/(q - 1), which is 0 at m = -1, the empty space."""
+    return (q ** (m + 1) - 1) // (q - 1)
 
 
 def count_ms20(z: CurveZeta) -> ModuliReport:
@@ -408,11 +424,11 @@ def _ms20_form(q: int, g: int, part: int) -> tuple:
     """
     two2g = 2 ** (2 * g)
     parts = (((_mono("nj"), Fraction(q ** (g - 1), (q - 1) ** 3 * (q + 1))),),
-             _sum_forms((Fraction(1, (q - 1) ** 2) + 2 * _proj_count(q, g - 2) / (q - 1),
+             _sum_forms((Fraction(1, (q - 1) ** 2) + Fraction(2 * _proj_count(q, g - 2), q - 1),
                          _ab_form(q, g, 0)),
                         (Fraction(1, q**2 - 1), _ab_form(q, g, 1))),
              ((_mono(), Fraction(two2g, (q**2 - 1) * (q**2 - q))
-               + two2g * _proj_count(q, g - 1) / (q * (q - 1))),))
+               + Fraction(two2g * _proj_count(q, g - 1), q * (q - 1))),))
     if part < 3:
         return parts[part]
     return _sum_forms((q - 1, _siegel_form(q, g, 2)), *((1 - q, form) for form in parts))
@@ -506,14 +522,19 @@ def count_higgs(z: CurveZeta) -> ModuliReport:
     A_{g,2} = A_1 + A_2 + A_3 in terms of P(1), P(q), P(-1) and the
     logarithmic derivative of P at 1; the value is degree-independent.  It
     comes from count_value, and the components A_i are the values of the
-    forms it sums (_higgs_form).  a2_jacobian_identity checks A_2 against
-    -N_{q^2}(J)/(4(q+1)), the Jacobian count read without the evaluator.
+    forms it sums (_higgs_form).  fixed_loci checks the value against the
+    count of its C*-fixed loci (Hitchin 1987, section 7), read without the
+    evaluator: C* scales the Higgs field, each attracting set is an affine
+    bundle of rank 4g-3, half the dimension, and the fixed loci are M(2, 1)
+    and, for d1 = 1..g-1, copies of J x Sym^(2g-1-2 d1) C, so the count is
+    q^(4g-3) P(1) [m_21 + sum_d1 N(Sym^(2g-1-2 d1) C)], m_21 from thaddeus_count.
     """
     value = count_value(z, "higgs")
     a1, a2, a3 = (_evaluate(z, _higgs_form, part) for part in range(3))
+    q, g, c = z.q, z.genus, z.coeffs
     report = ModuliReport(target="higgs", value=value)
-    report.cross_checks["a2_jacobian_identity"] = _check(
-        -Fraction(jacobian_count(z, 2), 4 * (z.q + 1)), a2)
+    report.cross_checks["fixed_loci"] = _check(q ** (4 * g - 3) * sum(c) * (
+        thaddeus_count(z) + sum(_sym_count(q, c, 2 * g - 1 - 2 * d1) for d1 in range(1, g))), value)
     report.components.update({"A_1": a1, "A_2": a2, "A_3": a3, "A_g2": a1 + a2 + a3})
     return report
 

@@ -27,10 +27,11 @@ them once.
 The moduli suites build no form of their own: every exact value they
 check comes from a moduli call (the count reports, unstable_mass,
 rank3_envelopes, exact_log_gap), and so from moduli's one form evaluator.
-The checks that read the curve's integers without it are crossval's
-genus2_oracle, estimate.siegel_main_term (log_count_estimate's zeta
-values, through zeta_value) and the higgs report's a2_jacobian_identity
-(the Jacobian count over F_{q^2}).
+The checks that read the curve's integers without it are the thaddeus row
+that crossval reads (Thaddeus' flips, at every genus), the fixed_loci row
+that higgs reads (the C*-fixed loci of the Higgs space), and
+estimate.siegel_main_term (log_count_estimate's zeta values, through
+zeta_value).
 """
 
 from __future__ import annotations
@@ -147,8 +148,8 @@ def suite_higgs(q: int, gamma: int, zs):
         a = rep.components["A_g2"]
         if a.denominator != 1 or a <= 0:
             bad.append(format_poly(z.curve.F))
-        if rep.cross_checks["a2_jacobian_identity"]["residual"] != 0:
-            bad.append("a2:" + format_poly(z.curve.F))
+        if rep.cross_checks["fixed_loci"]["residual"] != 0:
+            bad.append("fixed_loci:" + format_poly(z.curve.F))
     yield CheckResult("higgs.integrality", not bad,
                       f"{n} curves; A integer > 0" if not bad else f"violations: {bad[:5]}")
     if q == 3 and gamma == 5:
@@ -187,17 +188,13 @@ def suite_unstable(q: int, gamma: int, zs):
 
 
 def suite_crossval(q: int, gamma: int, zs):
-    """Genus-2 cross-validation report; summarizes, never patches.
+    """Cross-validation report; summarizes, never patches.
 
     It fails where an exact identity breaks: the stable (2,1) count from
-    Zagier's sum against (q-1) beta(2, 1) from the Harder-Narasimhan
-    recursion, or the ms20 closed form against its component assembly plus
-    4^g/(q+1).
+    Zagier's sum against Thaddeus' flips (its oracle, at every genus) or
+    (q-1) beta(2, 1) from the Harder-Narasimhan recursion, or the ms20
+    closed form against its component assembly plus 4^g/(q+1).
     """
-    if (gamma - 1) // 2 != 2:
-        yield CheckResult("crossval.applicable", True,
-                          "skipped: needs a genus-2 family")
-        return
     zero = 0
     nonint_m = 0
     nonint_ms = 0
@@ -207,14 +204,14 @@ def suite_crossval(q: int, gamma: int, zs):
     groups, n = _by_lpoly(zs)
     for z, k in groups:
         rep = count_stable_fixed_det(z, 2, 1)
-        if rep.cross_checks["genus2_oracle"]["residual"] == 0:
+        if rep.cross_checks["thaddeus"]["residual"] == 0:
             zero += k
         if not rep.is_integer:
             nonint_m += k
         ms = count_ms20(z)
         if not ms.is_integer:
             nonint_ms += k
-        if (rep.cross_checks["beta_table"]["residual"] != 0
+        if (any(rep.cross_checks[row]["residual"] for row in ("thaddeus", "beta_table"))
                 or ms.cross_checks["component_assembly"]["residual"] != Fraction(4**z.genus, q + 1)):
             broken += k
     yield CheckResult(
@@ -222,7 +219,8 @@ def suite_crossval(q: int, gamma: int, zs):
         f"{n} curves; stable-count vs oracle residual zero on {zero}/{n}; "
         f"non-integer m_rd: {nonint_m}, non-integer ms20: {nonint_ms}; "
         f"full 2-torsion on {tors}/{n}"
-        + (f"; {broken} curves break the beta_table or ms20 assembly identity" if broken else ""))
+        + (f"; {broken} curves break the thaddeus, beta_table or ms20 assembly identity"
+           if broken else ""))
 
 
 def suite_epsilon(q: int, gamma: int, zs):

@@ -23,9 +23,11 @@ from moduli_census.moduli import (
     grassmannian_count,
     log_count_estimate,
     siegel_mass,
+    thaddeus_count,
     unstable_mass,
 )
-from reference import family_size, full_2_torsion, higgs_by_fixed_loci, thaddeus_m21
+from reference import (family_size, full_2_torsion, higgs_by_fixed_loci, symmetric_power_count,
+                       thaddeus_m21)
 
 F3 = make_field(3)
 
@@ -168,7 +170,7 @@ def test_count_stable_21(z55):
     assert rep.value == 40
     assert rep.is_integer
     assert rep.cross_checks["genus2_oracle"]["residual"] == 0
-    assert rep.cross_checks["closed_form"]["residual"] == 0
+    assert rep.cross_checks["thaddeus"] == {"expected": 40, "got": 40, "residual": 0}
 
 
 def test_count_stable_beta_table_check(z55, z73):
@@ -370,7 +372,7 @@ def test_higgs_x5x(z55):
     assert rep.value == 243 * 528 == 128304
     assert rep.value == 3 ** (4 * z55.genus - 3) * rep.components["A_g2"]
     assert rep.is_integer
-    assert rep.cross_checks["a2_jacobian_identity"]["residual"] == 0
+    assert rep.cross_checks["fixed_loci"] == {"expected": 128304, "got": 128304, "residual": 0}
 
 
 def test_higgs_integrality_sample():
@@ -499,7 +501,6 @@ def test_no_form_leaves_monomials(fresh_forms):
         keys += [(moduli._stratum_form, p, d) for p in SUPPORTED_PARTITIONS for d in range(-4, 5)]
         keys += [(moduli._count_form, t, r, d) for t in COUNT_TARGETS
                  for r, d in ((2, 1), (3, 1), (3, 2))]
-        keys += [(moduli._closed_form, parity) for parity in (0, 1)]
         keys += [(moduli._ms20_form, part) for part in range(4)]
         keys += [(moduli._higgs_form, part) for part in range(3)]
         keys += [(moduli._ab_form, which) for which in range(2)] + [(moduli._y_form,)]
@@ -659,7 +660,9 @@ def test_rank2_counts_match_thaddeus_flips_and_higgs_fixed_loci(gamma, q, count,
     # two routes that read only the symmetric powers of the curve, against
     # Zagier's sum: Thaddeus' flips give m_21 at d = 4g - 3, the least degree
     # they cover, and at d = 4g + 1, a longer chain of flips; the C*-fixed
-    # loci give the Higgs count from the flips' m_21
+    # loci give the Higgs count from the flips' m_21.  The reports' thaddeus
+    # and fixed_loci rows are the same two routes in src/, in integers
+    from moduli_census.moduli import _sym_count
     spec = FamilySpec(make_field(q), gamma, *(("sample", count, seed) if count else ()))
     zs = list(zeta_data_block(family_curves(spec)))
     assert len(zs) == (count or family_size(q, gamma))
@@ -668,3 +671,9 @@ def test_rank2_counts_match_thaddeus_flips_and_higgs_fixed_loci(gamma, q, count,
         flips = [thaddeus_m21(q, c, d) for d in (4 * g - 3, 4 * g + 1)]
         assert flips == [count_value(z, "m_rd", 2, 1)] * 2, z.curve.F
         assert higgs_by_fixed_loci(q, c, flips[0]) == count_value(z, "higgs"), z.curve.F
+        assert thaddeus_count(z) == flips[0], z.curve.F
+        assert count_stable_fixed_det(z, 2, 1).cross_checks["thaddeus"]["residual"] == 0
+        assert count_higgs(z).cross_checks["fixed_loci"]["residual"] == 0
+    for c in {z.coeffs for z in zs}:
+        assert [_sym_count(q, c, m) for m in range(2 * g + 3)] == [
+            symmetric_power_count(q, c, m) for m in range(2 * g + 3)], c

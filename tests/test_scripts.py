@@ -17,14 +17,18 @@ def run_script(name, *args):
 
 
 def test_crossval_report(tmp_path):
+    # genus 2 and genus 3: the oracle is Thaddeus' count at every genus
     out = tmp_path / "report.csv"
-    proc = run_script("crossval_report.py", "--q", "3", "--gamma", "5", "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    lines = out.read_text().splitlines()
-    assert lines[0] == ("F,m21,m21_is_integer,oracle,oracle_residual,ms20,ms20_is_integer,"
-                        "assembly_residual,full_2_torsion")
-    assert len(lines) == 1 + 3**5 - 3**4
-    assert proc.stderr.splitlines()[0] == "# 162 curves"
+    for gamma, n in ((5, 162), (7, 1458)):
+        proc = run_script("crossval_report.py", "--q", "3", "--gamma", str(gamma), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        lines = out.read_text().splitlines()
+        assert lines[0] == ("F,m21,m21_is_integer,oracle,oracle_residual,ms20,ms20_is_integer,"
+                            "assembly_residual,full_2_torsion")
+        assert len(lines) == 1 + n == 1 + 3**gamma - 3 ** (gamma - 1)
+        assert {line.split(",")[4] for line in lines[1:]} == {"0"}
+        assert proc.stderr.splitlines()[:2] == [
+            f"# {n} curves", f"# oracle residual distribution: {{'0': {n}}}"]
 
 
 # each prints its header line(s), then one row per gamma or q

@@ -477,10 +477,10 @@ def test_cli_moduli_estimate():
 # sha256 of the JSON of `moduli --target T` on y^2 = x^7 + x + 1 over F_5
 # (r = 2, d = 1 for m_rd and estimate)
 @pytest.mark.parametrize("target,sha", [
-    ("m_rd", "11e7cdd361aa2439bf2ec976b933dd9b3ad24b8624efbfd08d0b1c2faa9e582c"),
+    ("m_rd", "46124e562f45fa1fb68f34dde9f53c90d281ffe2973f8a27911077742586ddf8"),
     ("ms20", "60b1c81217a1e8a96cbe7e273d0119d2f6ad2208963e74a0df3506b44df0715e"),
     ("ntilde", "c7d7f17f206c86b9aef5105b7c2407ba3af7a045aea1cd7fdb01d71487ee7bec"),
-    ("higgs", "9ea736bd96a96e3421192c2525d8734ea452b888d7933d5a119c70be69b47090"),
+    ("higgs", "b327fc7f0326dd2e20c2cf47dde8d76f352ad6919838a4ee020c7f8f39232a4b"),
     ("estimate", "b55c68d4a9391819fb421112aa8f4d093573d7b89f6bea743b417af95279eded"),
 ])
 def test_cli_moduli_golden_bytes(target, sha):
@@ -767,13 +767,15 @@ def test_cli_validate_refuses_the_symbol_budget_before_any_work(monkeypatch, cap
 
 
 def test_cli_validate_xz_needs_genus_two(capsys):
-    # the zeta envelope's scale loglog(g) needs g >= 2: a genus-1 family is
-    # refused as higgs, unstable and estimate refuse it
-    code = main(["validate", "--suite", "xz", "--q", "5", "--gamma", "3"])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == ["error: needs genus >= 2"]
+    # the zeta envelope's scale loglog(g) needs g >= 2, as the rank-2 counts
+    # crossval reads do: a genus-1 family is refused as higgs, unstable and
+    # estimate refuse it
+    for suite in ("xz", "crossval"):
+        code = main(["validate", "--suite", suite, "--q", "5", "--gamma", "3"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: needs genus >= 2"]
 
 
 @pytest.fixture
@@ -834,7 +836,7 @@ def test_cli_validate_crossval_catches_a_mutated_count(monkeypatch, fresh_forms,
     assert code == 1
     lines = out.splitlines()
     assert lines[0].startswith("FAIL crossval.report - 162 curves;")
-    assert lines[0].endswith("; 162 curves break the beta_table or ms20 assembly identity")
+    assert lines[0].endswith("; 162 curves break the thaddeus, beta_table or ms20 assembly identity")
     assert lines[1] == "FAILED: 0/1 checks passed"
     if target == "m_rd":
         from moduli_census.curvezeta import HyperellipticCurve, zeta_data
@@ -867,7 +869,7 @@ def test_cli_validate_catches_a_mutated_stratum_constant(monkeypatch, fresh_form
     assert code == 1
     lines = out.splitlines()
     assert lines[0].startswith("FAIL crossval.report - 162 curves;")
-    assert lines[0].endswith("; 162 curves break the beta_table or ms20 assembly identity")
+    assert lines[0].endswith("; 162 curves break the thaddeus, beta_table or ms20 assembly identity")
     assert lines[1] == "FAILED: 0/1 checks passed"
 
 
@@ -875,7 +877,7 @@ def test_cli_validate_catches_a_mutated_stratum_constant(monkeypatch, fresh_form
 def test_beta_table_catches_a_mutated_hn_tail(monkeypatch, fresh_forms, mutation):
     # the count forms (Zagier's sum) read no Harder-Narasimhan tail, so a
     # wrong tail reaches only the cross-check route: beta_table must notice
-    # it, while the count and the r = 2 closed form stay as they were
+    # it, while the count and Thaddeus' flips at r = 2 stay as they were
     from moduli_census import moduli
     from moduli_census.curvezeta import HyperellipticCurve, zeta_data
     from moduli_census.ffield import make_field
@@ -899,18 +901,18 @@ def test_beta_table_catches_a_mutated_hn_tail(monkeypatch, fresh_forms, mutation
         assert rep.value == value
         assert rep.cross_checks["beta_table"]["residual"] != 0
         if r == 2:
-            assert rep.cross_checks["closed_form"]["residual"] == 0
+            assert rep.cross_checks["thaddeus"]["residual"] == 0
     if mutation == "two_step":
         code, out = run_cli("validate", "--suite", "crossval", "--q", "3", "--gamma", "5")
         assert code == 1
         assert out.splitlines()[0].endswith(
-            "; 162 curves break the beta_table or ms20 assembly identity")
+            "; 162 curves break the thaddeus, beta_table or ms20 assembly identity")
 
 
 def test_higgs_checks_catch_a_mutated_count_term(monkeypatch, fresh_forms):
     # count_higgs' components are the terms count_value sums, so a wrong
-    # A_2 in the count's own form must break the a2 identity, and with it
-    # the higgs suite
+    # A_2 in the count's own form must break the fixed-locus count, and
+    # with it the higgs suite
     from moduli_census import moduli
     from moduli_census.curvezeta import HyperellipticCurve, zeta_data
     from moduli_census.ffield import make_field
@@ -921,11 +923,69 @@ def test_higgs_checks_catch_a_mutated_count_term(monkeypatch, fresh_forms):
     z = zeta_data(HyperellipticCurve(parse_poly(make_field(3), "0,1,0,0,0,1")))
     rep = moduli.count_higgs(z)
     assert rep.components["A_2"] == -18
-    assert rep.cross_checks["a2_jacobian_identity"]["residual"] != 0
+    assert rep.cross_checks["fixed_loci"]["residual"] == 9 * 3 ** (4 * z.genus - 3)
     assert rep.value == 3 ** (4 * z.genus - 3) * rep.components["A_g2"]
     code, out = run_cli("validate", "--suite", "higgs", "--q", "5", "--gamma", "5")
     assert code == 1
     assert out.splitlines()[0].startswith("FAIL higgs.integrality - violations: ")
+
+
+def test_thaddeus_catches_a_mutated_siegel_mass(monkeypatch, fresh_forms):
+    # Zagier's sum and the Harder-Narasimhan recursion both read the rank-2
+    # Siegel mass, so 1/D more in its coefficient, D the denominator of its
+    # cached vector, moves the count and beta_table alike; Thaddeus' flips
+    # read no form, so their row, and with it crossval, must notice at
+    # every genus
+    from moduli_census import moduli
+    from moduli_census.curvezeta import HyperellipticCurve, zeta_data
+    from moduli_census.ffield import make_field
+    from moduli_census.polyring import parse_poly
+    real = moduli._siegel_form
+
+    def mutated(q, g, r):
+        ((mono, coef),) = real(q, g, r)
+        if r == 2:
+            coef += Fraction(1, moduli._vector(real, q, g, r)[2])
+        return ((mono, coef),)
+
+    monkeypatch.setattr(moduli, "_siegel_form", mutated)
+    z = zeta_data(HyperellipticCurve(parse_poly(make_field(5), "0,1,0,0,0,0,0,1")))
+    rep = moduli.count_stable_fixed_det(z, 2, 1)
+    assert rep.cross_checks["beta_table"]["residual"] == 0
+    assert rep.cross_checks["thaddeus"]["residual"] != 0
+    for gamma, n in ((5, 162), (7, 1458)):
+        code, out = run_cli("validate", "--suite", "crossval", "--q", "3", "--gamma", str(gamma))
+        assert code == 1
+        assert out.splitlines()[0].endswith(
+            f"; {n} curves break the thaddeus, beta_table or ms20 assembly identity")
+
+
+@pytest.mark.parametrize("part, term", [(0, 0), (1, 0), (2, 0), (2, 1)],
+                         ids=["A1", "A2", "A3-nj2", "A3-nj-dP"])
+def test_fixed_loci_catch_a_mutated_higgs_coefficient(monkeypatch, fresh_forms, part, term):
+    # 1/D more in one coefficient of A_1, A_2 or A_3, D the denominator of
+    # its cached vector, moves the Higgs count; its C*-fixed loci read no
+    # form, so the fixed_loci row, and with it the higgs suite, must notice
+    from moduli_census import moduli
+    from moduli_census.curvezeta import HyperellipticCurve, zeta_data
+    from moduli_census.ffield import make_field
+    from moduli_census.polyring import parse_poly
+    real = moduli._higgs_form
+
+    def mutated(q, g, p):
+        form = list(real(q, g, p))
+        if p == part:
+            mono, coef = form[term]
+            form[term] = (mono, coef + Fraction(1, moduli._vector(real, q, g, p)[2]))
+        return tuple(form)
+
+    monkeypatch.setattr(moduli, "_higgs_form", mutated)
+    z = zeta_data(HyperellipticCurve(parse_poly(make_field(5), "1,1,0,0,0,0,0,1")))
+    assert moduli.count_higgs(z).cross_checks["fixed_loci"]["residual"] != 0
+    code, out = run_cli("validate", "--suite", "higgs", "--q", "5", "--gamma", "5")
+    assert code == 1
+    assert out.splitlines()[0].startswith("FAIL higgs.integrality - violations: ")
+    assert "fixed_loci:" in out.splitlines()[0]
 
 
 @functools.lru_cache(maxsize=None)
